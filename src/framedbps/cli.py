@@ -13,17 +13,13 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .closedforms import (b_extremal_twist, b_extremal_unknot, b_unknot,
+from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
 from .links import (FramedLinkSpec, apply_framing, check_unknot_recursion,
-                    homfly_borromean, homfly_unknot, homfly_whitehead)
+                    homfly_link)
 from .ovengine import bps_list, ov_table, strong_integrality_check
-
-
-class MismatchDetected(Exception):
-    """The two independent pipelines disagree on a value they must share."""
 
 
 # --------------------------------------------------------------------------
@@ -77,38 +73,36 @@ def parse_int_vector(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def parse_range(text):
+    """'LO:HI' -> (LO, HI); an empty range would pass any scan vacuously."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
 
 def _link_spec(args, parser):
-    colors = parse_int_vector(args.colors)
-    framings = parse_int_vector(args.framing)
+    try:
+        colors = parse_int_vector(args.colors)
+        spec = FramedLinkSpec(args.link, framings=parse_int_vector(args.framing),
+                              colors=colors, p=args.p if args.link == "twist" else None)
+    except ValueError as exc:
+        parser.error(str(exc))
     if not any(colors):
         parser.error("zero color vector")
-    if any(c < 0 for c in colors):
-        parser.error("negative color")
-    try:
-        spec = FramedLinkSpec(args.link, framings=framings, colors=colors,
-                              p=args.p if args.link == "twist" else None)
-    except (ValueError, AssertionError) as exc:
-        parser.error(str(exc))
     return spec
 
 
 def cmd_homfly(args, parser):
     spec = _link_spec(args, parser)
-    if not spec.has_full_h:
-        print(f"error: UnsupportedKnotKind: no full invariant for {spec.link!r}",
-              file=sys.stderr)
-        return 1
-    if spec.link == "unknot":
-        h = homfly_unknot(spec.colors[0])
-    elif spec.link == "whitehead":
-        h = homfly_whitehead(*spec.colors)
-    else:
-        h = homfly_borromean(*spec.colors)
-    h = apply_framing(h, spec.colors, spec.framings)
+    h = apply_framing(homfly_link(spec.link, spec.colors), spec.colors, spec.framings)
     den = sorted(h.den.elements())
     if args.format == "json":
         doc = {
@@ -161,10 +155,6 @@ def render_table_ascii(table):
 
 def cmd_ov_table(args, parser):
     spec = _link_spec(args, parser)
-    if not spec.has_full_h:
-        print(f"error: UnsupportedKnotKind: no full invariant for {spec.link!r}",
-              file=sys.stderr)
-        return 1
     table = ov_table(spec, spec.colors)
     if args.format == "json":
         print(json.dumps(_table_json(spec, table), indent=2))
@@ -274,6 +264,8 @@ def cmd_bps(args, parser):
 
 
 def cmd_series(args, parser):
+    if args.order < 1:
+        parser.error("order must be >= 1")
     if args.knot == "twist":
         if args.p is None:
             parser.error("twist knot needs --p")
@@ -283,8 +275,8 @@ def cmd_series(args, parser):
     curve = make_curve(knot, args.kind, args.framing_int)
     nf = normalize(curve, args.order)
     gamma = lagrange_log_y(nf, args.order)
-    assert gamma == newton_series_solve(curve, args.order), \
-        "solver disagreement"
+    if gamma != newton_series_solve(curve, args.order):
+        raise MismatchDetected(("series", knot, args.kind, args.framing_int, args.order))
     entries = sorted(gamma.coefficients.items())
     if args.format == "json":
         doc = {"knot": args.knot, "kind": args.kind, "framing": args.framing_int,
@@ -368,7 +360,7 @@ def verify_tables(args):
 
 
 def verify_integrality(args):
-    lo, hi = (int(x) for x in args.t_range.split(":"))
+    lo, hi = args.t_range
     failures = 0
     for r in range(1, args.r_max + 1):
         bad = []
@@ -418,6 +410,11 @@ def verify_symmetry(args):
 
 
 def cmd_verify(args, parser):
+    # like an empty --t-range, these would make a suite pass vacuously
+    if args.suite == "integrality" and args.r_max < 1:
+        parser.error("r-max must be >= 1")
+    if args.suite == "recursion" and (args.n_max < 2 or args.tau_max < 0):
+        parser.error("recursion needs n-max >= 2 and tau-max >= 0")
     suite = {"tables": verify_tables, "integrality": verify_integrality,
              "recursion": verify_recursion, "symmetry": verify_symmetry}[args.suite]
     failures = suite(args)
@@ -480,7 +477,7 @@ def build_parser():
     p_v.add_argument("suite", choices=("tables", "integrality", "recursion",
                                        "symmetry"))
     p_v.add_argument("--r-max", dest="r_max", type=int, default=30)
-    p_v.add_argument("--t-range", dest="t_range", default="-10:10")
+    p_v.add_argument("--t-range", dest="t_range", type=parse_range, default="-10:10")
     p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)
     p_v.add_argument("--n-max", dest="n_max", type=int, default=12)
     p_v.set_defaults(func=cmd_verify)

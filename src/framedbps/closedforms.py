@@ -18,6 +18,14 @@ class NonIntegerBPS(Exception):
     """An r^2-division that should always come out exact failed."""
 
 
+class MismatchDetected(Exception):
+    """Two computations of a value that must agree do not: a cross-check failed."""
+
+
+class UnsupportedKnotKind(Exception):
+    """No invariant or curve of the requested knot, kind or parameter exists here."""
+
+
 class UnsupportedP(Exception):
     """Twist-knot parameter outside the two supported families."""
 

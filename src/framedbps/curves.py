@@ -17,7 +17,8 @@ branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 from fractions import Fraction
 from math import gcd
 
-from .closedforms import NonIntegerBPS, divisors, mobius, sign_pow
+from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
+                          divisors, mobius, sign_pow)
 from .laurent import (NonInvertibleLeadingTerm, TruncSeries, lp_mono, lp_mul,
                       lp_one, lp_scale, series_add, series_inv, series_log1p,
                       series_mul, series_pow_int, series_scale)
@@ -26,10 +27,6 @@ KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
 KIND_MINUS = "extremal_minus"
 KINDS = (KIND_FULL, KIND_PLUS, KIND_MINUS)
-
-
-class UnsupportedKnotKind(Exception):
-    """No curve of the requested (knot, kind, parameter) shape exists here."""
 
 
 class NotNormalizable(Exception):
@@ -284,38 +281,25 @@ def lagrange_log_y(nf, order):
     return GammaSeries(out, order)
 
 
-def _curve_series(curve, w, order):
-    """Evaluate the curve polynomial at y² = w(x) as a TruncSeries in x."""
-    total = TruncSeries([{} for _ in range(order)], order)
+def _curve_eval(curve, w, order):
+    """The curve polynomial A and its w-derivative ∂A/∂w at y² = w(x), both
+    as TruncSeries in x, from one shared table of the powers w^j."""
     powers = {}
-    for (xd, yd, da), c in sorted(curve.source.items()):
-        jj = yd // 2
-        if jj not in powers:
-            powers[jj] = series_pow_int(w, jj)
-        term = _series_scale_poly(powers[jj], lp_mono(0, da, c))
-        if xd:
-            shifted = [{} for _ in range(xd)] + list(term.coeffs[:order - xd])
-            term = TruncSeries(shifted, order)
-        total = series_add(total, term)
-    return total
 
+    def term(j, xd, mono):
+        """x^xd · mono · w^j, truncated at `order`."""
+        if j not in powers:
+            powers[j] = series_pow_int(w, j)
+        coeffs = _series_scale_poly(powers[j], mono).coeffs
+        return TruncSeries([{}] * xd + coeffs[:order - xd], order)
 
-def _curve_dw_series(curve, w, order):
-    """Evaluate ∂(curve)/∂w at y² = w(x)."""
-    total = TruncSeries([{} for _ in range(order)], order)
-    powers = {}
+    value = slope = TruncSeries([], order)
     for (xd, yd, da), c in sorted(curve.source.items()):
-        jj = yd // 2
-        if jj == 0:
-            continue
-        if jj - 1 not in powers:
-            powers[jj - 1] = series_pow_int(w, jj - 1)
-        term = _series_scale_poly(powers[jj - 1], lp_mono(0, da, c * jj))
-        if xd:
-            shifted = [{} for _ in range(xd)] + list(term.coeffs[:order - xd])
-            term = TruncSeries(shifted, order)
-        total = series_add(total, term)
-    return total
+        j = yd // 2
+        value = series_add(value, term(j, xd, lp_mono(0, da, c)))
+        if j:
+            slope = series_add(slope, term(j - 1, xd, lp_mono(0, da, c * j)))
+    return value, slope
 
 
 def solve_w_series(curve, order):
@@ -323,28 +307,29 @@ def solve_w_series(curve, order):
 
     Quadratic Newton lifting: w ← w - A(w)/∂A(w), doubling the count of
     correct coefficients per round; raises SingularBranch when ∂A/∂w is
-    not invertible at the start point.
+    not invertible at the start point, and MismatchDetected when the
+    final residual is not exactly zero.
     """
     assert order >= 1
     w = TruncSeries([lp_one()] + [{} for _ in range(order - 1)], order)
     known = 1
     while known < order:
-        residual = _curve_series(curve, w, order)
-        slope = _curve_dw_series(curve, w, order)
+        residual, slope = _curve_eval(curve, w, order)
         try:
             correction = series_mul(residual, series_inv(slope))
         except NonInvertibleLeadingTerm as exc:
             raise SingularBranch(curve) from exc
         w = series_add(w, series_scale(correction, Fraction(-1)))
         known = min(2 * known, order)
-    final = _curve_series(curve, w, order)
-    assert all(not c for c in final.coeffs), "Newton residual nonzero"
+    residual, _ = _curve_eval(curve, w, order)
+    if any(residual.coeffs):
+        raise MismatchDetected(f"Newton residual of {curve!r} is nonzero")
     return w
 
 
 def curve_residual(curve, w):
     """The curve polynomial evaluated at a candidate series for y²."""
-    return _curve_series(curve, w, w.order)
+    return _curve_eval(curve, w, w.order)[0]
 
 
 def newton_series_solve(curve, order):

@@ -25,10 +25,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def lp_zero():
-    return {}
-
-
 def lp_one():
     return {(0, 0): _F1}
 
@@ -76,31 +72,6 @@ def lp_scale(p, c):
     if not c:
         return {}
     return {k: v * c for k, v in p.items()}
-
-
-def lp_arith(op, lhs, rhs=None):
-    """Dispatch basic ring arithmetic by name.
-
-    Parameters
-    ----------
-    op : str
-        One of "add", "sub", "mul", "neg", "scale".
-    lhs, rhs : dict or rational
-        Laurent operands; for "scale" the rational may be either side.
-    """
-    if op == "add":
-        return lp_add(lhs, rhs)
-    if op == "sub":
-        return lp_sub(lhs, rhs)
-    if op == "mul":
-        return lp_mul(lhs, rhs)
-    if op == "neg":
-        return lp_neg(lhs)
-    if op == "scale":
-        if isinstance(lhs, dict):
-            return lp_scale(lhs, rhs)
-        return lp_scale(rhs, lhs)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def _a_exact_div(num, den):
@@ -189,12 +160,6 @@ def lp_exact_div(num, den):
         for da, c in ak.items():
             out[(dq + shift, da)] = c
     return out
-
-
-def lp_adams(f, d):
-    """Adams operation: exponentwise q -> q^d, a -> a^d."""
-    assert d >= 1
-    return {(dq * d, da * d): c for (dq, da), c in f.items()}
 
 
 def lp_specialize_q1(f):
@@ -322,16 +287,3 @@ def series_log1p(s):
             break
         out = series_add(out, series_scale(term, Fraction((-1) ** (m - 1), m)))
     return out
-
-
-def series_arith(op, *args):
-    """Dispatch series arithmetic: add | mul | log1p | pow_int."""
-    if op == "add":
-        return series_add(*args)
-    if op == "mul":
-        return series_mul(*args)
-    if op == "log1p":
-        return series_log1p(*args)
-    if op == "pow_int":
-        return series_pow_int(*args)
-    raise ValueError(f"unknown op {op!r}")

@@ -1,9 +1,11 @@
 """Colored HOMFLYPT invariants of the unknot, Whitehead link, and
 Borromean rings (symmetric colors), plus the framing factor.
 
-All invariants come back as exact `BraceRatio` values: none of them is
-a Laurent polynomial on its own (brace-factorial denominators survive),
-and the ratio form keeps every later division checked-exact.
+All three come from one cyclotomic-type sum, `homfly_link`, that differs
+per link only in its core C_i(a, q).  Invariants come back as exact
+`BraceRatio` values: none of them is a Laurent polynomial on its own
+(brace-factorial denominators survive), and the ratio form keeps every
+later division checked-exact.
 
 Conventions baked in here and validated against the integer tables:
 
@@ -18,7 +20,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import lp_mono, lp_mul, lp_neg, lp_sub
+from .closedforms import UnsupportedKnotKind
+from .laurent import lp_mono, lp_mul, lp_neg, lp_one, lp_sub
 from .qsymbols import (BRACE, BRACE_A, BraceRatio, brace_factorial_multiset,
                        qsym_falling)
 
@@ -28,15 +31,14 @@ class RecursionViolated(Exception):
 
 
 _COMPONENTS = {"unknot": 1, "twist": 1, "whitehead": 2, "borromean": 3}
-_FULL_H = ("unknot", "whitehead", "borromean")
 
 
 class FramedLinkSpec:
     """A link name with optional framing/color vectors (and p for twist knots).
 
     Twist knots carry no full HOMFLYPT formula here — they exist for the
-    curve-engine and closed-form modules; the plethystic engine rejects
-    them via `has_full_h`.
+    curve-engine and closed-form modules; `homfly_link` rejects them.
+    Malformed vectors raise ValueError.
     """
 
     __slots__ = ("link", "framings", "colors", "p")
@@ -47,15 +49,20 @@ class FramedLinkSpec:
         n = _COMPONENTS[link]
         if framings is not None:
             framings = tuple(int(t) for t in framings)
-            assert len(framings) == n, "framing vector length mismatch"
+            if len(framings) != n:
+                raise ValueError(f"{link} needs {n} framings, got {framings}")
         if colors is not None:
             colors = tuple(int(r) for r in colors)
-            assert len(colors) == n and all(r >= 0 for r in colors)
+            if len(colors) != n:
+                raise ValueError(f"{link} needs {n} colors, got {colors}")
+            if any(r < 0 for r in colors):
+                raise ValueError(f"negative color in {colors}")
         if link == "twist":
-            assert p is not None, "twist knot needs its parameter p"
+            if p is None:
+                raise ValueError("twist knot needs its parameter p")
             p = int(p)
-        else:
-            assert p is None
+        elif p is not None:
+            raise ValueError(f"{link} takes no parameter p")
         self.link = link
         self.framings = framings
         self.colors = colors
@@ -64,10 +71,6 @@ class FramedLinkSpec:
     @property
     def n_components(self):
         return _COMPONENTS[self.link]
-
-    @property
-    def has_full_h(self):
-        return self.link in _FULL_H
 
     def __repr__(self):
         bits = [self.link]
@@ -80,62 +83,46 @@ class FramedLinkSpec:
         return f"FramedLinkSpec({', '.join(bits)})"
 
 
-@lru_cache(maxsize=None)
-def homfly_unknot(r):
-    """H_r(U) = {r-1;a}_r / {r}! as an exact ratio; H_0 = 1."""
-    assert r >= 0
-    if r == 0:
-        return BraceRatio.one()
-    return BraceRatio(qsym_falling(BRACE_A, r - 1, r), brace_factorial_multiset(r))
+def _cyclotomic_factor(i):
+    """(-1)^i {2i-1;a}_{2i} {i-2;a}_i, the part of C_i both links share."""
+    c = lp_mul(qsym_falling(BRACE_A, 2 * i - 1, 2 * i), qsym_falling(BRACE_A, i - 2, i))
+    return lp_neg(c) if i % 2 else c
+
+
+# The per-link core C_i(a, q) of the cyclotomic sum in `homfly_link`.  The
+# Whitehead core carries a^(i/2) q^(i(i-1)/4) (its {i}!/{i}! pair cancels),
+# the Borromean one an uncancelled {i}!; the unknot keeps only C_0 = 1.
+_CORES = {
+    "unknot": lambda i: {} if i else lp_one(),
+    "whitehead": lambda i: lp_mul(_cyclotomic_factor(i), lp_mono(i * (i - 1) // 2, i)),
+    "borromean": lambda i: lp_mul(_cyclotomic_factor(i), qsym_falling(BRACE, i, i)),
+}
 
 
 @lru_cache(maxsize=None)
-def homfly_whitehead(r1, r2):
-    """Colored invariant of the (0-framed) Whitehead link.
+def homfly_link(link, colors):
+    """Colored invariant of the 0-framed link as an exact ratio: the sum
+    over i = 0..min(colors) of
 
-    The alternating sum over i = 0..min(r1, r2):
+        prod_t {r_t+i-1;a}_{r_t-i} / {r_t-i}!  *  C_i(a, q)
 
-        (-1)^i  {r1+i-1;a}_{r1-i}/{r1-i}!  {r2+i-1;a}_{r2-i}/{r2-i}!
-              * a^(i/2) q^(i(i-1)/4) {2i-1;a}_{2i} {i-2;a}_i
-
-    (the displayed {i}!/{i}! pair cancels and is omitted).
+    with the per-link core C_i.  The zero color gives 1.  Raises
+    UnsupportedKnotKind for a link with no core (twist knots).
     """
-    assert r1 >= 0 and r2 >= 0
+    if link not in _CORES:
+        raise UnsupportedKnotKind(f"no full invariant for {link!r}")
+    if len(colors) != _COMPONENTS[link] or min(colors) < 0:
+        raise ValueError(f"{link} needs {_COMPONENTS[link]} colors >= 0, got {colors}")
     total = BraceRatio.zero()
-    for i in range(min(r1, r2) + 1):
-        num = qsym_falling(BRACE_A, r1 + i - 1, r1 - i)
-        num = lp_mul(num, qsym_falling(BRACE_A, r2 + i - 1, r2 - i))
-        num = lp_mul(num, lp_mono(i * (i - 1) // 2, i))
-        num = lp_mul(num, qsym_falling(BRACE_A, 2 * i - 1, 2 * i))
-        num = lp_mul(num, qsym_falling(BRACE_A, i - 2, i))
-        if i % 2:
-            num = lp_neg(num)
-        den = brace_factorial_multiset(r1 - i) + brace_factorial_multiset(r2 - i)
-        total = total.add(BraceRatio(num, den))
-    return total
-
-
-@lru_cache(maxsize=None)
-def homfly_borromean(r1, r2, r3):
-    """Colored invariant of the (0-framed) Borromean rings.
-
-    Like the Whitehead sum with a third unknot-type factor, but with no
-    a^(i/2) q^(i(i-1)/4) prefactor and an uncancelled {i}! multiplier.
-    """
-    assert r1 >= 0 and r2 >= 0 and r3 >= 0
-    total = BraceRatio.zero()
-    for i in range(min(r1, r2, r3) + 1):
-        num = qsym_falling(BRACE_A, r1 + i - 1, r1 - i)
-        num = lp_mul(num, qsym_falling(BRACE_A, r2 + i - 1, r2 - i))
-        num = lp_mul(num, qsym_falling(BRACE_A, r3 + i - 1, r3 - i))
-        num = lp_mul(num, qsym_falling(BRACE_A, 2 * i - 1, 2 * i))
-        num = lp_mul(num, qsym_falling(BRACE_A, i - 2, i))
-        num = lp_mul(num, qsym_falling(BRACE, i, i))  # {i}!
-        if i % 2:
-            num = lp_neg(num)
-        den = (brace_factorial_multiset(r1 - i) + brace_factorial_multiset(r2 - i)
-               + brace_factorial_multiset(r3 - i))
-        total = total.add(BraceRatio(num, den))
+    for i in range(min(colors) + 1):
+        core = _CORES[link](i)
+        if not core:
+            continue
+        num, den = lp_one(), Counter()
+        for r in colors:
+            num = lp_mul(num, qsym_falling(BRACE_A, r + i - 1, r - i))
+            den += brace_factorial_multiset(r - i)
+        total = total.add(BraceRatio(lp_mul(num, core), den))
     return total
 
 
@@ -167,8 +154,8 @@ def check_unknot_recursion(tau, n_max):
     assert n_max >= 1
     sign = Fraction(-1 if tau % 2 else 1)
     for n in range(1, n_max):
-        hn = apply_framing(homfly_unknot(n), (n,), (tau,))
-        hn1 = apply_framing(homfly_unknot(n + 1), (n + 1,), (tau,))
+        hn = apply_framing(homfly_link("unknot", (n,)), (n,), (tau,))
+        hn1 = apply_framing(homfly_link("unknot", (n + 1,)), (n + 1,), (tau,))
         lhs = hn1.mul_poly(lp_mono(2 * n + 2, 0, sign))
         lhs = lhs.add(hn1.mul_poly(lp_mono(0, 0, -sign)))
         step = lp_sub(lp_mono(2 * n + 1, 1), lp_mono(1, -1))

@@ -1,11 +1,10 @@
 """The plethystic pipeline: connected invariants, p-polynomials, integer
-N-tables, BPS lists, strong-integrality parities, and genus-0 disk counts.
+N-tables, BPS lists, and strong-integrality parities.
 
 The flow is
 
     framed H  --vector partitions-->  connected F  --Möbius + Adams-->
-    p-polynomial  --coefficients-->  N-table  --row sums-->  b-list
-    --divisor sums-->  disk counts,
+    p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
 
 with every intermediate value an exact numerator/denominator pair.
 Clearing to an honest Laurent polynomial happens exactly once, inside
@@ -19,10 +18,9 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, gcd
 
-from .closedforms import divisors, mobius
+from .closedforms import MismatchDetected, divisors, mobius
 from .laurent import lp_one, lp_specialize_q1
-from .links import (FramedLinkSpec, apply_framing, homfly_borromean,
-                    homfly_unknot, homfly_whitehead)
+from .links import FramedLinkSpec, apply_framing, homfly_link
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -100,15 +98,7 @@ def enumerate_vector_partitions(rvec):
 @lru_cache(maxsize=None)
 def _framed_h(link_name, colors, framings):
     """Framed colored invariant for one color vector (exact ratio)."""
-    if link_name == "unknot":
-        h = homfly_unknot(colors[0])
-    elif link_name == "whitehead":
-        h = homfly_whitehead(*colors)
-    elif link_name == "borromean":
-        h = homfly_borromean(*colors)
-    else:
-        raise AssertionError(f"no full invariant for {link_name!r}")
-    return apply_framing(h, colors, framings)
+    return apply_framing(homfly_link(link_name, colors), colors, framings)
 
 
 def _spec_framings(link):
@@ -124,7 +114,6 @@ def connected_F(link, rvec):
 
     framings taken from the link spec (zero if unspecified).
     """
-    assert link.has_full_h, "link carries no full invariant"
     rvec = tuple(int(r) for r in rvec)
     assert len(rvec) == link.n_components
     taus = _spec_framings(link)
@@ -164,7 +153,6 @@ def connected_F_via_log(link, rvec, truncation=None):
     constant-free part of the generating function; powers die once m
     exceeds the total truncation degree.
     """
-    assert link.has_full_h
     rvec = tuple(int(r) for r in rvec)
     trunc = rvec if truncation is None else tuple(int(t) for t in truncation)
     assert all(r <= t for r, t in zip(rvec, trunc))
@@ -181,18 +169,6 @@ def connected_F_via_log(link, rvec, truncation=None):
             total = total.add(power[rvec].scale(coef))
         if m < sum(trunc) and power:
             power = _mv_mul(power, w, trunc)
-    return total
-
-
-def f_knot(knot, r):
-    """Möbius-inverted knot invariant f_r = sum_{d|r} mu(d)/d Psi_d(F_{r/d})."""
-    assert knot.link == "unknot" and r >= 1
-    total = BraceRatio.zero()
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            term = connected_F(knot, (r // d,)).adams(d).scale(Fraction(mu, d))
-            total = total.add(term)
     return total
 
 
@@ -311,14 +287,15 @@ def bps_list(table):
     """Collapse a table to its BPS list b_i = sum_j N_{i,j}.
 
     Computed twice — by row sums and as the q = 1 specialization of the
-    p-polynomial — and the two are asserted equal.
+    p-polynomial — and MismatchDetected is raised if the two differ.
     """
     rows = {}
     for (da, dq), n in table.entries.items():
         rows[da] = rows.get(da, 0) + n
     rows = {da: n for da, n in rows.items() if n}
     q1 = {da: int(c) for (_, da), c in lp_specialize_q1(table.p_poly).items()}
-    assert rows == q1, "row sums disagree with q=1 specialization"
+    if rows != q1:
+        raise MismatchDetected(f"row sums {rows} differ from q=1 values {q1}")
     return BPSList(table.colors, table.framings, rows)
 
 
@@ -328,41 +305,3 @@ def strong_integrality_check(table):
     e1, e2 = table.epsilon
     return all(da % 2 == e1 and dq % 2 == e2
                for (da, dq), n in table.entries.items() if n)
-
-
-def _level_values(bps_levels, r):
-    b = bps_levels[r]
-    return b.values if isinstance(b, BPSList) else dict(b)
-
-
-def _disk_level(bps_levels, r):
-    out = {}
-    for d in divisors(r):
-        for m, b in _level_values(bps_levels, r // d).items():
-            key = d * m
-            out[key] = out.get(key, Fraction(0)) + Fraction(b, d * d)
-    return {i: v for i, v in out.items() if v}
-
-
-def disk_counts(bps_levels, r):
-    """Genus-0 disk counts K_{r,0,i} = sum_{d | gcd(r,i)} b_{r/d, i/d} / d^2.
-
-    `bps_levels` maps every divisor level r' | r to its BPSList (or a
-    plain index->b map); indices are doubled a-exponents throughout.
-    The inverse relation b_{r,i} = sum mu(d)/d^2 K_{r/d, i/d} is
-    asserted to round-trip before returning.
-    """
-    assert r >= 1
-    levels = {rp: _disk_level(bps_levels, rp) for rp in divisors(r)}
-    back = {}
-    for d in divisors(r):
-        mu = mobius(d)
-        if not mu:
-            continue
-        for i, kv in levels[r // d].items():
-            key = d * i
-            back[key] = back.get(key, Fraction(0)) + Fraction(mu, d * d) * kv
-    back = {i: v for i, v in back.items() if v}
-    assert back == {i: Fraction(b) for i, b in _level_values(bps_levels, r).items() if b}, \
-        "disk-count Möbius round-trip failed"
-    return levels[r]

@@ -2,12 +2,11 @@
 
 Symbols, for integer n:
 
-    [n]   = (q^(n/2) - q^(-n/2)) / (q^(1/2) - q^(-1/2))   "bracket"
     {n}   = q^(n/2) - q^(-n/2)                            "brace"
     {n;a} = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2)           "brace_a"
 
 plus products of i consecutive symbols (descending {n}{n-1}... or
-ascending {n}{n+1}...), factorials, and quantum binomials.
+ascending {n}{n+1}...) and the brace factorial {n}! as a multiset.
 
 `BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
 multiset of brace factors {n}) used for invariants that are not Laurent
@@ -18,10 +17,8 @@ full Moebius/connected combination, and `reduce` checks just that.
 from collections import Counter
 from fractions import Fraction
 
-from .laurent import (lp_add, lp_exact_div, lp_mono, lp_mul, lp_neg, lp_one,
-                      lp_scale)
+from .laurent import lp_add, lp_exact_div, lp_mul, lp_one, lp_scale
 
-BRACKET = "bracket"
 BRACE = "brace"
 BRACE_A = "brace_a"
 
@@ -34,9 +31,6 @@ def qsym(kind, n):
         return {(n, 0): Fraction(1), (-n, 0): Fraction(-1)}
     if kind == BRACE_A:
         return {(n, 1): Fraction(1), (-n, -1): Fraction(-1)}
-    if kind == BRACKET:
-        # [n] = {n}/{1}, exact for every integer n ([0] = 0, [-n] = -[n])
-        return lp_exact_div(qsym(BRACE, n), qsym(BRACE, 1)) if n else {}
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
@@ -52,19 +46,6 @@ def qsym_falling(kind, n, i, descending=True):
     for t in range(i):
         out = lp_mul(out, qsym(kind, n + step * t))
     return out
-
-
-def qfactorial(n, kind=BRACE):
-    """[n]! or {n}! — the descending product down to 1; 1 for n = 0."""
-    assert n >= 0 and kind in (BRACKET, BRACE)
-    return qsym_falling(kind, n, n)
-
-
-def qbinomial(n, i):
-    """Quantum binomial [n]! / ([i]! [n-i]!) by exact division."""
-    assert 0 <= i <= n
-    den = lp_mul(qfactorial(i, BRACKET), qfactorial(n - i, BRACKET))
-    return lp_exact_div(qfactorial(n, BRACKET), den)
 
 
 def brace_factorial_multiset(n):
@@ -101,10 +82,6 @@ class BraceRatio:
     @staticmethod
     def one():
         return BraceRatio(lp_one())
-
-    @staticmethod
-    def from_poly(p):
-        return BraceRatio(dict(p))
 
     def _raised_num(self, target):
         """Numerator after multiplying up to the denominator `target`."""
@@ -144,14 +121,6 @@ class BraceRatio:
             for _ in range(m):
                 num = lp_exact_div(num, b)
         return num
-
-    def denominator_poly(self):
-        out = lp_one()
-        for n, m in sorted(self.den.items()):
-            b = qsym(BRACE, n)
-            for _ in range(m):
-                out = lp_mul(out, b)
-        return out
 
     def is_zero(self):
         return not self.num

@@ -1,11 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from framedbps import cli
+from framedbps import cli, closedforms
+from framedbps.curves import GammaSeries
 from framedbps.ovengine import ov_table
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+
+# Bad input that must stop at the argument boundary with exit status 2.
+USAGE_ERRORS = [
+    ("homfly", "--link", "whitehead", "--colors", "1,1", "--framing", "0"),
+    ("ov-table", "--link", "unknot", "--colors", "2,1", "--framing", "0"),
+    ("ov-table", "--link", "unknot", "--colors", "x", "--framing", "0"),
+    ("series", "--knot", "unknot", "--order", "0"),
+    ("verify", "recursion", "--n-max", "0"),
+    ("verify", "recursion", "--tau-max", "-1"),
+    ("verify", "integrality", "--t-range", "5:1"),
+    ("verify", "integrality", "--r-max", "0"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -177,10 +194,48 @@ def test_zero_color_vector_is_usage_error():
 
 
 def test_twist_has_no_full_invariant(capsys):
-    code, _, err = run_cli(capsys, "homfly", "--link", "twist", "--p", "2",
-                           "--colors", "1", "--framing", "0")
-    assert code == 1
-    assert "UnsupportedKnotKind" in err
+    for command in ("homfly", "ov-table"):
+        code, _, err = run_cli(capsys, command, "--link", "twist", "--p", "2",
+                               "--colors", "1", "--framing", "0")
+        assert code == 1
+        assert err == "error: UnsupportedKnotKind: no full invariant for 'twist'\n"
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_boundary_errors_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().split("error: ", 1)[1]
+
+
+def test_checks_survive_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run_optimized(argv):
+        return subprocess.run([sys.executable, "-O", "-m", "framedbps.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    for argv in USAGE_ERRORS:
+        proc = run_optimized(argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.rstrip().split("error: ", 1)[1], argv
+    for argv in [("verify", "tables"),
+                 ("series", "--knot", "unknot", "--framing", "2", "--order", "8")]:
+        assert run_optimized(argv).returncode == 0, argv
+
+
+@pytest.mark.parametrize("snapshot, argv", [
+    ("whitehead_2_3_f1_-1.json",
+     ("--link", "whitehead", "--colors", "2,3", "--framing", "1,-1")),
+    ("borromean_1_2_2_f0_1_0.json",
+     ("--link", "borromean", "--colors", "1,2,2", "--framing", "0,1,0")),
+])
+def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
+    # the unreduced numerator and denominator multiset, which no golden table covers
+    code, out, _ = run_cli(capsys, "homfly", *argv, "--format", "json")
+    assert code == 0
+    assert out == (SNAPSHOTS / snapshot).read_text()
 
 
 def test_domain_errors_exit_nonzero(capsys):
@@ -196,6 +251,15 @@ def test_mismatch_detected_surfaces(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "bps", "--knot", "unknot", "--r-max", "1")
     assert code == 1
     assert "MismatchDetected" in err
+    assert cli.MismatchDetected is closedforms.MismatchDetected
+
+
+def test_series_solver_mismatch_surfaces(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "newton_series_solve",
+                        lambda curve, order: GammaSeries({}, order))
+    code, _, err = run_cli(capsys, "series", "--knot", "unknot", "--order", "3")
+    assert code == 1
+    assert err.startswith("error: MismatchDetected: ('series', 'unknot'")
 
 
 def test_module_entry_point():

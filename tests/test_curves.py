@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
-from framedbps.closedforms import (NonIntegerBPS, b_extremal_twist,
-                                   b_extremal_unknot, b_unknot)
+from framedbps import curves
+from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
+                                   b_extremal_twist, b_extremal_unknot, b_unknot)
+from framedbps.laurent import TruncSeries
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
@@ -169,6 +171,13 @@ def test_newton_residual_is_exactly_zero():
     c = make_curve("unknot", KIND_FULL, 1)
     w = solve_w_series(c, 13)
     assert all(not coeff for coeff in curve_residual(c, w).coeffs)
+
+
+def test_nonzero_newton_residual_raises(monkeypatch):
+    # a zero inverse slope leaves w = 1, which does not solve the curve
+    monkeypatch.setattr(curves, "series_inv", lambda s: TruncSeries([], s.order))
+    with pytest.raises(MismatchDetected, match="Newton residual"):
+        solve_w_series(make_curve("unknot", KIND_FULL, 1), 4)
 
 
 def test_singular_branch_detected():

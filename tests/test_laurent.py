@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedbps.laurent import (InexactDivision, NonInvertibleLeadingTerm,
-                               TruncSeries, lp_add, lp_adams, lp_arith,
-                               lp_exact_div, lp_mono, lp_mul, lp_neg, lp_one,
-                               lp_scale, lp_specialize_q1, lp_sub, lp_zero,
-                               series_add, series_arith, series_inv,
-                               series_log1p, series_mul, series_pow_int,
-                               series_scale)
+                               TruncSeries, lp_add, lp_exact_div, lp_mono,
+                               lp_mul, lp_neg, lp_one, lp_scale,
+                               lp_specialize_q1, lp_sub, series_add,
+                               series_inv, series_log1p, series_mul,
+                               series_pow_int)
+from framedbps.qsymbols import BraceRatio
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 exponents = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -27,7 +27,6 @@ def test_zero_coefficients_never_stored():
 
 
 def test_mono_and_constants():
-    assert lp_zero() == {}
     assert lp_one() == {(0, 0): 1}
     assert lp_mono(-3, 5, Fraction(2, 3)) == {(-3, 5): Fraction(2, 3)}
 
@@ -47,8 +46,9 @@ def test_ring_axioms(p, q, r):
 @given(polys, polys, st.integers(1, 4))
 @settings(max_examples=40)
 def test_adams_is_multiplicative(p, q, d):
-    assert lp_adams(lp_mul(p, q), d) == lp_mul(lp_adams(p, d), lp_adams(q, d))
-    assert lp_adams(p, 1) == p
+    x, y = BraceRatio(p, {1: 1}), BraceRatio(q, {2: 1})
+    assert x.mul(y).adams(d) == x.adams(d).mul(y.adams(d))
+    assert x.adams(1) == x
 
 
 @given(polys, polys)
@@ -91,17 +91,6 @@ def test_exact_division_handles_laurent_shifts():
     den = lp_mono(-1, -1, 2)
     got = lp_exact_div(num, den)
     assert lp_mul(got, den) == num
-
-
-def test_arith_dispatch():
-    p, q = lp_mono(1, 0), lp_mono(0, 1)
-    assert lp_arith("add", p, q) == lp_add(p, q)
-    assert lp_arith("sub", p, q) == lp_sub(p, q)
-    assert lp_arith("mul", p, q) == lp_mul(p, q)
-    assert lp_arith("neg", p) == lp_neg(p)
-    assert lp_arith("scale", p, 3) == lp_arith("scale", 3, p) == lp_scale(p, 3)
-    with pytest.raises(ValueError):
-        lp_arith("div", p, q)
 
 
 # --- truncated series ------------------------------------------------------
@@ -170,13 +159,3 @@ def test_series_log1p_classic_coefficients():
     lg = series_log1p(x)
     assert [c.get((0, 0), 0) for c in lg.coeffs] == [
         0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
-
-
-def test_series_arith_dispatch():
-    x = TruncSeries.from_terms({1: lp_one()}, 4)
-    assert series_arith("add", x, x) == series_scale(x, 2)
-    assert series_arith("mul", x, x) == series_pow_int(x, 2)
-    assert series_arith("log1p", x) == series_log1p(x)
-    assert series_arith("pow_int", x, 3) == series_pow_int(x, 3)
-    with pytest.raises(ValueError):
-        series_arith("exp", x)

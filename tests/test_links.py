@@ -2,36 +2,44 @@ from itertools import permutations
 
 import pytest
 
+from framedbps.closedforms import UnsupportedKnotKind
 from framedbps.laurent import lp_mono, lp_mul, lp_neg
 from framedbps.links import (FramedLinkSpec, RecursionViolated, apply_framing,
                              check_unknot_recursion, framing_factor,
-                             homfly_borromean, homfly_unknot,
-                             homfly_whitehead)
+                             homfly_link)
 from framedbps.qsymbols import (BRACE_A, BraceRatio, brace_factorial_multiset,
                                 qsym, qsym_falling)
 
 
+def unknot(r):
+    return homfly_link("unknot", (r,))
+
+
 def test_spec_validation():
     spec = FramedLinkSpec("whitehead", framings=(0, 1), colors=(2, 3))
-    assert spec.n_components == 2 and spec.has_full_h
-    with pytest.raises(ValueError):
-        FramedLinkSpec("hopf")
-    with pytest.raises(AssertionError):
-        FramedLinkSpec("whitehead", framings=(1,))
-    with pytest.raises(AssertionError):
-        FramedLinkSpec("borromean", colors=(1, -1, 2))
-    with pytest.raises(AssertionError):
-        FramedLinkSpec("twist")  # p required
+    assert spec.n_components == 2
+    for kwargs, message in [({"link": "hopf"}, "unknown link"),
+                            ({"link": "whitehead", "framings": (1,)}, "needs 2 framings"),
+                            ({"link": "unknot", "colors": (2, 1)}, "needs 1 colors"),
+                            ({"link": "borromean", "colors": (1, -1, 2)}, "negative color"),
+                            ({"link": "twist"}, "needs its parameter p"),
+                            ({"link": "unknot", "p": 2}, "takes no parameter p")]:
+        with pytest.raises(ValueError, match=message):
+            FramedLinkSpec(**kwargs)
     twist = FramedLinkSpec("twist", p=-2)
-    assert twist.p == -2 and not twist.has_full_h
+    assert twist.p == -2
+    with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
+        homfly_link("twist", (1,))
+    with pytest.raises(ValueError):
+        homfly_link("whitehead", (1,))
 
 
 def test_unknot_small_colors():
-    assert homfly_unknot(0) == BraceRatio.one()
+    assert unknot(0) == BraceRatio.one()
     # H_1 = {0;a}/{1}
-    assert homfly_unknot(1) == BraceRatio(qsym(BRACE_A, 0), {1: 1})
+    assert unknot(1) == BraceRatio(qsym(BRACE_A, 0), {1: 1})
     # H_2 = {1;a}{0;a}/{1}{2}
-    assert homfly_unknot(2) == BraceRatio(
+    assert unknot(2) == BraceRatio(
         lp_mul(qsym(BRACE_A, 1), qsym(BRACE_A, 0)), {1: 1, 2: 1})
 
 
@@ -40,21 +48,21 @@ def test_whitehead_color_one_one_by_hand():
     i0 = BraceRatio(lp_mul(qsym(BRACE_A, 0), qsym(BRACE_A, 0)), {1: 2})
     i1num = lp_mul(qsym_falling(BRACE_A, 1, 2), qsym(BRACE_A, -1))
     i1 = BraceRatio(lp_neg(lp_mul(i1num, lp_mono(0, 1))))
-    assert homfly_whitehead(1, 1) == i0.add(i1)
+    assert homfly_link("whitehead", (1, 1)) == i0.add(i1)
 
 
 def test_whitehead_zero_color_reduces_to_unknot():
     for r in (1, 2, 3):
-        assert homfly_whitehead(r, 0) == homfly_unknot(r)
-        assert homfly_whitehead(0, r) == homfly_unknot(r)
-    assert homfly_borromean(2, 0, 0) == homfly_unknot(2)
+        assert homfly_link("whitehead", (r, 0)) == unknot(r)
+        assert homfly_link("whitehead", (0, r)) == unknot(r)
+    assert homfly_link("borromean", (2, 0, 0)) == unknot(2)
 
 
 def test_component_symmetry():
-    assert homfly_whitehead(2, 3) == homfly_whitehead(3, 2)
-    base = homfly_borromean(1, 2, 3)
+    assert homfly_link("whitehead", (2, 3)) == homfly_link("whitehead", (3, 2))
+    base = homfly_link("borromean", (1, 2, 3))
     for p in permutations((1, 2, 3)):
-        assert homfly_borromean(*p) == base
+        assert homfly_link("borromean", p) == base
 
 
 def test_framing_factor_values():
@@ -65,7 +73,7 @@ def test_framing_factor_values():
 
 
 def test_apply_framing_on_both_representations():
-    h = homfly_unknot(2)
+    h = unknot(2)
     framed = apply_framing(h, (2,), (1,))
     assert framed.num == lp_mul(h.num, lp_mono(2, 0))
     assert framed.den == h.den
@@ -86,6 +94,6 @@ def test_recursion_violated_is_raisable():
 def test_whitehead_denominators_shrink_with_i():
     # the i-th summand divides by {r1-i}! {r2-i}! only: the total's
     # denominator never exceeds the i=0 one
-    h = homfly_whitehead(2, 2)
+    h = homfly_link("whitehead", (2, 2))
     top = brace_factorial_multiset(2) + brace_factorial_multiset(2)
     assert all(h.den[n] <= top[n] for n in h.den)

@@ -3,14 +3,15 @@ from math import factorial, prod
 
 import pytest
 
-from framedbps.closedforms import b_unknot
+from framedbps import ovengine
+from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind
 from framedbps.laurent import lp_specialize_q1
 from framedbps.links import FramedLinkSpec
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
-                                connected_F, connected_F_via_log, disk_counts,
-                                enumerate_vector_partitions, f_knot, ov_table,
-                                p_poly, strong_integrality_check)
-from framedbps.qsymbols import BRACE_A, qsym
+                                connected_F, connected_F_via_log,
+                                enumerate_vector_partitions, ov_table, p_poly,
+                                strong_integrality_check)
+from framedbps.qsymbols import BRACE, BRACE_A, qsym
 
 
 def unknot(tau=0):
@@ -60,15 +61,16 @@ def test_partition_invariants():
 # --- connected invariants ---------------------------------------------------
 
 
-def test_connected_f_knot_decomposition():
-    # F_2 = H_2 - H_1^2/2 and f_2 = F_2 - Psi_2(F_1)/2
+def test_connected_and_p_poly_unknot_decomposition():
+    # F_2 = H_2 - H_1^2/2, and at k = 1 p_2 = {1} (F_2 - Psi_2(F_1)/2),
+    # which vanishes for the 0-framed unknot
     from framedbps.ovengine import _framed_h
     h1 = _framed_h("unknot", (1,), (0,))
     h2 = _framed_h("unknot", (2,), (0,))
     f2 = connected_F(unknot(), (2,))
     assert f2 == h2.sub(h1.mul(h1).scale(Fraction(1, 2)))
-    knot_f2 = f_knot(unknot(), 2)
-    assert knot_f2 == f2.sub(connected_F(unknot(), (1,)).adams(2).scale(Fraction(1, 2)))
+    moebius = f2.sub(connected_F(unknot(), (1,)).adams(2).scale(Fraction(1, 2)))
+    assert p_poly(unknot(), (2,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
 
 
 def test_connected_f_log_oracle():
@@ -91,7 +93,7 @@ def test_log_oracle_with_wider_truncation():
 
 
 def test_connected_f_rejects_twist():
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
         connected_F(FramedLinkSpec("twist", p=2), (1,))
 
 
@@ -153,7 +155,7 @@ def test_non_integer_invariant_payload():
     assert err.args == (Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))
 
 
-# --- BPS lists and disk counts ----------------------------------------------
+# --- BPS lists --------------------------------------------------------------
 
 
 def test_bps_list_row_sums():
@@ -167,24 +169,8 @@ def test_bps_list_framed():
     assert bps_list(t).values == {4: 1, 2: -3, 0: 3, -2: -1}
 
 
-def test_disk_counts_round_trip():
-    # unknot closed forms feed the divisor levels
-    for tau in (0, 1, 2, -2):
-        for r in (2, 4, 6):
-            levels = {}
-            for rp in (1, 2, 3, 4, 6):
-                if r % rp == 0:
-                    levels[rp] = {m: b_unknot(rp, m, tau)
-                                  for m in range(-rp, rp + 1)
-                                  if b_unknot(rp, m, tau)}
-            counts = disk_counts(levels, r)
-            assert all(isinstance(v, Fraction) for v in counts.values())
-
-
-def test_disk_counts_spot_value():
-    levels = {1: {1: -1, -1: 1}, 2: {0: -1, 2: 1}}   # unknot at tau = 1
-    counts = disk_counts(levels, 2)
-    # K_{2,0,2} = b_{2,2} + b_{1,1}/4
-    assert counts[2] == Fraction(1) + Fraction(-1, 4)
-    assert counts[-2] == Fraction(1, 4)
-    assert counts[0] == Fraction(-1)
+def test_bps_list_row_sum_mismatch_raises(monkeypatch):
+    t = ov_table("whitehead", (1, 1), (0, 0))
+    monkeypatch.setattr(ovengine, "lp_specialize_q1", lambda poly: {})
+    with pytest.raises(MismatchDetected, match="row sums"):
+        bps_list(t)

@@ -1,16 +1,13 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from framedbps.laurent import (InexactDivision, lp_add, lp_mul, lp_one,
-                               lp_specialize_q1)
-from framedbps.qsymbols import (BRACE, BRACE_A, BRACKET, BraceRatio,
-                                brace_factorial_multiset, qbinomial,
-                                qfactorial, qsym, qsym_falling)
+from framedbps.laurent import InexactDivision, lp_add, lp_mul, lp_one
+from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio,
+                                brace_factorial_multiset, qsym, qsym_falling)
 
 
 def test_symbol_values():
@@ -18,9 +15,6 @@ def test_symbol_values():
     assert qsym(BRACE, 3) == {(3, 0): 1, (-3, 0): -1}
     assert qsym(BRACE_A, 2) == {(2, 1): 1, (-2, -1): -1}
     assert qsym(BRACE_A, 0) == {(0, 1): 1, (0, -1): -1}
-    # [2] = q^(1/2) + q^(-1/2)
-    assert qsym(BRACKET, 2) == {(1, 0): 1, (-1, 0): 1}
-    assert qsym(BRACKET, 0) == {}
     with pytest.raises(ValueError):
         qsym("angle", 1)
 
@@ -28,12 +22,6 @@ def test_symbol_values():
 @given(st.integers(-8, 8))
 def test_symbols_are_odd_in_n(n):
     assert qsym(BRACE, -n) == {k: -c for k, c in qsym(BRACE, n).items()}
-    assert qsym(BRACKET, -n) == {k: -c for k, c in qsym(BRACKET, n).items()}
-
-
-@given(st.integers(1, 10))
-def test_bracket_is_brace_ratio(n):
-    assert lp_mul(qsym(BRACKET, n), qsym(BRACE, 1)) == qsym(BRACE, n)
 
 
 def test_falling_products():
@@ -48,28 +36,11 @@ def test_falling_products():
 
 
 def test_factorials_and_multiset():
-    assert qfactorial(0) == lp_one()
-    assert qfactorial(3) == lp_mul(lp_mul(qsym(BRACE, 3), qsym(BRACE, 2)),
+    assert qsym_falling(BRACE, 0, 0) == lp_one()
+    assert qsym_falling(BRACE, 3, 3) == lp_mul(lp_mul(qsym(BRACE, 3), qsym(BRACE, 2)),
                                    qsym(BRACE, 1))
     assert brace_factorial_multiset(4) == Counter({1: 1, 2: 1, 3: 1, 4: 1})
     assert brace_factorial_multiset(0) == Counter()
-
-
-@given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-@settings(max_examples=30)
-def test_qbinomial_specializes_to_binomial(nk):
-    n, k = nk
-    b = qbinomial(n, k)
-    assert lp_specialize_q1(b) == ({(0, 0): comb(n, k)} if n else {(0, 0): 1})
-    assert b == qbinomial(n, n - k)
-    # palindromic in q
-    assert b == {(-dq, da): c for (dq, da), c in b.items()}
-
-
-def test_qbinomial_small_value():
-    assert qbinomial(2, 1) == {(1, 0): 1, (-1, 0): 1}
-    assert qbinomial(4, 2) == {(4, 0): 1, (2, 0): 1, (0, 0): 2, (-2, 0): 1,
-                               (-4, 0): 1}
 
 
 # --- BraceRatio -------------------------------------------------------------
@@ -82,7 +53,6 @@ def br(num, den=None):
 def test_ratio_identities():
     assert BraceRatio.zero().is_zero()
     assert not BraceRatio.one().is_zero()
-    assert BraceRatio.from_poly(lp_one()) == BraceRatio.one()
     # zero numerator clears the denominator
     assert br({}, {2: 1}).den == Counter()
 
@@ -128,9 +98,3 @@ def test_reduce_clears_exactly_or_raises():
     bad = br(qsym(BRACE, 2), {3: 1})
     with pytest.raises(InexactDivision):
         bad.reduce()
-
-
-def test_denominator_poly_matches_reduce():
-    x = br(lp_mul(qsym(BRACE, 1), qsym(BRACE, 4)), {1: 1, 4: 1})
-    assert x.denominator_poly() == lp_mul(qsym(BRACE, 1), qsym(BRACE, 4))
-    assert lp_mul(x.reduce(), x.denominator_poly()) == x.num
