@@ -17,8 +17,8 @@ from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
-from .links import (FramedLinkSpec, apply_framing, check_unknot_recursion,
-                    homfly_link)
+from .links import (FramedLinkSpec, RecursionViolated, apply_framing,
+                    check_unknot_recursion, homfly_link)
 from .ovengine import bps_list, ov_table, strong_integrality_check
 
 
@@ -383,7 +383,7 @@ def verify_recursion(args):
         try:
             check_unknot_recursion(tau, args.n_max)
             print(f"tau={tau}: recursion holds for n<{args.n_max}")
-        except Exception as exc:
+        except RecursionViolated as exc:
             failures += 1
             print(f"tau={tau}: FAIL ({exc})")
     print(f"recursion: {'all pass' if not failures else f'{failures} failures'}")

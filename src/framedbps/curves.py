@@ -138,34 +138,17 @@ class CurveNormalForm:
 
     `phi` is a TruncSeries in λ (standing for Y) with a-Laurent
     coefficients; `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x.
-    φ(0) is a unit of the coefficient field.  Enough of the source
-    split is kept to reconstruct the curve polynomial exactly.
+    φ(0) is a unit of the coefficient field.
     """
 
-    __slots__ = ("phi", "sigma", "e", "y_substitution", "framing",
-                 "_cu", "_j", "_x1")
+    __slots__ = ("phi", "sigma", "e", "y_substitution", "framing")
 
-    def __init__(self, phi, sigma, e, framing, cu, j, x1):
+    def __init__(self, phi, sigma, e, framing):
         self.phi = phi
         self.sigma = sigma
         self.e = e
         self.y_substitution = "Y = 1 - y^2"
         self.framing = framing
-        self._cu = cu
-        self._j = j
-        self._x1 = x1
-
-    @property
-    def x_rescale(self):
-        return self.sigma, self.e
-
-    def reconstruct(self):
-        """The source polynomial this normal form came from."""
-        terms = {(0, 2 * (self._j + 1), 0): self._cu,
-                 (0, 2 * self._j, 0): -self._cu}
-        for (wdeg, da), c in self._x1.items():
-            terms[(1, 2 * wdeg, da)] = c
-        return terms
 
     def __repr__(self):
         return (f"CurveNormalForm(sigma={self.sigma}, e={self.e}, "
@@ -220,7 +203,7 @@ def normalize(curve, order):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
     sigma, e = int(lead), m
     phi = _series_scale_poly(phi, lp_mono(0, -e, sigma))
-    return CurveNormalForm(phi, sigma, e, curve.framing, cu, j, x1)
+    return CurveNormalForm(phi, sigma, e, curve.framing)
 
 
 class GammaSeries:
@@ -250,7 +233,8 @@ class GammaSeries:
 
 def _gamma_entries(out, r, poly):
     for (dq, da), c in poly.items():
-        assert dq == 0, "gamma coefficient leaked a q-power"
+        if dq:
+            raise MismatchDetected(f"gamma coefficient at r={r} leaked a q-power")
         if c:
             out[(r, da)] = c
 

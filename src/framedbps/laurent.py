@@ -13,10 +13,6 @@ All operations are pure: inputs are never mutated.
 from fractions import Fraction
 
 
-class InexactDivision(Exception):
-    """Polynomial division left a nonzero remainder."""
-
-
 class NonInvertibleLeadingTerm(Exception):
     """Series inversion needs an invertible (single-monomial) constant term."""
 
@@ -72,94 +68,6 @@ def lp_scale(p, c):
     if not c:
         return {}
     return {k: v * c for k, v in p.items()}
-
-
-def _a_exact_div(num, den):
-    """Exact division of univariate a-Laurent coefficients.
-
-    num, den: dict da -> Fraction.  Raises InexactDivision on remainder.
-    """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return {}
-    ns, ds = min(num), min(den)
-    # shift both to ordinary polynomials in a^(1/2)
-    num = {k - ns: c for k, c in num.items()}
-    den = {k - ds: c for k, c in den.items()}
-    dd = max(den)
-    lead = den[dd]
-    quo = {}
-    rem = dict(num)
-    while rem:
-        dr = max(rem)
-        if dr < dd:
-            raise InexactDivision("a-coefficient remainder")
-        c = rem[dr] / lead
-        sh = dr - dd
-        quo[sh] = c
-        for k, v in den.items():
-            k2 = k + sh
-            w = rem.get(k2, _F0) - c * v
-            if w:
-                rem[k2] = w
-            elif k2 in rem:
-                del rem[k2]
-    return {k + ns - ds: c for k, c in quo.items()}
-
-
-def lp_exact_div(num, den):
-    """Exact quotient num / den, raising InexactDivision on any remainder.
-
-    Performed as long division in q^(1/2) whose coefficients are
-    a-Laurent polynomials; each leading-coefficient division must itself
-    be exact.  Termination: the q-degree of the remainder strictly drops.
-    """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return {}
-    # regroup by q-exponent: dq -> {da: c}
-    def by_q(p):
-        g = {}
-        for (dq, da), c in p.items():
-            g.setdefault(dq, {})[da] = c
-        return g
-
-    gn, gd = by_q(num), by_q(den)
-    qn, qd = min(gn), min(gd)
-    gn = {k - qn: v for k, v in gn.items()}
-    gd = {k - qd: v for k, v in gd.items()}
-    dlead = max(gd)
-    quo = {}
-    while gn:
-        nlead = max(gn)
-        if nlead < dlead:
-            raise InexactDivision("q-degree remainder")
-        qc = _a_exact_div(gn[nlead], gd[dlead])  # may raise
-        sh = nlead - dlead
-        quo[sh] = qc
-        for k, ak in gd.items():
-            k2 = k + sh
-            acc = dict(gn.get(k2, {}))
-            for da1, c1 in ak.items():
-                for da2, c2 in qc.items():
-                    da = da1 + da2
-                    v = acc.get(da, _F0) - c1 * c2
-                    if v:
-                        acc[da] = v
-                    elif da in acc:
-                        del acc[da]
-            if acc:
-                gn[k2] = acc
-            elif k2 in gn:
-                del gn[k2]
-    out = {}
-    shift = qn - qd
-    for dq, ak in quo.items():
-        for da, c in ak.items():
-            out[(dq + shift, da)] = c
-    return out
 
 
 def lp_specialize_q1(f):

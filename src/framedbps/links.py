@@ -149,9 +149,11 @@ def check_unknot_recursion(tau, n_max):
             = (a^(1/2) q^(n+1/2) - a^(-1/2) q^(1/2)) q^(n tau) Hf_n
 
     exactly for all 1 <= n < n_max, where Hf_n is the framed invariant.
-    Returns True, or raises RecursionViolated(n).
+    Returns True, or raises RecursionViolated(n); n_max < 2 checks no n
+    and raises ValueError.
     """
-    assert n_max >= 1
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     sign = Fraction(-1 if tau % 2 else 1)
     for n in range(1, n_max):
         hn = apply_framing(homfly_link("unknot", (n,)), (n,), (tau,))

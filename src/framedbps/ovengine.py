@@ -80,7 +80,8 @@ def enumerate_vector_partitions(rvec):
     """All multisets of nonzero componentwise-nonnegative vectors summing
     to rvec, each exactly once (parts generated lex-descending)."""
     rvec = tuple(int(r) for r in rvec)
-    assert any(rvec) and all(r >= 0 for r in rvec)
+    if not any(rvec) or any(r < 0 for r in rvec):
+        raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
     out = []
 
     def descend(remaining, cap, acc):
@@ -192,7 +193,8 @@ def p_poly(link, rvec, framings=None):
     spec = _with_framings(link, framings)
     rvec = tuple(int(r) for r in rvec)
     k = sum(1 for r in rvec if r)
-    assert k in (1, 2, 3)
+    if k not in (1, 2, 3):
+        raise ValueError(f"color vector {rvec} needs 1 to 3 nonzero colors")
     g = 0
     for r in rvec:
         g = gcd(g, r)

@@ -5,22 +5,27 @@ Symbols, for integer n:
     {n}   = q^(n/2) - q^(-n/2)                            "brace"
     {n;a} = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2)           "brace_a"
 
-plus products of i consecutive symbols (descending {n}{n-1}... or
-ascending {n}{n+1}...) and the brace factorial {n}! as a multiset.
+plus descending products {n}{n-1}...{n-i+1} of i consecutive symbols
+and the brace factorial {n}! as a multiset.
 
 `BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
 multiset of brace factors {n}) used for invariants that are not Laurent
 polynomials themselves; the denominator clears exactly only after the
-full Moebius/connected combination, and `reduce` checks just that.
+full Moebius/connected combination, and `reduce` checks just that by
+dividing out one brace at a time.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from .laurent import lp_add, lp_exact_div, lp_mul, lp_one, lp_scale
+from .laurent import lp_add, lp_mul, lp_one, lp_scale
 
 BRACE = "brace"
 BRACE_A = "brace_a"
+
+
+class InexactDivision(Exception):
+    """A brace denominator did not divide its numerator exactly."""
 
 
 def qsym(kind, n):
@@ -34,18 +39,36 @@ def qsym(kind, n):
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
-def qsym_falling(kind, n, i, descending=True):
-    """Product of i consecutive symbols starting at n.
-
-    descending=True gives sym(n) sym(n-1) ... sym(n-i+1); False gives
-    the ascending product sym(n) sym(n+1) ... sym(n+i-1).  i = 0 is 1.
-    """
+def qsym_falling(kind, n, i):
+    """Product sym(n) sym(n-1) ... sym(n-i+1) of i symbols; i = 0 is 1."""
     assert i >= 0
-    step = -1 if descending else 1
     out = lp_one()
     for t in range(i):
-        out = lp_mul(out, qsym(kind, n + step * t))
+        out = lp_mul(out, qsym(kind, n - t))
     return out
+
+
+def _div_brace(num, n):
+    """The exact quotient num / {n}, or InexactDivision.
+
+    num = {n} Q means num[d] = Q[d-n] - Q[d+n] in doubled q-exponents, so
+    along each chain d, d-2n, ... of one a-exponent, walked down from its
+    top, Q[d-n] is the running sum of num; exactness means that sum
+    cancels the chain's bottom term.
+    """
+    chains = {}
+    for dq, da in num:
+        chains.setdefault((da, dq % (2 * n)), []).append(dq)
+    quo = {}
+    for (da, _), dqs in chains.items():
+        s, bottom = 0, min(dqs)
+        for d in range(max(dqs), bottom, -2 * n):
+            s += num.get((d, da), 0)
+            if s:
+                quo[(d - n, da)] = s
+        if s + num[(bottom, da)]:
+            raise InexactDivision(f"{{{n}}} does not divide the numerator")
+    return quo
 
 
 def brace_factorial_multiset(n):
@@ -117,9 +140,8 @@ class BraceRatio:
         """Clear the denominator by exact division; InexactDivision if not polynomial."""
         num = self.num
         for n, m in sorted(self.den.items()):
-            b = qsym(BRACE, n)
             for _ in range(m):
-                num = lp_exact_div(num, b)
+                num = _div_brace(num, n)
         return num
 
     def is_zero(self):

@@ -180,6 +180,23 @@ def test_verify_recursion_small(capsys):
     assert "recursion: all pass" in out
 
 
+def test_verify_recursion_reports_only_violations(monkeypatch, capsys):
+    def violated(tau, n_max):
+        raise cli.RecursionViolated(3)
+    monkeypatch.setattr(cli, "check_unknot_recursion", violated)
+    code, out, _ = run_cli(capsys, "verify", "recursion", "--tau-max", "0")
+    assert code == 1
+    assert "tau=0: FAIL (3)" in out
+
+    def broken(tau, n_max):
+        raise KeyError("bug")
+    monkeypatch.setattr(cli, "check_unknot_recursion", broken)
+    code, out, err = run_cli(capsys, "verify", "recursion", "--tau-max", "0")
+    assert code == 1
+    assert "FAIL" not in out
+    assert err.startswith("error: KeyError")
+
+
 def test_verify_symmetry(capsys):
     code, out, _ = run_cli(capsys, "verify", "symmetry")
     assert code == 0

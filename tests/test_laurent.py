@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import (InexactDivision, NonInvertibleLeadingTerm,
-                               TruncSeries, lp_add, lp_exact_div, lp_mono,
-                               lp_mul, lp_neg, lp_one, lp_scale,
+from framedbps.laurent import (NonInvertibleLeadingTerm, TruncSeries, lp_add,
+                               lp_mono, lp_mul, lp_neg, lp_one, lp_scale,
                                lp_specialize_q1, lp_sub, series_add,
                                series_inv, series_log1p, series_mul,
                                series_pow_int)
@@ -64,33 +63,6 @@ def test_specialize_q1_collects_a_terms():
     p = {(3, 1): Fraction(1), (-3, 1): Fraction(2), (0, -2): Fraction(1),
          (5, 3): Fraction(1), (1, 3): Fraction(-1)}
     assert lp_specialize_q1(p) == {(0, 1): 3, (0, -2): 1}
-
-
-@given(polys, polys)
-@settings(max_examples=60)
-def test_exact_division_inverts_multiplication(p, d):
-    if not d:
-        with pytest.raises(ZeroDivisionError):
-            lp_exact_div(p, d)
-        return
-    assert lp_exact_div(lp_mul(p, d), d) == p
-
-
-def test_inexact_division_raises():
-    # q + 1 does not divide q^2 (doubled exponents)
-    with pytest.raises(InexactDivision):
-        lp_exact_div({(4, 0): Fraction(1)}, {(2, 0): Fraction(1), (0, 0): Fraction(1)})
-    # and a-direction remainders are caught too
-    with pytest.raises(InexactDivision):
-        lp_exact_div({(0, 4): Fraction(1)}, {(0, 2): Fraction(1), (0, 0): Fraction(1)})
-
-
-def test_exact_division_handles_laurent_shifts():
-    num = lp_mul(lp_mono(-5, -3, Fraction(1, 2)),
-                 {(2, 0): Fraction(1), (0, 2): Fraction(-2)})
-    den = lp_mono(-1, -1, 2)
-    got = lp_exact_div(num, den)
-    assert lp_mul(got, den) == num
 
 
 # --- truncated series ------------------------------------------------------

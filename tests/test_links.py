@@ -86,6 +86,12 @@ def test_unknot_recursion_holds():
         assert check_unknot_recursion(tau, 6)
 
 
+def test_unknot_recursion_needs_two_colors():
+    for n_max in (0, 1):
+        with pytest.raises(ValueError, match="n_max"):
+            check_unknot_recursion(3, n_max)
+
+
 def test_recursion_violated_is_raisable():
     with pytest.raises(RecursionViolated):
         raise RecursionViolated(3)

@@ -48,6 +48,14 @@ def test_partitions_of_vector_color():
     assert len(enumerate_vector_partitions((2, 2))) == 9
 
 
+def test_zero_or_negative_colors_raise():
+    for rvec in [(0,), (0, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="color vector"):
+            enumerate_vector_partitions(rvec)
+    with pytest.raises(ValueError, match="color vector"):
+        ov_table("whitehead", (0, 0), (0, 0))
+
+
 def test_partition_invariants():
     for pt in enumerate_vector_partitions((2, 2)):
         assert pt.total == (2, 2)

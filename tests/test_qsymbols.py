@@ -2,12 +2,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import InexactDivision, lp_add, lp_mul, lp_one
-from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio,
+from framedbps.laurent import lp_add, lp_mul, lp_one
+from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio, InexactDivision,
                                 brace_factorial_multiset, qsym, qsym_falling)
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+exponents = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+polys = st.dictionaries(exponents, coeffs, max_size=5).map(
+    lambda d: {k: c for k, c in d.items() if c})
 
 
 def test_symbol_values():
@@ -27,12 +32,7 @@ def test_symbols_are_odd_in_n(n):
 def test_falling_products():
     assert qsym_falling(BRACE, 5, 0) == lp_one()
     assert qsym_falling(BRACE, 3, 2) == lp_mul(qsym(BRACE, 3), qsym(BRACE, 2))
-    # descending vs ascending differ once the window is asymmetric
-    desc = qsym_falling(BRACE_A, 0, 2)                      # {0;a}{-1;a}
-    asc = qsym_falling(BRACE_A, 0, 2, descending=False)     # {0;a}{1;a}
-    assert desc == lp_mul(qsym(BRACE_A, 0), qsym(BRACE_A, -1))
-    assert asc == lp_mul(qsym(BRACE_A, 0), qsym(BRACE_A, 1))
-    assert desc != asc
+    assert qsym_falling(BRACE_A, 0, 2) == lp_mul(qsym(BRACE_A, 0), qsym(BRACE_A, -1))
 
 
 def test_factorials_and_multiset():
@@ -95,6 +95,20 @@ def test_ratio_adams_scales_everything():
 def test_reduce_clears_exactly_or_raises():
     ok = br(lp_mul(qsym(BRACE, 2), qsym(BRACE, 5)), {2: 1, 5: 1})
     assert ok.reduce() == lp_one()
-    bad = br(qsym(BRACE, 2), {3: 1})
-    with pytest.raises(InexactDivision):
-        bad.reduce()
+    bad = [
+        br(qsym(BRACE, 2), {3: 1}),                         # {2} / {3}
+        br({(4, 1): Fraction(3)}, {2: 1}),                  # one term
+        # q^3 - q^-1 + q^-3: one chain q^3, q^1, q^-1, q^-3 with a gap at q^1
+        br({(6, 0): Fraction(1), (-2, 0): Fraction(-1), (-6, 0): Fraction(1)}, {2: 1}),
+        # an exact a^0 chain next to an a^1 chain whose terms do not cancel
+        br(lp_add(qsym(BRACE, 1), {(1, 2): Fraction(1), (-1, 2): Fraction(1)}), {1: 1}),
+    ]
+    for r in bad:
+        with pytest.raises(InexactDivision):
+            r.reduce()
+
+
+@given(polys, st.integers(1, 6))
+@settings(max_examples=60)
+def test_reduce_inverts_brace_multiplication(p, n):
+    assert BraceRatio(lp_mul(p, qsym(BRACE, n)), {n: 1}).reduce() == p
