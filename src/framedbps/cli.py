@@ -103,20 +103,20 @@ def _link_spec(args, parser):
 def cmd_homfly(args, parser):
     spec = _link_spec(args, parser)
     h = apply_framing(homfly_link(spec.link, spec.colors), spec.colors, spec.framings)
-    den = sorted(h.den.elements())
+    num, den = h.scaled_num(), sorted(h.den.elements())
     if args.format == "json":
         doc = {
             "link": spec.link,
             "colors": list(spec.colors),
             "framings": list(spec.framings),
             "numerator": [{"q2": dq, "a2": da, "c": fmt_coeff(c)}
-                          for (dq, da), c in poly_terms_sorted(h.num)],
+                          for (dq, da), c in poly_terms_sorted(num)],
             "denominator": den,
         }
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
         print("q2,a2,c")
-        for (dq, da), c in poly_terms_sorted(h.num):
+        for (dq, da), c in poly_terms_sorted(num):
             print(f"{dq},{da},{fmt_coeff(c)}")
         print("# denominator braces: " + (" ".join(f"{{{n}}}" for n in den) or "1"))
     else:
@@ -125,7 +125,7 @@ def cmd_homfly(args, parser):
             print("0")
             return 0
         terms = " + ".join(fmt_monomial(dq, da, c)
-                           for (dq, da), c in poly_terms_sorted(h.num))
+                           for (dq, da), c in poly_terms_sorted(num))
         print(f"numerator:   {terms}")
         print("denominator: " + (" ".join(f"{{{n}}}" for n in den) or "1"))
     return 0

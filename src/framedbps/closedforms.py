@@ -30,6 +30,16 @@ class UnsupportedP(Exception):
     """Twist-knot parameter outside the two supported families."""
 
 
+def _positive(name, n):
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
+def _sign(sign):
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
 def sign_pow(e):
     """(-1)**e by parity of e (e may be negative)."""
     return -1 if e % 2 else 1
@@ -37,7 +47,7 @@ def sign_pow(e):
 
 def mobius(n):
     """Möbius function by trial factorization."""
-    assert n >= 1
+    _positive("n", n)
     result = 1
     d = 2
     while d * d <= n:
@@ -54,7 +64,7 @@ def mobius(n):
 
 def divisors(n):
     """Positive divisors of n, ascending."""
-    assert n >= 1
+    _positive("n", n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -68,7 +78,8 @@ def divisors(n):
 
 def gbinom(n, k):
     """Binomial C(n, k) extended to negative n by (-1)^k C(-n+k-1, k)."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     if n < 0:
         return sign_pow(k) * comb(-n + k - 1, k)
     return comb(n, k)
@@ -81,7 +92,7 @@ def c_unknot(r, m, tau):
 
         (-1)^(r tau + r + (r+m)/2) C(r, (r+m)/2) gbinom(r tau + (r+m)/2 - 1, r - 1).
     """
-    assert r >= 1
+    _positive("r", r)
     if (r + m) % 2 or abs(m) > r:
         return 0
     h = (r + m) // 2
@@ -94,7 +105,7 @@ def b_unknot(r, m, tau):
     gcd(r, 0) = r.  The division is expected to be exact every time; if it
     ever is not, this raises NonIntegerBPS rather than returning a Fraction.
     """
-    assert r >= 1
+    _positive("r", r)
     total = 0
     for d in divisors(gcd(r, m)):
         mu = mobius(d)
@@ -111,7 +122,8 @@ def b_extremal_unknot(r, sign, tau):
     b^+ sums mu(r/d)(-1)^(d tau) C(d(tau+1)-1, d-1); b^- sums
     mu(r/d)(-1)^(d(tau+1)) gbinom(d tau - 1, d-1).  Both divided by r^2.
     """
-    assert r >= 1 and sign in ("+", "-")
+    _positive("r", r)
+    _sign(sign)
     total = 0
     for d in divisors(r):
         mu = mobius(r // d)
@@ -138,7 +150,8 @@ def b_extremal_twist(r, sign, p, tau):
         p >=  2:  b^- =  sum mu(r/d)(-1)^(d(tau+1)) C(d(tau+2)-1,      d-1)
                   b^+ =  sum mu(r/d)(-1)^(d(tau+1)) C(d(tau+2+2p)-1,   d-1)
     """
-    assert r >= 1 and sign in ("+", "-")
+    _positive("r", r)
+    _sign(sign)
     if p in (0, 1):
         raise UnsupportedP(p)
     total = 0
@@ -169,7 +182,7 @@ def integrality_statistic(r, t):
     here is reported through the flag, never raised: it would falsify
     the build, not the input.
     """
-    assert r >= 1
+    _positive("r", r)
     total = 0
     for d in divisors(r):
         mu = mobius(r // d)

@@ -19,8 +19,8 @@ from math import gcd
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           divisors, mobius, sign_pow)
-from .laurent import (NonInvertibleLeadingTerm, TruncSeries, lp_mono, lp_mul,
-                      lp_one, lp_scale, series_add, series_inv, series_log1p,
+from .laurent import (NonInvertibleLeadingTerm, TruncSeries, exact, lp_mono,
+                      lp_mul, lp_one, lp_scale, series_add, series_inv,
                       series_mul, series_pow_int, series_scale)
 
 KIND_FULL = "full"
@@ -40,7 +40,8 @@ class SingularBranch(Exception):
 class DualAPoly:
     """A curve polynomial in (x, y) with a-Laurent coefficients.
 
-    `source` maps (x-degree, y-degree, doubled a-exponent) -> Fraction;
+    `source` maps (x-degree, y-degree, doubled a-exponent) -> an exact
+    coefficient (int or Fraction, as `laurent.exact` gives it);
     y-degrees are even throughout (the curves only see w = y²).
     """
 
@@ -48,7 +49,7 @@ class DualAPoly:
 
     def __init__(self, source, kind, knot, framing):
         assert kind in KINDS
-        self.source = {k: Fraction(c) for k, c in source.items() if c}
+        self.source = {k: exact(c) for k, c in source.items() if c}
         self.kind = kind
         self.knot = knot
         self.framing = framing
@@ -163,7 +164,8 @@ def normalize(curve, order):
     the lowest a-term of φ(0), whose coefficient must be ±1.  Anything
     else raises NotNormalizable.
     """
-    assert order >= 1
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     x0 = {}
     x1 = {}
     for (xd, yd, da), c in curve.source.items():
@@ -172,10 +174,10 @@ def normalize(curve, order):
         if xd == 0:
             if da:
                 raise NotNormalizable("a-dependent x^0 part")
-            x0[yd // 2] = x0.get(yd // 2, Fraction(0)) + c
+            x0[yd // 2] = x0.get(yd // 2, 0) + c
         elif xd == 1:
             key = (yd // 2, da)
-            x1[key] = x1.get(key, Fraction(0)) + c
+            x1[key] = x1.get(key, 0) + c
         else:
             raise NotNormalizable("degree in x exceeds 1")
     x0 = {k: c for k, c in x0.items() if c}
@@ -191,7 +193,7 @@ def normalize(curve, order):
     phi = TruncSeries([{} for _ in range(order)], order)
     for (wdeg, da), c in sorted(x1.items()):
         piece = series_pow_int(one_m, wdeg - j)
-        piece = _series_scale_poly(piece, lp_mono(0, da, c / cu))
+        piece = _series_scale_poly(piece, lp_mono(0, da, Fraction(c, cu)))
         phi = series_add(phi, piece)
 
     const = phi.coeffs[0]
@@ -209,18 +211,18 @@ def normalize(curve, order):
 class GammaSeries:
     """Coefficients of x·d/dx log y(x) = Σ γ_{r,m} x^r a^(m/2).
 
-    `coefficients` maps (r, doubled a-exponent m) -> Fraction for
+    `coefficients` maps (r, doubled a-exponent m) -> an exact coefficient for
     1 <= r <= order; zero values are not stored.
     """
 
     __slots__ = ("coefficients", "order")
 
     def __init__(self, coefficients, order):
-        self.coefficients = {k: Fraction(c) for k, c in coefficients.items() if c}
+        self.coefficients = {k: exact(c) for k, c in coefficients.items() if c}
         self.order = order
 
     def __getitem__(self, key):
-        return self.coefficients.get(key, Fraction(0))
+        return self.coefficients.get(key, 0)
 
     def __eq__(self, other):
         return (isinstance(other, GammaSeries)
@@ -245,14 +247,16 @@ def lagrange_log_y(nf, order):
     Coefficient of X^n in log(1 - Y(X)) is -(1/n)·Σ_{j<n} [λ^j] φ(λ)^n,
     log y = ½ log(1 - Y); the X -> x rescale contributes σ^n a^(ne/2).
     """
-    assert 1 <= order <= nf.phi.order
+    if not 1 <= order <= nf.phi.order:
+        raise ValueError(f"order must be in 1..{nf.phi.order} (the order of phi), "
+                         f"got {order}")
     out = {}
     power = nf.phi
     for n in range(1, order + 1):
         acc = {}
         for jj in range(n):
             for key, c in power.coeffs[jj].items():
-                v = acc.get(key, Fraction(0)) + c
+                v = acc.get(key, 0) + c
                 if v:
                     acc[key] = v
                 elif key in acc:
@@ -290,21 +294,23 @@ def solve_w_series(curve, order):
     """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1.
 
     Quadratic Newton lifting: w ← w - A(w)/∂A(w), doubling the count of
-    correct coefficients per round; raises SingularBranch when ∂A/∂w is
-    not invertible at the start point, and MismatchDetected when the
-    final residual is not exactly zero.
+    correct coefficients per round, so round k works at 2^k terms only
+    (Brent–Kung); raises SingularBranch when ∂A/∂w is not invertible at
+    the start point, and MismatchDetected when the final full-order
+    residual is not exactly zero.
     """
-    assert order >= 1
-    w = TruncSeries([lp_one()] + [{} for _ in range(order - 1)], order)
-    known = 1
-    while known < order:
-        residual, slope = _curve_eval(curve, w, order)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    w = TruncSeries([lp_one()], 1)
+    while w.order < order:
+        n = min(2 * w.order, order)
+        w = TruncSeries(w.coeffs, n)
+        residual, slope = _curve_eval(curve, w, n)
         try:
             correction = series_mul(residual, series_inv(slope))
         except NonInvertibleLeadingTerm as exc:
             raise SingularBranch(curve) from exc
-        w = series_add(w, series_scale(correction, Fraction(-1)))
-        known = min(2 * known, order)
+        w = series_add(w, series_scale(correction, -1))
     residual, _ = _curve_eval(curve, w, order)
     if any(residual.coeffs):
         raise MismatchDetected(f"Newton residual of {curve!r} is nonzero")
@@ -317,17 +323,16 @@ def curve_residual(curve, w):
 
 
 def newton_series_solve(curve, order):
-    """GammaSeries from the Newton-solved branch: γ_r = r·[x^r] log y,
-    log y = ½ log w."""
-    assert order >= 1
+    """GammaSeries from the Newton-solved branch: log y = ½ log w, so
+    γ_r = ½·[x^r] (x·w′/w), one series inversion and one product."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     w = solve_w_series(curve, order + 1)
-    u = TruncSeries([{} if i == 0 else w.coeffs[i] for i in range(order + 1)],
-                    order + 1)
-    logw = series_log1p(u)
+    xdw = TruncSeries([lp_scale(c, j) for j, c in enumerate(w.coeffs)], order + 1)
+    dlog = series_mul(xdw, series_inv(w))
     out = {}
     for r in range(1, order + 1):
-        poly = lp_scale(logw.coeffs[r], Fraction(r, 2))
-        _gamma_entries(out, r, poly)
+        _gamma_entries(out, r, lp_scale(dlog.coeffs[r], Fraction(1, 2)))
     return GammaSeries(out, order)
 
 

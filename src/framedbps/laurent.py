@@ -1,13 +1,18 @@
 """Exact Laurent polynomials in q^(1/2), a^(1/2), and truncated power series.
 
 A Laurent polynomial is a plain dict mapping an exponent pair (dq, da)
-to a nonzero Fraction, where dq and da count *half units*: the key
-(dq, da) stands for the monomial q^(dq/2) a^(da/2).  Storing doubled
-exponents keeps everything an int — in particular the q^(i(i-1)/4)
-twist factors, whose doubled exponent i(i-1)/2 is always integral.
+to a nonzero int or Fraction, an int when integral, never a float, where
+dq and da count *half units*: the key (dq, da) stands for the monomial
+q^(dq/2) a^(da/2).  Storing doubled exponents keeps everything an int —
+in particular the q^(i(i-1)/4) twist factors, whose doubled exponent
+i(i-1)/2 is always integral.
 
 Zero coefficients are never stored, so dict equality is value equality.
-All operations are pure: inputs are never mutated.
+`exact` makes every coefficient built from a scalar (`lp_mono`,
+`lp_scale`, `series_inv`), and sums and products of ints stay ints; a sum
+of Fractions that lands on an integer may stay a Fraction, which compares
+and hashes equal to the int.  All operations are pure: inputs are never
+mutated.
 """
 
 from fractions import Fraction
@@ -17,24 +22,26 @@ class NonInvertibleLeadingTerm(Exception):
     """Series inversion needs an invertible (single-monomial) constant term."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+def exact(c):
+    """c as a coefficient: Fraction(c), or its numerator when integral."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def lp_one():
-    return {(0, 0): _F1}
+    return {(0, 0): 1}
 
 
 def lp_mono(dq, da, c=1):
     """The monomial c * q^(dq/2) * a^(da/2)."""
-    c = Fraction(c)
+    c = exact(c)
     return {(dq, da): c} if c else {}
 
 
 def lp_add(p, q):
     r = dict(p)
     for k, c in q.items():
-        v = r.get(k, _F0) + c
+        v = r.get(k, 0) + c
         if v:
             r[k] = v
         elif k in r:
@@ -55,7 +62,7 @@ def lp_mul(p, q):
     for (d1, a1), c1 in p.items():
         for (d2, a2), c2 in q.items():
             k = (d1 + d2, a1 + a2)
-            v = r.get(k, _F0) + c1 * c2
+            v = r.get(k, 0) + c1 * c2
             if v:
                 r[k] = v
             elif k in r:
@@ -64,10 +71,10 @@ def lp_mul(p, q):
 
 
 def lp_scale(p, c):
-    c = Fraction(c)
+    c = exact(c)
     if not c:
         return {}
-    return {k: v * c for k, v in p.items()}
+    return {k: exact(v * c) for k, v in p.items()}
 
 
 def lp_specialize_q1(f):
@@ -75,7 +82,7 @@ def lp_specialize_q1(f):
     out = {}
     for (dq, da), c in f.items():
         k = (0, da)
-        v = out.get(k, _F0) + c
+        v = out.get(k, 0) + c
         if v:
             out[k] = v
         elif k in out:
@@ -157,15 +164,15 @@ def series_inv(s):
     if len(c0) != 1:
         raise NonInvertibleLeadingTerm(f"constant term {c0} is not a monomial")
     ((dq, da), v), = c0.items()
-    c0inv = {(-dq, -da): 1 / v}
-    out = [c0inv] + [{}] * (s.order - 1)
+    shift, inv = lp_mono(-dq, -da), Fraction(1, v)
+    out = [lp_scale(shift, inv)] + [{}] * (s.order - 1)
     for j in range(1, s.order):
         acc = {}
         for i in range(1, j + 1):
             if s.coeffs[i] and out[j - i]:
                 acc = lp_add(acc, lp_mul(s.coeffs[i], out[j - i]))
         if acc:
-            out[j] = lp_neg(lp_mul(c0inv, acc))
+            out[j] = lp_scale(lp_mul(shift, acc), -inv)
     return TruncSeries(out, s.order)
 
 
@@ -183,15 +190,3 @@ def series_pow_int(s, e):
             base = series_mul(base, base)
     return result
 
-
-def series_log1p(s):
-    """log(1 + s) for s with zero constant term."""
-    assert not s.coeffs[0], "log1p argument must have zero constant term"
-    out = TruncSeries([], s.order)
-    term = TruncSeries.constant(lp_one(), s.order)
-    for m in range(1, s.order):
-        term = series_mul(term, s)
-        if not any(term.coeffs):
-            break
-        out = series_add(out, series_scale(term, Fraction((-1) ** (m - 1), m)))
-    return out

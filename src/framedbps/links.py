@@ -17,7 +17,6 @@ Conventions baked in here and validated against the integer tables:
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 from .closedforms import UnsupportedKnotKind
@@ -128,10 +127,12 @@ def homfly_link(link, colors):
 
 def framing_factor(colors, framings):
     """The monomial (-1)^(sum r_t) q^(sum r(r-1)t / 2) as a LaurentPoly."""
-    assert len(colors) == len(framings)
+    if len(colors) != len(framings):
+        raise ValueError(f"{len(colors)} colors {colors} but {len(framings)} "
+                         f"framings {framings}")
     s = sum(r * t for r, t in zip(colors, framings))
     dq = sum(r * (r - 1) * t for r, t in zip(colors, framings))
-    return lp_mono(dq, 0, Fraction(-1 if s % 2 else 1))
+    return lp_mono(dq, 0, -1 if s % 2 else 1)
 
 
 def apply_framing(h, colors, framings):
@@ -154,7 +155,7 @@ def check_unknot_recursion(tau, n_max):
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    sign = Fraction(-1 if tau % 2 else 1)
+    sign = -1 if tau % 2 else 1
     for n in range(1, n_max):
         hn = apply_framing(homfly_link("unknot", (n,)), (n,), (tau,))
         hn1 = apply_framing(homfly_link("unknot", (n + 1,)), (n + 1,), (tau,))

@@ -8,17 +8,18 @@ Symbols, for integer n:
 plus descending products {n}{n-1}...{n-i+1} of i consecutive symbols
 and the brace factorial {n}! as a multiset.
 
-`BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
-multiset of brace factors {n}) used for invariants that are not Laurent
-polynomials themselves; the denominator clears exactly only after the
-full Moebius/connected combination, and `reduce` checks just that by
-dividing out one brace at a time.
+`BraceRatio` is the exact triple (int-coefficient numerator LaurentPoly,
+denominator = multiset of brace factors {n}, rational content) used for
+invariants that are not Laurent polynomials themselves; the denominator
+clears exactly only after the full Moebius/connected combination, and
+`reduce` checks just that by dividing out one brace at a time.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
-from .laurent import lp_add, lp_mul, lp_one, lp_scale
+from .laurent import exact, lp_add, lp_mul, lp_one, lp_scale
 
 BRACE = "brace"
 BRACE_A = "brace_a"
@@ -33,9 +34,9 @@ def qsym(kind, n):
     if kind == BRACE:
         if n == 0:
             return {}
-        return {(n, 0): Fraction(1), (-n, 0): Fraction(-1)}
+        return {(n, 0): 1, (-n, 0): -1}
     if kind == BRACE_A:
-        return {(n, 1): Fraction(1), (-n, -1): Fraction(-1)}
+        return {(n, 1): 1, (-n, -1): -1}
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
@@ -76,27 +77,57 @@ def brace_factorial_multiset(n):
     return Counter(range(1, n + 1))
 
 
+def _times(num, s):
+    """num scaled by the int s."""
+    return num if s == 1 else {k: v * s for k, v in num.items()}
+
+
+def _ratio(num, den, content):
+    """A BraceRatio from an all-int numerator, a Counter with positive
+    multiplicities and an exact content, taken as they are."""
+    r = object.__new__(BraceRatio)
+    r._set(num, den, content)
+    return r
+
+
 class BraceRatio:
-    """Exact ratio num / prod_n {n}^mult with a brace-multiset denominator.
+    """Exact value content * num / prod_n {n}^mult: an int-coefficient
+    numerator, a brace-multiset denominator and one rational content.
+
+    Rationals live only in `content`, an int or Fraction (an int when
+    integral), so the numerator's arithmetic runs on ints; a numerator
+    given with Fraction coefficients is cleared into the content.
+    `scale` touches only the content, `mul` multiplies the contents, and
+    `add` brings both sides to the common content gcd(numerators) /
+    lcm(denominators) of the two contents by integer rescaling.
 
     Values are immutable: every operation returns a new ratio.  Addition
-    rescales both numerators to the multiset max of the denominators — a
-    common denominator (not necessarily least, which is fine: reduce()
-    clears whatever accumulates by exact division).
+    also rescales both numerators to the multiset max of the
+    denominators — a common denominator (not necessarily least, which is
+    fine: reduce() clears whatever accumulates by exact division).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "content")
 
-    def __init__(self, num, den=None):
-        self.num = num
-        self.den = Counter()
+    def __init__(self, num, den=None, content=1):
+        content = exact(content)
+        if any(type(c) is not int for c in num.values()):
+            d = lcm(*(c.denominator for c in num.values()))
+            num = {k: c.numerator * (d // c.denominator) for k, c in num.items()}
+            content = exact(Fraction(content, d))
+        clean = Counter()
         if den:
             for n, m in Counter(den).items():
                 assert n >= 1 and m >= 0
                 if m:
-                    self.den[n] = m
-        if not self.num:
-            self.den = Counter()
+                    clean[n] = m
+        self._set(num, clean, content)
+
+    def _set(self, num, den, content):
+        if num and content:
+            self.num, self.den, self.content = num, den, content
+        else:
+            self.num, self.den, self.content = {}, Counter(), 1
 
     @staticmethod
     def zero():
@@ -115,34 +146,58 @@ class BraceRatio:
                 num = lp_mul(num, b)
         return num
 
-    def add(self, other):
+    def _common(self, other):
+        """Both numerators over the common denominator and common content
+        g: (num1, num2, den, g) with self = g num1 / den, other = g num2 / den."""
         cd = self.den | other.den
-        return BraceRatio(lp_add(self._raised_num(cd), other._raised_num(cd)), cd)
+        c1, c2 = Fraction(self.content), Fraction(other.content)
+        gn = gcd(c1.numerator, c2.numerator)
+        gd = lcm(c1.denominator, c2.denominator)
+        s1 = c1.numerator // gn * (gd // c1.denominator)
+        s2 = c2.numerator // gn * (gd // c2.denominator)
+        return (_times(self._raised_num(cd), s1), _times(other._raised_num(cd), s2),
+                cd, exact(Fraction(gn, gd)))
+
+    def add(self, other):
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        num1, num2, cd, g = self._common(other)
+        return _ratio(lp_add(num1, num2), cd, g)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def mul(self, other):
-        return BraceRatio(lp_mul(self.num, other.num), self.den + other.den)
+        return _ratio(lp_mul(self.num, other.num), self.den + other.den,
+                      exact(self.content * other.content))
 
     def scale(self, c):
-        return BraceRatio(lp_scale(self.num, Fraction(c)), self.den)
+        return _ratio(self.num, self.den, exact(self.content * Fraction(c)))
 
     def mul_poly(self, p):
-        return BraceRatio(lp_mul(self.num, p), self.den)
+        return BraceRatio(lp_mul(self.num, p), self.den, self.content)
 
     def adams(self, d):
         """Adams operation on the whole ratio: {n} -> {dn} in the denominator."""
         num = {(dq * d, da * d): c for (dq, da), c in self.num.items()}
-        return BraceRatio(num, Counter({n * d: m for n, m in self.den.items()}))
+        return _ratio(num, Counter({n * d: m for n, m in self.den.items()}), self.content)
+
+    def scaled_num(self):
+        """The numerator with the content applied, content * num."""
+        return lp_scale(self.num, self.content)
 
     def reduce(self):
-        """Clear the denominator by exact division; InexactDivision if not polynomial."""
+        """Clear the denominator by exact division; InexactDivision if not
+        polynomial.  The content, applied once at the end, cannot change
+        that: braces are monic, so content * num divides over Q exactly
+        when num divides over Z."""
         num = self.num
         for n, m in sorted(self.den.items()):
             for _ in range(m):
                 num = _div_brace(num, n)
-        return num
+        return lp_scale(num, self.content)
 
     def is_zero(self):
         return not self.num
@@ -150,10 +205,11 @@ class BraceRatio:
     def __eq__(self, other):
         if not isinstance(other, BraceRatio):
             return NotImplemented
-        cd = self.den | other.den
-        return self._raised_num(cd) == other._raised_num(cd)
+        num1, num2, _, _ = self._common(other)
+        return num1 == num2
 
     def __repr__(self):
         den = "".join(f"{{{n}}}" + (f"^{m}" if m > 1 else "")
                       for n, m in sorted(self.den.items()))
-        return f"BraceRatio({len(self.num)} terms{' / ' + den if den else ''})"
+        content = f"{self.content} * " if self.content != 1 else ""
+        return f"BraceRatio({content}{len(self.num)} terms{' / ' + den if den else ''})"

@@ -255,6 +255,25 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
     assert out == (SNAPSHOTS / snapshot).read_text()
 
 
+@pytest.mark.parametrize("snapshot, argv", [
+    ("ov_whitehead_3_4_f1_-2.csv",
+     ("ov-table", "--link", "whitehead", "--colors", "3,4", "--framing", "1,-2")),
+    ("ov_borromean_2_2_3_f0_1_-1.csv",
+     ("ov-table", "--link", "borromean", "--colors", "2,2,3", "--framing", "0,1,-1")),
+    ("ov_unknot_9_f-2.csv",
+     ("ov-table", "--link", "unknot", "--colors", "9", "--framing", "-2")),
+    ("series_unknot_full_f2_o12.csv",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "2", "--order", "12")),
+    ("bps_twist_p-2_f-2_r12.csv",
+     ("bps", "--knot", "twist", "--p", "-2", "--framing", "-2", "--r-max", "12",
+      "--source", "both")),
+])
+def test_csv_matches_snapshot(capsys, snapshot, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (SNAPSHOTS / snapshot).read_text()
+
+
 def test_domain_errors_exit_nonzero(capsys):
     code, _, err = run_cli(capsys, "bps", "--knot", "twist", "--p", "0",
                            "--r-max", "2")

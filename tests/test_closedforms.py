@@ -122,6 +122,20 @@ def test_twist_rejects_degenerate_p():
         b_extremal_twist(2, "-", 1, 0)
 
 
+BAD_ARGUMENTS = [
+    (mobius, (0,)), (divisors, (-3,)), (gbinom, (4, -1)), (c_unknot, (0, 0, 1)),
+    (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)), (b_extremal_unknot, (0, "+", 1)),
+    (b_extremal_unknot, (2, "x", 1)), (b_extremal_twist, (0, "-", 2, 0)),
+    (integrality_statistic, (0, 3))]
+
+
+@pytest.mark.parametrize("fn, args", BAD_ARGUMENTS,
+                         ids=[f"{fn.__name__}{args}" for fn, args in BAD_ARGUMENTS])
+def test_bad_arguments_raise_value_error(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_integrality_statistic_returns_exact_fraction():
     v, ok = integrality_statistic(6, -5)
     assert isinstance(v, Fraction) and ok and v.denominator == 1

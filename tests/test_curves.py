@@ -177,6 +177,17 @@ def test_gamma_q_power_raises():
         curves._gamma_entries(out, 3, {(0, 2): F(1), (2, 0): F(-1)})
 
 
+@pytest.mark.parametrize("solver, order", [
+    ("normalize", 0), ("lagrange_log_y", 0), ("lagrange_log_y", 6),
+    ("solve_w_series", 0), ("newton_series_solve", 0)])
+def test_bad_order_raises_value_error(solver, order):
+    # lagrange_log_y reads phi, normalized here to order 3
+    curve = make_curve("unknot", KIND_FULL, 1)
+    arg = normalize(curve, 3) if solver == "lagrange_log_y" else curve
+    with pytest.raises(ValueError, match="order"):
+        getattr(curves, solver)(arg, order)
+
+
 def test_singular_branch_detected():
     # (w - 1)^2 + x: derivative vanishes along the solved branch start
     c = synthetic({(0, 4, 0): F(1), (0, 2, 0): F(-2), (0, 0, 0): F(1),

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from framedbps.laurent import (NonInvertibleLeadingTerm, TruncSeries, lp_add,
                                lp_mono, lp_mul, lp_neg, lp_one, lp_scale,
-                               lp_specialize_q1, lp_sub, series_add,
-                               series_inv, series_log1p, series_mul,
+                               lp_specialize_q1, lp_sub, series_inv, series_mul,
                                series_pow_int)
 from framedbps.qsymbols import BraceRatio
 
@@ -115,19 +114,3 @@ def test_series_pow_int_negative_exponent():
     cube = series_pow_int(one_minus, 3)
     assert [c.get((0, 0), 0) for c in cube.coeffs] == [1, -3, 3, -1, 0]
 
-
-def test_series_log1p_additive_on_products():
-    # log((1+u)(1+v)) = log(1+u) + log(1+v)
-    u = TruncSeries.from_terms({1: lp_mono(0, 1)}, 7)
-    v = TruncSeries.from_terms({2: lp_mono(1, 0, -2)}, 7)
-    both = series_add(series_add(u, v), series_mul(u, v))
-    lhs = series_log1p(both)
-    rhs = series_add(series_log1p(u), series_log1p(v))
-    assert lhs == rhs
-
-
-def test_series_log1p_classic_coefficients():
-    x = TruncSeries.from_terms({1: lp_one()}, 6)
-    lg = series_log1p(x)
-    assert [c.get((0, 0), 0) for c in lg.coeffs] == [
-        0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]

@@ -70,6 +70,8 @@ def test_framing_factor_values():
     assert framing_factor((1, 2), (1, 1)) == lp_mono(2, 0, -1)  # (-1)^3 q^1
     assert framing_factor((3,), (-1,)) == lp_mono(-6, 0, -1)
     assert framing_factor((1, 1), (0, 0)) == lp_mono(0, 0)
+    with pytest.raises(ValueError, match="framings"):
+        framing_factor((2, 3), (1,))  # zip would drop a component
 
 
 def test_apply_framing_on_both_representations():

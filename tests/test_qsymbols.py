@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import lp_add, lp_mul, lp_one
+from framedbps.laurent import lp_add, lp_mul, lp_one, lp_scale
 from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio, InexactDivision,
                                 brace_factorial_multiset, qsym, qsym_falling)
 
@@ -81,8 +81,24 @@ def test_ratio_mul_and_scale():
     p = a.mul(b)
     assert p.den == Counter({1: 1, 2: 1})
     assert p.num == lp_mul(qsym(BRACE, 2), qsym(BRACE_A, 0))
-    assert a.scale(Fraction(-1, 3)).num == {k: -c / 3 for k, c in a.num.items()}
+    assert a.scale(Fraction(-1, 3)) == BraceRatio(lp_scale(a.num, Fraction(-1, 3)), a.den)
     assert a.mul_poly(qsym(BRACE, 1)).num == lp_mul(a.num, qsym(BRACE, 1))
+
+
+def test_content_carries_the_rationals():
+    a = br(qsym(BRACE, 2), {1: 1})
+    third = a.scale(Fraction(-1, 3))
+    assert third.num is a.num and third.content == Fraction(-1, 3)
+    assert a.scale(0).is_zero()
+    # common content gcd(1, 2) / lcm(2, 3) = 1/6: 1/2 + 2/3 = (3 + 4) / 6
+    s = a.scale(Fraction(1, 2)).add(a.scale(Fraction(2, 3)))
+    assert s.content == Fraction(1, 6) and s.num == {k: 7 * c for k, c in a.num.items()}
+    assert s == a.scale(Fraction(7, 6))
+    # Fraction coefficients given to the constructor move into the content
+    f = BraceRatio({(0, 0): Fraction(1, 2), (2, 0): Fraction(-2, 3)})
+    assert f.num == {(0, 0): 3, (2, 0): -4} and f.content == Fraction(1, 6)
+    assert f.reduce() == {(0, 0): Fraction(1, 2), (2, 0): Fraction(-2, 3)}
+    assert f.scaled_num() == f.reduce()
 
 
 def test_ratio_adams_scales_everything():
