@@ -335,7 +335,8 @@ def load_golden():
             elif line[0].isdigit() or line[0] == "-":
                 i2, j2, n = line.split(",")
                 entries[(int(i2), int(j2))] = int(n)
-        assert meta is not None, f"golden file {res.name} lacks metadata"
+        if meta is None:
+            raise ValueError(f"golden file {res.name} lacks metadata")
         out.append((res.name[:-4], meta, entries))
     return out
 
@@ -350,7 +351,7 @@ def verify_tables(args):
         if ok and not strong_integrality_check(table):
             ok, extra = False, " (parity violation)"
         if ok:
-            bps_list(table)  # row-sum / q=1 cross-check asserts internally
+            bps_list(table)  # raises MismatchDetected if row sums and q=1 differ
         print(f"table {name} link={meta['link']} colors={meta['colors']} "
               f"framings={meta['framings']}: {'PASS' if ok else 'FAIL' + extra}")
         failures += 0 if ok else 1

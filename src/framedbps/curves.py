@@ -48,7 +48,8 @@ class DualAPoly:
     __slots__ = ("source", "kind", "knot", "framing")
 
     def __init__(self, source, kind, knot, framing):
-        assert kind in KINDS
+        if kind not in KINDS:
+            raise ValueError(f"curve kind must be one of {KINDS}, got {kind!r}")
         self.source = {k: exact(c) for k, c in source.items() if c}
         self.kind = kind
         self.knot = knot
@@ -271,13 +272,14 @@ def lagrange_log_y(nf, order):
 
 def _curve_eval(curve, w, order):
     """The curve polynomial A and its w-derivative ∂A/∂w at y² = w(x), both
-    as TruncSeries in x, from one shared table of the powers w^j."""
-    powers = {}
+    as TruncSeries in x, from one shared table of the powers w^j, each the
+    previous one times w."""
+    powers = [TruncSeries.constant(lp_one(), w.order)]
 
     def term(j, xd, mono):
         """x^xd · mono · w^j, truncated at `order`."""
-        if j not in powers:
-            powers[j] = series_pow_int(w, j)
+        while len(powers) <= j:
+            powers.append(series_mul(powers[-1], w))
         coeffs = _series_scale_poly(powers[j], mono).coeffs
         return TruncSeries([{}] * xd + coeffs[:order - xd], order)
 

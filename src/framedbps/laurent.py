@@ -11,8 +11,8 @@ Zero coefficients are never stored, so dict equality is value equality.
 `exact` makes every coefficient built from a scalar (`lp_mono`,
 `lp_scale`, `series_inv`), and sums and products of ints stay ints; a sum
 of Fractions that lands on an integer may stay a Fraction, which compares
-and hashes equal to the int.  All operations are pure: inputs are never
-mutated.
+and hashes equal to the int.  All public operations are pure: inputs are
+never mutated (only the private `_addmul` accumulates in place).
 """
 
 from fractions import Fraction
@@ -57,17 +57,21 @@ def lp_sub(p, q):
     return lp_add(p, lp_neg(q))
 
 
-def lp_mul(p, q):
-    r = {}
+def _addmul(acc, p, q):
+    """acc += p * q in place; returns acc."""
     for (d1, a1), c1 in p.items():
         for (d2, a2), c2 in q.items():
             k = (d1 + d2, a1 + a2)
-            v = r.get(k, 0) + c1 * c2
+            v = acc.get(k, 0) + c1 * c2
             if v:
-                r[k] = v
-            elif k in r:
-                del r[k]
-    return r
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
+    return acc
+
+
+def lp_mul(p, q):
+    return _addmul({}, p, q)
 
 
 def lp_scale(p, c):
@@ -104,7 +108,8 @@ class TruncSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order):
-        assert order >= 0
+        if order < 0:
+            raise ValueError(f"order must be at least 0, got {order}")
         cs = list(coeffs[:order])
         cs += [{}] * (order - len(cs))
         self.coeffs = cs
@@ -154,7 +159,7 @@ def series_mul(s1, s2):
         for j2 in range(order - j1):
             c2 = s2.coeffs[j2]
             if c2:
-                out[j1 + j2] = lp_add(out[j1 + j2], lp_mul(c1, c2))
+                _addmul(out[j1 + j2], c1, c2)
     return TruncSeries(out, order)
 
 
@@ -170,7 +175,7 @@ def series_inv(s):
         acc = {}
         for i in range(1, j + 1):
             if s.coeffs[i] and out[j - i]:
-                acc = lp_add(acc, lp_mul(s.coeffs[i], out[j - i]))
+                _addmul(acc, s.coeffs[i], out[j - i])
         if acc:
             out[j] = lp_scale(lp_mul(shift, acc), -inv)
     return TruncSeries(out, s.order)

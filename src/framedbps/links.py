@@ -112,7 +112,7 @@ def homfly_link(link, colors):
         raise UnsupportedKnotKind(f"no full invariant for {link!r}")
     if len(colors) != _COMPONENTS[link] or min(colors) < 0:
         raise ValueError(f"{link} needs {_COMPONENTS[link]} colors >= 0, got {colors}")
-    total = BraceRatio.zero()
+    terms = []
     for i in range(min(colors) + 1):
         core = _CORES[link](i)
         if not core:
@@ -121,8 +121,8 @@ def homfly_link(link, colors):
         for r in colors:
             num = lp_mul(num, qsym_falling(BRACE_A, r + i - 1, r - i))
             den += brace_factorial_multiset(r - i)
-        total = total.add(BraceRatio(lp_mul(num, core), den))
-    return total
+        terms.append(BraceRatio(lp_mul(num, core), den))
+    return BraceRatio.sum(terms)
 
 
 def framing_factor(colors, framings):

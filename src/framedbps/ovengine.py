@@ -106,6 +106,14 @@ def _spec_framings(link):
     return link.framings if link.framings is not None else (0,) * link.n_components
 
 
+def _colors_for(link, rvec):
+    """rvec as an int tuple, one color per component of the link."""
+    rvec = tuple(int(r) for r in rvec)
+    if len(rvec) != link.n_components:
+        raise ValueError(f"{link.link} needs {link.n_components} colors, got {rvec}")
+    return rvec
+
+
 def connected_F(link, rvec):
     """Connected invariant F_rvec as an exact ratio.
 
@@ -115,10 +123,9 @@ def connected_F(link, rvec):
 
     framings taken from the link spec (zero if unspecified).
     """
-    rvec = tuple(int(r) for r in rvec)
-    assert len(rvec) == link.n_components
+    rvec = _colors_for(link, rvec)
     taus = _spec_framings(link)
-    total = BraceRatio.zero()
+    terms = []
     for pt in enumerate_vector_partitions(rvec):
         coef = Fraction(factorial(pt.length - 1), pt.aut)
         if (pt.length - 1) % 2:
@@ -128,8 +135,8 @@ def connected_F(link, rvec):
             hv = _framed_h(link.link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)
-        total = total.add(prod.scale(coef))
-    return total
+        terms.append(prod.scale(coef))
+    return BraceRatio.sum(terms)
 
 
 def _mv_mul(left, right, trunc):
@@ -154,9 +161,10 @@ def connected_F_via_log(link, rvec, truncation=None):
     constant-free part of the generating function; powers die once m
     exceeds the total truncation degree.
     """
-    rvec = tuple(int(r) for r in rvec)
-    trunc = rvec if truncation is None else tuple(int(t) for t in truncation)
-    assert all(r <= t for r, t in zip(rvec, trunc))
+    rvec = _colors_for(link, rvec)
+    trunc = rvec if truncation is None else _colors_for(link, truncation)
+    if any(r > t for r, t in zip(rvec, trunc)):
+        raise ValueError(f"truncation {trunc} is below the colors {rvec}")
     taus = _spec_framings(link)
     w = {}
     for v in product(*(range(t + 1) for t in trunc)):
@@ -198,12 +206,13 @@ def p_poly(link, rvec, framings=None):
     g = 0
     for r in rvec:
         g = gcd(g, r)
-    total = BraceRatio.zero()
+    terms = []
     for d in divisors(g):
         mu = mobius(d)
         if mu:
             sub = tuple(r // d for r in rvec)
-            total = total.add(connected_F(spec, sub).adams(d).scale(Fraction(mu, d)))
+            terms.append(connected_F(spec, sub).adams(d).scale(Fraction(mu, d)))
+    total = BraceRatio.sum(terms)
     if k == 1:
         total = total.mul_poly(qsym(BRACE, 1))
     elif k == 3:

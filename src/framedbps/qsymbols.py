@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .laurent import exact, lp_add, lp_mul, lp_one, lp_scale
+from .laurent import _addmul, exact, lp_add, lp_mul, lp_one, lp_scale
 
 BRACE = "brace"
 BRACE_A = "brace_a"
@@ -42,10 +42,25 @@ def qsym(kind, n):
 
 def qsym_falling(kind, n, i):
     """Product sym(n) sym(n-1) ... sym(n-i+1) of i symbols; i = 0 is 1."""
-    assert i >= 0
+    if i < 0:
+        raise ValueError(f"a product of {i} symbols; i must be at least 0")
     out = lp_one()
     for t in range(i):
         out = lp_mul(out, qsym(kind, n - t))
+    return out
+
+
+def _mul_brace(num, n):
+    """num {n}: each term moves up to d+n and, negated, down to d-n in
+    doubled q-exponents; the inverse of `_div_brace`."""
+    out = {(dq + n, da): c for (dq, da), c in num.items()}
+    for (dq, da), c in num.items():
+        k = (dq - n, da)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
     return out
 
 
@@ -77,9 +92,30 @@ def brace_factorial_multiset(n):
     return Counter(range(1, n + 1))
 
 
+def _common_content(contents):
+    """The common content g = gcd(numerators) / lcm(denominators) of the
+    given contents, and the int s_i with content_i = g s_i for each."""
+    cs = [Fraction(c) for c in contents]
+    gn = gcd(*(c.numerator for c in cs))
+    gd = lcm(*(c.denominator for c in cs))
+    return exact(Fraction(gn, gd)), [c.numerator // gn * (gd // c.denominator) for c in cs]
+
+
 def _times(num, s):
     """num scaled by the int s."""
     return num if s == 1 else {k: v * s for k, v in num.items()}
+
+
+def _class_sum(terms):
+    """The sum of nonzero ratios that share one denominator: their
+    numerators, each rescaled to the common content, added in place."""
+    if len(terms) == 1:
+        return terms[0]
+    g, scales = _common_content([t.content for t in terms])
+    acc = {}
+    for t, s in zip(terms, scales):
+        _addmul(acc, t.num, {(0, 0): s})
+    return _ratio(acc, terms[0].den, g)
 
 
 def _ratio(num, den, content):
@@ -102,9 +138,13 @@ class BraceRatio:
     lcm(denominators) of the two contents by integer rescaling.
 
     Values are immutable: every operation returns a new ratio.  Addition
-    also rescales both numerators to the multiset max of the
-    denominators — a common denominator (not necessarily least, which is
-    fine: reduce() clears whatever accumulates by exact division).
+    also raises both numerators to the multiset max of the denominators,
+    one shift-subtract brace multiply per missing factor {n} — a common
+    denominator (not necessarily least, which is fine: reduce() clears
+    whatever accumulates by exact division).  `sum` adds many ratios and
+    raises each denominator class once, not each term: terms with equal
+    denominator multisets are added over their shared denominator, and
+    only the class sums meet in `add`.
     """
 
     __slots__ = ("num", "den", "content")
@@ -118,7 +158,8 @@ class BraceRatio:
         clean = Counter()
         if den:
             for n, m in Counter(den).items():
-                assert n >= 1 and m >= 0
+                if n < 1 or m < 0:
+                    raise ValueError(f"denominator factor {{{n}}}^{m} needs n >= 1, m >= 0")
                 if m:
                     clean[n] = m
         self._set(num, clean, content)
@@ -137,26 +178,34 @@ class BraceRatio:
     def one():
         return BraceRatio(lp_one())
 
+    @staticmethod
+    def sum(terms):
+        """The sum of `terms`: the nonzero ones grouped by denominator
+        multiset in first-seen order, each class added without raising,
+        then the class sums folded with `add`.  Empty gives zero."""
+        classes = {}
+        for t in terms:
+            if t.num:
+                classes.setdefault(frozenset(t.den.items()), []).append(t)
+        total = BraceRatio.zero()
+        for same in classes.values():
+            total = total.add(_class_sum(same))
+        return total
+
     def _raised_num(self, target):
         """Numerator after multiplying up to the denominator `target`."""
         num = self.num
         for n, m in (target - self.den).items():
-            b = qsym(BRACE, n)
             for _ in range(m):
-                num = lp_mul(num, b)
+                num = _mul_brace(num, n)
         return num
 
     def _common(self, other):
         """Both numerators over the common denominator and common content
         g: (num1, num2, den, g) with self = g num1 / den, other = g num2 / den."""
         cd = self.den | other.den
-        c1, c2 = Fraction(self.content), Fraction(other.content)
-        gn = gcd(c1.numerator, c2.numerator)
-        gd = lcm(c1.denominator, c2.denominator)
-        s1 = c1.numerator // gn * (gd // c1.denominator)
-        s2 = c2.numerator // gn * (gd // c2.denominator)
-        return (_times(self._raised_num(cd), s1), _times(other._raised_num(cd), s2),
-                cd, exact(Fraction(gn, gd)))
+        g, (s1, s2) = _common_content((self.content, other.content))
+        return _times(self._raised_num(cd), s1), _times(other._raised_num(cd), s2), cd, g
 
     def add(self, other):
         if not self.num:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -242,6 +243,16 @@ def test_checks_survive_optimized_mode():
         assert run_optimized(argv).returncode == 0, argv
 
 
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so every library check must raise instead
+    src = Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
+
+
 @pytest.mark.parametrize("snapshot, argv", [
     ("whitehead_2_3_f1_-1.json",
      ("--link", "whitehead", "--colors", "2,3", "--framing", "1,-1")),
@@ -267,6 +278,12 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
     ("bps_twist_p-2_f-2_r12.csv",
      ("bps", "--knot", "twist", "--p", "-2", "--framing", "-2", "--r-max", "12",
       "--source", "both")),
+    # the largest tables of the benchmark, where summing by denominator
+    # class reorders the most terms
+    ("ov_whitehead_4_4_f1_-3.csv",
+     ("ov-table", "--link", "whitehead", "--colors", "4,4", "--framing", "1,-3")),
+    ("ov_borromean_2_3_3_f0_-1_2.csv",
+     ("ov-table", "--link", "borromean", "--colors", "2,3,3", "--framing", "0,-1,2")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")

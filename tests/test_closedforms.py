@@ -1,14 +1,23 @@
+import tempfile
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedbps import cli
 from framedbps.closedforms import (NonIntegerBPS, UnsupportedP,
                                    b_extremal_twist, b_extremal_unknot,
                                    b_unknot, c_unknot, divisors, gbinom,
                                    integrality_statistic, mobius, sign_pow)
+from framedbps.curves import DualAPoly
+from framedbps.laurent import TruncSeries, lp_one
+from framedbps.links import FramedLinkSpec
+from framedbps.ovengine import connected_F, connected_F_via_log
+from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
 
 
 @given(st.integers(-20, 20))
@@ -122,11 +131,28 @@ def test_twist_rejects_degenerate_p():
         b_extremal_twist(2, "-", 1, 0)
 
 
+def load_golden_without_metadata():
+    """cli.load_golden over one golden file that has no metadata line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = Path(tmp, "golden")
+        golden.mkdir()
+        (golden / "bare.csv").write_text("i2,j2,N\n0,0,1\n")
+        with mock.patch.object(cli.resources, "files", lambda _: Path(tmp)):
+            return cli.load_golden()
+
+
+# Library arguments that must raise ValueError, not an assert that -O strips.
 BAD_ARGUMENTS = [
     (mobius, (0,)), (divisors, (-3,)), (gbinom, (4, -1)), (c_unknot, (0, 0, 1)),
     (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)), (b_extremal_unknot, (0, "+", 1)),
     (b_extremal_unknot, (2, "x", 1)), (b_extremal_twist, (0, "-", 2, 0)),
-    (integrality_statistic, (0, 3))]
+    (integrality_statistic, (0, 3)),
+    (connected_F, (FramedLinkSpec("whitehead"), (3,))),
+    # a truncation below the colors made the oracle a vacuous zero
+    (connected_F_via_log, (FramedLinkSpec("whitehead"), (3, 3), (2, 2))),
+    (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
+    (TruncSeries, ([lp_one()], -1)), (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
+    (load_golden_without_metadata, ())]
 
 
 @pytest.mark.parametrize("fn, args", BAD_ARGUMENTS,

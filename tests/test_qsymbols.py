@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from framedbps.laurent import lp_add, lp_mul, lp_one, lp_scale
 from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio, InexactDivision,
-                                brace_factorial_multiset, qsym, qsym_falling)
+                                _div_brace, _mul_brace, brace_factorial_multiset,
+                                qsym, qsym_falling)
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 exponents = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -128,3 +129,36 @@ def test_reduce_clears_exactly_or_raises():
 @settings(max_examples=60)
 def test_reduce_inverts_brace_multiplication(p, n):
     assert BraceRatio(lp_mul(p, qsym(BRACE, n)), {n: 1}).reduce() == p
+
+
+# A few denominators, so that drawn terms often share one (a class) with
+# different contents, and the classes have to be raised to each other.
+dens = st.sampled_from([{}, {1: 1}, {2: 1}, {1: 1, 2: 1}, {3: 2}, {1: 2, 3: 1}])
+ratios = st.builds(BraceRatio, polys, dens, coeffs)
+
+
+@given(st.lists(ratios, max_size=8))
+@settings(max_examples=80)
+def test_sum_equals_pairwise_fold(terms):
+    total = BraceRatio.zero()
+    for t in terms:
+        total = total.add(t)
+    s = BraceRatio.sum(terms)
+    assert s == total
+    assert all(type(c) is int for c in s.num.values())
+
+
+def test_sum_of_nothing_or_zeros_is_zero():
+    assert BraceRatio.sum([]).is_zero()
+    assert BraceRatio.sum([br({}, {2: 1}), BraceRatio.zero()]).is_zero()
+    # one class that cancels, next to a class that does not
+    x, y = br(lp_one(), {1: 1}), br(lp_one(), {2: 1})
+    s = BraceRatio.sum([x, y, x.scale(-1)])
+    assert s == y and s.den == Counter({2: 1})
+
+
+@given(polys, st.integers(1, 6))
+@settings(max_examples=60)
+def test_brace_multiply_is_lp_mul_and_inverts_division(p, n):
+    assert _mul_brace(p, n) == lp_mul(p, qsym(BRACE, n))
+    assert _div_brace(_mul_brace(p, n), n) == p
