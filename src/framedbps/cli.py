@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           integrality_statistic)
@@ -19,7 +20,8 @@ from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
 from .links import (FramedLinkSpec, RecursionViolated, apply_framing,
                     check_unknot_recursion, homfly_link)
-from .ovengine import bps_list, ov_table, strong_integrality_check
+from .ovengine import (bps_list, connected_F, connected_F_partitions, ov_table,
+                       strong_integrality_check)
 
 
 # --------------------------------------------------------------------------
@@ -219,8 +221,6 @@ def cmd_bps(args, parser):
             parser.error("twist knot needs --p")
         rows = _twist_bps_rows(args.p, tau, args.r_max, args.source)
         mcol = "sign"
-    else:
-        parser.error(f"unknown knot {args.knot!r}")
     if args.source == "both":
         for r, m, cv, cl in rows:
             if cv != cl:
@@ -410,16 +410,36 @@ def verify_symmetry(args):
     return failures
 
 
+def verify_connected(args):
+    """The recurrence `connected_F` against the partition sum, on every
+    nonzero color vector up to each case's largest one."""
+    cases = ([("whitehead", (3, 3), taus) for taus in product(range(-2, 3), repeat=2)]
+             + [("borromean", (2, 2, 2), taus) for taus in product((-1, 0, 1), repeat=3)]
+             + [("unknot", (8,), (tau,)) for tau in range(-2, 3)])
+    failures = 0
+    for link, top, taus in cases:
+        spec = FramedLinkSpec(link, framings=taus)
+        bad = [v for v in product(*(range(r + 1) for r in top))
+               if any(v) and connected_F(spec, v) != connected_F_partitions(spec, v)]
+        print(f"connected {link} colors<={top} framings={taus}: "
+              f"{f'FAIL at {bad}' if bad else 'PASS'}")
+        failures += bool(bad)
+    print(f"connected: {'all pass' if not failures else f'{failures} failures'}")
+    return failures
+
+
 def cmd_verify(args, parser):
     # like an empty --t-range, these would make a suite pass vacuously
     if args.suite == "integrality" and args.r_max < 1:
         parser.error("r-max must be >= 1")
     if args.suite == "recursion" and (args.n_max < 2 or args.tau_max < 0):
         parser.error("recursion needs n-max >= 2 and tau-max >= 0")
-    suite = {"tables": verify_tables, "integrality": verify_integrality,
-             "recursion": verify_recursion, "symmetry": verify_symmetry}[args.suite]
-    failures = suite(args)
-    return 0 if failures == 0 else 1
+    return 0 if VERIFY_SUITES[args.suite](args) == 0 else 1
+
+
+VERIFY_SUITES = {"tables": verify_tables, "integrality": verify_integrality,
+                 "recursion": verify_recursion, "symmetry": verify_symmetry,
+                 "connected": verify_connected}
 
 
 # --------------------------------------------------------------------------
@@ -437,23 +457,16 @@ def build_parser():
         p.add_argument("--format", choices=("ascii", "json", "csv"),
                        default="ascii")
 
-    p_h = sub.add_parser("homfly", help="framed colored invariant as exact ratio")
-    p_h.add_argument("--link", required=True,
-                     choices=("unknot", "whitehead", "borromean", "twist"))
-    p_h.add_argument("--colors", required=True, metavar="R1,R2,...")
-    p_h.add_argument("--framing", required=True, metavar="T1,T2,...")
-    p_h.add_argument("--p", type=int, default=None)
-    add_format(p_h)
-    p_h.set_defaults(func=cmd_homfly)
-
-    p_t = sub.add_parser("ov-table", help="integer invariant table")
-    p_t.add_argument("--link", required=True,
-                     choices=("unknot", "whitehead", "borromean", "twist"))
-    p_t.add_argument("--colors", required=True, metavar="R1,R2,...")
-    p_t.add_argument("--framing", required=True, metavar="T1,T2,...")
-    p_t.add_argument("--p", type=int, default=None)
-    add_format(p_t)
-    p_t.set_defaults(func=cmd_ov_table)
+    for name, func, text in (("homfly", cmd_homfly, "framed colored invariant as exact ratio"),
+                             ("ov-table", cmd_ov_table, "integer invariant table")):
+        p_l = sub.add_parser(name, help=text)
+        p_l.add_argument("--link", required=True,
+                         choices=("unknot", "whitehead", "borromean", "twist"))
+        p_l.add_argument("--colors", required=True, metavar="R1,R2,...")
+        p_l.add_argument("--framing", required=True, metavar="T1,T2,...")
+        p_l.add_argument("--p", type=int, default=None)
+        add_format(p_l)
+        p_l.set_defaults(func=func)
 
     p_b = sub.add_parser("bps", help="BPS invariants of framed knots")
     p_b.add_argument("--knot", required=True, choices=("unknot", "twist"))
@@ -475,8 +488,7 @@ def build_parser():
     p_s.set_defaults(func=cmd_series)
 
     p_v = sub.add_parser("verify", help="run a verification suite")
-    p_v.add_argument("suite", choices=("tables", "integrality", "recursion",
-                                       "symmetry"))
+    p_v.add_argument("suite", choices=tuple(VERIFY_SUITES))
     p_v.add_argument("--r-max", dest="r_max", type=int, default=30)
     p_v.add_argument("--t-range", dest="t_range", type=parse_range, default="-10:10")
     p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)

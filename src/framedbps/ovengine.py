@@ -3,20 +3,21 @@ N-tables, BPS lists, and strong-integrality parities.
 
 The flow is
 
-    framed H  --vector partitions-->  connected F  --Möbius + Adams-->
+    framed H  --log-derivative recurrence-->  connected F  --Möbius + Adams-->
     p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
 
-with every intermediate value an exact numerator/denominator pair.
-Clearing to an honest Laurent polynomial happens exactly once, inside
-`p_poly`, as a checked exact division — that single choke point is
-where the integrality structure either survives or raises.
+with every intermediate value an exact numerator/denominator pair.  Each
+F is divided down to the least denominator integrality allows, and
+`p_poly` clears the rest: checked exact divisions, where the integrality
+structure either survives or raises.  The paper's vector-partition sum,
+`connected_F_partitions`, is the oracle the recurrence is checked against.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .closedforms import MismatchDetected, divisors, mobius
 from .laurent import lp_one, lp_specialize_q1
@@ -32,48 +33,30 @@ class NonIntegerInvariant(Exception):
     """
 
 
-class VectorPartition:
-    """A multiset of nonzero color vectors, stored as (part, multiplicity)
-    pairs in descending lexicographic part order."""
+class VectorPartition(tuple):
+    """A multiset of nonzero color vectors: the tuple of its (part,
+    multiplicity) pairs in descending lexicographic part order."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    @classmethod
-    def from_sequence(cls, seq):
-        """Group a lex-descending sequence of parts into (part, mult) pairs."""
-        return cls((v, len(list(g))) for v, g in groupby(seq))
+    @property
+    def parts(self):
+        return tuple(self)
 
     @property
     def total(self):
-        k = len(self.parts[0][0])
-        out = [0] * k
-        for v, mult in self.parts:
-            for c in range(k):
-                out[c] += mult * v[c]
-        return tuple(out)
+        return tuple(sum(mult * v[c] for v, mult in self) for c in range(len(self[0][0])))
 
     @property
     def length(self):
-        return sum(mult for _, mult in self.parts)
+        return sum(mult for _, mult in self)
 
     @property
     def aut(self):
-        out = 1
-        for _, mult in self.parts:
-            out *= factorial(mult)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, VectorPartition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return prod(factorial(mult) for _, mult in self)
 
     def __repr__(self):
-        return "VectorPartition(%s)" % (self.parts,)
+        return f"VectorPartition({tuple(self)})"
 
 
 def enumerate_vector_partitions(rvec):
@@ -86,7 +69,7 @@ def enumerate_vector_partitions(rvec):
 
     def descend(remaining, cap, acc):
         if not any(remaining):
-            out.append(VectorPartition.from_sequence(acc))
+            out.append(VectorPartition((v, len(list(g))) for v, g in groupby(acc)))
             return
         for v in product(*(range(x, -1, -1) for x in remaining)):
             if any(v) and v <= cap:
@@ -114,14 +97,14 @@ def _colors_for(link, rvec):
     return rvec
 
 
-def connected_F(link, rvec):
-    """Connected invariant F_rvec as an exact ratio.
-
-    Sum over vector partitions U of rvec of
+def connected_F_partitions(link, rvec):
+    """Connected invariant F_rvec by the paper's defining sum over vector
+    partitions U of rvec of
 
         (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts,
 
-    framings taken from the link spec (zero if unspecified).
+    framings taken from the link spec (zero if unspecified).  The oracle
+    that `verify connected` compares `connected_F` with.
     """
     rvec = _colors_for(link, rvec)
     taus = _spec_framings(link)
@@ -139,46 +122,51 @@ def connected_F(link, rvec):
     return BraceRatio.sum(terms)
 
 
-def _mv_mul(left, right, trunc):
-    """Multiply two componentwise-truncated multivariate series with
-    exact-ratio coefficients (dict vector -> BraceRatio)."""
-    out = {}
-    for va, ca in left.items():
-        for vb, cb in right.items():
-            v = tuple(x + y for x, y in zip(va, vb))
-            if any(x > t for x, t in zip(v, trunc)):
-                continue
-            term = ca.mul(cb)
-            out[v] = out[v].add(term) if v in out else term
-    return out
+# One memo of connected invariants per (link, p, framings): color vector -> F.
+_F_TABLES = {}
 
 
-def connected_F_via_log(link, rvec, truncation=None):
-    """Coefficient of x^rvec in log(1 + sum_v H_v x^v), truncated
-    componentwise — an independent oracle for connected_F.
+def connected_F(link, rvec):
+    """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) as an
+    exact ratio, framings from the link spec (zero if unspecified), read
+    from the link's memo.  The memo first grows over the box 0 <= v <= rvec
+    in lex order (each u < v before v) by the log-derivative recurrence
 
-    The log is expanded as sum_m (-1)^(m-1) W^m / m with W the
-    constant-free part of the generating function; powers die once m
-    exceeds the total truncation degree.
+        v_c F_v = v_c H_v - sum_{0<u<v, u_c>0} u_c F_u H_{v-u},
+
+    c the component of least positive v_c, which needs the fewest products.
     """
     rvec = _colors_for(link, rvec)
-    trunc = rvec if truncation is None else _colors_for(link, truncation)
-    if any(r > t for r, t in zip(rvec, trunc)):
-        raise ValueError(f"truncation {trunc} is below the colors {rvec}")
+    if not any(rvec) or min(rvec) < 0:
+        raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
     taus = _spec_framings(link)
-    w = {}
-    for v in product(*(range(t + 1) for t in trunc)):
-        if any(v):
-            w[v] = _framed_h(link.link, v, taus)
-    total = BraceRatio.zero()
-    power = dict(w)
-    for m in range(1, sum(trunc) + 1):
-        if rvec in power:
-            coef = Fraction(1, m) if (m - 1) % 2 == 0 else Fraction(-1, m)
-            total = total.add(power[rvec].scale(coef))
-        if m < sum(trunc) and power:
-            power = _mv_mul(power, w, trunc)
-    return total
+    table = _F_TABLES.setdefault((link.link, link.p, taus), {})
+    for v in product(*(range(r + 1) for r in rvec)):
+        if any(v) and v not in table:
+            table[v] = _recurrence_step(table, link.link, v, taus)
+    return table[rvec]
+
+
+def _recurrence_step(table, link_name, v, taus):
+    """F_v from the F_u, u < v, in `table`, over the least denominator
+    integrality allows: F_v = sum_{d|v} f_{v/d}(q^d, a^d) / d with
+    f_u {1}^(2-k) a Laurent polynomial, so {r} when v has the one nonzero
+    color r and none otherwise.  The exact division down to it checks
+    every F_v; InexactDivision if integrality fails."""
+    nonzero = [t for t, r in enumerate(v) if r]
+    c = min(nonzero, key=lambda t: v[t])
+    # w = v - u runs up by degree, and with it the factorial denominator of
+    # H_w, so the class sums meet in growing order; H_v, the largest, comes last
+    terms = []
+    box = product(*(range(r if t == c else r + 1) for t, r in enumerate(v)))
+    for w in sorted(box, key=sum):
+        if any(w):
+            u = tuple(a - b for a, b in zip(v, w))
+            h = _framed_h(link_name, w, taus)
+            terms.append(table[u].mul(h).scale(Fraction(-u[c], v[c])))
+    terms.append(_framed_h(link_name, v, taus))
+    target = Counter({v[c]: 1}) if len(nonzero) == 1 else Counter()
+    return BraceRatio.sum(terms)._over(target)
 
 
 def _with_framings(link, framings):

@@ -192,20 +192,27 @@ class BraceRatio:
             total = total.add(_class_sum(same))
         return total
 
-    def _raised_num(self, target):
-        """Numerator after multiplying up to the denominator `target`."""
+    def _over(self, target):
+        """The same ratio over the denominator `target`: the numerator
+        multiplied by the braces of `target` the denominator lacks, then
+        divided exactly by the braces `target` lacks (InexactDivision if
+        one does not divide).  The content stays: braces are monic, so
+        content * num divides over Q exactly when num divides over Z."""
         num = self.num
         for n, m in (target - self.den).items():
             for _ in range(m):
                 num = _mul_brace(num, n)
-        return num
+        for n, m in sorted((self.den - target).items()):
+            for _ in range(m):
+                num = _div_brace(num, n)
+        return _ratio(num, target, self.content)
 
     def _common(self, other):
         """Both numerators over the common denominator and common content
         g: (num1, num2, den, g) with self = g num1 / den, other = g num2 / den."""
         cd = self.den | other.den
         g, (s1, s2) = _common_content((self.content, other.content))
-        return _times(self._raised_num(cd), s1), _times(other._raised_num(cd), s2), cd, g
+        return _times(self._over(cd).num, s1), _times(other._over(cd).num, s2), cd, g
 
     def add(self, other):
         if not self.num:
@@ -238,15 +245,8 @@ class BraceRatio:
         return lp_scale(self.num, self.content)
 
     def reduce(self):
-        """Clear the denominator by exact division; InexactDivision if not
-        polynomial.  The content, applied once at the end, cannot change
-        that: braces are monic, so content * num divides over Q exactly
-        when num divides over Z."""
-        num = self.num
-        for n, m in sorted(self.den.items()):
-            for _ in range(m):
-                num = _div_brace(num, n)
-        return lp_scale(num, self.content)
+        """The Laurent polynomial, by exact division (see `_over`)."""
+        return lp_scale(self._over(Counter()).num, self.content)
 
     def is_zero(self):
         return not self.num

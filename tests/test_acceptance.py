@@ -18,7 +18,7 @@ from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, bps_from_gamma,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_specialize_q1
 from framedbps.links import FramedLinkSpec, check_unknot_recursion
-from framedbps.ovengine import (bps_list, connected_F, connected_F_via_log,
+from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
                                 ov_table, p_poly, strong_integrality_check)
 
 F = Fraction
@@ -234,8 +234,7 @@ def test_criterion_6_structural_properties():
                      ("borromean", (1, 1, 2), (1, 1, 1))]
     for link, rvec, taus in oracle_cases:
         spec = FramedLinkSpec(link, framings=tuple(taus))
-        direct = connected_F(spec, rvec)
-        if not direct.sub(connected_F_via_log(spec, rvec)).is_zero():
+        if connected_F(spec, rvec) != connected_F_partitions(spec, rvec):
             failures.append(("oracle", link, rvec, taus))
 
     for taus in ((0, 1), (1, 0), (2, -1), (0, 0)):
@@ -258,6 +257,7 @@ def test_criterion_6_structural_properties():
         if any(curve_residual(curve, w).coeffs):
             failures.append(("residual", curve.knot, curve.kind, curve.framing))
 
-    gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected-F log "
-         "oracle on all computed cases, color/framing swap symmetry, and "
-         "curve residual 0 through order 12", failures)
+    gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected-F "
+         "recurrence equal to the partition sum on all computed cases, "
+         "color/framing swap symmetry, and curve residual 0 through order 12",
+         failures)

@@ -204,6 +204,22 @@ def test_verify_symmetry(capsys):
     assert "w22_f01 == w22_f10: PASS" in out
 
 
+def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
+    right = cli.connected_F
+
+    def wrong(spec, rvec):
+        f = right(spec, rvec)
+        if spec.link == "whitehead" and spec.framings == (1, -1) and rvec == (2, 1):
+            return f.scale(2)
+        return f
+    monkeypatch.setattr(cli, "connected_F", wrong)
+    code, out, _ = run_cli(capsys, "verify", "connected")
+    assert code == 1
+    assert "connected whitehead colors<=(3, 3) framings=(1, -1): FAIL at [(2, 1)]" in out
+    assert out.count(": PASS") == 25 + 27 + 5 - 1   # Whitehead, Borromean, unknot cases
+    assert "connected: 1 failures" in out
+
+
 def test_zero_color_vector_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["ov-table", "--link", "whitehead", "--colors", "0,0",
@@ -284,6 +300,14 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
      ("ov-table", "--link", "whitehead", "--colors", "4,4", "--framing", "1,-3")),
     ("ov_borromean_2_3_3_f0_-1_2.csv",
      ("ov-table", "--link", "borromean", "--colors", "2,3,3", "--framing", "0,-1,2")),
+    # the sizes where the connected invariants' recurrence replaced the
+    # partition sum, captured from the partition sum
+    ("ov_whitehead_5_5_f0_0.csv",
+     ("ov-table", "--link", "whitehead", "--colors", "5,5", "--framing", "0,0")),
+    ("ov_borromean_3_3_3_f1_1_1.csv",
+     ("ov-table", "--link", "borromean", "--colors", "3,3,3", "--framing", "1,1,1")),
+    ("ov_unknot_12_f1.csv",
+     ("ov-table", "--link", "unknot", "--colors", "12", "--framing", "1")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")

@@ -16,7 +16,7 @@ from framedbps.closedforms import (NonIntegerBPS, UnsupportedP,
 from framedbps.curves import DualAPoly
 from framedbps.laurent import TruncSeries, lp_one
 from framedbps.links import FramedLinkSpec
-from framedbps.ovengine import connected_F, connected_F_via_log
+from framedbps.ovengine import connected_F, connected_F_partitions
 from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
 
 
@@ -148,8 +148,8 @@ BAD_ARGUMENTS = [
     (b_extremal_unknot, (2, "x", 1)), (b_extremal_twist, (0, "-", 2, 0)),
     (integrality_statistic, (0, 3)),
     (connected_F, (FramedLinkSpec("whitehead"), (3,))),
-    # a truncation below the colors made the oracle a vacuous zero
-    (connected_F_via_log, (FramedLinkSpec("whitehead"), (3, 3), (2, 2))),
+    # the partition oracle, like the recurrence, refuses a negative color
+    (connected_F_partitions, (FramedLinkSpec("whitehead"), (3, -1))),
     (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
     (TruncSeries, ([lp_one()], -1)), (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
     (load_golden_without_metadata, ())]

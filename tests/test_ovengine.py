@@ -8,10 +8,10 @@ from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind
 from framedbps.laurent import lp_specialize_q1
 from framedbps.links import FramedLinkSpec
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
-                                connected_F, connected_F_via_log,
+                                connected_F, connected_F_partitions,
                                 enumerate_vector_partitions, ov_table, p_poly,
                                 strong_integrality_check)
-from framedbps.qsymbols import BRACE, BRACE_A, qsym
+from framedbps.qsymbols import BRACE, BRACE_A, InexactDivision, qsym
 
 
 def unknot(tau=0):
@@ -52,6 +52,12 @@ def test_zero_or_negative_colors_raise():
     for rvec in [(0,), (0, 0), (2, -1)]:
         with pytest.raises(ValueError, match="color vector"):
             enumerate_vector_partitions(rvec)
+    # an empty box must not surface as a KeyError from the memo
+    for link, rvec in [(unknot(), (0,)), (whitehead((0, 0)), (0, 0)),
+                       (whitehead((1, 0)), (2, -1)), (whitehead((0, 0)), (-1, -1)),
+                       (FramedLinkSpec("borromean"), (0, 0, 0))]:
+        with pytest.raises(ValueError, match="color vector"):
+            connected_F(link, rvec)
     with pytest.raises(ValueError, match="color vector"):
         ov_table("whitehead", (0, 0), (0, 0))
 
@@ -82,22 +88,72 @@ def test_connected_and_p_poly_unknot_decomposition():
 
 
 def test_connected_f_log_oracle():
+    # the recurrence equals the paper's partition sum
     for rvec, taus in [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1)),
                        ((2, 2), (-1, 2))]:
         link = whitehead(taus)
-        direct = connected_F(link, rvec)
-        via_log = connected_F_via_log(link, rvec)
-        assert direct.sub(via_log).is_zero(), (rvec, taus)
+        assert connected_F(link, rvec) == connected_F_partitions(link, rvec), (rvec, taus)
     tri = FramedLinkSpec("borromean", framings=(1, 0, -1))
-    assert connected_F(tri, (2, 1, 1)).sub(
-        connected_F_via_log(tri, (2, 1, 1))).is_zero()
+    assert connected_F(tri, (2, 1, 1)) == connected_F_partitions(tri, (2, 1, 1))
 
 
-def test_log_oracle_with_wider_truncation():
-    link = whitehead((0, 0))
-    tight = connected_F_via_log(link, (1, 1))
-    loose = connected_F_via_log(link, (1, 1), truncation=(2, 2))
-    assert tight.sub(loose).is_zero()
+def test_connected_f_denominators_are_least():
+    # {r} on an axis, none off it: each F was divided down to it exactly
+    link = whitehead((1, -1))
+    connected_F(link, (3, 2))
+    dens = {v: dict(f.den) for v, f in ovengine._F_TABLES[("whitehead", None, (1, -1))].items()}
+    assert dens[(3, 0)] == {3: 1} and dens[(0, 2)] == {2: 1}
+    assert all(not den for v, den in dens.items() if all(v))
+
+
+def test_recurrence_divides_every_step_exactly(monkeypatch):
+    # a wrong H_(1,1) leaves a {1} that F_(1,1) cannot carry
+    real = ovengine._framed_h
+
+    def wrong(link_name, colors, framings):
+        h = real(link_name, colors, framings)
+        return h.scale(2) if colors == (1, 1) else h
+    monkeypatch.setattr(ovengine, "_framed_h", wrong)
+    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    with pytest.raises(InexactDivision, match="does not divide"):
+        connected_F(whitehead((0, 0)), (2, 2))
+
+
+def fresh_F(monkeypatch, link, rvec):
+    """connected_F computed from an empty memo."""
+    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    return connected_F(link, rvec)
+
+
+@pytest.mark.parametrize("first, second", [((2, 2), (3, 3)), ((4, 3), (3, 4))])
+def test_memo_extends_to_a_larger_box(monkeypatch, first, second):
+    link = whitehead((1, 0))
+    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    shared = [connected_F(link, first), connected_F(link, second)]
+    for rvec, f in zip((first, second), shared):
+        assert f == fresh_F(monkeypatch, link, rvec) == connected_F_partitions(link, rvec)
+
+
+def test_memo_keeps_framings_apart(monkeypatch):
+    links = [whitehead((1, 0)), whitehead((-1, 2))]
+    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    shared = [connected_F(link, (2, 2)) for link in links]
+    tables = dict(ovengine._F_TABLES)
+    assert len(tables) == 2
+    for link, f in zip(links, shared):
+        assert f == fresh_F(monkeypatch, link, (2, 2)) == connected_F_partitions(link, (2, 2))
+        assert tables[("whitehead", None, link.framings)] == ovengine._F_TABLES[
+            ("whitehead", None, link.framings)]
+    assert shared[0] != shared[1]
+
+
+def test_memo_shares_the_all_zero_entry(monkeypatch):
+    bare, zero = FramedLinkSpec("whitehead"), whitehead((0, 0))
+    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    f = connected_F(bare, (2, 3))
+    assert connected_F(zero, (2, 3)) is f
+    assert len(ovengine._F_TABLES) == 1
+    assert f == fresh_F(monkeypatch, zero, (2, 3)) == connected_F_partitions(zero, (2, 3))
 
 
 def test_connected_f_rejects_twist():
