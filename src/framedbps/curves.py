@@ -5,9 +5,14 @@ Two independent solvers produce the same data:
 
 * `lagrange_log_y` — Lagrange inversion applied to the functional
   equation Y = X φ(Y) obtained by normalizing the curve (Y = 1 - y²,
-  X a sign-and-monomial rescale of x);
-* `newton_series_solve` — quadratic Newton lifting of y² as a power
-  series in x directly on the curve polynomial.
+  X a sign-and-monomial rescale of x).  `normalize` keeps φ in closed
+  form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
+  so the sums Σ_{j<n} [λ^j] φ^n come out of one running power P^n as
+  Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n;
+* `newton_series_solve` — quadratic Newton lifting of w = y² as a power
+  series in x directly on the curve polynomial, with x·w′/w read off w by
+  the log-derivative recurrence D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}
+  (w(0) = 1).
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -15,13 +20,13 @@ branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           divisors, mobius, sign_pow)
-from .laurent import (NonInvertibleLeadingTerm, TruncSeries, exact, lp_mono,
-                      lp_mul, lp_one, lp_scale, series_add, series_inv,
-                      series_mul, series_pow_int, series_scale)
+from .laurent import (NonInvertibleLeadingTerm, TruncSeries, _addmul, exact,
+                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub,
+                      series_add, series_inv, series_mul, series_scale)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -126,44 +131,42 @@ def frame_transform(curve, tau):
     return DualAPoly(_cleared(terms), curve.kind, curve.knot, curve.framing + tau)
 
 
-def _one_minus_lambda(order):
-    coeffs = [lp_one(), lp_scale(lp_one(), -1)] + [{} for _ in range(order - 2)]
-    return TruncSeries(coeffs[:order], order)
-
-
-def _series_scale_poly(s, poly):
-    return TruncSeries([lp_mul(c, poly) for c in s.coeffs], s.order)
-
-
 class CurveNormalForm:
     """Functional-equation form Y = X φ(Y) of a curve, Y = 1 - y².
 
-    `phi` is a TruncSeries in λ (standing for Y) with a-Laurent
-    coefficients; `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x.
-    φ(0) is a unit of the coefficient field.
+    φ(λ) = P(λ)/(1 - λ)^m, λ standing for Y: `poly` lists the a-Laurent
+    coefficients of the polynomial P by power of λ, and `pole` is m ≥ 0.
+    `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x; φ(0) = P(0) is
+    a unit of the coefficient field.  `order` bounds the orders that
+    `lagrange_log_y` may be asked for.
     """
 
-    __slots__ = ("phi", "sigma", "e", "y_substitution", "framing")
+    __slots__ = ("poly", "pole", "sigma", "e", "order", "y_substitution", "framing")
 
-    def __init__(self, phi, sigma, e, framing):
-        self.phi = phi
+    def __init__(self, poly, pole, sigma, e, order, framing):
+        self.poly = poly
+        self.pole = pole
         self.sigma = sigma
         self.e = e
+        self.order = order
         self.y_substitution = "Y = 1 - y^2"
         self.framing = framing
 
     def __repr__(self):
-        return (f"CurveNormalForm(sigma={self.sigma}, e={self.e}, "
-                f"framing={self.framing}, order={self.phi.order})")
+        return (f"CurveNormalForm(sigma={self.sigma}, e={self.e}, pole={self.pole}, "
+                f"framing={self.framing}, order={self.order})")
 
 
 def normalize(curve, order):
-    """Rewrite a trinomial-shaped curve as Y = X φ(Y), φ truncated at `order`.
+    """Rewrite a trinomial-shaped curve as Y = X φ(Y), for Lagrange orders up
+    to `order`.
 
     The x⁰ part must be cu·(w^(J+1) - w^J) in w = y² with no
-    a-dependence, the rest linear in x; the rescale unit is read off
-    the lowest a-term of φ(0), whose coefficient must be ±1.  Anything
-    else raises NotNormalizable.
+    a-dependence, the rest linear in x; then φ = Σ (c/cu)·a^(da/2)·(1-λ)^k
+    over the x¹ terms c·a^(da/2)·w^(J+k) x, kept as P = φ·(1 - λ)^m with
+    m = max(0, -min k).  The rescale unit is read off the lowest a-term of
+    φ(0), whose coefficient must be ±1.  Anything else raises
+    NotNormalizable.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
@@ -190,14 +193,15 @@ def normalize(curve, order):
         raise NotNormalizable("x^0 part is not cu*(w^(J+1) - w^J)")
     cu, j = x0[j1], j0
 
-    one_m = _one_minus_lambda(order)
-    phi = TruncSeries([{} for _ in range(order)], order)
+    pole = max(0, j - min(wdeg for wdeg, _ in x1))
+    poly = [{} for _ in range(max(wdeg for wdeg, _ in x1) - j + pole + 1)]
     for (wdeg, da), c in sorted(x1.items()):
-        piece = series_pow_int(one_m, wdeg - j)
-        piece = _series_scale_poly(piece, lp_mono(0, da, Fraction(c, cu)))
-        phi = series_add(phi, piece)
+        k = wdeg - j + pole
+        for i in range(k + 1):
+            term = lp_mono(0, da, Fraction(c, cu) * comb(k, i) * (-1) ** i)
+            poly[i] = lp_add(poly[i], term)
 
-    const = phi.coeffs[0]
+    const = poly[0]
     if not const:
         raise NotNormalizable("phi(0) = 0")
     m = min(da for _, da in const)
@@ -205,8 +209,9 @@ def normalize(curve, order):
     if lead not in (1, -1):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
     sigma, e = int(lead), m
-    phi = _series_scale_poly(phi, lp_mono(0, -e, sigma))
-    return CurveNormalForm(phi, sigma, e, curve.framing)
+    unit = lp_mono(0, -e, sigma)
+    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, sigma, e, order,
+                           curve.framing)
 
 
 class GammaSeries:
@@ -247,26 +252,32 @@ def lagrange_log_y(nf, order):
 
     Coefficient of X^n in log(1 - Y(X)) is -(1/n)·Σ_{j<n} [λ^j] φ(λ)^n,
     log y = ½ log(1 - Y); the X -> x rescale contributes σ^n a^(ne/2).
+    With φ = P/(1 - λ)^m the sum is Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n,
+    so one running P^n, truncated at `order` and multiplied by the few
+    nonzero coefficients of P per step, costs O(order²·deg P) products.
     """
-    if not 1 <= order <= nf.phi.order:
-        raise ValueError(f"order must be in 1..{nf.phi.order} (the order of phi), "
-                         f"got {order}")
+    if not 1 <= order <= nf.order:
+        raise ValueError(f"order must be in 1..{nf.order} (the order of the "
+                         f"normal form), got {order}")
+    factors = [(i, c) for i, c in enumerate(nf.poly[:order]) if c]
     out = {}
-    power = nf.phi
+    power = [lp_one()] + [{} for _ in range(order - 1)]
     for n in range(1, order + 1):
+        nxt = [{} for _ in range(order)]
+        for j, c in enumerate(power):
+            if c:
+                for i, f in factors:
+                    if i + j >= order:
+                        break
+                    _addmul(nxt[i + j], c, f)
+        power = nxt
+        mn = nf.pole * n
         acc = {}
-        for jj in range(n):
-            for key, c in power.coeffs[jj].items():
-                v = acc.get(key, 0) + c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
+        for i in range(n):
+            _addmul(acc, power[i], {(0, 0): comb(n - 1 - i + mn, mn)})
         poly = lp_scale(acc, Fraction(-(nf.sigma ** n), 2))
         poly = lp_mul(poly, lp_mono(0, n * nf.e))
         _gamma_entries(out, n, poly)
-        if n < order:
-            power = series_mul(power, nf.phi)
     return GammaSeries(out, order)
 
 
@@ -280,7 +291,7 @@ def _curve_eval(curve, w, order):
         """x^xd · mono · w^j, truncated at `order`."""
         while len(powers) <= j:
             powers.append(series_mul(powers[-1], w))
-        coeffs = _series_scale_poly(powers[j], mono).coeffs
+        coeffs = [lp_mul(c, mono) for c in powers[j].coeffs]
         return TruncSeries([{}] * xd + coeffs[:order - xd], order)
 
     value = slope = TruncSeries([], order)
@@ -326,15 +337,22 @@ def curve_residual(curve, w):
 
 def newton_series_solve(curve, order):
     """GammaSeries from the Newton-solved branch: log y = ½ log w, so
-    γ_r = ½·[x^r] (x·w′/w), one series inversion and one product."""
+    γ_r = ½·D_r with D = x·w′/w.  Since D·w = x·w′ and w(0) = 1, one
+    triangular pass gives D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}; a
+    branch with w(0) ≠ 1 raises MismatchDetected."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    w = solve_w_series(curve, order + 1)
-    xdw = TruncSeries([lp_scale(c, j) for j, c in enumerate(w.coeffs)], order + 1)
-    dlog = series_mul(xdw, series_inv(w))
+    w = solve_w_series(curve, order + 1).coeffs
+    if w[0] != lp_one():
+        raise MismatchDetected(f"Newton branch of {curve!r} has w(0) = {w[0]}, not 1")
+    dlog = [{}]
     out = {}
     for r in range(1, order + 1):
-        _gamma_entries(out, r, lp_scale(dlog.coeffs[r], Fraction(1, 2)))
+        acc = {}
+        for k in range(1, r):
+            _addmul(acc, dlog[k], w[r - k])
+        dlog.append(lp_sub(lp_scale(w[r], r), acc))
+        _gamma_entries(out, r, lp_scale(dlog[r], Fraction(1, 2)))
     return GammaSeries(out, order)
 
 

@@ -128,9 +128,6 @@ class TruncSeries:
     def constant(cls, p, order):
         return cls.from_terms({0: p}, order)
 
-    def coeff(self, j):
-        return self.coeffs[j] if 0 <= j < self.order else {}
-
     def __eq__(self, other):
         return (isinstance(other, TruncSeries)
                 and self.order == other.order and self.coeffs == other.coeffs)
@@ -179,19 +176,3 @@ def series_inv(s):
         if acc:
             out[j] = lp_scale(lp_mul(shift, acc), -inv)
     return TruncSeries(out, s.order)
-
-
-def series_pow_int(s, e):
-    """s**e for integer e; negative e inverts first (monomial constant term)."""
-    if e < 0:
-        return series_pow_int(series_inv(s), -e)
-    result = TruncSeries.constant(lp_one(), s.order)
-    base = s
-    while e:
-        if e & 1:
-            result = series_mul(result, base)
-        e >>= 1
-        if e:
-            base = series_mul(base, base)
-    return result
-

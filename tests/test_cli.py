@@ -308,6 +308,13 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
      ("ov-table", "--link", "borromean", "--colors", "3,3,3", "--framing", "1,1,1")),
     ("ov_unknot_12_f1.csv",
      ("ov-table", "--link", "unknot", "--colors", "12", "--framing", "1")),
+    # negative framings, where the normal form has a pole (1 - λ)^(-m)
+    ("bps_unknot_f-2_r20.csv",
+     ("bps", "--knot", "unknot", "--framing", "-2", "--r-max", "20")),
+    ("bps_twist_p-3_f1_r30.csv",
+     ("bps", "--knot", "twist", "--p", "-3", "--framing", "1", "--r-max", "30")),
+    ("series_unknot_full_f-3_o16.csv",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "-3", "--order", "16")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from framedbps import curves
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
                                    b_extremal_twist, b_extremal_unknot, b_unknot)
-from framedbps.laurent import TruncSeries
+from framedbps.laurent import (TruncSeries, lp_mono, lp_one, series_inv,
+                               series_mul)
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
@@ -73,10 +78,9 @@ def test_frame_transform_matches_display_up_to_unit():
 def test_normal_form_unknot():
     nf = normalize(make_curve("unknot", KIND_FULL, 0), 6)
     assert (nf.sigma, nf.e) == (1, -1)
-    # phi = 1 - a(1 - lambda)
-    assert nf.phi.coeffs[0] == {(0, 0): 1, (0, 2): -1}
-    assert nf.phi.coeffs[1] == {(0, 2): 1}
-    assert all(not c for c in nf.phi.coeffs[2:])
+    # phi = 1 - a(1 - lambda), a polynomial: P = phi, m = 0
+    assert nf.poly == [{(0, 0): 1, (0, 2): -1}, {(0, 2): 1}]
+    assert nf.pole == 0
     assert nf.y_substitution == "Y = 1 - y^2"
 
 
@@ -89,7 +93,8 @@ def binom_any(e, j):
 
 
 def test_normal_form_powers_of_one_minus_lambda():
-    # extremal curves collapse to phi = (1 - lambda)^E, E and sigma per family
+    # extremal curves collapse to phi = (1 - lambda)^E, E and sigma per family,
+    # kept as P = (1 - lambda)^max(E, 0) over the pole (1 - lambda)^max(-E, 0)
     cases = [
         ("unknot", KIND_MINUS, 2, 2, 1),
         ("unknot", KIND_PLUS, 2, 3, -1),
@@ -103,9 +108,10 @@ def test_normal_form_powers_of_one_minus_lambda():
         assert nf.sigma == sigma, (knot, kind)
         assert nf.e == 0
         assert nf.framing == tau
-        for j, c in enumerate(nf.phi.coeffs):
-            coef = binom_any(exponent, j) * (-1) ** j
-            assert c == ({(0, 0): coef} if coef else {}), (knot, kind, j)
+        degree = max(exponent, 0)
+        assert nf.pole == max(-exponent, 0), (knot, kind)
+        assert nf.poly == [{(0, 0): binom_any(degree, j) * (-1) ** j}
+                           for j in range(degree + 1)], (knot, kind)
 
 
 def synthetic(source):
@@ -149,12 +155,55 @@ def test_gamma_small_values_unknot():
     assert set(m for r, m in g.coefficients if r == 2) <= {-2, 0, 2}
 
 
+# curves whose normal forms have every pole order m = 0..4
+POLE_GRID = ([("unknot", KIND_FULL, tau) for tau in range(-4, 4)]
+             + [("unknot", kind, tau) for kind in (KIND_PLUS, KIND_MINUS)
+                for tau in (-3, 2)]
+             + [(("twist", p), kind, tau) for p in (-3, -1, 2, 3)
+                for kind in (KIND_PLUS, KIND_MINUS) for tau in (-2, 1)])
+
+
 def test_lagrange_equals_newton():
-    for knot, kind in [("unknot", KIND_FULL), ("unknot", KIND_MINUS),
-                       (("twist", -3), KIND_PLUS), (("twist", 2), KIND_MINUS)]:
-        for tau in (-2, 0, 3):
-            c = make_curve(knot, kind, tau)
-            assert lagrange_log_y(normalize(c, 9), 9) == newton_series_solve(c, 9)
+    poles = set()
+    for case in POLE_GRID:
+        c = make_curve(*case)
+        nf = normalize(c, 12)
+        poles.add(nf.pole)
+        gamma = lagrange_log_y(nf, 12)
+        newton = newton_series_solve(c, 12)
+        assert gamma == newton, case
+        assert all(type(gamma[key]) is type(newton[key]) for key in gamma.coefficients)
+    assert poles == set(range(5))
+
+
+def phi_series(curve, order):
+    """phi = (sigma a^(-e/2)) * sum (c/cu) a^(da/2) (1 - lambda)^(wdeg - J) as a
+    series, expanded term by term with generalized binomials."""
+    x0 = {yd // 2: c for (xd, yd, _), c in curve.source.items() if xd == 0}
+    j, cu = min(x0), x0[max(x0)]
+    nf = normalize(curve, order)
+    coeffs = [{} for _ in range(order)]
+    for (xd, yd, da), c in curve.source.items():
+        if xd == 1:
+            for i in range(order):
+                v = coeffs[i].get((0, da - nf.e), 0) + (
+                    nf.sigma * F(c, cu) * binom_any(yd // 2 - j, i) * (-1) ** i)
+                coeffs[i][(0, da - nf.e)] = v
+    return TruncSeries([{k: v for k, v in c.items() if v} for c in coeffs], order)
+
+
+def test_normal_form_is_phi_over_its_pole():
+    # P * (1 - lambda)^(-m), expanded by series inversion, is phi itself
+    order = 12
+    one_minus = TruncSeries([lp_one(), lp_mono(0, 0, -1)], order)
+    for case in POLE_GRID:
+        c = make_curve(*case)
+        nf = normalize(c, order)
+        pole = TruncSeries.constant(lp_one(), order)
+        for _ in range(nf.pole):
+            pole = series_mul(pole, one_minus)
+        expanded = series_mul(TruncSeries(nf.poly, order), series_inv(pole))
+        assert expanded == phi_series(c, order), case
 
 
 def test_newton_residual_is_exactly_zero():
@@ -170,6 +219,37 @@ def test_nonzero_newton_residual_raises(monkeypatch):
         solve_w_series(make_curve("unknot", KIND_FULL, 1), 4)
 
 
+BAD_W0_SCRIPT = """
+from framedbps import curves
+from framedbps.closedforms import MismatchDetected
+from framedbps.laurent import TruncSeries
+for w0 in ({(0, 0): 2}, {(0, 0): 1, (0, 2): 1}):
+    curves.solve_w_series = lambda curve, order: TruncSeries([w0], order)
+    try:
+        curves.newton_series_solve(curves.make_curve("unknot", "full", 1), 4)
+    except MismatchDetected as exc:
+        print(exc)
+    else:
+        print("no error")
+"""
+
+
+def test_newton_readout_needs_w0_one(monkeypatch):
+    # D = x w'/w by the recurrence is only valid for w(0) = 1
+    c = make_curve("unknot", KIND_FULL, 1)
+    for w0 in ({(0, 0): 2}, {(0, 0): 1, (0, 2): 1}):
+        monkeypatch.setattr(curves, "solve_w_series",
+                            lambda curve, order: TruncSeries([w0], order))
+        with pytest.raises(MismatchDetected, match=r"w\(0\)"):
+            newton_series_solve(c, 4)
+    # and the check is no assert: python -O keeps it
+    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_W0_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("has w(0) = ") == 2, proc.stdout
+
+
 def test_gamma_q_power_raises():
     # gamma coefficients are a-series only; a q-power means a broken pipeline
     out = {}
@@ -181,7 +261,7 @@ def test_gamma_q_power_raises():
     ("normalize", 0), ("lagrange_log_y", 0), ("lagrange_log_y", 6),
     ("solve_w_series", 0), ("newton_series_solve", 0)])
 def test_bad_order_raises_value_error(solver, order):
-    # lagrange_log_y reads phi, normalized here to order 3
+    # lagrange_log_y reads a normal form made here for order 3
     curve = make_curve("unknot", KIND_FULL, 1)
     arg = normalize(curve, 3) if solver == "lagrange_log_y" else curve
     with pytest.raises(ValueError, match="order"):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from framedbps.laurent import (NonInvertibleLeadingTerm, TruncSeries, lp_add,
                                lp_mono, lp_mul, lp_neg, lp_one, lp_scale,
-                               lp_specialize_q1, lp_sub, series_inv, series_mul,
-                               series_pow_int)
+                               lp_specialize_q1, lp_sub, series_inv, series_mul)
 from framedbps.qsymbols import BraceRatio
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -75,8 +74,6 @@ def geom(order):
 def test_series_padding_and_coeff():
     s = TruncSeries([lp_one()], 4)
     assert s.coeffs == [lp_one(), {}, {}, {}]
-    assert s.coeff(0) == lp_one()
-    assert s.coeff(7) == {}
     t = TruncSeries.from_terms({1: lp_mono(0, 2), 9: lp_one()}, 3)
     assert t.coeffs == [{}, lp_mono(0, 2), {}]
 
@@ -105,12 +102,4 @@ def test_series_inv_needs_monomial_constant():
     # but a non-unit monomial like 2q is fine
     s = TruncSeries.constant(lp_mono(2, 0, 2), 3)
     assert series_inv(s).coeffs[0] == lp_mono(-2, 0, Fraction(1, 2))
-
-
-def test_series_pow_int_negative_exponent():
-    one_minus = TruncSeries.from_terms({0: lp_one(), 1: lp_neg(lp_one())}, 5)
-    assert series_pow_int(one_minus, -1) == geom(5)
-    assert series_pow_int(one_minus, 0) == TruncSeries.constant(lp_one(), 5)
-    cube = series_pow_int(one_minus, 3)
-    assert [c.get((0, 0), 0) for c in cube.coeffs] == [1, -3, 3, -1, 0]
 
