@@ -2,9 +2,11 @@
 
 Everything here is elementary integer arithmetic: the Möbius function,
 a binomial extended to negative upper index, the c/b coefficient
-formulas for the framed unknot, the extremal-b formulas for twist
-knots, and the one-parameter Möbius-binomial statistic that all of the
-extremal formulas specialize to.
+formulas for the framed unknot, and one Möbius-binomial sum
+S(r, t) = sum_{d|r} mu(r/d) (-1)^(d(t+1)) gbinom(dt-1, d-1).  Every
+extremal formula is S at a shifted t over r^2: the twist-knot b_r^±
+(`b_extremal_twist`), the unknot corners b_{r,±r} of `b_unknot`, and the
+integrality statistic itself.
 
 Sign conventions: (-1)^e is always computed from the parity of e, so
 negative exponents (framings are allowed to be negative) are safe.
@@ -24,10 +26,6 @@ class MismatchDetected(Exception):
 
 class UnsupportedKnotKind(Exception):
     """No invariant or curve of the requested knot, kind or parameter exists here."""
-
-
-class UnsupportedP(Exception):
-    """Twist-knot parameter outside the two supported families."""
 
 
 def _positive(name, n):
@@ -116,77 +114,50 @@ def b_unknot(r, m, tau):
     return total // (r * r)
 
 
-def b_extremal_unknot(r, sign, tau):
-    """Extremal BPS invariant b_r^±(U^tau) by its own Möbius-binomial sum.
-
-    b^+ sums mu(r/d)(-1)^(d tau) C(d(tau+1)-1, d-1); b^- sums
-    mu(r/d)(-1)^(d(tau+1)) gbinom(d tau - 1, d-1).  Both divided by r^2.
-    """
-    _positive("r", r)
-    _sign(sign)
+def _mobius_binomial(r, t):
+    """S(r, t) = sum_{d|r} mu(r/d) (-1)^(d(t+1)) gbinom(dt-1, d-1), the
+    numerator of the statistic and of every extremal formula."""
     total = 0
     for d in divisors(r):
         mu = mobius(r // d)
-        if not mu:
-            continue
-        if sign == "+":
-            total += mu * sign_pow(d * tau) * gbinom(d * (tau + 1) - 1, d - 1)
-        else:
-            total += mu * sign_pow(d * (tau + 1)) * gbinom(d * tau - 1, d - 1)
-    if total % (r * r):
-        raise NonIntegerBPS(("unknot", r, sign, tau, Fraction(total, r * r)))
-    return total // (r * r)
+        if mu:
+            total += mu * sign_pow(d * (t + 1)) * gbinom(d * t - 1, d - 1)
+    return total
 
 
 def b_extremal_twist(r, sign, p, tau):
-    """Extremal BPS invariant b_r^±(K_p^tau) of the twist knot K_p.
+    """Extremal BPS invariant b_r^±(K_p^tau) of the twist knot K_p: the
+    statistic's numerator S(r, t) at a shifted t, divided by r^2.
 
-    Supported families: p <= -1 and p >= 2 (p in {0, 1} raises
-    UnsupportedP — those values degenerate out of the family).  The four
-    branch formulas, each divided by r^2:
+        p <= -1:  b^+ = S(r, 2|p|+1+tau),  b^- = -S(r, 3-tau)
+        p >=  2:  b^+ = S(r, tau+2+2p),    b^- =  S(r, tau+2)
 
-        p <= -1:  b^- = -sum mu(r/d)(-1)^(d tau)    C(d(3-tau)-1,      d-1)
-                  b^+ =  sum mu(r/d)(-1)^(d tau)    C(d(2|p|+1+tau)-1, d-1)
-        p >=  2:  b^- =  sum mu(r/d)(-1)^(d(tau+1)) C(d(tau+2)-1,      d-1)
-                  b^+ =  sum mu(r/d)(-1)^(d(tau+1)) C(d(tau+2+2p)-1,   d-1)
+    p in {0, 1} degenerates out of the family and raises UnsupportedKnotKind.
     """
     _positive("r", r)
     _sign(sign)
-    if p in (0, 1):
-        raise UnsupportedP(p)
-    total = 0
-    for d in divisors(r):
-        mu = mobius(r // d)
-        if not mu:
-            continue
-        if p <= -1:
-            s = sign_pow(d * tau)
-            n = d * (2 * abs(p) + 1 + tau) - 1 if sign == "+" else d * (3 - tau) - 1
-        else:
-            s = sign_pow(d * (tau + 1))
-            n = d * (tau + 2 + 2 * p) - 1 if sign == "+" else d * (tau + 2) - 1
-        total += mu * s * gbinom(n, d - 1)
-    if p <= -1 and sign == "-":
-        total = -total
+    if p <= -1:
+        total = (_mobius_binomial(r, 2 * abs(p) + 1 + tau) if sign == "+"
+                 else -_mobius_binomial(r, 3 - tau))
+    elif p >= 2:
+        total = _mobius_binomial(r, tau + 2 + 2 * p if sign == "+" else tau + 2)
+    else:
+        raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
     if total % (r * r):
         raise NonIntegerBPS(("twist", r, sign, p, tau, Fraction(total, r * r)))
     return total // (r * r)
 
 
 def integrality_statistic(r, t):
-    """The Möbius-binomial statistic (1/r^2) sum_{d|r} mu(r/d)(-1)^(d(t+1)) gbinom(dt-1, d-1).
+    """The Möbius-binomial statistic S(r, t)/r^2.
 
-    Returns (value, is_integer) with value an exact Fraction.  Every
-    extremal-b formula above is an instance of this statistic at a
-    shifted t, and integrality holds for all (r, t) — but a violation
-    here is reported through the flag, never raised: it would falsify
-    the build, not the input.
+    Returns (value, is_integer) with value an exact Fraction.  The
+    extremal unknot corners are b_{r,r}(U^tau) = S(r, tau+1)/r^2 and
+    b_{r,-r}(U^tau) = S(r, tau)/r^2, and `b_extremal_twist` is S at
+    shifted t.  Integrality holds for all (r, t), but a violation here
+    is reported through the flag, never raised: it would falsify the
+    build, not the input.
     """
     _positive("r", r)
-    total = 0
-    for d in divisors(r):
-        mu = mobius(r // d)
-        if mu:
-            total += mu * sign_pow(d * (t + 1)) * gbinom(d * t - 1, d - 1)
-    value = Fraction(total, r * r)
+    value = Fraction(_mobius_binomial(r, t), r * r)
     return value, value.denominator == 1

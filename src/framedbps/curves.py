@@ -20,10 +20,10 @@ branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
-                          divisors, mobius, sign_pow)
+                          mobius)
 from .laurent import (NonInvertibleLeadingTerm, TruncSeries, _addmul, exact,
                       lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub,
                       series_add, series_inv, series_mul, series_scale)
@@ -79,43 +79,51 @@ def _cleared(terms):
     return terms
 
 
+# Framing-0 displays, keyed (x-degree, y-degree, doubled a-exponent); every
+# framing comes from them by `frame_transform`.
+_UNKNOT_CURVES = {
+    KIND_FULL: {(0, 2, 0): 1, (0, 0, 0): -1, (1, 2, 1): -1, (1, 0, -1): 1},
+    KIND_PLUS: {(0, 2, 0): 1, (0, 0, 0): -1, (1, 2, 0): -1},
+    KIND_MINUS: {(0, 2, 0): 1, (0, 0, 0): -1, (1, 0, 0): 1},
+}
+
+
+def _twist_curve(p, kind):
+    """Framing-0 extremal display of the twist knot K_p."""
+    if p <= -1:
+        if kind == KIND_MINUS:
+            return {(1, 0, 0): 1, (0, 4, 0): -1, (0, 6, 0): 1}
+        return {(0, 0, 0): 1, (0, 2, 0): -1, (1, 4 * abs(p) + 2, 0): 1}
+    if kind == KIND_MINUS:
+        return {(0, 0, 0): 1, (0, 2, 0): -1, (1, 4, 0): -1}
+    return {(0, 0, 0): 1, (0, 2, 0): -1, (1, 4 * p + 4, 0): -1}
+
+
 def make_curve(knot, kind, tau):
-    """Displayed curve polynomial for the framed unknot or twist knot.
+    """Displayed curve polynomial for the framed unknot or twist knot: the
+    framing change formula `frame_transform` applied to the framing-0
+    display, times the unit (-1)^tau for the unknot.
 
     knot is "unknot" or ("twist", p) with p <= -1 or p >= 2; twist
-    knots only have extremal curves.  Negative y-exponents produced by
-    the displays at negative framing are cleared by a y-monomial.
+    knots only have extremal curves.  An unknown kind raises ValueError.
     """
     tau = int(tau)
-    s = sign_pow(tau)
     if knot == "unknot":
-        if kind == KIND_FULL:
-            terms = {(0, 2, 0): s, (0, 0, 0): -s,
-                     (1, 2 * tau + 2, 1): -1, (1, 2 * tau, -1): 1}
-        elif kind == KIND_PLUS:
-            terms = {(0, 2, 0): s, (0, 0, 0): -s, (1, 2 * tau + 2, 0): -1}
-        elif kind == KIND_MINUS:
-            terms = {(0, 2, 0): s, (0, 0, 0): -s, (1, 2 * tau, 0): 1}
+        # an unknown kind gets no display and fails in DualAPoly
+        terms = _UNKNOT_CURVES.get(kind, {})
     elif isinstance(knot, tuple) and len(knot) == 2 and knot[0] == "twist":
         p = knot[1]
         if kind == KIND_FULL:
             raise UnsupportedKnotKind("twist knots only have extremal curves")
         if not (p <= -1 or p >= 2):
             raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
-        if p <= -1:
-            if kind == KIND_MINUS:
-                terms = {(1, 2 * tau, 0): s, (0, 4, 0): -1, (0, 6, 0): 1}
-            else:
-                terms = {(0, 0, 0): 1, (0, 2, 0): -1,
-                         (1, 4 * abs(p) + 2 + 2 * tau, 0): s}
-        else:
-            if kind == KIND_MINUS:
-                terms = {(0, 0, 0): 1, (0, 2, 0): -1, (1, 4 + 2 * tau, 0): -s}
-            else:
-                terms = {(0, 0, 0): 1, (0, 2, 0): -1, (1, 4 * p + 4 + 2 * tau, 0): -s}
+        terms = _twist_curve(p, kind)
     else:
         raise UnsupportedKnotKind(knot)
-    return DualAPoly(_cleared(terms), kind, knot, tau)
+    curve = frame_transform(DualAPoly(terms, kind, knot, 0), tau)
+    if knot == "unknot" and tau % 2:
+        curve = DualAPoly({k: -c for k, c in curve.source.items()}, kind, knot, tau)
+    return curve
 
 
 def frame_transform(curve, tau):
@@ -330,11 +338,6 @@ def solve_w_series(curve, order):
     return w
 
 
-def curve_residual(curve, w):
-    """The curve polynomial evaluated at a candidate series for y²."""
-    return _curve_eval(curve, w, w.order)[0]
-
-
 def newton_series_solve(curve, order):
     """GammaSeries from the Newton-solved branch: log y = ½ log w, so
     γ_r = ½·D_r with D = x·w′/w.  Since D·w = x·w′ and w(0) = 1, one
@@ -359,26 +362,23 @@ def newton_series_solve(curve, order):
 def bps_from_gamma(gamma):
     """BPS numbers b_{r,m} = (2/r²) Σ_{d | gcd(r,m)} μ(d) γ_{r/d, m/d}.
 
-    gcd(r, 0) = r.  Returns a map (r, m) -> integer over the γ-support
-    closure with zero values dropped; a non-integral value raises
-    NonIntegerBPS.
+    gcd(r, 0) = r.  One pass pushes each γ_{s,n} to every (sd, nd) with
+    sd <= order, weighted by μ(d).  Returns a map (r, m) -> integer over
+    the γ-support closure with zero values dropped, in sorted (r, m)
+    order; the first non-integral value raises NonIntegerBPS.
     """
+    mu = [0] + [mobius(d) for d in range(1, gamma.order + 1)]
+    totals = {}
+    for (s, n), g in gamma.coefficients.items():
+        for d in range(1, gamma.order // s + 1):
+            if mu[d]:
+                key = (s * d, n * d)
+                totals[key] = totals.get(key, 0) + mu[d] * g
     out = {}
-    for r in range(1, gamma.order + 1):
-        cands = set()
-        for d in divisors(r):
-            for (rr, mm) in gamma.coefficients:
-                if rr == r // d:
-                    cands.add(d * mm)
-        for m in sorted(cands):
-            total = Fraction(0)
-            for d in divisors(gcd(r, m)):
-                mu = mobius(d)
-                if mu:
-                    total += mu * gamma[(r // d, m // d)]
-            b = Fraction(2, r * r) * total
-            if b:
-                if b.denominator != 1:
-                    raise NonIntegerBPS((r, m, b))
-                out[(r, m)] = int(b)
+    for (r, m), total in sorted(totals.items()):
+        b = Fraction(2 * total, r * r)
+        if b:
+            if b.denominator != 1:
+                raise NonIntegerBPS((r, m, b))
+            out[(r, m)] = int(b)
     return out

@@ -136,11 +136,8 @@ def framing_factor(colors, framings):
 
 
 def apply_framing(h, colors, framings):
-    """Multiply an invariant (ratio or plain LaurentPoly) by the framing factor."""
-    factor = framing_factor(colors, framings)
-    if isinstance(h, BraceRatio):
-        return h.mul_poly(factor)
-    return lp_mul(h, factor)
+    """Multiply an invariant `BraceRatio` by the framing factor."""
+    return h.mul_poly(framing_factor(colors, framings))
 
 
 def check_unknot_recursion(tau, n_max):

@@ -11,11 +11,11 @@ from fractions import Fraction
 from itertools import product
 
 from framedbps.cli import load_golden
-from framedbps.closedforms import (b_extremal_twist, b_extremal_unknot,
+from framedbps.closedforms import (MismatchDetected, b_extremal_twist,
                                    b_unknot, integrality_statistic, sign_pow)
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, bps_from_gamma,
-                              curve_residual, lagrange_log_y, make_curve,
-                              newton_series_solve, normalize, solve_w_series)
+                              lagrange_log_y, make_curve, newton_series_solve,
+                              normalize, solve_w_series)
 from framedbps.laurent import lp_specialize_q1
 from framedbps.links import FramedLinkSpec, check_unknot_recursion
 from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
@@ -155,11 +155,15 @@ def test_criterion_3_unknot_dual_pipeline():
 def test_criterion_4_extremal_identities():
     failures = []
     for tau in range(-4, 5):
-        for r in range(1, 11):
-            if b_extremal_unknot(r, "+", tau) != b_unknot(r, r, tau):
-                failures.append(("unknot+", r, tau))
-            if b_extremal_unknot(r, "-", tau) != b_unknot(r, -r, tau):
-                failures.append(("unknot-", r, tau))
+        for kind, sgn, shift in ((KIND_PLUS, "+", 1), (KIND_MINUS, "-", 0)):
+            curve = make_curve("unknot", kind, tau)
+            series = bps_from_gamma(lagrange_log_y(normalize(curve, 10), 10))
+            for r in range(1, 11):
+                corner = b_unknot(r, r if sgn == "+" else -r, tau)
+                if corner != integrality_statistic(r, tau + shift)[0]:
+                    failures.append(("unknot statistic", sgn, r, tau))
+                if corner != series.get((r, 0), 0):
+                    failures.append(("unknot curve", sgn, r, tau))
     for p in (-3, -2, -1, 2, 3):
         for tau in range(-2, 3):
             for kind, sgn in ((KIND_MINUS, "-"), (KIND_PLUS, "+")):
@@ -173,8 +177,8 @@ def test_criterion_4_extremal_identities():
                     closed = b_extremal_twist(r, sgn, p, tau)
                     if series.get((r, 0), 0) != closed:
                         failures.append(("twist", p, tau, sgn, r))
-    gate("criterion 4: b_r^± corner identities (r<=10, |tau|<=4) and twist "
-         "curve-vs-closed agreement (p in {-3,-2,-1,2,3}, |tau|<=2, r<=8)",
+    gate("criterion 4: unknot corners b_{r,±r} = statistic = extremal curve "
+         "(r<=10, |tau|<=4) and twist curve-vs-closed agreement (p in {-3,-2,-1,2,3}, |tau|<=2, r<=8)",
          failures)
 
 
@@ -253,8 +257,9 @@ def test_criterion_6_structural_properties():
                         make_curve(("twist", -2), KIND_PLUS, -1),
                         make_curve(("twist", 3), KIND_MINUS, 2)]
     for curve in residual_curves:
-        w = solve_w_series(curve, 13)
-        if any(curve_residual(curve, w).coeffs):
+        try:
+            solve_w_series(curve, 13)   # raises on a nonzero residual
+        except MismatchDetected:
             failures.append(("residual", curve.knot, curve.kind, curve.framing))
 
     gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected-F "

@@ -269,6 +269,23 @@ def test_library_has_no_assert_statements():
     assert not found
 
 
+def test_every_public_name_has_a_caller_in_the_library():
+    # a public module-level function or class that only tests reach is dead code
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+
+    def references(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    used = [name for tree in trees for name in references(tree)]
+    orphans = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and used.count(node.name) == references(node).count(node.name)]
+    assert not orphans
+
+
 @pytest.mark.parametrize("snapshot, argv", [
     ("whitehead_2_3_f1_-1.json",
      ("--link", "whitehead", "--colors", "2,3", "--framing", "1,-1")),
@@ -315,18 +332,38 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
      ("bps", "--knot", "twist", "--p", "-3", "--framing", "1", "--r-max", "30")),
     ("series_unknot_full_f-3_o16.csv",
      ("series", "--knot", "unknot", "--kind", "full", "--framing", "-3", "--order", "16")),
+    # JSON, which prints the curve itself: every framed display comes from
+    # the framing-0 one by the framing change formula
+    ("series_unknot_full_f-3_o8.json",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "-3", "--order", "8")),
+    ("series_unknot_extremal_plus_f2_o8.json",
+     ("series", "--knot", "unknot", "--kind", "extremal_plus", "--framing", "2",
+      "--order", "8")),
+    ("series_unknot_extremal_minus_f-1_o8.json",
+     ("series", "--knot", "unknot", "--kind", "extremal_minus", "--framing", "-1",
+      "--order", "8")),
+    ("series_twist_p-2_extremal_minus_f1_o8.json",
+     ("series", "--knot", "twist", "--p", "-2", "--kind", "extremal_minus",
+      "--framing", "1", "--order", "8")),
+    ("series_twist_p3_extremal_plus_f-2_o8.json",
+     ("series", "--knot", "twist", "--p", "3", "--kind", "extremal_plus",
+      "--framing", "-2", "--order", "8")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    # the output format is the snapshot's suffix
+    code, out, _ = run_cli(capsys, *argv, "--format", Path(snapshot).suffix[1:])
     assert code == 0
     assert out == (SNAPSHOTS / snapshot).read_text()
 
 
 def test_domain_errors_exit_nonzero(capsys):
-    code, _, err = run_cli(capsys, "bps", "--knot", "twist", "--p", "0",
-                           "--r-max", "2")
-    assert code == 1
-    assert "error:" in err
+    # the closed forms and the curves refuse p = 0 with the same error
+    for source in ("closed", "both"):
+        code, out, err = run_cli(capsys, "bps", "--knot", "twist", "--p", "0",
+                                 "--r-max", "2", "--source", source)
+        assert code == 1
+        assert out == ""
+        assert err == "error: UnsupportedKnotKind: twist parameter p=0 out of family\n"
 
 
 def test_mismatch_detected_surfaces(monkeypatch, capsys):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedbps import cli
-from framedbps.closedforms import (NonIntegerBPS, UnsupportedP,
-                                   b_extremal_twist, b_extremal_unknot,
-                                   b_unknot, c_unknot, divisors, gbinom,
-                                   integrality_statistic, mobius, sign_pow)
-from framedbps.curves import DualAPoly
+from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
+                                   b_extremal_twist, b_unknot, c_unknot,
+                                   divisors, gbinom, integrality_statistic,
+                                   mobius, sign_pow)
+from framedbps.curves import DualAPoly, make_curve
 from framedbps.laurent import TruncSeries, lp_one
 from framedbps.links import FramedLinkSpec
 from framedbps.ovengine import connected_F, connected_F_partitions
@@ -99,35 +99,33 @@ def test_b_unknot_integrality_on_grid(r, tau):
 
 
 def test_extremal_unknot_equals_corner_values():
+    # the extremal unknot formulas as written, each a Möbius-binomial sum over r^2:
+    # b^+ = sum mu(r/d)(-1)^(d tau) C(d(tau+1)-1, d-1),
+    # b^- = sum mu(r/d)(-1)^(d(tau+1)) C(d tau-1, d-1)
     for r in range(1, 9):
         for tau in range(-4, 5):
-            assert b_extremal_unknot(r, "+", tau) == b_unknot(r, r, tau)
-            assert b_extremal_unknot(r, "-", tau) == b_unknot(r, -r, tau)
+            plus = sum(mobius(r // d) * (-1) ** abs(d * tau)
+                       * gbinom(d * (tau + 1) - 1, d - 1) for d in divisors(r))
+            minus = sum(mobius(r // d) * (-1) ** abs(d * (tau + 1))
+                        * gbinom(d * tau - 1, d - 1) for d in divisors(r))
+            assert b_unknot(r, r, tau) == Fraction(plus, r * r)
+            assert b_unknot(r, -r, tau) == Fraction(minus, r * r)
 
 
 def test_extremal_statistic_identities():
-    """Every extremal closed form is the one Möbius-binomial statistic at a
-    shifted argument (with a sign flip for the negative-p minus branch)."""
+    """The unknot corners b_{r,±r} are the one Möbius-binomial statistic at
+    a shifted argument."""
     for r in range(1, 10):
         for tau in range(-3, 4):
-            assert b_extremal_unknot(r, "+", tau) == integrality_statistic(r, tau + 1)[0]
-            assert b_extremal_unknot(r, "-", tau) == integrality_statistic(r, tau)[0]
-            for p in (-3, -1):
-                assert b_extremal_twist(r, "+", p, tau) == \
-                    integrality_statistic(r, 2 * abs(p) + 1 + tau)[0]
-                assert b_extremal_twist(r, "-", p, tau) == \
-                    -integrality_statistic(r, 3 - tau)[0]
-            for p in (2, 3):
-                assert b_extremal_twist(r, "+", p, tau) == \
-                    integrality_statistic(r, tau + 2 + 2 * p)[0]
-                assert b_extremal_twist(r, "-", p, tau) == \
-                    integrality_statistic(r, tau + 2)[0]
+            assert b_unknot(r, r, tau) == integrality_statistic(r, tau + 1)[0]
+            assert b_unknot(r, -r, tau) == integrality_statistic(r, tau)[0]
 
 
 def test_twist_rejects_degenerate_p():
-    with pytest.raises(UnsupportedP):
+    # the same error and message as make_curve gives for these p
+    with pytest.raises(UnsupportedKnotKind, match="p=0 out of family"):
         b_extremal_twist(2, "+", 0, 0)
-    with pytest.raises(UnsupportedP):
+    with pytest.raises(UnsupportedKnotKind, match="p=1 out of family"):
         b_extremal_twist(2, "-", 1, 0)
 
 
@@ -144,9 +142,9 @@ def load_golden_without_metadata():
 # Library arguments that must raise ValueError, not an assert that -O strips.
 BAD_ARGUMENTS = [
     (mobius, (0,)), (divisors, (-3,)), (gbinom, (4, -1)), (c_unknot, (0, 0, 1)),
-    (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)), (b_extremal_unknot, (0, "+", 1)),
-    (b_extremal_unknot, (2, "x", 1)), (b_extremal_twist, (0, "-", 2, 0)),
-    (integrality_statistic, (0, 3)),
+    (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)),
+    (b_extremal_twist, (0, "-", 2, 0)), (b_extremal_twist, (2, "x", 2, 0)),
+    (integrality_statistic, (0, 3)), (make_curve, ("unknot", "bogus", 0)),
     (connected_F, (FramedLinkSpec("whitehead"), (3,))),
     # the partition oracle, like the recurrence, refuses a negative color
     (connected_F_partitions, (FramedLinkSpec("whitehead"), (3, -1))),

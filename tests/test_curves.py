@@ -9,13 +9,13 @@ import pytest
 
 from framedbps import curves
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
-                                   b_extremal_twist, b_extremal_unknot, b_unknot)
+                                   b_extremal_twist, b_unknot)
 from framedbps.laurent import (TruncSeries, lp_mono, lp_one, series_inv,
                                series_mul)
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
-                              curve_residual, frame_transform, lagrange_log_y,
+                              frame_transform, lagrange_log_y,
                               make_curve, newton_series_solve, normalize,
                               solve_w_series)
 
@@ -65,10 +65,15 @@ def test_make_curve_rejections():
 
 
 def test_frame_transform_matches_display_up_to_unit():
+    # the displays written out: the unknot's carries the unit (-1)^tau, the
+    # twist knot's none
     c0 = make_curve("unknot", KIND_FULL, 0)
-    for tau in range(-3, 4):
-        assert up_to_sign(frame_transform(c0, tau),
-                          make_curve("unknot", KIND_FULL, tau))
+    display = {(0, 8, 0): -1, (0, 6, 0): 1, (1, 2, 1): -1, (1, 0, -1): 1}
+    assert make_curve("unknot", KIND_FULL, -3).source == display
+    assert up_to_sign(frame_transform(c0, -3), make_curve("unknot", KIND_FULL, -3))
+    twist = make_curve(("twist", -2), KIND_MINUS, 1)
+    assert twist.source == {(1, 0, 0): -1, (0, 2, 0): -1, (0, 4, 0): 1}
+    assert twist.framing == 1
     # and composition is exact, with framings accumulating
     c = frame_transform(frame_transform(c0, 2), -3)
     assert c.source == frame_transform(c0, -1).source
@@ -207,9 +212,9 @@ def test_normal_form_is_phi_over_its_pole():
 
 
 def test_newton_residual_is_exactly_zero():
-    c = make_curve("unknot", KIND_FULL, 1)
-    w = solve_w_series(c, 13)
-    assert all(not coeff for coeff in curve_residual(c, w).coeffs)
+    # solve_w_series raises MismatchDetected on a nonzero full-order residual
+    w = solve_w_series(make_curve("unknot", KIND_FULL, 1), 13)
+    assert w.order == 13
 
 
 def test_nonzero_newton_residual_raises(monkeypatch):
@@ -291,7 +296,7 @@ def test_bps_extremal_corner_match():
             c = make_curve("unknot", kind, tau)
             b = bps_from_gamma(lagrange_log_y(normalize(c, 7), 7))
             for r in range(1, 8):
-                assert b.get((r, 0), 0) == b_extremal_unknot(r, sgn, tau)
+                assert b.get((r, 0), 0) == b_unknot(r, r if sgn == "+" else -r, tau)
     c = make_curve(("twist", -1), KIND_MINUS, 0)
     b = bps_from_gamma(lagrange_log_y(normalize(c, 6), 6))
     for r in range(1, 7):

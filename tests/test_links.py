@@ -74,13 +74,16 @@ def test_framing_factor_values():
         framing_factor((2, 3), (1,))  # zip would drop a component
 
 
-def test_apply_framing_on_both_representations():
+def test_apply_framing_multiplies_by_the_factor():
     h = unknot(2)
     framed = apply_framing(h, (2,), (1,))
     assert framed.num == lp_mul(h.num, lp_mono(2, 0))
     assert framed.den == h.den
-    poly = qsym(BRACE_A, 0)
-    assert apply_framing(poly, (1,), (1,)) == lp_neg(poly)
+    # an odd color sum flips the sign
+    h = unknot(1)
+    framed = apply_framing(h, (1,), (1,))
+    assert framed.num == lp_neg(h.num)
+    assert framed.den == h.den
 
 
 def test_unknot_recursion_holds():
