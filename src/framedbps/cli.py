@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from itertools import product
+from itertools import permutations, product
 
 from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
-                          integrality_statistic)
+                          check_twist_parameter, integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
-from .links import (FramedLinkSpec, RecursionViolated, apply_framing,
-                    check_unknot_recursion, homfly_link)
+from .links import (FramedLinkSpec, RecursionViolated, check_unknot_recursion,
+                    framed_homfly)
 from .ovengine import (bps_list, connected_F, connected_F_partitions, ov_table,
                        strong_integrality_check)
 
@@ -104,7 +105,7 @@ def _link_spec(args, parser):
 
 def cmd_homfly(args, parser):
     spec = _link_spec(args, parser)
-    h = apply_framing(homfly_link(spec.link, spec.colors), spec.colors, spec.framings)
+    h = framed_homfly(spec.link, spec.colors, spec.framings)
     num, den = h.scaled_num(), sorted(h.den.elements())
     if args.format == "json":
         doc = {
@@ -219,6 +220,7 @@ def cmd_bps(args, parser):
     elif args.knot == "twist":
         if args.p is None:
             parser.error("twist knot needs --p")
+        check_twist_parameter(args.p)  # also when no r reaches the per-r checks
         rows = _twist_bps_rows(args.p, tau, args.r_max, args.source)
         mcol = "sign"
     if args.source == "both":
@@ -392,9 +394,35 @@ def verify_recursion(args):
 
 
 def verify_symmetry(args):
+    """H in every component order and, on one colored component, against
+    the unknot, then swapped Whitehead tables against each other and the
+    swapped golden pair.  The H checks read `framed_homfly` in the given
+    order: a table and its swapped twin read one memo entry of
+    `connected_F`, and only these checks test the symmetry that entry
+    relies on."""
+    h_cases = ([("whitehead", (3, 3), taus) for taus in ((0, 1), (1, -1), (-2, 1))]
+               + [("borromean", (2, 2, 2), taus)
+                  for taus in ((0, 1, -1), (1, -1, 2), (-2, 0, 1))])
+    failures = 0
+    for link, top, taus in h_cases:
+        bad = []
+        for colors in product(*(range(r + 1) for r in top)):
+            if not any(colors):
+                continue
+            h = framed_homfly(link, colors, taus)
+            for perm in permutations(range(len(top))):
+                pc, pt = (tuple(x[t] for t in perm) for x in (colors, taus))
+                if framed_homfly(link, pc, pt) != h:
+                    bad.append((colors, perm))
+            axis = [t for t, r in enumerate(colors) if r]
+            if len(axis) == 1 and h != framed_homfly(
+                    "unknot", (colors[axis[0]],), (taus[axis[0]],)):
+                bad.append((colors, "unknot"))
+        print(f"H {link} colors<={top} framings={taus} permuted and as the "
+              f"unknot: {f'FAIL at {bad}' if bad else 'PASS'}")
+        failures += bool(bad)
     cases = [((2, 2), (0, 1)), ((2, 2), (1, 0)), ((2, 3), (0, 1)),
              ((1, 2), (1, -1)), ((2, 3), (-1, 2))]
-    failures = 0
     for colors, taus in cases:
         t1 = ov_table("whitehead", colors, taus)
         t2 = ov_table("whitehead", colors[::-1], taus[::-1])
@@ -446,7 +474,9 @@ VERIFY_SUITES = {"tables": verify_tables, "integrality": verify_integrality,
 # parser
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="framedbps",
         description="Framed colored HOMFLYPT invariants, integer tables, and "

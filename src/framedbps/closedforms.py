@@ -38,6 +38,13 @@ def _sign(sign):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def check_twist_parameter(p):
+    """Twist knots K_p form the family p <= -1 or p >= 2; p in {0, 1}
+    degenerates out of it and raises UnsupportedKnotKind."""
+    if not (p <= -1 or p >= 2):
+        raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
+
+
 def sign_pow(e):
     """(-1)**e by parity of e (e may be negative)."""
     return -1 if e % 2 else 1
@@ -136,13 +143,12 @@ def b_extremal_twist(r, sign, p, tau):
     """
     _positive("r", r)
     _sign(sign)
+    check_twist_parameter(p)
     if p <= -1:
         total = (_mobius_binomial(r, 2 * abs(p) + 1 + tau) if sign == "+"
                  else -_mobius_binomial(r, 3 - tau))
-    elif p >= 2:
-        total = _mobius_binomial(r, tau + 2 + 2 * p if sign == "+" else tau + 2)
     else:
-        raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
+        total = _mobius_binomial(r, tau + 2 + 2 * p if sign == "+" else tau + 2)
     if total % (r * r):
         raise NonIntegerBPS(("twist", r, sign, p, tau, Fraction(total, r * r)))
     return total // (r * r)

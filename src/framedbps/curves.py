@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
-                          mobius)
+                          check_twist_parameter, mobius)
 from .laurent import (NonInvertibleLeadingTerm, TruncSeries, _addmul, exact,
                       lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub,
                       series_add, series_inv, series_mul, series_scale)
@@ -115,8 +115,7 @@ def make_curve(knot, kind, tau):
         p = knot[1]
         if kind == KIND_FULL:
             raise UnsupportedKnotKind("twist knots only have extremal curves")
-        if not (p <= -1 or p >= 2):
-            raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
+        check_twist_parameter(p)
         terms = _twist_curve(p, kind)
     else:
         raise UnsupportedKnotKind(knot)

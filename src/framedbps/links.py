@@ -140,6 +140,12 @@ def apply_framing(h, colors, framings):
     return h.mul_poly(framing_factor(colors, framings))
 
 
+def framed_homfly(link, colors, framings):
+    """The framed colored invariant, colors and framings in the given
+    component order."""
+    return apply_framing(homfly_link(link, colors), colors, framings)
+
+
 def check_unknot_recursion(tau, n_max):
     """Verify the framed-unknot recursion
 
@@ -154,8 +160,8 @@ def check_unknot_recursion(tau, n_max):
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     sign = -1 if tau % 2 else 1
     for n in range(1, n_max):
-        hn = apply_framing(homfly_link("unknot", (n,)), (n,), (tau,))
-        hn1 = apply_framing(homfly_link("unknot", (n + 1,)), (n + 1,), (tau,))
+        hn = framed_homfly("unknot", (n,), (tau,))
+        hn1 = framed_homfly("unknot", (n + 1,), (tau,))
         lhs = hn1.mul_poly(lp_mono(2 * n + 2, 0, sign))
         lhs = lhs.add(hn1.mul_poly(lp_mono(0, 0, -sign)))
         step = lp_sub(lp_mono(2 * n + 1, 1), lp_mono(1, -1))

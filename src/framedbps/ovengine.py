@@ -6,11 +6,15 @@ The flow is
     framed H  --log-derivative recurrence-->  connected F  --Möbius + Adams-->
     p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
 
-with every intermediate value an exact numerator/denominator pair.  Each
-F is divided down to the least denominator integrality allows, and
-`p_poly` clears the rest: checked exact divisions, where the integrality
-structure either survives or raises.  The paper's vector-partition sum,
-`connected_F_partitions`, is the oracle the recurrence is checked against.
+with every intermediate value an exact numerator/denominator pair.  One
+memo holds every F, keyed by the link and the sorted (color, framing)
+pairs of the colored components, so a table and its swapped twin, the two
+halves of an equal-framing table and the unknot axes of different tables
+share their entries.  Each F is divided down to the least denominator
+integrality allows, and `p_poly` clears the rest: checked exact
+divisions, where the integrality structure either survives or raises.
+The paper's vector-partition sum, `connected_F_partitions`, is the oracle
+the recurrence is checked against.
 """
 
 from collections import Counter
@@ -21,7 +25,7 @@ from math import factorial, gcd, prod
 
 from .closedforms import MismatchDetected, divisors, mobius
 from .laurent import lp_one, lp_specialize_q1
-from .links import FramedLinkSpec, apply_framing, homfly_link
+from .links import _COMPONENTS, _CORES, FramedLinkSpec, framed_homfly
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -79,10 +83,28 @@ def enumerate_vector_partitions(rvec):
     return out
 
 
+def _memo_key(link, v, taus):
+    """The memo key of color vector v on `link` at framings `taus`:
+    (link name, p, sorted (color, framing) pairs of the colored
+    components).  H and F are symmetric when colors and framings are
+    permuted together, and an uncolored component contributes 1, so equal
+    keys have equal H and F.  A vector with one colored component on a
+    link with a core takes the unknot's key: there i runs only to 0 and
+    C_0 = 1, so H is the unknot's."""
+    pairs = tuple(sorted((r, t) for r, t in zip(v, taus) if r))
+    if len(pairs) == 1 and link.link in _CORES:
+        return "unknot", None, pairs
+    return link.link, link.p, pairs
+
+
 @lru_cache(maxsize=None)
-def _framed_h(link_name, colors, framings):
-    """Framed colored invariant for one color vector (exact ratio)."""
-    return apply_framing(homfly_link(link_name, colors), colors, framings)
+def _framed_h(key):
+    """Framed colored invariant of a memo key (exact ratio), colors in
+    ascending order with the uncolored components first."""
+    link_name, _, pairs = key
+    pad = (0,) * (_COMPONENTS[link_name] - len(pairs))
+    return framed_homfly(link_name, pad + tuple(r for r, _ in pairs),
+                         pad + tuple(t for _, t in pairs))
 
 
 def _spec_framings(link):
@@ -104,7 +126,9 @@ def connected_F_partitions(link, rvec):
         (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts,
 
     framings taken from the link spec (zero if unspecified).  The oracle
-    that `verify connected` compares `connected_F` with.
+    that `verify connected` compares `connected_F` with.  It reads each H
+    in the caller's component order, not through the memo key, so that
+    comparison also checks the symmetries the key relies on.
     """
     rvec = _colors_for(link, rvec)
     taus = _spec_framings(link)
@@ -115,40 +139,44 @@ def connected_F_partitions(link, rvec):
             coef = -coef
         prod = BraceRatio.one()
         for v, mult in pt.parts:
-            hv = _framed_h(link.link, v, taus)
+            hv = framed_homfly(link.link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)
         terms.append(prod.scale(coef))
     return BraceRatio.sum(terms)
 
 
-# One memo of connected invariants per (link, p, framings): color vector -> F.
-_F_TABLES = {}
+# The connected invariants of every link, framing and color vector so far,
+# by memo key (see `_memo_key`).
+_F_MEMO = {}
 
 
 def connected_F(link, rvec):
     """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) as an
     exact ratio, framings from the link spec (zero if unspecified), read
-    from the link's memo.  The memo first grows over the box 0 <= v <= rvec
-    in lex order (each u < v before v) by the log-derivative recurrence
+    from the memo.  The memo first grows over the box 0 <= v <= rvec in
+    lex order (each u < v before v) by the log-derivative recurrence
 
         v_c F_v = v_c H_v - sum_{0<u<v, u_c>0} u_c F_u H_{v-u},
 
     c the component of least positive v_c, which needs the fewest products.
+    A v whose key the memo holds already, from another component order,
+    sublink or table, is not computed again.
     """
     rvec = _colors_for(link, rvec)
     if not any(rvec) or min(rvec) < 0:
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
     taus = _spec_framings(link)
-    table = _F_TABLES.setdefault((link.link, link.p, taus), {})
     for v in product(*(range(r + 1) for r in rvec)):
-        if any(v) and v not in table:
-            table[v] = _recurrence_step(table, link.link, v, taus)
-    return table[rvec]
+        if any(v):
+            key = _memo_key(link, v, taus)
+            if key not in _F_MEMO:
+                _F_MEMO[key] = _recurrence_step(link, v, taus)
+    return _F_MEMO[_memo_key(link, rvec, taus)]
 
 
-def _recurrence_step(table, link_name, v, taus):
-    """F_v from the F_u, u < v, in `table`, over the least denominator
+def _recurrence_step(link, v, taus):
+    """F_v from the memo's F_u, u < v, over the least denominator
     integrality allows: F_v = sum_{d|v} f_{v/d}(q^d, a^d) / d with
     f_u {1}^(2-k) a Laurent polynomial, so {r} when v has the one nonzero
     color r and none otherwise.  The exact division down to it checks
@@ -162,9 +190,10 @@ def _recurrence_step(table, link_name, v, taus):
     for w in sorted(box, key=sum):
         if any(w):
             u = tuple(a - b for a, b in zip(v, w))
-            h = _framed_h(link_name, w, taus)
-            terms.append(table[u].mul(h).scale(Fraction(-u[c], v[c])))
-    terms.append(_framed_h(link_name, v, taus))
+            h = _framed_h(_memo_key(link, w, taus))
+            f = _F_MEMO[_memo_key(link, u, taus)]
+            terms.append(f.mul(h).scale(Fraction(-u[c], v[c])))
+    terms.append(_framed_h(_memo_key(link, v, taus)))
     target = Counter({v[c]: 1}) if len(nonzero) == 1 else Counter()
     return BraceRatio.sum(terms)._over(target)
 

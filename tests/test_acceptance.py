@@ -8,7 +8,7 @@ to loosen.
 
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from framedbps.cli import load_golden
 from framedbps.closedforms import (MismatchDetected, b_extremal_twist,
@@ -17,7 +17,7 @@ from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, bps_from_gamma,
                               lagrange_log_y, make_curve, newton_series_solve,
                               normalize, solve_w_series)
 from framedbps.laurent import lp_specialize_q1
-from framedbps.links import FramedLinkSpec, check_unknot_recursion
+from framedbps.links import FramedLinkSpec, check_unknot_recursion, framed_homfly
 from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
                                 ov_table, p_poly, strong_integrality_check)
 
@@ -250,6 +250,22 @@ def test_criterion_6_structural_properties():
     if not (golden["w22_f01"] == golden["w22_f10"]
             == ov_table("whitehead", (2, 2), (0, 1)).entries):
         failures.append(("golden swap pair",))
+    # a table and its swapped twin read one memo entry of connected_F, so
+    # the symmetry that entry relies on is checked on H in the given order
+    for link, top, taus in (("whitehead", (2, 3), (1, -2)),
+                            ("borromean", (2, 1, 2), (1, 0, -1))):
+        for colors in product(*(range(r + 1) for r in top)):
+            if not any(colors):
+                continue
+            h = framed_homfly(link, colors, taus)
+            for perm in permutations(range(len(top))):
+                pc, pt = (tuple(x[t] for t in perm) for x in (colors, taus))
+                if framed_homfly(link, pc, pt) != h:
+                    failures.append(("H swap", link, colors, taus, perm))
+            axis = [t for t, r in enumerate(colors) if r]
+            if len(axis) == 1 and h != framed_homfly(
+                    "unknot", (colors[axis[0]],), (taus[axis[0]],)):
+                failures.append(("H axis", link, colors, taus))
 
     residual_curves = [make_curve("unknot", KIND_FULL, tau) for tau in (-2, 0, 3)]
     residual_curves += [make_curve("unknot", KIND_PLUS, 1),
@@ -264,5 +280,6 @@ def test_criterion_6_structural_properties():
 
     gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected-F "
          "recurrence equal to the partition sum on all computed cases, "
-         "color/framing swap symmetry, and curve residual 0 through order 12",
+         "color/framing swap symmetry of tables and of H, and curve residual 0 "
+         "through order 12",
          failures)

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from framedbps import cli, closedforms
+from framedbps import cli, closedforms, links, ovengine
 from framedbps.curves import GammaSeries
 from framedbps.ovengine import ov_table
 
@@ -114,6 +115,18 @@ def test_cli_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_parser_is_reused_across_commands(capsys):
+    table = ("ov-table", "--link", "whitehead", "--colors", "2,1",
+             "--framing", "1,-1", "--format", "json")
+    _, first, _ = run_cli(capsys, *table)
+    code, _, _ = run_cli(capsys, "bps", "--knot", "twist", "--p", "-2",
+                         "--framing", "1", "--r-max", "2")
+    assert code == 0
+    _, again, _ = run_cli(capsys, *table)
+    assert again == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_bps_both_sources_agree(capsys):
     code, out, _ = run_cli(capsys, "bps", "--knot", "unknot", "--framing", "1",
                            "--r-max", "4", "--format", "csv")
@@ -202,6 +215,31 @@ def test_verify_symmetry(capsys):
     code, out, _ = run_cli(capsys, "verify", "symmetry")
     assert code == 0
     assert "w22_f01 == w22_f10: PASS" in out
+
+
+def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
+    # swapped tables read one memo entry, so only the H checks and the
+    # partition sum can see a homfly_link that is not symmetric in colors
+    real = links.homfly_link
+
+    def asymmetric(link, colors):
+        h = real(link, colors)
+        return h.scale(2) if colors[0] > colors[-1] else h
+    monkeypatch.setattr(links, "homfly_link", asymmetric)
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+    monkeypatch.setattr(ovengine, "_framed_h",
+                        lru_cache(maxsize=None)(ovengine._framed_h.__wrapped__))
+    code, out, _ = run_cli(capsys, "verify", "symmetry")
+    assert code == 1
+    assert out.count("permuted and as the unknot: FAIL at") == 6
+    line = next(line for line in out.splitlines()
+                if line.startswith("H whitehead colors<=(3, 3) framings=(0, 1)"))
+    assert line.split(": ")[1].startswith("FAIL at [((0, 1), (1, 0)), ")
+    assert "((1, 0), 'unknot')" in line
+    code, out, _ = run_cli(capsys, "verify", "connected")
+    assert code == 1
+    assert "connected whitehead colors<=(3, 3) framings=(0, 0): FAIL at [(1, 0)," in out
+    assert "connected unknot colors<=(8,) framings=(0,): PASS" in out
 
 
 def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
@@ -364,6 +402,15 @@ def test_domain_errors_exit_nonzero(capsys):
         assert code == 1
         assert out == ""
         assert err == "error: UnsupportedKnotKind: twist parameter p=0 out of family\n"
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_twist_parameter_is_checked_before_any_r(p, capsys):
+    code, out, err = run_cli(capsys, "bps", "--knot", "twist", "--p", str(p),
+                             "--r-max", "0")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: UnsupportedKnotKind: twist parameter p={p} out of family\n"
 
 
 def test_mismatch_detected_surfaces(monkeypatch, capsys):

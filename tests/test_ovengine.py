@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from framedbps import ovengine
 from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind
 from framedbps.laurent import lp_specialize_q1
-from framedbps.links import FramedLinkSpec
+from framedbps.links import FramedLinkSpec, homfly_link
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
                                 connected_F, connected_F_partitions,
                                 enumerate_vector_partitions, ov_table, p_poly,
@@ -78,9 +79,7 @@ def test_partition_invariants():
 def test_connected_and_p_poly_unknot_decomposition():
     # F_2 = H_2 - H_1^2/2, and at k = 1 p_2 = {1} (F_2 - Psi_2(F_1)/2),
     # which vanishes for the 0-framed unknot
-    from framedbps.ovengine import _framed_h
-    h1 = _framed_h("unknot", (1,), (0,))
-    h2 = _framed_h("unknot", (2,), (0,))
+    h1, h2 = (homfly_link("unknot", (r,)) for r in (1, 2))
     f2 = connected_F(unknot(), (2,))
     assert f2 == h2.sub(h1.mul(h1).scale(Fraction(1, 2)))
     moebius = f2.sub(connected_F(unknot(), (1,)).adams(2).scale(Fraction(1, 2)))
@@ -97,11 +96,17 @@ def test_connected_f_log_oracle():
     assert connected_F(tri, (2, 1, 1)) == connected_F_partitions(tri, (2, 1, 1))
 
 
+def memo_entry(link, rvec):
+    """The memo entry of rvec on link, read through its key."""
+    return ovengine._F_MEMO[ovengine._memo_key(link, rvec, link.framings)]
+
+
 def test_connected_f_denominators_are_least():
     # {r} on an axis, none off it: each F was divided down to it exactly
     link = whitehead((1, -1))
     connected_F(link, (3, 2))
-    dens = {v: dict(f.den) for v, f in ovengine._F_TABLES[("whitehead", None, (1, -1))].items()}
+    dens = {v: dict(memo_entry(link, v).den)
+            for v in product(range(4), range(3)) if any(v)}
     assert dens[(3, 0)] == {3: 1} and dens[(0, 2)] == {2: 1}
     assert all(not den for v, den in dens.items() if all(v))
 
@@ -110,50 +115,78 @@ def test_recurrence_divides_every_step_exactly(monkeypatch):
     # a wrong H_(1,1) leaves a {1} that F_(1,1) cannot carry
     real = ovengine._framed_h
 
-    def wrong(link_name, colors, framings):
-        h = real(link_name, colors, framings)
-        return h.scale(2) if colors == (1, 1) else h
+    def wrong(key):
+        h = real(key)
+        return h.scale(2) if key == ("whitehead", None, ((1, 0), (1, 0))) else h
     monkeypatch.setattr(ovengine, "_framed_h", wrong)
-    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     with pytest.raises(InexactDivision, match="does not divide"):
         connected_F(whitehead((0, 0)), (2, 2))
 
 
 def fresh_F(monkeypatch, link, rvec):
     """connected_F computed from an empty memo."""
-    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     return connected_F(link, rvec)
 
 
 @pytest.mark.parametrize("first, second", [((2, 2), (3, 3)), ((4, 3), (3, 4))])
 def test_memo_extends_to_a_larger_box(monkeypatch, first, second):
     link = whitehead((1, 0))
-    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     shared = [connected_F(link, first), connected_F(link, second)]
     for rvec, f in zip((first, second), shared):
         assert f == fresh_F(monkeypatch, link, rvec) == connected_F_partitions(link, rvec)
 
 
 def test_memo_keeps_framings_apart(monkeypatch):
+    # the two links share no (color, framing) pair, so no entry: each box
+    # of (2,2) has 4 unknot axis entries and 4 off the axes
     links = [whitehead((1, 0)), whitehead((-1, 2))]
-    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     shared = [connected_F(link, (2, 2)) for link in links]
-    tables = dict(ovengine._F_TABLES)
-    assert len(tables) == 2
+    memo = dict(ovengine._F_MEMO)
+    assert len(memo) == 16
     for link, f in zip(links, shared):
         assert f == fresh_F(monkeypatch, link, (2, 2)) == connected_F_partitions(link, (2, 2))
-        assert tables[("whitehead", None, link.framings)] == ovengine._F_TABLES[
-            ("whitehead", None, link.framings)]
+        assert memo[ovengine._memo_key(link, (2, 2), link.framings)] == f
     assert shared[0] != shared[1]
 
 
 def test_memo_shares_the_all_zero_entry(monkeypatch):
+    # of the 11 vectors in the box of (2,3), (0,r) shares (r,0)'s unknot
+    # entry for r = 1, 2 and (2,1) shares (1,2)'s entry
     bare, zero = FramedLinkSpec("whitehead"), whitehead((0, 0))
-    monkeypatch.setattr(ovengine, "_F_TABLES", {})
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     f = connected_F(bare, (2, 3))
     assert connected_F(zero, (2, 3)) is f
-    assert len(ovengine._F_TABLES) == 1
+    assert len(ovengine._F_MEMO) == 8
     assert f == fresh_F(monkeypatch, zero, (2, 3)) == connected_F_partitions(zero, (2, 3))
+
+
+def test_memo_shares_the_swapped_twin(monkeypatch):
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+    f = connected_F(whitehead((1, -2)), (3, 4))
+    assert connected_F(whitehead((-2, 1)), (4, 3)) is f
+    assert f == connected_F_partitions(whitehead((-2, 1)), (4, 3))
+
+
+def test_memo_shares_the_unknot_axis(monkeypatch):
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+    f = connected_F(unknot(-1), (3,))
+    assert connected_F(whitehead((2, -1)), (0, 3)) is f
+    tri = FramedLinkSpec("borromean", framings=(1, -1, 0))
+    assert connected_F(tri, (0, 3, 0)) is f
+    assert f == connected_F_partitions(tri, (0, 3, 0))
+
+
+def test_memo_keeps_swapped_framings_apart(monkeypatch):
+    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+    a = connected_F(whitehead((0, 1)), (2, 3))
+    b = connected_F(whitehead((1, 0)), (2, 3))
+    assert a != b
+    assert a == connected_F_partitions(whitehead((0, 1)), (2, 3))
+    assert b == connected_F_partitions(whitehead((1, 0)), (2, 3))
 
 
 def test_connected_f_rejects_twist():
