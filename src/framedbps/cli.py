@@ -95,7 +95,7 @@ def _link_spec(args, parser):
     try:
         colors = parse_int_vector(args.colors)
         spec = FramedLinkSpec(args.link, framings=parse_int_vector(args.framing),
-                              colors=colors, p=args.p if args.link == "twist" else None)
+                              colors=colors, p=args.p)
     except ValueError as exc:
         parser.error(str(exc))
     if not any(colors):
@@ -210,16 +210,23 @@ def _twist_bps_rows(p, tau, r_max, source):
     return rows
 
 
+def _check_knot_p(args, parser):
+    """The twist knot needs --p and the unknot takes none."""
+    if args.knot == "twist" and args.p is None:
+        parser.error("twist knot needs --p")
+    if args.knot == "unknot" and args.p is not None:
+        parser.error("unknot takes no parameter p")
+
+
 def cmd_bps(args, parser):
     if args.r_max < 0:
         parser.error("r-max must be >= 0")
+    _check_knot_p(args, parser)
     tau = args.framing_int
     if args.knot == "unknot":
         rows = _unknot_bps_rows(tau, args.r_max, args.source)
         mcol = "m"
     elif args.knot == "twist":
-        if args.p is None:
-            parser.error("twist knot needs --p")
         check_twist_parameter(args.p)  # also when no r reaches the per-r checks
         rows = _twist_bps_rows(args.p, tau, args.r_max, args.source)
         mcol = "sign"
@@ -268,9 +275,8 @@ def cmd_bps(args, parser):
 def cmd_series(args, parser):
     if args.order < 1:
         parser.error("order must be >= 1")
+    _check_knot_p(args, parser)
     if args.knot == "twist":
-        if args.p is None:
-            parser.error("twist knot needs --p")
         knot = ("twist", args.p)
     else:
         knot = "unknot"

@@ -12,7 +12,11 @@ Two independent solvers produce the same data:
 * `newton_series_solve` — quadratic Newton lifting of w = y² as a power
   series in x directly on the curve polynomial, with x·w′/w read off w by
   the log-derivative recurrence D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}
-  (w(0) = 1).
+  (w(0) = 1).  A round from k to n = min(2k, order) correct terms needs
+  the curve A(w) to n terms but, A(w) being O(x^k), the slope ∂A/∂w and
+  its inverse only to n - k.  The final residual needs no further curve
+  evaluation: the last round has 2k >= order, so its step δ = O(x^k) has
+  δ² = 0 mod x^order, and A(v + δ) = A(v) + ∂A(v)·δ holds there exactly.
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -288,50 +292,67 @@ def lagrange_log_y(nf, order):
     return GammaSeries(out, order)
 
 
-def _curve_eval(curve, w, order):
-    """The curve polynomial A and its w-derivative ∂A/∂w at y² = w(x), both
-    as TruncSeries in x, from one shared table of the powers w^j, each the
-    previous one times w."""
+def _curve_eval(curve, w, order, slope_order):
+    """The curve polynomial A at y² = w(x) to `order` terms and its
+    w-derivative ∂A/∂w to `slope_order` terms, both as TruncSeries in x,
+    from one shared table of the powers w^j, each the previous one times w."""
     powers = [TruncSeries.constant(lp_one(), w.order)]
 
-    def term(j, xd, mono):
+    def term(j, xd, mono, order):
         """x^xd · mono · w^j, truncated at `order`."""
         while len(powers) <= j:
             powers.append(series_mul(powers[-1], w))
-        coeffs = [lp_mul(c, mono) for c in powers[j].coeffs]
-        return TruncSeries([{}] * xd + coeffs[:order - xd], order)
+        coeffs = [lp_mul(c, mono) for c in powers[j].coeffs[:max(order - xd, 0)]]
+        return TruncSeries([{}] * xd + coeffs, order)
 
-    value = slope = TruncSeries([], order)
+    value, slope = TruncSeries([], order), TruncSeries([], slope_order)
     for (xd, yd, da), c in sorted(curve.source.items()):
         j = yd // 2
-        value = series_add(value, term(j, xd, lp_mono(0, da, c)))
+        value = series_add(value, term(j, xd, lp_mono(0, da, c), order))
         if j:
-            slope = series_add(slope, term(j - 1, xd, lp_mono(0, da, c * j)))
+            slope = series_add(slope, term(j - 1, xd, lp_mono(0, da, c * j), slope_order))
     return value, slope
 
 
 def solve_w_series(curve, order):
     """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1.
 
-    Quadratic Newton lifting: w ← w - A(w)/∂A(w), doubling the count of
-    correct coefficients per round, so round k works at 2^k terms only
-    (Brent–Kung); raises SingularBranch when ∂A/∂w is not invertible at
-    the start point, and MismatchDetected when the final full-order
-    residual is not exactly zero.
+    Quadratic Newton lifting (Brent–Kung): a round takes v, correct to k
+    terms, to w = v - A(v)/∂A(v), correct to n = min(2k, order).  Since
+    A(v) = O(x^k), the correction is x^k times [A(v)/x^k mod x^(n-k)] over
+    ∂A(v) mod x^(n-k): the round evaluates A(v) to n terms but the slope
+    and its inverse only to n - k.  Raises SingularBranch when ∂A/∂w is not
+    invertible at the start point.
+
+    The residual is checked without a further curve evaluation.  The last
+    round has 2k >= order, so for δ = w - v = O(x^k) (taken by subtraction,
+    not from the correction) δ² vanishes mod x^order and, A being a
+    polynomial in w, A(w) ≡ A(v) + ∂A(v)·δ mod x^order exactly, from the
+    last round's value and slope.  MismatchDetected is raised when δ moves
+    one of the k settled coefficients or when that residual is nonzero.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     w = TruncSeries([lp_one()], 1)
-    while w.order < order:
-        n = min(2 * w.order, order)
-        w = TruncSeries(w.coeffs, n)
-        residual, slope = _curve_eval(curve, w, n)
-        try:
-            correction = series_mul(residual, series_inv(slope))
-        except NonInvertibleLeadingTerm as exc:
-            raise SingularBranch(curve) from exc
-        w = series_add(w, series_scale(correction, -1))
-    residual, _ = _curve_eval(curve, w, order)
+    while True:
+        k, n = w.order, min(2 * w.order, order)
+        v = TruncSeries(w.coeffs, n)
+        value, slope = _curve_eval(curve, v, n, n - k)
+        w = v
+        if n > k:
+            try:
+                inverse = series_inv(slope)
+            except NonInvertibleLeadingTerm as exc:
+                raise SingularBranch(curve) from exc
+            correction = series_mul(TruncSeries(value.coeffs[k:], n - k), inverse)
+            w = series_add(v, series_scale(TruncSeries([{}] * k + correction.coeffs, n), -1))
+        if n == order:
+            break
+    delta = [lp_sub(a, b) for a, b in zip(w.coeffs, v.coeffs)]
+    if any(delta[:k]):
+        raise MismatchDetected(f"Newton step on {curve!r} moved a settled coefficient")
+    change = series_mul(slope, TruncSeries(delta[k:], order - k))
+    residual = series_add(value, TruncSeries([{}] * k + change.coeffs, order))
     if any(residual.coeffs):
         raise MismatchDetected(f"Newton residual of {curve!r} is nonzero")
     return w

@@ -281,6 +281,20 @@ def test_boundary_errors_are_usage_errors(argv, capsys):
     assert capsys.readouterr().err.rstrip().split("error: ", 1)[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("bps", "--knot", "unknot", "--p", "3"),
+    ("series", "--knot", "unknot", "--p", "3"),
+    ("ov-table", "--link", "whitehead", "--colors", "1,1", "--framing", "0,0", "--p", "5"),
+    ("homfly", "--link", "whitehead", "--colors", "1,1", "--framing", "0,0", "--p", "5"),
+], ids=" ".join)
+def test_p_is_refused_where_it_means_nothing(argv, capsys):
+    # p parametrizes the twist knots only; elsewhere it is not silently dropped
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "takes no parameter p" in capsys.readouterr().err
+
+
 def test_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 

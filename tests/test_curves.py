@@ -224,6 +224,68 @@ def test_nonzero_newton_residual_raises(monkeypatch):
         solve_w_series(make_curve("unknot", KIND_FULL, 1), 4)
 
 
+def test_newton_slope_and_inverse_at_half_precision(monkeypatch):
+    # a round from k to n terms inverts the slope to n - k terms only, and the
+    # residual comes from the last round's value and slope, not a new evaluation
+    lengths, evals = [], []
+    inv, curve_eval = curves.series_inv, curves._curve_eval
+    monkeypatch.setattr(curves, "series_inv", lambda s: lengths.append(s.order) or inv(s))
+    monkeypatch.setattr(curves, "_curve_eval",
+                        lambda *args: evals.append(args[2:]) or curve_eval(*args))
+    newton_series_solve(make_curve("unknot", KIND_FULL, 2), 20)
+    assert lengths == [1, 2, 4, 8, 5]
+    assert evals == [(2, 1), (4, 2), (8, 4), (16, 8), (21, 5)]
+
+
+def test_newton_order_one_checks_the_residual_at_x0():
+    w = solve_w_series(make_curve("unknot", KIND_FULL, 2), 1)
+    assert w == TruncSeries([lp_one()], 1)
+    # w + 1 + x is 2 at w = 1, x = 0
+    c = synthetic({(0, 2, 0): F(1), (0, 0, 0): F(1), (1, 0, 0): F(1)})
+    with pytest.raises(MismatchDetected, match="Newton residual"):
+        solve_w_series(c, 1)
+
+
+NEWTON_FAULT_SCRIPT = """
+from framedbps import curves
+from framedbps.closedforms import MismatchDetected
+from framedbps.laurent import TruncSeries, lp_add, lp_one, series_inv, series_scale
+
+
+def bump(s, j):
+    coeffs = list(s.coeffs)
+    coeffs[j] = lp_add(coeffs[j], lp_one())
+    return TruncSeries(coeffs, s.order)
+
+
+# a step that moves the settled constant term, then a wrong top coefficient
+# of the truncated inverse (past the truncation at full precision)
+for name, fault in (("series_scale", lambda s, c: bump(series_scale(s, c), 0)),
+                    ("series_inv", lambda s: bump(series_inv(s), -1))):
+    setattr(curves, name, fault)
+    try:
+        curves.solve_w_series(curves.make_curve("unknot", "full", 2), 21)
+    except MismatchDetected as exc:
+        print(exc)
+    else:
+        print("no error")
+    setattr(curves, name, {"series_scale": series_scale, "series_inv": series_inv}[name])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_newton_faults_raise(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", NEWTON_FAULT_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Newton step on DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
+        "moved a settled coefficient",
+        "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
+        "is nonzero"], proc.stdout
+
+
 BAD_W0_SCRIPT = """
 from framedbps import curves
 from framedbps.closedforms import MismatchDetected
