@@ -41,39 +41,28 @@ def fmt_coeff(c):
     return str(c.numerator) if c.denominator == 1 else str(c)
 
 
-def fmt_monomial(dq, da, c):
+def fmt_monomial(c, *powers):
+    """The coefficient times each (variable, doubled exponent) power whose
+    exponent is nonzero: (-1, ("q", 4), ("a", 3)) -> '-1*q^2*a^(3/2)'."""
     bits = [fmt_coeff(c)]
-    if dq:
-        bits.append(f"q^({fmt_half(dq)})" if dq % 2 else f"q^{dq // 2}")
-    if da:
-        bits.append(f"a^({fmt_half(da)})" if da % 2 else f"a^{da // 2}")
+    for v, e2 in powers:
+        if e2:
+            bits.append(f"{v}^({fmt_half(e2)})" if e2 % 2 else f"{v}^{e2 // 2}")
     return "*".join(bits)
 
 
-def poly_terms_sorted(poly):
-    """LaurentPoly items sorted a-major descending, then q descending."""
-    return sorted(poly.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
-
-
-def render_grid(rows, cols, cell, corner):
-    """Right-aligned ASCII grid with labeled axes."""
-    header = [corner] + [fmt_half(j) for j in cols]
-    body = [[fmt_half(i)] + [cell(i, j) for j in cols] for i in rows]
-    widths = [max(len(line[ci]) for line in [header] + body)
-              for ci in range(len(header))]
-    out = []
-
-    def fmt_line(line):
-        return " ".join(s.rjust(w) for s, w in zip(line, widths))
-
-    out.append(fmt_line(header))
-    out.append("-" * len(out[0]))
-    out.extend(fmt_line(line) for line in body)
-    return "\n".join(out)
+def rjust_lines(table):
+    """Lines of a table of strings, each column right-aligned to its widest
+    cell, the columns one space apart."""
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return [" ".join(s.rjust(w) for s, w in zip(line, widths)) for line in table]
 
 
 def parse_int_vector(text):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def parse_range(text):
@@ -85,6 +74,26 @@ def parse_range(text):
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def render(args, ascii_lines, head, key, columns, rows, tail=None, csv_columns=None,
+           csv_tail=()):
+    """Print a command's record in `args.format` and return exit status 0.
+
+    ascii prints `ascii_lines()`, built only then.  JSON prints the `head`
+    fields, the `rows` under `key` as objects over `columns`, then the `tail`
+    fields.  CSV prints `csv_columns` (default `columns`), one line per row,
+    then the `csv_tail` lines."""
+    if args.format == "json":
+        doc = {**head, key: [dict(zip(columns, row)) for row in rows], **(tail or {})}
+        lines = [json.dumps(doc, indent=2)]
+    elif args.format == "csv":
+        lines = [",".join(csv_columns or columns),
+                 *(",".join(map(str, row)) for row in rows), *csv_tail]
+    else:
+        lines = ascii_lines()
+    print("\n".join(lines))
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -106,72 +115,51 @@ def _link_spec(args, parser):
 def cmd_homfly(args, parser):
     spec = _link_spec(args, parser)
     h = framed_homfly(spec.link, spec.colors, spec.framings)
-    num, den = h.scaled_num(), sorted(h.den.elements())
-    if args.format == "json":
-        doc = {
-            "link": spec.link,
-            "colors": list(spec.colors),
-            "framings": list(spec.framings),
-            "numerator": [{"q2": dq, "a2": da, "c": fmt_coeff(c)}
-                          for (dq, da), c in poly_terms_sorted(num)],
-            "denominator": den,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("q2,a2,c")
-        for (dq, da), c in poly_terms_sorted(num):
-            print(f"{dq},{da},{fmt_coeff(c)}")
-        print("# denominator braces: " + (" ".join(f"{{{n}}}" for n in den) or "1"))
-    else:
-        print(f"link={spec.link} colors={spec.colors} framings={spec.framings}")
+    # numerator terms a-major descending, then q descending
+    terms = sorted(h.scaled_num().items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+    den = sorted(h.den.elements())
+    braces = " ".join(f"{{{n}}}" for n in den) or "1"
+
+    def ascii_lines():
+        head = f"link={spec.link} colors={spec.colors} framings={spec.framings}"
         if h.is_zero():
-            print("0")
-            return 0
-        terms = " + ".join(fmt_monomial(dq, da, c)
-                           for (dq, da), c in poly_terms_sorted(num))
-        print(f"numerator:   {terms}")
-        print("denominator: " + (" ".join(f"{{{n}}}" for n in den) or "1"))
-    return 0
+            return [head, "0"]
+        numerator = " + ".join(fmt_monomial(c, ("q", dq), ("a", da))
+                               for (dq, da), c in terms)
+        return [head, f"numerator:   {numerator}", f"denominator: {braces}"]
 
-
-def _table_json(spec, table):
-    e1, e2 = table.epsilon
-    entries = sorted(table.entries.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
-    return {
-        "link": spec.link,
-        "colors": list(table.colors),
-        "framings": list(table.framings),
-        "epsilon": [e1, e2],
-        "entries": [{"i2": i2, "j2": j2, "N": n} for (i2, j2), n in entries],
-    }
-
-
-def render_table_ascii(table):
-    bounds = table.bounds()
-    if bounds is None:
-        return "(empty table)"
-    (i_lo, i_hi), (j_lo, j_hi) = bounds
-    rows = range(i_hi, i_lo - 1, -2)
-    cols = range(j_hi, j_lo - 1, -2)
-    return render_grid(rows, cols, lambda i, j: str(table.entry(i, j)), "i\\j")
+    return render(args, ascii_lines,
+                  {"link": spec.link, "colors": list(spec.colors),
+                   "framings": list(spec.framings)},
+                  "numerator", ("q2", "a2", "c"),
+                  [(dq, da, fmt_coeff(c)) for (dq, da), c in terms],
+                  tail={"denominator": den}, csv_tail=[f"# denominator braces: {braces}"])
 
 
 def cmd_ov_table(args, parser):
     spec = _link_spec(args, parser)
     table = ov_table(spec, spec.colors)
-    if args.format == "json":
-        print(json.dumps(_table_json(spec, table), indent=2))
-    elif args.format == "csv":
-        print("i2,j2,N")
-        for (i2, j2), n in sorted(table.entries.items(),
-                                  key=lambda kv: (-kv[0][0], -kv[0][1])):
-            print(f"{i2},{j2},{n}")
-    else:
-        e1, e2 = table.epsilon
-        print(f"link={spec.link} colors={table.colors} framings={table.framings} "
-              f"epsilon=({e1},{e2})")
-        print(render_table_ascii(table))
-    return 0
+    e1, e2 = table.epsilon
+
+    def ascii_lines():
+        head = (f"link={spec.link} colors={table.colors} framings={table.framings} "
+                f"epsilon=({e1},{e2})")
+        bounds = table.bounds()
+        if bounds is None:
+            return [head, "(empty table)"]
+        (i_lo, i_hi), (j_lo, j_hi) = bounds
+        cols = range(j_hi, j_lo - 1, -2)
+        grid = rjust_lines([["i\\j", *map(fmt_half, cols)]]
+                           + [[fmt_half(i), *(str(table.entry(i, j)) for j in cols)]
+                              for i in range(i_hi, i_lo - 1, -2)])
+        return [head, grid[0], "-" * len(grid[0]), *grid[1:]]
+
+    return render(args, ascii_lines,
+                  {"link": spec.link, "colors": list(table.colors),
+                   "framings": list(table.framings), "epsilon": [e1, e2]},
+                  "entries", ("i2", "j2", "N"),
+                  [(i2, j2, n) for (i2, j2), n in sorted(
+                      table.entries.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))])
 
 
 def _unknot_bps_rows(tau, r_max, source):
@@ -230,46 +218,22 @@ def cmd_bps(args, parser):
         check_twist_parameter(args.p)  # also when no r reaches the per-r checks
         rows = _twist_bps_rows(args.p, tau, args.r_max, args.source)
         mcol = "sign"
-    if args.source == "both":
+    both = args.source == "both"
+    if both:
         for r, m, cv, cl in rows:
             if cv != cl:
                 raise MismatchDetected((args.knot, r, m, cv, cl))
-    header = ["r", mcol]
-    if args.source in ("curve", "both"):
-        header.append("b_curve")
-    if args.source in ("closed", "both"):
-        header.append("b_closed")
-    if args.source == "both":
-        header.append("match")
-
-    def row_cells(row):
-        r, m, cv, cl = row
-        cells = [str(r), str(m)]
-        if args.source in ("curve", "both"):
-            cells.append(str(cv))
-        if args.source in ("closed", "both"):
-            cells.append(str(cl))
-        if args.source == "both":
-            cells.append("yes")
-        return cells
-
-    if args.format == "json":
-        doc = {"knot": args.knot, "framing": tau, "source": args.source,
-               "r_max": args.r_max,
-               "rows": [dict(zip(header, row_cells(row))) for row in rows]}
-        if args.knot == "twist":
-            doc["p"] = args.p
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row_cells(row)))
-    else:
-        lines = [header] + [row_cells(row) for row in rows]
-        widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-        for line in lines:
-            print(" ".join(s.rjust(w) for s, w in zip(line, widths)))
-    return 0
+    # a source not asked for leaves None in its place of each row
+    shown = (True, True, args.source != "closed", args.source != "curve")
+    columns = [name for name, on in zip(("r", mcol, "b_curve", "b_closed"), shown)
+               if on] + ["match"] * both
+    cells = [[str(x) for x, on in zip(row, shown) if on] + ["yes"] * both
+             for row in rows]
+    return render(args, lambda: rjust_lines([columns] + cells),
+                  {"knot": args.knot, "framing": tau, "source": args.source,
+                   "r_max": args.r_max},
+                  "rows", columns, cells,
+                  tail={"p": args.p} if args.knot == "twist" else None)
 
 
 def cmd_series(args, parser):
@@ -286,41 +250,32 @@ def cmd_series(args, parser):
     if gamma != newton_series_solve(curve, args.order):
         raise MismatchDetected(("series", knot, args.kind, args.framing_int, args.order))
     entries = sorted(gamma.coefficients.items())
-    if args.format == "json":
-        doc = {"knot": args.knot, "kind": args.kind, "framing": args.framing_int,
-               "order": args.order,
-               "curve": [{"x": xd, "y": yd, "a2": da, "c": fmt_coeff(c)}
-                         for (xd, yd, da), c in sorted(curve.source.items())],
-               "x_rescale": {"sigma": nf.sigma, "a2": nf.e},
-               "gamma": [{"r": r, "m2": m, "c": fmt_coeff(c)}
-                         for (r, m), c in entries]}
-        if args.knot == "twist":
-            doc["p"] = args.p
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("r,m2,gamma")
-        for (r, m), c in entries:
-            print(f"{r},{m},{fmt_coeff(c)}")
-    else:
-        terms = " + ".join(
-            "*".join(filter(None, [fmt_coeff(c),
-                                   f"x^{xd}" if xd else "",
-                                   f"y^{yd}" if yd else "",
-                                   (f"a^({fmt_half(da)})" if da % 2
-                                    else f"a^{da // 2}") if da else ""]))
-            for (xd, yd, da), c in sorted(curve.source.items()))
-        print(f"curve knot={knot} kind={args.kind} framing={args.framing_int}: {terms}")
-        print(f"normal form: X = sigma*a^(e/2)*x, sigma={nf.sigma}, e={nf.e}, "
-              f"{nf.y_substitution}")
-        print("x*d/dx log y(x):")
-        print(f"{'r':>3} {'m':>6} gamma")
-        for (r, m), c in entries:
-            print(f"{r:>3} {fmt_half(m):>6} {fmt_coeff(c)}")
-    return 0
+    source = sorted(curve.source.items())
+
+    def ascii_lines():
+        terms = " + ".join(fmt_monomial(c, ("x", 2 * xd), ("y", 2 * yd), ("a", da))
+                           for (xd, yd, da), c in source)
+        return [f"curve knot={knot} kind={args.kind} framing={args.framing_int}: {terms}",
+                f"normal form: X = sigma*a^(e/2)*x, sigma={nf.sigma}, e={nf.e}, "
+                f"{nf.y_substitution}",
+                "x*d/dx log y(x):",
+                f"{'r':>3} {'m':>6} gamma",
+                *(f"{r:>3} {fmt_half(m):>6} {fmt_coeff(c)}" for (r, m), c in entries)]
+
+    return render(args, ascii_lines,
+                  {"knot": args.knot, "kind": args.kind, "framing": args.framing_int,
+                   "order": args.order,
+                   "curve": [{"x": xd, "y": yd, "a2": da, "c": fmt_coeff(c)}
+                             for (xd, yd, da), c in source],
+                   "x_rescale": {"sigma": nf.sigma, "a2": nf.e}},
+                  "gamma", ("r", "m2", "c"),
+                  [(r, m, fmt_coeff(c)) for (r, m), c in entries],
+                  tail={"p": args.p} if args.knot == "twist" else None,
+                  csv_columns=("r", "m2", "gamma"))
 
 
 # --------------------------------------------------------------------------
-# verify suites
+# verify suites: each yields (report line, failures in it) records
 
 
 def load_golden():
@@ -350,9 +305,7 @@ def load_golden():
 
 
 def verify_tables(args):
-    failures = 0
-    golden = load_golden()
-    for name, meta, want in golden:
+    for name, meta, want in load_golden():
         table = ov_table(meta["link"], meta["colors"], meta["framings"])
         ok = table.entries == want
         extra = ""
@@ -360,17 +313,12 @@ def verify_tables(args):
             ok, extra = False, " (parity violation)"
         if ok:
             bps_list(table)  # raises MismatchDetected if row sums and q=1 differ
-        print(f"table {name} link={meta['link']} colors={meta['colors']} "
-              f"framings={meta['framings']}: {'PASS' if ok else 'FAIL' + extra}")
-        failures += 0 if ok else 1
-    total = len(golden)
-    print(f"{total - failures}/{total} tables pass")
-    return failures
+        yield (f"table {name} link={meta['link']} colors={meta['colors']} "
+               f"framings={meta['framings']}: {'PASS' if ok else 'FAIL' + extra}"), not ok
 
 
 def verify_integrality(args):
     lo, hi = args.t_range
-    failures = 0
     for r in range(1, args.r_max + 1):
         bad = []
         for t in range(lo, hi + 1):
@@ -378,25 +326,19 @@ def verify_integrality(args):
             if not ok:
                 bad.append((t, value))
         if bad:
-            failures += len(bad)
-            print(f"r={r}: FAIL at {bad}")
+            yield f"r={r}: FAIL at {bad}", len(bad)
         else:
-            print(f"r={r}: t={lo}..{hi} all integer")
-    print(f"integrality statistic: {'all pass' if not failures else f'{failures} failures'}")
-    return failures
+            yield f"r={r}: t={lo}..{hi} all integer", 0
 
 
 def verify_recursion(args):
-    failures = 0
     for tau in range(-args.tau_max, args.tau_max + 1):
         try:
             check_unknot_recursion(tau, args.n_max)
-            print(f"tau={tau}: recursion holds for n<{args.n_max}")
         except RecursionViolated as exc:
-            failures += 1
-            print(f"tau={tau}: FAIL ({exc})")
-    print(f"recursion: {'all pass' if not failures else f'{failures} failures'}")
-    return failures
+            yield f"tau={tau}: FAIL ({exc})", 1
+        else:
+            yield f"tau={tau}: recursion holds for n<{args.n_max}", 0
 
 
 def verify_symmetry(args):
@@ -409,7 +351,6 @@ def verify_symmetry(args):
     h_cases = ([("whitehead", (3, 3), taus) for taus in ((0, 1), (1, -1), (-2, 1))]
                + [("borromean", (2, 2, 2), taus)
                   for taus in ((0, 1, -1), (1, -1, 2), (-2, 0, 1))])
-    failures = 0
     for link, top, taus in h_cases:
         bad = []
         for colors in product(*(range(r + 1) for r in top)):
@@ -424,24 +365,20 @@ def verify_symmetry(args):
             if len(axis) == 1 and h != framed_homfly(
                     "unknot", (colors[axis[0]],), (taus[axis[0]],)):
                 bad.append((colors, "unknot"))
-        print(f"H {link} colors<={top} framings={taus} permuted and as the "
-              f"unknot: {f'FAIL at {bad}' if bad else 'PASS'}")
-        failures += bool(bad)
+        yield (f"H {link} colors<={top} framings={taus} permuted and as the "
+               f"unknot: {f'FAIL at {bad}' if bad else 'PASS'}"), bool(bad)
     cases = [((2, 2), (0, 1)), ((2, 2), (1, 0)), ((2, 3), (0, 1)),
              ((1, 2), (1, -1)), ((2, 3), (-1, 2))]
     for colors, taus in cases:
         t1 = ov_table("whitehead", colors, taus)
         t2 = ov_table("whitehead", colors[::-1], taus[::-1])
         ok = t1.entries == t2.entries
-        print(f"swap colors={colors} framings={taus}: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+        yield f"swap colors={colors} framings={taus}: {'PASS' if ok else 'FAIL'}", not ok
     golden = {name: entries for name, _, entries in load_golden()}
     ok = (ov_table("whitehead", (2, 2), (0, 1)).entries == golden["w22_f01"]
           == golden["w22_f10"])
-    print(f"swapped-framing golden pair w22_f01 == w22_f10: {'PASS' if ok else 'FAIL'}")
-    failures += 0 if ok else 1
-    print(f"symmetry: {'all pass' if not failures else f'{failures} failures'}")
-    return failures
+    yield (f"swapped-framing golden pair w22_f01 == w22_f10: "
+           f"{'PASS' if ok else 'FAIL'}"), not ok
 
 
 def verify_connected(args):
@@ -450,16 +387,12 @@ def verify_connected(args):
     cases = ([("whitehead", (3, 3), taus) for taus in product(range(-2, 3), repeat=2)]
              + [("borromean", (2, 2, 2), taus) for taus in product((-1, 0, 1), repeat=3)]
              + [("unknot", (8,), (tau,)) for tau in range(-2, 3)])
-    failures = 0
     for link, top, taus in cases:
         spec = FramedLinkSpec(link, framings=taus)
         bad = [v for v in product(*(range(r + 1) for r in top))
                if any(v) and connected_F(spec, v) != connected_F_partitions(spec, v)]
-        print(f"connected {link} colors<={top} framings={taus}: "
-              f"{f'FAIL at {bad}' if bad else 'PASS'}")
-        failures += bool(bad)
-    print(f"connected: {'all pass' if not failures else f'{failures} failures'}")
-    return failures
+        yield (f"connected {link} colors<={top} framings={taus}: "
+               f"{f'FAIL at {bad}' if bad else 'PASS'}"), bool(bad)
 
 
 def cmd_verify(args, parser):
@@ -468,12 +401,22 @@ def cmd_verify(args, parser):
         parser.error("r-max must be >= 1")
     if args.suite == "recursion" and (args.n_max < 2 or args.tau_max < 0):
         parser.error("recursion needs n-max >= 2 and tau-max >= 0")
-    return 0 if VERIFY_SUITES[args.suite](args) == 0 else 1
+    suite, summary = VERIFY_SUITES[args.suite]
+    records = failures = 0
+    for line, n in suite(args):
+        print(line)
+        records, failures = records + 1, failures + n
+    print(summary.format(passed=records - failures, total=records,
+                         verdict=f"{failures} failures" if failures else "all pass"))
+    return 0 if failures == 0 else 1
 
 
-VERIFY_SUITES = {"tables": verify_tables, "integrality": verify_integrality,
-                 "recursion": verify_recursion, "symmetry": verify_symmetry,
-                 "connected": verify_connected}
+# suite and its summary line, formatted from the failures and records counted
+VERIFY_SUITES = {"tables": (verify_tables, "{passed}/{total} tables pass"),
+                 "integrality": (verify_integrality, "integrality statistic: {verdict}"),
+                 "recursion": (verify_recursion, "recursion: {verdict}"),
+                 "symmetry": (verify_symmetry, "symmetry: {verdict}"),
+                 "connected": (verify_connected, "connected: {verdict}")}
 
 
 # --------------------------------------------------------------------------
@@ -502,7 +445,7 @@ def build_parser():
         p_l.add_argument("--framing", required=True, metavar="T1,T2,...")
         p_l.add_argument("--p", type=int, default=None)
         add_format(p_l)
-        p_l.set_defaults(func=func)
+        p_l.set_defaults(func=func, parser=p_l)
 
     p_b = sub.add_parser("bps", help="BPS invariants of framed knots")
     p_b.add_argument("--knot", required=True, choices=("unknot", "twist"))
@@ -512,7 +455,7 @@ def build_parser():
                      default="both")
     p_b.add_argument("--r-max", dest="r_max", type=int, default=6)
     add_format(p_b)
-    p_b.set_defaults(func=cmd_bps)
+    p_b.set_defaults(func=cmd_bps, parser=p_b)
 
     p_s = sub.add_parser("series", help="curve normal form and log-derivative series")
     p_s.add_argument("--knot", required=True, choices=("unknot", "twist"))
@@ -521,7 +464,7 @@ def build_parser():
     p_s.add_argument("--framing", dest="framing_int", type=int, default=0)
     p_s.add_argument("--order", type=int, default=8)
     add_format(p_s)
-    p_s.set_defaults(func=cmd_series)
+    p_s.set_defaults(func=cmd_series, parser=p_s)
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=tuple(VERIFY_SUITES))
@@ -529,28 +472,22 @@ def build_parser():
     p_v.add_argument("--t-range", dest="t_range", type=parse_range, default="-10:10")
     p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)
     p_v.add_argument("--n-max", dest="n_max", type=int, default=12)
-    p_v.set_defaults(func=cmd_verify)
+    p_v.set_defaults(func=cmd_verify, parser=p_v)
     return parser
 
 
-_VALUE_FLAGS = ("--colors", "--framing", "--p", "--t-range", "--r-max",
-                "--tau-max", "--n-max", "--order")
-
-
 def _merge_negative_values(argv):
-    """Glue flag values that start with a minus ("-1,0", "-10:10") onto their
-    flag with '=' so argparse does not mistake them for options."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok in _VALUE_FLAGS and len(nxt) > 1 and nxt[0] == "-"
-                and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    """Glue values that start with a minus and a digit ("-1,0", "-10:10") onto
+    the long flag before them with '=' so argparse does not mistake them for
+    options.  No option of the parser starts with a digit."""
+    out = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (flag[:2] == "--" and flag[2:3].isalpha() and "=" not in flag
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -560,11 +497,8 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        return args.func(args, parser)
-    except MismatchDetected as exc:
-        print(f"error: MismatchDetected: {exc.args[0]}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # domain errors -> diagnostic, nonzero exit
+        return args.func(args, args.parser)
+    except Exception as exc:  # domain errors, failed cross-checks -> diagnostic, exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

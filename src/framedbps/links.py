@@ -12,8 +12,8 @@ Conventions baked in here and validated against the integer tables:
 * products {n;a}_i are descending for base n >= 0 (in particular
   {0;a}_2 = {0;a}{-1;a}) and single factors for the only negative base
   (n = -1) the sums below ever produce, where direction is moot;
-* the framing factor is (-1)^(sum r_t) q^(sum r(r-1)t/2) — the sign
-  exponent is taken mod 2, so writing |t| for t changes nothing.
+* the framing factor is (-1)^(sum r_t t_t) q^(sum r_t(r_t-1)t_t/2) — the
+  sign exponent is taken mod 2, so writing |t| for t changes nothing.
 """
 
 from collections import Counter
@@ -126,7 +126,7 @@ def homfly_link(link, colors):
 
 
 def framing_factor(colors, framings):
-    """The monomial (-1)^(sum r_t) q^(sum r(r-1)t / 2) as a LaurentPoly."""
+    """The monomial (-1)^(sum r_t t_t) q^(sum r_t(r_t-1)t_t / 2) as a LaurentPoly."""
     if len(colors) != len(framings):
         raise ValueError(f"{len(colors)} colors {colors} but {len(framings)} "
                          f"framings {framings}")

@@ -44,14 +44,6 @@ class VectorPartition(tuple):
     __slots__ = ()
 
     @property
-    def parts(self):
-        return tuple(self)
-
-    @property
-    def total(self):
-        return tuple(sum(mult * v[c] for v, mult in self) for c in range(len(self[0][0])))
-
-    @property
     def length(self):
         return sum(mult for _, mult in self)
 
@@ -138,7 +130,7 @@ def connected_F_partitions(link, rvec):
         if (pt.length - 1) % 2:
             coef = -coef
         prod = BraceRatio.one()
-        for v, mult in pt.parts:
+        for v, mult in pt:
             hv = framed_homfly(link.link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)

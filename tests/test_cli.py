@@ -281,6 +281,26 @@ def test_boundary_errors_are_usage_errors(argv, capsys):
     assert capsys.readouterr().err.rstrip().split("error: ", 1)[1]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("homfly", "--link", "whitehead", "--colors", "1,1", "--framing", "0"),
+     "whitehead needs 2 framings, got (0,)"),
+    (("ov-table", "--link", "unknot", "--colors", "1,", "--framing", "0"),
+     "expected comma-separated integers, got '1,'"),
+    (("bps", "--knot", "twist"), "twist knot needs --p"),
+    (("series", "--knot", "unknot", "--order", "0"), "order must be >= 1"),
+    (("verify", "recursion", "--n-max", "0"),
+     "recursion needs n-max >= 2 and tau-max >= 0"),
+], ids=["homfly", "ov-table", "bps", "series", "verify"])
+def test_usage_error_names_its_command(argv, message, capsys):
+    # the usage line and the error name the subcommand, as argparse's own errors do
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: framedbps {argv[0]} [-h] ")
+    assert err.endswith(f"\nframedbps {argv[0]}: error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("bps", "--knot", "unknot", "--p", "3"),
     ("series", "--knot", "unknot", "--p", "3"),
@@ -400,10 +420,51 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
     ("series_twist_p3_extremal_plus_f-2_o8.json",
      ("series", "--knot", "twist", "--p", "3", "--kind", "extremal_plus",
       "--framing", "-2", "--order", "8")),
+    # every command in every format no snapshot above pins, and the full
+    # report of each verify suite, captured before the renderers were merged
+    ("homfly_whitehead_2_3_f1_-1.txt",
+     ("homfly", "--link", "whitehead", "--colors", "2,3", "--framing", "1,-1")),
+    ("homfly_borromean_1_2_2_f0_1_0.csv",
+     ("homfly", "--link", "borromean", "--colors", "1,2,2", "--framing", "0,1,0")),
+    ("ov_borromean_2_2_3_f0_1_-1.txt",
+     ("ov-table", "--link", "borromean", "--colors", "2,2,3", "--framing", "0,1,-1")),
+    ("ov_whitehead_3_4_f1_-2.json",
+     ("ov-table", "--link", "whitehead", "--colors", "3,4", "--framing", "1,-2")),
+    ("bps_unknot_f-2_r20.txt",
+     ("bps", "--knot", "unknot", "--framing", "-2", "--r-max", "20")),
+    ("bps_unknot_f-2_r20.json",
+     ("bps", "--knot", "unknot", "--framing", "-2", "--r-max", "20")),
+    ("bps_twist_p-2_f-2_r12.txt",
+     ("bps", "--knot", "twist", "--p", "-2", "--framing", "-2", "--r-max", "12",
+      "--source", "both")),
+    ("bps_twist_p-2_f-2_r12.json",
+     ("bps", "--knot", "twist", "--p", "-2", "--framing", "-2", "--r-max", "12",
+      "--source", "both")),
+    ("bps_unknot_f1_r6_closed.txt",
+     ("bps", "--knot", "unknot", "--framing", "1", "--r-max", "6", "--source", "closed")),
+    ("bps_twist_p3_f-1_r8_curve.json",
+     ("bps", "--knot", "twist", "--p", "3", "--framing", "-1", "--r-max", "8",
+      "--source", "curve")),
+    ("series_twist_p-2_extremal_minus_f1_o8.txt",
+     ("series", "--knot", "twist", "--p", "-2", "--kind", "extremal_minus",
+      "--framing", "1", "--order", "8")),
+    ("verify_tables.txt", ("verify", "tables")),
+    ("verify_integrality_r6_t-3_3.txt",
+     ("verify", "integrality", "--r-max", "6", "--t-range", "-3:3")),
+    ("verify_recursion_tau2_n5.txt",
+     ("verify", "recursion", "--tau-max", "2", "--n-max", "5")),
+    ("verify_symmetry.txt", ("verify", "symmetry")),
+    ("verify_connected.txt", ("verify", "connected")),
+    # an abbreviated flag before a value that starts with a minus
+    ("verify_integrality_r6_t-3_3.txt",
+     ("verify", "integrality", "--r-max", "6", "--t-r", "-3:3")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
-    # the output format is the snapshot's suffix
-    code, out, _ = run_cli(capsys, *argv, "--format", Path(snapshot).suffix[1:])
+    # the output format is the snapshot's suffix; .txt is the default ascii,
+    # which is also the only output of verify
+    suffix = Path(snapshot).suffix[1:]
+    fmt = () if suffix == "txt" else ("--format", suffix)
+    code, out, _ = run_cli(capsys, *argv, *fmt)
     assert code == 0
     assert out == (SNAPSHOTS / snapshot).read_text()
 

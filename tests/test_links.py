@@ -70,6 +70,8 @@ def test_framing_factor_values():
     assert framing_factor((1, 2), (1, 1)) == lp_mono(2, 0, -1)  # (-1)^3 q^1
     assert framing_factor((3,), (-1,)) == lp_mono(-6, 0, -1)
     assert framing_factor((1, 1), (0, 0)) == lp_mono(0, 0)
+    assert framing_factor((1,), (0,)) == lp_mono(0, 0)
+    assert framing_factor((3,), (2,)) == lp_mono(12, 0)         # (+1) q^6: 3*2 is even
     with pytest.raises(ValueError, match="framings"):
         framing_factor((2, 3), (1,))  # zip would drop a component
 
@@ -79,7 +81,7 @@ def test_apply_framing_multiplies_by_the_factor():
     framed = apply_framing(h, (2,), (1,))
     assert framed.num == lp_mul(h.num, lp_mono(2, 0))
     assert framed.den == h.den
-    # an odd color sum flips the sign
+    # an odd sum of color times framing flips the sign
     h = unknot(1)
     framed = apply_framing(h, (1,), (1,))
     assert framed.num == lp_neg(h.num)

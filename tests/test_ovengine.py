@@ -65,9 +65,9 @@ def test_zero_or_negative_colors_raise():
 
 def test_partition_invariants():
     for pt in enumerate_vector_partitions((2, 2)):
-        assert pt.total == (2, 2)
-        assert pt.length == sum(m for _, m in pt.parts)
-        assert pt.aut == prod(factorial(m) for _, m in pt.parts)
+        assert tuple(sum(m * v[c] for v, m in pt) for c in range(2)) == (2, 2)
+        assert pt.length == sum(m for _, m in pt)
+        assert pt.aut == prod(factorial(m) for _, m in pt)
     # no duplicates
     parts = enumerate_vector_partitions((3, 1))
     assert len(parts) == len(set(parts))
