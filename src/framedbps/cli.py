@@ -345,9 +345,9 @@ def verify_symmetry(args):
     """H in every component order and, on one colored component, against
     the unknot, then swapped Whitehead tables against each other and the
     swapped golden pair.  The H checks read `framed_homfly` in the given
-    order: a table and its swapped twin read one memo entry of
-    `connected_F`, and only these checks test the symmetry that entry
-    relies on."""
+    order.  `connected_F` reads no H but the unknot's and computes a
+    table and its swapped twin apart, so the table checks test the
+    symmetry of the connected invariants on their own."""
     h_cases = ([("whitehead", (3, 3), taus) for taus in ((0, 1), (1, -1), (-2, 1))]
                + [("borromean", (2, 2, 2), taus)
                   for taus in ((0, 1, -1), (1, -1, 2), (-2, 0, 1))])
@@ -382,11 +382,13 @@ def verify_symmetry(args):
 
 
 def verify_connected(args):
-    """The recurrence `connected_F` against the partition sum, on every
-    nonzero color vector up to each case's largest one."""
+    """`connected_F`, from log(1 + W), against the partition sum over H,
+    on every nonzero color vector up to each case's largest one.  The two
+    share only the cores C_i, `link_factor` and the unknot's H."""
     cases = ([("whitehead", (3, 3), taus) for taus in product(range(-2, 3), repeat=2)]
              + [("borromean", (2, 2, 2), taus) for taus in product((-1, 0, 1), repeat=3)]
-             + [("unknot", (8,), (tau,)) for tau in range(-2, 3)])
+             + [("unknot", (8,), (tau,)) for tau in range(-2, 3)]
+             + [("whitehead", (4, 4), (1, -2)), ("borromean", (3, 3, 3), (-1, 0, 2))])
     for link, top, taus in cases:
         spec = FramedLinkSpec(link, framings=taus)
         bad = [v for v in product(*(range(r + 1) for r in top))
@@ -396,6 +398,12 @@ def verify_connected(args):
 
 
 def cmd_verify(args, parser):
+    reads = SUITE_OPTIONS.get(args.suite, {})
+    unread = [f"--{dest.replace('_', '-')}" for options in SUITE_OPTIONS.values()
+              for dest in options if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        parser.error(f"verify {args.suite} does not read {', '.join(unread)}")
+    vars(args).update((dest, v) for dest, v in reads.items() if getattr(args, dest) is None)
     # like an empty --t-range, these would make a suite pass vacuously
     if args.suite == "integrality" and args.r_max < 1:
         parser.error("r-max must be >= 1")
@@ -417,6 +425,9 @@ VERIFY_SUITES = {"tables": (verify_tables, "{passed}/{total} tables pass"),
                  "recursion": (verify_recursion, "recursion: {verdict}"),
                  "symmetry": (verify_symmetry, "symmetry: {verdict}"),
                  "connected": (verify_connected, "connected: {verdict}")}
+# the options a suite reads, with their defaults; the other suites read none
+SUITE_OPTIONS = {"integrality": {"r_max": 30, "t_range": (-10, 10)},
+                 "recursion": {"tau_max": 5, "n_max": 12}}
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +461,7 @@ def build_parser():
     p_b = sub.add_parser("bps", help="BPS invariants of framed knots")
     p_b.add_argument("--knot", required=True, choices=("unknot", "twist"))
     p_b.add_argument("--p", type=int, default=None)
-    p_b.add_argument("--framing", dest="framing_int", type=int, default=0)
+    p_b.add_argument("--framing", dest="framing_int", type=int, default=0, metavar="TAU")
     p_b.add_argument("--source", choices=("curve", "closed", "both"),
                      default="both")
     p_b.add_argument("--r-max", dest="r_max", type=int, default=6)
@@ -461,17 +472,18 @@ def build_parser():
     p_s.add_argument("--knot", required=True, choices=("unknot", "twist"))
     p_s.add_argument("--p", type=int, default=None)
     p_s.add_argument("--kind", choices=KINDS, default=KIND_FULL)
-    p_s.add_argument("--framing", dest="framing_int", type=int, default=0)
+    p_s.add_argument("--framing", dest="framing_int", type=int, default=0, metavar="TAU")
     p_s.add_argument("--order", type=int, default=8)
     add_format(p_s)
     p_s.set_defaults(func=cmd_series, parser=p_s)
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=tuple(VERIFY_SUITES))
-    p_v.add_argument("--r-max", dest="r_max", type=int, default=30)
-    p_v.add_argument("--t-range", dest="t_range", type=parse_range, default="-10:10")
-    p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)
-    p_v.add_argument("--n-max", dest="n_max", type=int, default=12)
+    # defaults per suite, in SUITE_OPTIONS
+    p_v.add_argument("--r-max", dest="r_max", type=int)
+    p_v.add_argument("--t-range", dest="t_range", type=parse_range)
+    p_v.add_argument("--tau-max", dest="tau_max", type=int)
+    p_v.add_argument("--n-max", dest="n_max", type=int)
     p_v.set_defaults(func=cmd_verify, parser=p_v)
     return parser
 

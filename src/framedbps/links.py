@@ -16,7 +16,6 @@ Conventions baked in here and validated against the integer tables:
   sign exponent is taken mod 2, so writing |t| for t changes nothing.
 """
 
-from collections import Counter
 from functools import lru_cache
 
 from .closedforms import UnsupportedKnotKind
@@ -88,14 +87,21 @@ def _cyclotomic_factor(i):
     return lp_neg(c) if i % 2 else c
 
 
-# The per-link core C_i(a, q) of the cyclotomic sum in `homfly_link`.  The
-# Whitehead core carries a^(i/2) q^(i(i-1)/4) (its {i}!/{i}! pair cancels),
-# the Borromean one an uncancelled {i}!; the unknot keeps only C_0 = 1.
-_CORES = {
+# The per-link core C_i(a, q) of the cyclotomic sum in `homfly_link`, each
+# computed once.  The Whitehead core carries a^(i/2) q^(i(i-1)/4) (its
+# {i}!/{i}! pair cancels), the Borromean one an uncancelled {i}!; the unknot
+# keeps only C_0 = 1.
+_CORES = {name: lru_cache(maxsize=None)(core) for name, core in {
     "unknot": lambda i: {} if i else lp_one(),
     "whitehead": lambda i: lp_mul(_cyclotomic_factor(i), lp_mono(i * (i - 1) // 2, i)),
     "borromean": lambda i: lp_mul(_cyclotomic_factor(i), qsym_falling(BRACE, i, i)),
-}
+}.items()}
+
+
+def link_factor(i, r):
+    """{r+i-1;a}_{r-i} / {r-i}!, the factor of a component colored r in the
+    term i of `homfly_link`, as an exact ratio."""
+    return BraceRatio(qsym_falling(BRACE_A, r + i - 1, r - i), brace_factorial_multiset(r - i))
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +109,7 @@ def homfly_link(link, colors):
     """Colored invariant of the 0-framed link as an exact ratio: the sum
     over i = 0..min(colors) of
 
-        prod_t {r_t+i-1;a}_{r_t-i} / {r_t-i}!  *  C_i(a, q)
+        prod_t link_factor(i, r_t)  *  C_i(a, q)
 
     with the per-link core C_i.  The zero color gives 1.  Raises
     UnsupportedKnotKind for a link with no core (twist knots).
@@ -117,11 +123,10 @@ def homfly_link(link, colors):
         core = _CORES[link](i)
         if not core:
             continue
-        num, den = lp_one(), Counter()
+        term = BraceRatio(core)
         for r in colors:
-            num = lp_mul(num, qsym_falling(BRACE_A, r + i - 1, r - i))
-            den += brace_factorial_multiset(r - i)
-        terms.append(BraceRatio(lp_mul(num, core), den))
+            term = term.mul(link_factor(i, r))
+        terms.append(term)
     return BraceRatio.sum(terms)
 
 

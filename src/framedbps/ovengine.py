@@ -3,18 +3,18 @@ N-tables, BPS lists, and strong-integrality parities.
 
 The flow is
 
-    framed H  --log-derivative recurrence-->  connected F  --Möbius + Adams-->
+    link sum  --log(1 + W)-->  connected F  --Möbius + Adams-->
     p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
 
-with every intermediate value an exact numerator/denominator pair.  One
-memo holds every F, keyed by the link and the sorted (color, framing)
-pairs of the colored components, so a table and its swapped twin, the two
-halves of an equal-framing table and the unknot axes of different tables
-share their entries.  Each F is divided down to the least denominator
-integrality allows, and `p_poly` clears the rest: checked exact
+with every intermediate value an exact numerator/denominator pair.  The
+link sum separates over the components (see `connected_F`), and W, its
+logarithm and the h_i it is built from have Laurent-polynomial
+coefficients, each h divided exactly by `reduce`.  The unknot's F is
+divided down to {r}, and `p_poly` clears the rest: checked exact
 divisions, where the integrality structure either survives or raises.
-The paper's vector-partition sum, `connected_F_partitions`, is the oracle
-the recurrence is checked against.
+The paper's vector-partition sum, `connected_F_partitions`, is the oracle;
+it shares only the cores C_i, `link_factor` and the unknot's H with
+`connected_F`.
 """
 
 from collections import Counter
@@ -23,9 +23,9 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, gcd, prod
 
-from .closedforms import MismatchDetected, divisors, mobius
-from .laurent import lp_one, lp_specialize_q1
-from .links import _COMPONENTS, _CORES, FramedLinkSpec, framed_homfly
+from .closedforms import MismatchDetected, UnsupportedKnotKind, divisors, mobius
+from .laurent import _addmul, lp_add, lp_mul, lp_neg, lp_one, lp_specialize_q1
+from .links import _CORES, FramedLinkSpec, apply_framing, framed_homfly, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -75,30 +75,6 @@ def enumerate_vector_partitions(rvec):
     return out
 
 
-def _memo_key(link, v, taus):
-    """The memo key of color vector v on `link` at framings `taus`:
-    (link name, p, sorted (color, framing) pairs of the colored
-    components).  H and F are symmetric when colors and framings are
-    permuted together, and an uncolored component contributes 1, so equal
-    keys have equal H and F.  A vector with one colored component on a
-    link with a core takes the unknot's key: there i runs only to 0 and
-    C_0 = 1, so H is the unknot's."""
-    pairs = tuple(sorted((r, t) for r, t in zip(v, taus) if r))
-    if len(pairs) == 1 and link.link in _CORES:
-        return "unknot", None, pairs
-    return link.link, link.p, pairs
-
-
-@lru_cache(maxsize=None)
-def _framed_h(key):
-    """Framed colored invariant of a memo key (exact ratio), colors in
-    ascending order with the uncolored components first."""
-    link_name, _, pairs = key
-    pad = (0,) * (_COMPONENTS[link_name] - len(pairs))
-    return framed_homfly(link_name, pad + tuple(r for r, _ in pairs),
-                         pad + tuple(t for _, t in pairs))
-
-
 def _spec_framings(link):
     return link.framings if link.framings is not None else (0,) * link.n_components
 
@@ -119,8 +95,7 @@ def connected_F_partitions(link, rvec):
 
     framings taken from the link spec (zero if unspecified).  The oracle
     that `verify connected` compares `connected_F` with.  It reads each H
-    in the caller's component order, not through the memo key, so that
-    comparison also checks the symmetries the key relies on.
+    from `framed_homfly`, in the caller's component order.
     """
     rvec = _colors_for(link, rvec)
     taus = _spec_framings(link)
@@ -138,56 +113,87 @@ def connected_F_partitions(link, rvec):
     return BraceRatio.sum(terms)
 
 
-# The connected invariants of every link, framing and color vector so far,
-# by memo key (see `_memo_key`).
-_F_MEMO = {}
-
-
 def connected_F(link, rvec):
     """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) as an
-    exact ratio, framings from the link spec (zero if unspecified), read
-    from the memo.  The memo first grows over the box 0 <= v <= rvec in
-    lex order (each u < v before v) by the log-derivative recurrence
+    exact ratio, framings from the link spec (zero if unspecified).
 
-        v_c F_v = v_c H_v - sum_{0<u<v, u_c>0} u_c F_u H_{v-u},
-
-    c the component of least positive v_c, which needs the fewest products.
-    A v whose key the memo holds already, from another component order,
-    sublink or table, is not computed again.
+    The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
+    G_i(x) = sum_r link_factor(i, r) (framing factor) x^r and h_i = G_i / G_0.
+    So F is the framed unknot's on one colored component, 0 on any other
+    vector with a zero color, and [x^rvec] log(1 + W) when every component
+    is colored.  Each coefficient is cached per link and framings in the
+    given component order, so a swapped twin is computed apart.
     """
     rvec = _colors_for(link, rvec)
     if not any(rvec) or min(rvec) < 0:
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
+    if link.link not in _CORES:
+        raise UnsupportedKnotKind(f"no full invariant for {link.link!r}")
     taus = _spec_framings(link)
-    for v in product(*(range(r + 1) for r in rvec)):
-        if any(v):
-            key = _memo_key(link, v, taus)
-            if key not in _F_MEMO:
-                _F_MEMO[key] = _recurrence_step(link, v, taus)
-    return _F_MEMO[_memo_key(link, rvec, taus)]
+    colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
+    if len(colored) == 1:
+        return _unknot_F(*colored[0])
+    if len(colored) < len(rvec):
+        return BraceRatio.zero()
+    return BraceRatio(_log_w(link.link, taus, rvec), content=Fraction(1, rvec[0]))
 
 
-def _recurrence_step(link, v, taus):
-    """F_v from the memo's F_u, u < v, over the least denominator
-    integrality allows: F_v = sum_{d|v} f_{v/d}(q^d, a^d) / d with
-    f_u {1}^(2-k) a Laurent polynomial, so {r} when v has the one nonzero
-    color r and none otherwise.  The exact division down to it checks
-    every F_v; InexactDivision if integrality fails."""
-    nonzero = [t for t, r in enumerate(v) if r]
-    c = min(nonzero, key=lambda t: v[t])
-    # w = v - u runs up by degree, and with it the factorial denominator of
-    # H_w, so the class sums meet in growing order; H_v, the largest, comes last
-    terms = []
-    box = product(*(range(r if t == c else r + 1) for t, r in enumerate(v)))
-    for w in sorted(box, key=sum):
-        if any(w):
-            u = tuple(a - b for a, b in zip(v, w))
-            h = _framed_h(_memo_key(link, w, taus))
-            f = _F_MEMO[_memo_key(link, u, taus)]
-            terms.append(f.mul(h).scale(Fraction(-u[c], v[c])))
-    terms.append(_framed_h(_memo_key(link, v, taus)))
-    target = Counter({v[c]: 1}) if len(nonzero) == 1 else Counter()
-    return BraceRatio.sum(terms)._over(target)
+@lru_cache(maxsize=None)
+def _g(i, r, tau):
+    """[x^r] G_i at framing tau; G_0 is the framed unknot's H."""
+    return apply_framing(link_factor(i, r), (r,), (tau,))
+
+
+@lru_cache(maxsize=None)
+def _unknot_F(r, tau):
+    """F_r of the framed unknot by the log-derivative recurrence
+
+        r F_r = r H_r - sum_{0<u<r} u F_u H_{r-u},
+
+    divided exactly down to {r}, the least denominator integrality allows:
+    F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1} a Laurent
+    polynomial.  InexactDivision if integrality fails."""
+    h = [framed_homfly("unknot", (w,), (tau,)) for w in range(r + 1)]
+    terms = [_unknot_F(r - w, tau).mul(h[w]).scale(Fraction(w - r, r)) for w in range(1, r)]
+    return BraceRatio.sum(terms + [h[r]])._over(Counter({r: 1}))
+
+
+@lru_cache(maxsize=None)
+def _h(i, r, tau):
+    """[x^r] h_i = G_i / G_0 at framing tau, a Laurent polynomial:
+
+        h_r = [x^r] G_i - sum_{0<s<=r-i} [x^s] G_0 h_{r-s}.
+
+    `reduce` divides out every brace, InexactDivision if one is left."""
+    terms = [_g(i, r, tau)] + [_g(0, s, tau).mul_poly(_h(i, r - s, tau)).scale(-1)
+                               for s in range(1, r - i + 1)]
+    return BraceRatio.sum(terms).reduce()
+
+
+@lru_cache(maxsize=None)
+def _w(link, taus, v):
+    """[x^v] W = sum_{i>=1} C_i prod_t h_{i,t}(x_t), a Laurent polynomial."""
+    w = {}
+    for i in range(1, min(v) + 1):
+        term = _CORES[link](i)
+        for r, tau in zip(v, taus):
+            term = lp_mul(term, _h(i, r, tau))
+        w = lp_add(w, term)
+    return w
+
+
+@lru_cache(maxsize=None)
+def _log_w(link, taus, v):
+    """D_v = v_0 [x^v] log(1 + W) for v with no zero color, on ints, from
+    (1 + W) x_0 d/dx_0 log(1 + W) = x_0 d/dx_0 W:
+
+        D_v = v_0 W_v - sum_{0<u<v} D_u W_{v-u},
+
+    only u and v - u with no zero color counting (D and W vanish elsewhere)."""
+    acc = _addmul({}, _w(link, taus, v), {(0, 0): -v[0]})   # -D_v
+    for u in product(*(range(1, r) for r in v)):
+        _addmul(acc, _log_w(link, taus, u), _w(link, taus, tuple(a - b for a, b in zip(v, u))))
+    return lp_neg(acc)
 
 
 def _with_framings(link, framings):
@@ -212,11 +218,8 @@ def p_poly(link, rvec, framings=None):
     k = sum(1 for r in rvec if r)
     if k not in (1, 2, 3):
         raise ValueError(f"color vector {rvec} needs 1 to 3 nonzero colors")
-    g = 0
-    for r in rvec:
-        g = gcd(g, r)
     terms = []
-    for d in divisors(g):
+    for d in divisors(gcd(*rvec)):
         mu = mobius(d)
         if mu:
             sub = tuple(r // d for r in rvec)

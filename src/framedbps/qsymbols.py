@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .laurent import _addmul, exact, lp_add, lp_mul, lp_one, lp_scale
+from .laurent import exact, lp_add, lp_mul, lp_one, lp_scale
 
 BRACE = "brace"
 BRACE_A = "brace_a"
@@ -92,30 +92,9 @@ def brace_factorial_multiset(n):
     return Counter(range(1, n + 1))
 
 
-def _common_content(contents):
-    """The common content g = gcd(numerators) / lcm(denominators) of the
-    given contents, and the int s_i with content_i = g s_i for each."""
-    cs = [Fraction(c) for c in contents]
-    gn = gcd(*(c.numerator for c in cs))
-    gd = lcm(*(c.denominator for c in cs))
-    return exact(Fraction(gn, gd)), [c.numerator // gn * (gd // c.denominator) for c in cs]
-
-
 def _times(num, s):
     """num scaled by the int s."""
     return num if s == 1 else {k: v * s for k, v in num.items()}
-
-
-def _class_sum(terms):
-    """The sum of nonzero ratios that share one denominator: their
-    numerators, each rescaled to the common content, added in place."""
-    if len(terms) == 1:
-        return terms[0]
-    g, scales = _common_content([t.content for t in terms])
-    acc = {}
-    for t, s in zip(terms, scales):
-        _addmul(acc, t.num, {(0, 0): s})
-    return _ratio(acc, terms[0].den, g)
 
 
 def _ratio(num, den, content):
@@ -141,10 +120,7 @@ class BraceRatio:
     also raises both numerators to the multiset max of the denominators,
     one shift-subtract brace multiply per missing factor {n} — a common
     denominator (not necessarily least, which is fine: reduce() clears
-    whatever accumulates by exact division).  `sum` adds many ratios and
-    raises each denominator class once, not each term: terms with equal
-    denominator multisets are added over their shared denominator, and
-    only the class sums meet in `add`.
+    whatever accumulates by exact division).
     """
 
     __slots__ = ("num", "den", "content")
@@ -180,16 +156,10 @@ class BraceRatio:
 
     @staticmethod
     def sum(terms):
-        """The sum of `terms`: the nonzero ones grouped by denominator
-        multiset in first-seen order, each class added without raising,
-        then the class sums folded with `add`.  Empty gives zero."""
-        classes = {}
-        for t in terms:
-            if t.num:
-                classes.setdefault(frozenset(t.den.items()), []).append(t)
+        """The sum of `terms`, folded with `add`.  Empty gives zero."""
         total = BraceRatio.zero()
-        for same in classes.values():
-            total = total.add(_class_sum(same))
+        for t in terms:
+            total = total.add(t)
         return total
 
     def _over(self, target):
@@ -211,8 +181,13 @@ class BraceRatio:
         """Both numerators over the common denominator and common content
         g: (num1, num2, den, g) with self = g num1 / den, other = g num2 / den."""
         cd = self.den | other.den
-        g, (s1, s2) = _common_content((self.content, other.content))
-        return _times(self._over(cd).num, s1), _times(other._over(cd).num, s2), cd, g
+        c1, c2 = Fraction(self.content), Fraction(other.content)
+        gn = gcd(c1.numerator, c2.numerator)
+        gd = lcm(c1.denominator, c2.denominator)
+        s1 = c1.numerator // gn * (gd // c1.denominator)
+        s2 = c2.numerator // gn * (gd // c2.denominator)
+        return (_times(self._over(cd).num, s1), _times(other._over(cd).num, s2),
+                cd, exact(Fraction(gn, gd)))
 
     def add(self, other):
         if not self.num:

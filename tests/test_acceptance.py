@@ -250,8 +250,8 @@ def test_criterion_6_structural_properties():
     if not (golden["w22_f01"] == golden["w22_f10"]
             == ov_table("whitehead", (2, 2), (0, 1)).entries):
         failures.append(("golden swap pair",))
-    # a table and its swapped twin read one memo entry of connected_F, so
-    # the symmetry that entry relies on is checked on H in the given order
+    # the tables above test the symmetry of connected_F, which computes a
+    # twin apart and reads no H but the unknot's; H is checked in the given order
     for link, top, taus in (("whitehead", (2, 3), (1, -2)),
                             ("borromean", (2, 1, 2), (1, 0, -1))):
         for colors in product(*(range(r + 1) for r in top)):
@@ -278,8 +278,8 @@ def test_criterion_6_structural_properties():
         except MismatchDetected:
             failures.append(("residual", curve.knot, curve.kind, curve.framing))
 
-    gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected-F "
-         "recurrence equal to the partition sum on all computed cases, "
+    gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected F "
+         "from log(1 + W) equal to the partition sum on all computed cases, "
          "color/framing swap symmetry of tables and of H, and curve residual 0 "
          "through order 12",
          failures)

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -218,17 +217,14 @@ def test_verify_symmetry(capsys):
 
 
 def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
-    # swapped tables read one memo entry, so only the H checks and the
-    # partition sum can see a homfly_link that is not symmetric in colors
+    # connected_F reads no H but the unknot's, so the H checks and the
+    # partition sum see a homfly_link that is not symmetric in colors
     real = links.homfly_link
 
     def asymmetric(link, colors):
         h = real(link, colors)
         return h.scale(2) if colors[0] > colors[-1] else h
     monkeypatch.setattr(links, "homfly_link", asymmetric)
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
-    monkeypatch.setattr(ovengine, "_framed_h",
-                        lru_cache(maxsize=None)(ovengine._framed_h.__wrapped__))
     code, out, _ = run_cli(capsys, "verify", "symmetry")
     assert code == 1
     assert out.count("permuted and as the unknot: FAIL at") == 6
@@ -240,6 +236,23 @@ def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
     assert code == 1
     assert "connected whitehead colors<=(3, 3) framings=(0, 0): FAIL at [(1, 0)," in out
     assert "connected unknot colors<=(8,) framings=(0,): PASS" in out
+
+
+def test_swapped_tables_are_computed_apart(monkeypatch, capsys):
+    # W at the first component's framing on every component makes
+    # connected_F depend on the component order; H stays symmetric
+    real = ovengine._w
+    monkeypatch.setattr(ovengine, "_w",
+                        lambda link, taus, v: real(link, taus[:1] * len(taus), v))
+    ovengine._log_w.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "symmetry")
+    finally:
+        ovengine._log_w.cache_clear()
+    assert code == 1
+    assert out.count("permuted and as the unknot: PASS") == 6
+    swaps = [line for line in out.splitlines() if line.startswith("swap ")]
+    assert len(swaps) == 5 and all(line.endswith(": FAIL") for line in swaps)
 
 
 def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
@@ -254,7 +267,7 @@ def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "connected")
     assert code == 1
     assert "connected whitehead colors<=(3, 3) framings=(1, -1): FAIL at [(2, 1)]" in out
-    assert out.count(": PASS") == 25 + 27 + 5 - 1   # Whitehead, Borromean, unknot cases
+    assert out.count(": PASS") == 26 + 28 + 5 - 1   # Whitehead, Borromean, unknot cases
     assert "connected: 1 failures" in out
 
 
@@ -299,6 +312,32 @@ def test_usage_error_names_its_command(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: framedbps {argv[0]} [-h] ")
     assert err.endswith(f"\nframedbps {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "tables", "--n-max", "0", "--r-max", "0"),
+     "verify tables does not read --r-max, --n-max"),
+    (("verify", "integrality", "--tau-max", "2"),
+     "verify integrality does not read --tau-max"),
+    (("verify", "recursion", "--t-range", "-3:3"),
+     "verify recursion does not read --t-range"),
+    (("verify", "connected", "--r-max", "30"),
+     "verify connected does not read --r-max"),
+], ids=["tables", "integrality", "recursion", "connected"])
+def test_verify_refuses_options_its_suite_does_not_read(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\nframedbps verify: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["bps", "series"])
+def test_framing_metavar_is_tau(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--knot", "twist"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "[--framing TAU]" in err and "FRAMING_INT" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -383,8 +422,7 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
     ("bps_twist_p-2_f-2_r12.csv",
      ("bps", "--knot", "twist", "--p", "-2", "--framing", "-2", "--r-max", "12",
       "--source", "both")),
-    # the largest tables of the benchmark, where summing by denominator
-    # class reorders the most terms
+    # the largest tables of the benchmark
     ("ov_whitehead_4_4_f1_-3.csv",
      ("ov-table", "--link", "whitehead", "--colors", "4,4", "--framing", "1,-3")),
     ("ov_borromean_2_3_3_f0_-1_2.csv",

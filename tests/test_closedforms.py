@@ -146,7 +146,7 @@ BAD_ARGUMENTS = [
     (b_extremal_twist, (0, "-", 2, 0)), (b_extremal_twist, (2, "x", 2, 0)),
     (integrality_statistic, (0, 3)), (make_curve, ("unknot", "bogus", 0)),
     (connected_F, (FramedLinkSpec("whitehead"), (3,))),
-    # the partition oracle, like the recurrence, refuses a negative color
+    # the partition oracle, like connected_F, refuses a negative color
     (connected_F_partitions, (FramedLinkSpec("whitehead"), (3, -1))),
     (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
     (TruncSeries, ([lp_one()], -1)), (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),

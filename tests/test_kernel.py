@@ -26,7 +26,6 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
     p_poly(WHITEHEAD, (2, 4))
     p_poly(BORROMEAN, (1, 2, 2))
     p_poly(FramedLinkSpec("unknot", framings=(2,)), (6,))
-    assert len(totals) == 3
     # the partition weights and Moebius factors live in the contents
     assert any(type(t.content) is Fraction for t in totals)
     ratios = totals + [homfly_link("whitehead", (2, 3)),

@@ -53,7 +53,7 @@ def test_zero_or_negative_colors_raise():
     for rvec in [(0,), (0, 0), (2, -1)]:
         with pytest.raises(ValueError, match="color vector"):
             enumerate_vector_partitions(rvec)
-    # an empty box must not surface as a KeyError from the memo
+    # connected_F and ov_table refuse them as well
     for link, rvec in [(unknot(), (0,)), (whitehead((0, 0)), (0, 0)),
                        (whitehead((1, 0)), (2, -1)), (whitehead((0, 0)), (-1, -1)),
                        (FramedLinkSpec("borromean"), (0, 0, 0))]:
@@ -87,7 +87,7 @@ def test_connected_and_p_poly_unknot_decomposition():
 
 
 def test_connected_f_log_oracle():
-    # the recurrence equals the paper's partition sum
+    # log(1 + W) and the unknot's recurrence equal the paper's partition sum
     for rvec, taus in [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1)),
                        ((2, 2), (-1, 2))]:
         link = whitehead(taus)
@@ -96,83 +96,90 @@ def test_connected_f_log_oracle():
     assert connected_F(tri, (2, 1, 1)) == connected_F_partitions(tri, (2, 1, 1))
 
 
-def memo_entry(link, rvec):
-    """The memo entry of rvec on link, read through its key."""
-    return ovengine._F_MEMO[ovengine._memo_key(link, rvec, link.framings)]
+def clear_caches():
+    for cache in (ovengine._g, ovengine._unknot_F, ovengine._h, ovengine._w,
+                  ovengine._log_w):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """The coefficient caches of connected_F, emptied before and after."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 def test_connected_f_denominators_are_least():
     # {r} on an axis, none off it: each F was divided down to it exactly
     link = whitehead((1, -1))
-    connected_F(link, (3, 2))
-    dens = {v: dict(memo_entry(link, v).den)
+    dens = {v: dict(connected_F(link, v).den)
             for v in product(range(4), range(3)) if any(v)}
     assert dens[(3, 0)] == {3: 1} and dens[(0, 2)] == {2: 1}
     assert all(not den for v, den in dens.items() if all(v))
 
 
-def test_recurrence_divides_every_step_exactly(monkeypatch):
-    # a wrong H_(1,1) leaves a {1} that F_(1,1) cannot carry
-    real = ovengine._framed_h
+def test_h_has_int_laurent_coefficients():
+    # h_i = G_i / G_0 starts at x^i, and h_0 = 1
+    for i, r, tau in product(range(7), range(9), range(-3, 4)):
+        if r >= i:
+            h = ovengine._h(i, r, tau)
+            assert all(type(c) is int for c in h.values()), (i, r, tau)
+            if i == 0:
+                assert h == ({(0, 0): 1} if r == 0 else {})
+            elif r == i:
+                assert h
 
-    def wrong(key):
-        h = real(key)
-        return h.scale(2) if key == ("whitehead", None, ((1, 0), (1, 0))) else h
-    monkeypatch.setattr(ovengine, "_framed_h", wrong)
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+
+def test_a_wrong_link_factor_leaves_h_inexact(monkeypatch, cold_caches):
+    # a doubled [x^2] G_1 leaves the {1} of {2;a}/{1} in h_1 at x^2
+    real = ovengine.link_factor
+
+    def wrong(i, r):
+        return real(i, r).scale(2) if (i, r) == (1, 2) else real(i, r)
+    monkeypatch.setattr(ovengine, "link_factor", wrong)
     with pytest.raises(InexactDivision, match="does not divide"):
         connected_F(whitehead((0, 0)), (2, 2))
 
 
-def fresh_F(monkeypatch, link, rvec):
-    """connected_F computed from an empty memo."""
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+def fresh_F(link, rvec):
+    """connected_F computed from empty caches."""
+    clear_caches()
     return connected_F(link, rvec)
 
 
 @pytest.mark.parametrize("first, second", [((2, 2), (3, 3)), ((4, 3), (3, 4))])
-def test_memo_extends_to_a_larger_box(monkeypatch, first, second):
+def test_memo_extends_to_a_larger_box(cold_caches, first, second):
     link = whitehead((1, 0))
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     shared = [connected_F(link, first), connected_F(link, second)]
     for rvec, f in zip((first, second), shared):
-        assert f == fresh_F(monkeypatch, link, rvec) == connected_F_partitions(link, rvec)
+        assert f == fresh_F(link, rvec) == connected_F_partitions(link, rvec)
 
 
-def test_memo_keeps_framings_apart(monkeypatch):
-    # the two links share no (color, framing) pair, so no entry: each box
-    # of (2,2) has 4 unknot axis entries and 4 off the axes
+def test_memo_keeps_framings_apart(cold_caches):
     links = [whitehead((1, 0)), whitehead((-1, 2))]
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     shared = [connected_F(link, (2, 2)) for link in links]
-    memo = dict(ovengine._F_MEMO)
-    assert len(memo) == 16
     for link, f in zip(links, shared):
-        assert f == fresh_F(monkeypatch, link, (2, 2)) == connected_F_partitions(link, (2, 2))
-        assert memo[ovengine._memo_key(link, (2, 2), link.framings)] == f
+        assert f == fresh_F(link, (2, 2)) == connected_F_partitions(link, (2, 2))
     assert shared[0] != shared[1]
 
 
-def test_memo_shares_the_all_zero_entry(monkeypatch):
-    # of the 11 vectors in the box of (2,3), (0,r) shares (r,0)'s unknot
-    # entry for r = 1, 2 and (2,1) shares (1,2)'s entry
+def test_memo_shares_the_all_zero_entry(cold_caches):
+    # a spec without framings reads the entries of framings (0, 0)
     bare, zero = FramedLinkSpec("whitehead"), whitehead((0, 0))
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
     f = connected_F(bare, (2, 3))
-    assert connected_F(zero, (2, 3)) is f
-    assert len(ovengine._F_MEMO) == 8
-    assert f == fresh_F(monkeypatch, zero, (2, 3)) == connected_F_partitions(zero, (2, 3))
+    assert connected_F(zero, (2, 3)) == f
+    assert f == fresh_F(zero, (2, 3)) == connected_F_partitions(zero, (2, 3))
 
 
-def test_memo_shares_the_swapped_twin(monkeypatch):
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+def test_swapped_twin_agrees(cold_caches):
+    # the twin is computed apart, in its own component order
     f = connected_F(whitehead((1, -2)), (3, 4))
-    assert connected_F(whitehead((-2, 1)), (4, 3)) is f
+    assert connected_F(whitehead((-2, 1)), (4, 3)) == f
     assert f == connected_F_partitions(whitehead((-2, 1)), (4, 3))
 
 
-def test_memo_shares_the_unknot_axis(monkeypatch):
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+def test_memo_shares_the_unknot_axis(cold_caches):
     f = connected_F(unknot(-1), (3,))
     assert connected_F(whitehead((2, -1)), (0, 3)) is f
     tri = FramedLinkSpec("borromean", framings=(1, -1, 0))
@@ -180,8 +187,7 @@ def test_memo_shares_the_unknot_axis(monkeypatch):
     assert f == connected_F_partitions(tri, (0, 3, 0))
 
 
-def test_memo_keeps_swapped_framings_apart(monkeypatch):
-    monkeypatch.setattr(ovengine, "_F_MEMO", {})
+def test_memo_keeps_swapped_framings_apart(cold_caches):
     a = connected_F(whitehead((0, 1)), (2, 3))
     b = connected_F(whitehead((1, 0)), (2, 3))
     assert a != b

@@ -131,8 +131,8 @@ def test_reduce_inverts_brace_multiplication(p, n):
     assert BraceRatio(lp_mul(p, qsym(BRACE, n)), {n: 1}).reduce() == p
 
 
-# A few denominators, so that drawn terms often share one (a class) with
-# different contents, and the classes have to be raised to each other.
+# A few denominators, so that drawn terms often share one with different
+# contents, and often have to be raised to each other.
 dens = st.sampled_from([{}, {1: 1}, {2: 1}, {1: 1, 2: 1}, {3: 2}, {1: 2, 3: 1}])
 ratios = st.builds(BraceRatio, polys, dens, coeffs)
 
@@ -140,9 +140,10 @@ ratios = st.builds(BraceRatio, polys, dens, coeffs)
 @given(st.lists(ratios, max_size=8))
 @settings(max_examples=80)
 def test_sum_equals_pairwise_fold(terms):
+    # the fold in the other order
     total = BraceRatio.zero()
-    for t in terms:
-        total = total.add(t)
+    for t in reversed(terms):
+        total = t.add(total)
     s = BraceRatio.sum(terms)
     assert s == total
     assert all(type(c) is int for c in s.num.values())
@@ -151,10 +152,9 @@ def test_sum_equals_pairwise_fold(terms):
 def test_sum_of_nothing_or_zeros_is_zero():
     assert BraceRatio.sum([]).is_zero()
     assert BraceRatio.sum([br({}, {2: 1}), BraceRatio.zero()]).is_zero()
-    # one class that cancels, next to a class that does not
+    # a term that cancels, next to one that does not
     x, y = br(lp_one(), {1: 1}), br(lp_one(), {2: 1})
-    s = BraceRatio.sum([x, y, x.scale(-1)])
-    assert s == y and s.den == Counter({2: 1})
+    assert BraceRatio.sum([x, y, x.scale(-1)]) == y
 
 
 @given(polys, st.integers(1, 6))
