@@ -7,8 +7,8 @@ Two independent solvers produce the same data:
   equation Y = X φ(Y) obtained by normalizing the curve (Y = 1 - y²,
   X a sign-and-monomial rescale of x).  `normalize` keeps φ in closed
   form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
-  so the sums Σ_{j<n} [λ^j] φ^n come out of one running power P^n as
-  Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n;
+  so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n
+  come out of one running power P^n, one kernel product by P per n;
 * `newton_series_solve` — quadratic Newton lifting of w = y² as a power
   series in x directly on the curve polynomial, with x·w′/w read off w by
   the log-derivative recurrence D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}
@@ -264,31 +264,30 @@ def lagrange_log_y(nf, order):
     Coefficient of X^n in log(1 - Y(X)) is -(1/n)·Σ_{j<n} [λ^j] φ(λ)^n,
     log y = ½ log(1 - Y); the X -> x rescale contributes σ^n a^(ne/2).
     With φ = P/(1 - λ)^m the sum is Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n,
-    so one running P^n, truncated at `order` and multiplied by the few
-    nonzero coefficients of P per step, costs O(order²·deg P) products.
-    """
+    read off one running P^n, a dict keyed (λ-power, doubled a-exponent)
+    truncated at `order`: one `_addmul` by the few nonzero coefficients of
+    P per step, O(order²·deg P) products.  A q-power in P raises
+    MismatchDetected."""
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
-    factors = [(i, c) for i, c in enumerate(nf.poly[:order]) if c]
+    poly = {}
+    for i, c in enumerate(nf.poly[:order]):
+        for (dq, da), v in c.items():
+            if dq:
+                raise MismatchDetected(f"normal form leaked a q-power at lambda^{i}")
+            poly[(i, da)] = v
     out = {}
-    power = [lp_one()] + [{} for _ in range(order - 1)]
+    power = {(0, 0): 1}
     for n in range(1, order + 1):
-        nxt = [{} for _ in range(order)]
-        for j, c in enumerate(power):
-            if c:
-                for i, f in factors:
-                    if i + j >= order:
-                        break
-                    _addmul(nxt[i + j], c, f)
-        power = nxt
+        power = {k: c for k, c in _addmul({}, power, poly).items() if k[0] < order}
         mn = nf.pole * n
         acc = {}
-        for i in range(n):
-            _addmul(acc, power[i], {(0, 0): comb(n - 1 - i + mn, mn)})
-        poly = lp_scale(acc, Fraction(-(nf.sigma ** n), 2))
-        poly = lp_mul(poly, lp_mono(0, n * nf.e))
-        _gamma_entries(out, n, poly)
+        for (i, da), c in power.items():
+            if i < n:
+                acc[da] = acc.get(da, 0) + comb(n - 1 - i + mn, mn) * c
+        for da, c in acc.items():
+            out[(n, da + n * nf.e)] = c * Fraction(-(nf.sigma ** n), 2)
     return GammaSeries(out, order)
 
 

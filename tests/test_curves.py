@@ -324,6 +324,17 @@ def test_gamma_q_power_raises():
         curves._gamma_entries(out, 3, {(0, 2): F(1), (2, 0): F(-1)})
 
 
+def test_lagrange_q_power_in_normal_form_raises():
+    # the running power of P carries no q: a q-power in P is refused on entry
+    good = normalize(make_curve("unknot", KIND_FULL, 1), 6)
+    for i in range(len(good.poly)):
+        poly = [dict(c) for c in good.poly]
+        poly[i][(2, 0)] = 1
+        bad = curves.CurveNormalForm(poly, good.pole, good.sigma, good.e, 6, 1)
+        with pytest.raises(MismatchDetected, match="q-power"):
+            lagrange_log_y(bad, 6)
+
+
 @pytest.mark.parametrize("solver, order", [
     ("normalize", 0), ("lagrange_log_y", 0), ("lagrange_log_y", 6),
     ("solve_w_series", 0), ("newton_series_solve", 0)])
@@ -363,6 +374,18 @@ def test_bps_extremal_corner_match():
     b = bps_from_gamma(lagrange_log_y(normalize(c, 6), 6))
     for r in range(1, 7):
         assert b.get((r, 0), 0) == b_extremal_twist(r, "-", -1, 0)
+
+
+def test_twist_extremal_curve_matches_closed_form_at_roster_size():
+    # up to r = 30, the size of the benchmark's twist `bps` jobs (criterion 4 stops at 8)
+    for p in (-3, -2, -1, 2, 3):
+        for tau in range(-2, 3):
+            for kind, sgn in ((KIND_MINUS, "-"), (KIND_PLUS, "+")):
+                b = bps_from_gamma(lagrange_log_y(
+                    normalize(make_curve(("twist", p), kind, tau), 30), 30))
+                got = [b.get((r, 0), 0) for r in range(1, 31)]
+                want = [b_extremal_twist(r, sgn, p, tau) for r in range(1, 31)]
+                assert got == want, (p, tau, sgn)
 
 
 def test_bps_from_gamma_integrality_guard():
