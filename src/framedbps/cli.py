@@ -19,7 +19,7 @@ from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           check_twist_parameter, integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
-from .links import (FramedLinkSpec, RecursionViolated, check_unknot_recursion,
+from .links import (RecursionViolated, check_link, check_unknot_recursion,
                     framed_homfly)
 from .ovengine import (bps_list, connected_F, connected_F_partitions, ov_table,
                        strong_integrality_check)
@@ -100,28 +100,37 @@ def render(args, ascii_lines, head, key, columns, rows, tail=None, csv_columns=N
 # subcommands
 
 
-def _link_spec(args, parser):
+def _check_p(name, args, parser):
+    """The twist knot needs --p and no other knot or link takes it."""
+    if name == "twist" and args.p is None:
+        parser.error("twist knot needs --p")
+    if name != "twist" and args.p is not None:
+        parser.error(f"{name} takes no parameter p")
+
+
+def _framed_link(args, parser):
+    """The colors and framings of --link from --colors and --framing."""
     try:
-        colors = parse_int_vector(args.colors)
-        spec = FramedLinkSpec(args.link, framings=parse_int_vector(args.framing),
-                              colors=colors, p=args.p)
+        colors, framings = check_link(args.link, parse_int_vector(args.colors),
+                                      parse_int_vector(args.framing))
     except ValueError as exc:
         parser.error(str(exc))
+    _check_p(args.link, args, parser)
     if not any(colors):
         parser.error("zero color vector")
-    return spec
+    return colors, framings
 
 
 def cmd_homfly(args, parser):
-    spec = _link_spec(args, parser)
-    h = framed_homfly(spec.link, spec.colors, spec.framings)
+    colors, framings = _framed_link(args, parser)
+    h = framed_homfly(args.link, colors, framings)
     # numerator terms a-major descending, then q descending
     terms = sorted(h.scaled_num().items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
     den = sorted(h.den.elements())
     braces = " ".join(f"{{{n}}}" for n in den) or "1"
 
     def ascii_lines():
-        head = f"link={spec.link} colors={spec.colors} framings={spec.framings}"
+        head = f"link={args.link} colors={colors} framings={framings}"
         if h.is_zero():
             return [head, "0"]
         numerator = " + ".join(fmt_monomial(c, ("q", dq), ("a", da))
@@ -129,20 +138,18 @@ def cmd_homfly(args, parser):
         return [head, f"numerator:   {numerator}", f"denominator: {braces}"]
 
     return render(args, ascii_lines,
-                  {"link": spec.link, "colors": list(spec.colors),
-                   "framings": list(spec.framings)},
+                  {"link": args.link, "colors": list(colors), "framings": list(framings)},
                   "numerator", ("q2", "a2", "c"),
                   [(dq, da, fmt_coeff(c)) for (dq, da), c in terms],
                   tail={"denominator": den}, csv_tail=[f"# denominator braces: {braces}"])
 
 
 def cmd_ov_table(args, parser):
-    spec = _link_spec(args, parser)
-    table = ov_table(spec, spec.colors)
+    table = ov_table(args.link, *_framed_link(args, parser))
     e1, e2 = table.epsilon
 
     def ascii_lines():
-        head = (f"link={spec.link} colors={table.colors} framings={table.framings} "
+        head = (f"link={args.link} colors={table.colors} framings={table.framings} "
                 f"epsilon=({e1},{e2})")
         bounds = table.bounds()
         if bounds is None:
@@ -155,7 +162,7 @@ def cmd_ov_table(args, parser):
         return [head, grid[0], "-" * len(grid[0]), *grid[1:]]
 
     return render(args, ascii_lines,
-                  {"link": spec.link, "colors": list(table.colors),
+                  {"link": args.link, "colors": list(table.colors),
                    "framings": list(table.framings), "epsilon": [e1, e2]},
                   "entries", ("i2", "j2", "N"),
                   [(i2, j2, n) for (i2, j2), n in sorted(
@@ -198,18 +205,10 @@ def _twist_bps_rows(p, tau, r_max, source):
     return rows
 
 
-def _check_knot_p(args, parser):
-    """The twist knot needs --p and the unknot takes none."""
-    if args.knot == "twist" and args.p is None:
-        parser.error("twist knot needs --p")
-    if args.knot == "unknot" and args.p is not None:
-        parser.error("unknot takes no parameter p")
-
-
 def cmd_bps(args, parser):
     if args.r_max < 0:
         parser.error("r-max must be >= 0")
-    _check_knot_p(args, parser)
+    _check_p(args.knot, args, parser)
     tau = args.framing_int
     if args.knot == "unknot":
         rows = _unknot_bps_rows(tau, args.r_max, args.source)
@@ -239,7 +238,7 @@ def cmd_bps(args, parser):
 def cmd_series(args, parser):
     if args.order < 1:
         parser.error("order must be >= 1")
-    _check_knot_p(args, parser)
+    _check_p(args.knot, args, parser)
     if args.knot == "twist":
         knot = ("twist", args.p)
     else:
@@ -390,9 +389,8 @@ def verify_connected(args):
              + [("unknot", (8,), (tau,)) for tau in range(-2, 3)]
              + [("whitehead", (4, 4), (1, -2)), ("borromean", (3, 3, 3), (-1, 0, 2))])
     for link, top, taus in cases:
-        spec = FramedLinkSpec(link, framings=taus)
         bad = [v for v in product(*(range(r + 1) for r in top))
-               if any(v) and connected_F(spec, v) != connected_F_partitions(spec, v)]
+               if any(v) and connected_F(link, v, taus) != connected_F_partitions(link, v, taus)]
         yield (f"connected {link} colors<={top} framings={taus}: "
                f"{f'FAIL at {bad}' if bad else 'PASS'}"), bool(bad)
 

@@ -17,6 +17,7 @@ Conventions baked in here and validated against the integer tables:
 """
 
 from functools import lru_cache
+from operator import index
 
 from .closedforms import UnsupportedKnotKind
 from .laurent import lp_mono, lp_mul, lp_neg, lp_one, lp_sub
@@ -31,54 +32,30 @@ class RecursionViolated(Exception):
 _COMPONENTS = {"unknot": 1, "twist": 1, "whitehead": 2, "borromean": 3}
 
 
-class FramedLinkSpec:
-    """A link name with optional framing/color vectors (and p for twist knots).
+def check_link(link, colors, framings):
+    """The color and framing vectors of the framed link as int tuples, one
+    entry per component.  Raises ValueError for an unknown link, a vector
+    of the wrong length, a non-integer entry or a negative color.
 
-    Twist knots carry no full HOMFLYPT formula here — they exist for the
-    curve-engine and closed-form modules; `homfly_link` rejects them.
-    Malformed vectors raise ValueError.
+    Twist knots carry no full HOMFLYPT formula here (they exist for the
+    curve-engine and closed-form modules); `homfly_link` rejects them.
     """
-
-    __slots__ = ("link", "framings", "colors", "p")
-
-    def __init__(self, link, framings=None, colors=None, p=None):
-        if link not in _COMPONENTS:
-            raise ValueError(f"unknown link {link!r}")
-        n = _COMPONENTS[link]
-        if framings is not None:
-            framings = tuple(int(t) for t in framings)
-            if len(framings) != n:
-                raise ValueError(f"{link} needs {n} framings, got {framings}")
-        if colors is not None:
-            colors = tuple(int(r) for r in colors)
-            if len(colors) != n:
-                raise ValueError(f"{link} needs {n} colors, got {colors}")
-            if any(r < 0 for r in colors):
-                raise ValueError(f"negative color in {colors}")
-        if link == "twist":
-            if p is None:
-                raise ValueError("twist knot needs its parameter p")
-            p = int(p)
-        elif p is not None:
-            raise ValueError(f"{link} takes no parameter p")
-        self.link = link
-        self.framings = framings
-        self.colors = colors
-        self.p = p
-
-    @property
-    def n_components(self):
-        return _COMPONENTS[self.link]
-
-    def __repr__(self):
-        bits = [self.link]
-        if self.p is not None:
-            bits.append(f"p={self.p}")
-        if self.colors is not None:
-            bits.append(f"colors={self.colors}")
-        if self.framings is not None:
-            bits.append(f"framings={self.framings}")
-        return f"FramedLinkSpec({', '.join(bits)})"
+    if link not in _COMPONENTS:
+        raise ValueError(f"unknown link {link!r}")
+    n = _COMPONENTS[link]
+    vectors = []
+    for name, vector in (("framings", framings), ("colors", colors)):
+        try:
+            vector = tuple(map(index, vector))
+        except TypeError:
+            raise ValueError(f"{link} {name} must be integers, got {vector!r}") from None
+        if len(vector) != n:
+            raise ValueError(f"{link} needs {n} {name}, got {vector}")
+        vectors.append(vector)
+    framings, colors = vectors
+    if min(colors) < 0:
+        raise ValueError(f"color vector {colors} must be nonnegative")
+    return colors, framings
 
 
 def _cyclotomic_factor(i):
@@ -116,8 +93,7 @@ def homfly_link(link, colors):
     """
     if link not in _CORES:
         raise UnsupportedKnotKind(f"no full invariant for {link!r}")
-    if len(colors) != _COMPONENTS[link] or min(colors) < 0:
-        raise ValueError(f"{link} needs {_COMPONENTS[link]} colors >= 0, got {colors}")
+    colors, _ = check_link(link, colors, (0,) * _COMPONENTS[link])
     terms = []
     for i in range(min(colors) + 1):
         core = _CORES[link](i)
@@ -148,6 +124,7 @@ def apply_framing(h, colors, framings):
 def framed_homfly(link, colors, framings):
     """The framed colored invariant, colors and framings in the given
     component order."""
+    colors, framings = check_link(link, colors, framings)
     return apply_framing(homfly_link(link, colors), colors, framings)
 
 

@@ -25,7 +25,7 @@ from math import factorial, gcd, prod
 
 from .closedforms import MismatchDetected, UnsupportedKnotKind, divisors, mobius
 from .laurent import _addmul, lp_add, lp_mul, lp_neg, lp_one, lp_specialize_q1
-from .links import _CORES, FramedLinkSpec, apply_framing, framed_homfly, link_factor
+from .links import _CORES, apply_framing, check_link, framed_homfly, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -75,30 +75,16 @@ def enumerate_vector_partitions(rvec):
     return out
 
 
-def _spec_framings(link):
-    return link.framings if link.framings is not None else (0,) * link.n_components
+def connected_F_partitions(link, rvec, framings):
+    """Connected invariant F_rvec of the link at the given framings by the
+    paper's defining sum over vector partitions U of rvec of
 
+        (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts.
 
-def _colors_for(link, rvec):
-    """rvec as an int tuple, one color per component of the link."""
-    rvec = tuple(int(r) for r in rvec)
-    if len(rvec) != link.n_components:
-        raise ValueError(f"{link.link} needs {link.n_components} colors, got {rvec}")
-    return rvec
-
-
-def connected_F_partitions(link, rvec):
-    """Connected invariant F_rvec by the paper's defining sum over vector
-    partitions U of rvec of
-
-        (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts,
-
-    framings taken from the link spec (zero if unspecified).  The oracle
-    that `verify connected` compares `connected_F` with.  It reads each H
-    from `framed_homfly`, in the caller's component order.
+    The oracle that `verify connected` compares `connected_F` with.  It
+    reads each H from `framed_homfly`, in the caller's component order.
     """
-    rvec = _colors_for(link, rvec)
-    taus = _spec_framings(link)
+    rvec, taus = check_link(link, rvec, framings)
     terms = []
     for pt in enumerate_vector_partitions(rvec):
         coef = Fraction(factorial(pt.length - 1), pt.aut)
@@ -106,16 +92,16 @@ def connected_F_partitions(link, rvec):
             coef = -coef
         prod = BraceRatio.one()
         for v, mult in pt:
-            hv = framed_homfly(link.link, v, taus)
+            hv = framed_homfly(link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)
         terms.append(prod.scale(coef))
     return BraceRatio.sum(terms)
 
 
-def connected_F(link, rvec):
-    """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) as an
-    exact ratio, framings from the link spec (zero if unspecified).
+def connected_F(link, rvec, framings):
+    """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) of the
+    link at the given framings, as an exact ratio.
 
     The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
     G_i(x) = sum_r link_factor(i, r) (framing factor) x^r and h_i = G_i / G_0.
@@ -124,18 +110,17 @@ def connected_F(link, rvec):
     is colored.  Each coefficient is cached per link and framings in the
     given component order, so a swapped twin is computed apart.
     """
-    rvec = _colors_for(link, rvec)
-    if not any(rvec) or min(rvec) < 0:
+    rvec, taus = check_link(link, rvec, framings)
+    if not any(rvec):
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
-    if link.link not in _CORES:
-        raise UnsupportedKnotKind(f"no full invariant for {link.link!r}")
-    taus = _spec_framings(link)
+    if link not in _CORES:
+        raise UnsupportedKnotKind(f"no full invariant for {link!r}")
     colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
     if len(colored) == 1:
         return _unknot_F(*colored[0])
     if len(colored) < len(rvec):
         return BraceRatio.zero()
-    return BraceRatio(_log_w(link.link, taus, rvec), content=Fraction(1, rvec[0]))
+    return BraceRatio(_log_w(link, taus, rvec), content=Fraction(1, rvec[0]))
 
 
 @lru_cache(maxsize=None)
@@ -196,15 +181,7 @@ def _log_w(link, taus, v):
     return lp_neg(acc)
 
 
-def _with_framings(link, framings):
-    if isinstance(link, str):
-        return FramedLinkSpec(link, framings=framings)
-    if framings is None:
-        return link
-    return FramedLinkSpec(link.link, framings=framings, p=link.p)
-
-
-def p_poly(link, rvec, framings=None):
+def p_poly(link, rvec, framings):
     """The p-polynomial: Möbius/Adams sum of connected invariants times
     (q^(1/2) - q^(-1/2))^(2-k), k the number of nonzero colors.
 
@@ -213,8 +190,7 @@ def p_poly(link, rvec, framings=None):
     whole pipeline, so InexactDivision here means the integrality
     structure failed (or a bug upstream of it did).
     """
-    spec = _with_framings(link, framings)
-    rvec = tuple(int(r) for r in rvec)
+    rvec, framings = check_link(link, rvec, framings)
     k = sum(1 for r in rvec if r)
     if k not in (1, 2, 3):
         raise ValueError(f"color vector {rvec} needs 1 to 3 nonzero colors")
@@ -223,7 +199,7 @@ def p_poly(link, rvec, framings=None):
         mu = mobius(d)
         if mu:
             sub = tuple(r // d for r in rvec)
-            terms.append(connected_F(spec, sub).adams(d).scale(Fraction(mu, d)))
+            terms.append(connected_F(link, sub, framings).adams(d).scale(Fraction(mu, d)))
     total = BraceRatio.sum(terms)
     if k == 1:
         total = total.mul_poly(qsym(BRACE, 1))
@@ -271,43 +247,26 @@ class OVTable:
                 f"{len(self.entries)} entries)")
 
 
-def ov_table(link, rvec, framings=None):
+def ov_table(link, rvec, framings):
     """Read the p-polynomial's coefficients into an integer table.
 
     Raises NonIntegerInvariant(i, j, value) on the first non-integral
     coefficient (exponents reported as exact halves).
     """
-    spec = _with_framings(link, framings)
-    rvec = tuple(int(r) for r in rvec)
-    p = p_poly(spec, rvec)
+    rvec, framings = check_link(link, rvec, framings)
+    p = p_poly(link, rvec, framings)
     entries = {}
     for (dq, da), c in sorted(p.items()):
         if c.denominator != 1:
             raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), c)
         entries[(da, dq)] = int(c)
     k = sum(1 for r in rvec if r)
-    return OVTable(rvec, _spec_framings(spec), k, entries, p)
-
-
-class BPSList:
-    """Row sums of an OVTable: map (doubled a-exponent) -> integer b."""
-
-    __slots__ = ("colors", "framings", "values")
-
-    def __init__(self, colors, framings, values):
-        self.colors = tuple(colors)
-        self.framings = tuple(framings)
-        self.values = dict(values)
-
-    def __eq__(self, other):
-        return isinstance(other, BPSList) and self.values == other.values
-
-    def __repr__(self):
-        return f"BPSList(colors={self.colors}, framings={self.framings}, {self.values})"
+    return OVTable(rvec, framings, k, entries, p)
 
 
 def bps_list(table):
-    """Collapse a table to its BPS list b_i = sum_j N_{i,j}.
+    """Collapse a table to its BPS list {doubled a-exponent 2i: b_i}, with
+    b_i = sum_j N_{i,j} and zeros dropped.
 
     Computed twice — by row sums and as the q = 1 specialization of the
     p-polynomial — and MismatchDetected is raised if the two differ.
@@ -319,7 +278,7 @@ def bps_list(table):
     q1 = {da: int(c) for (_, da), c in lp_specialize_q1(table.p_poly).items()}
     if rows != q1:
         raise MismatchDetected(f"row sums {rows} differ from q=1 values {q1}")
-    return BPSList(table.colors, table.framings, rows)
+    return rows
 
 
 def strong_integrality_check(table):

@@ -18,6 +18,9 @@ USAGE_ERRORS = [
     ("homfly", "--link", "whitehead", "--colors", "1,1", "--framing", "0"),
     ("ov-table", "--link", "unknot", "--colors", "2,1", "--framing", "0"),
     ("ov-table", "--link", "unknot", "--colors", "x", "--framing", "0"),
+    ("ov-table", "--link", "twist", "--colors", "1", "--framing", "0"),
+    ("homfly", "--link", "borromean", "--colors", "1,1,1", "--framing", "0,0,0", "--p", "1"),
+    ("ov-table", "--link", "unknot", "--colors", "2", "--framing", "0", "--p", "1"),
     ("series", "--knot", "unknot", "--order", "0"),
     ("verify", "recursion", "--n-max", "0"),
     ("verify", "recursion", "--tau-max", "-1"),
@@ -258,9 +261,9 @@ def test_swapped_tables_are_computed_apart(monkeypatch, capsys):
 def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
     right = cli.connected_F
 
-    def wrong(spec, rvec):
-        f = right(spec, rvec)
-        if spec.link == "whitehead" and spec.framings == (1, -1) and rvec == (2, 1):
+    def wrong(link, rvec, framings):
+        f = right(link, rvec, framings)
+        if (link, rvec, framings) == ("whitehead", (2, 1), (1, -1)):
             return f.scale(2)
         return f
     monkeypatch.setattr(cli, "connected_F", wrong)
@@ -300,10 +303,14 @@ def test_boundary_errors_are_usage_errors(argv, capsys):
     (("ov-table", "--link", "unknot", "--colors", "1,", "--framing", "0"),
      "expected comma-separated integers, got '1,'"),
     (("bps", "--knot", "twist"), "twist knot needs --p"),
+    (("homfly", "--link", "twist", "--colors", "1", "--framing", "0"),
+     "twist knot needs --p"),
+    (("ov-table", "--link", "twist", "--colors", "1", "--framing", "0"),
+     "twist knot needs --p"),
     (("series", "--knot", "unknot", "--order", "0"), "order must be >= 1"),
     (("verify", "recursion", "--n-max", "0"),
      "recursion needs n-max >= 2 and tau-max >= 0"),
-], ids=["homfly", "ov-table", "bps", "series", "verify"])
+], ids=["homfly", "ov-table", "bps", "homfly twist", "ov-table twist", "series", "verify"])
 def test_usage_error_names_its_command(argv, message, capsys):
     # the usage line and the error name the subcommand, as argparse's own errors do
     with pytest.raises(SystemExit) as exc:
@@ -345,6 +352,8 @@ def test_framing_metavar_is_tau(command, capsys):
     ("series", "--knot", "unknot", "--p", "3"),
     ("ov-table", "--link", "whitehead", "--colors", "1,1", "--framing", "0,0", "--p", "5"),
     ("homfly", "--link", "whitehead", "--colors", "1,1", "--framing", "0,0", "--p", "5"),
+    ("homfly", "--link", "borromean", "--colors", "1,1,1", "--framing", "0,0,0", "--p", "1"),
+    ("ov-table", "--link", "unknot", "--colors", "2", "--framing", "0", "--p", "1"),
 ], ids=" ".join)
 def test_p_is_refused_where_it_means_nothing(argv, capsys):
     # p parametrizes the twist knots only; elsewhere it is not silently dropped

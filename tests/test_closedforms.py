@@ -15,7 +15,6 @@ from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    mobius, sign_pow)
 from framedbps.curves import DualAPoly, make_curve
 from framedbps.laurent import TruncSeries, lp_one
-from framedbps.links import FramedLinkSpec
 from framedbps.ovengine import connected_F, connected_F_partitions
 from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
 
@@ -145,9 +144,9 @@ BAD_ARGUMENTS = [
     (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)),
     (b_extremal_twist, (0, "-", 2, 0)), (b_extremal_twist, (2, "x", 2, 0)),
     (integrality_statistic, (0, 3)), (make_curve, ("unknot", "bogus", 0)),
-    (connected_F, (FramedLinkSpec("whitehead"), (3,))),
+    (connected_F, ("whitehead", (3,), (0, 0))),
     # the partition oracle, like connected_F, refuses a negative color
-    (connected_F_partitions, (FramedLinkSpec("whitehead"), (3, -1))),
+    (connected_F_partitions, ("whitehead", (3, -1), (0, 0))),
     (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
     (TruncSeries, ([lp_one()], -1)), (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
     (load_golden_without_metadata, ())]

@@ -6,12 +6,9 @@ from fractions import Fraction
 from framedbps.curves import (KIND_FULL, KIND_PLUS, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import TruncSeries, lp_mono, series_inv
-from framedbps.links import FramedLinkSpec, homfly_link
+from framedbps.links import homfly_link
 from framedbps.ovengine import connected_F, p_poly
 from framedbps.qsymbols import BraceRatio
-
-WHITEHEAD = FramedLinkSpec("whitehead", framings=(1, -1))
-BORROMEAN = FramedLinkSpec("borromean", framings=(0, 1, -1))
 
 
 def coefficients(*polys):
@@ -23,23 +20,24 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
     reduce = BraceRatio.reduce
     monkeypatch.setattr(BraceRatio, "reduce",
                         lambda self: totals.append(self) or reduce(self))
-    p_poly(WHITEHEAD, (2, 4))
-    p_poly(BORROMEAN, (1, 2, 2))
-    p_poly(FramedLinkSpec("unknot", framings=(2,)), (6,))
+    p_poly("whitehead", (2, 4), (1, -1))
+    p_poly("borromean", (1, 2, 2), (0, 1, -1))
+    p_poly("unknot", (6,), (2,))
     # the partition weights and Moebius factors live in the contents
     assert any(type(t.content) is Fraction for t in totals)
     ratios = totals + [homfly_link("whitehead", (2, 3)),
                        homfly_link("borromean", (1, 2, 2)),
                        homfly_link("unknot", (5,)),
-                       connected_F(WHITEHEAD, (2, 3)),
-                       connected_F(BORROMEAN, (1, 1, 2))]
+                       connected_F("whitehead", (2, 3), (1, -1)),
+                       connected_F("borromean", (1, 1, 2), (0, 1, -1))]
     assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}
 
 
 def test_coefficients_are_ints_or_non_integral_fractions():
     curve = make_curve("unknot", KIND_FULL, 2)
     twist = make_curve(("twist", -2), KIND_PLUS, 1)
-    polys = [p_poly(WHITEHEAD, (2, 2)), p_poly(BORROMEAN, (1, 1, 2)),
+    polys = [p_poly("whitehead", (2, 2), (1, -1)),
+             p_poly("borromean", (1, 1, 2), (0, 1, -1)),
              p_poly("unknot", (4,), (-1,))]
     polys += solve_w_series(curve, 9).coeffs + solve_w_series(twist, 9).coeffs
     polys += series_inv(TruncSeries([lp_mono(2, 0, 2), lp_mono(0, 1, 3)], 6)).coeffs

@@ -4,9 +4,9 @@ import pytest
 
 from framedbps.closedforms import UnsupportedKnotKind
 from framedbps.laurent import lp_mono, lp_mul, lp_neg
-from framedbps.links import (FramedLinkSpec, RecursionViolated, apply_framing,
-                             check_unknot_recursion, framing_factor,
-                             homfly_link)
+from framedbps.links import (RecursionViolated, apply_framing, check_link,
+                             check_unknot_recursion, framed_homfly,
+                             framing_factor, homfly_link)
 from framedbps.qsymbols import (BRACE_A, BraceRatio, brace_factorial_multiset,
                                 qsym, qsym_falling)
 
@@ -16,22 +16,31 @@ def unknot(r):
 
 
 def test_spec_validation():
-    spec = FramedLinkSpec("whitehead", framings=(0, 1), colors=(2, 3))
-    assert spec.n_components == 2
-    for kwargs, message in [({"link": "hopf"}, "unknown link"),
-                            ({"link": "whitehead", "framings": (1,)}, "needs 2 framings"),
-                            ({"link": "unknot", "colors": (2, 1)}, "needs 1 colors"),
-                            ({"link": "borromean", "colors": (1, -1, 2)}, "negative color"),
-                            ({"link": "twist"}, "needs its parameter p"),
-                            ({"link": "unknot", "p": 2}, "takes no parameter p")]:
+    # check_link returns int tuples and refuses a malformed framed link
+    colors, framings = check_link("whitehead", [2, 3], (0, -1))
+    assert (colors, framings) == ((2, 3), (0, -1))
+    assert all(type(x) is int for x in colors + framings)
+    assert check_link("twist", (3,), (1,)) == ((3,), (1,))
+    for args, message in [(("hopf", (1,), (0,)), "unknown link 'hopf'"),
+                          (("whitehead", (1, 1), (0,)),
+                           r"^whitehead needs 2 framings, got \(0,\)$"),
+                          (("unknot", (2, 1), (0,)), "unknot needs 1 colors"),
+                          (("borromean", (1, -1, 2), (0, 0, 0)),
+                           r"color vector \(1, -1, 2\) must be nonnegative"),
+                          (("unknot", (2.7,), (0,)), "unknot colors must be integers"),
+                          (("whitehead", (2, 2), (0.9, 0)),
+                           "whitehead framings must be integers"),
+                          (("unknot", (2,), None), "unknot framings must be integers")]:
         with pytest.raises(ValueError, match=message):
-            FramedLinkSpec(**kwargs)
-    twist = FramedLinkSpec("twist", p=-2)
-    assert twist.p == -2
+            check_link(*args)
     with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
         homfly_link("twist", (1,))
-    with pytest.raises(ValueError):
-        homfly_link("whitehead", (1,))
+    # both invariants take their vectors through the same check
+    for colors in [(1,), (2.5, 1)]:
+        with pytest.raises(ValueError, match="whitehead"):
+            homfly_link("whitehead", colors)
+    with pytest.raises(ValueError, match="unknot framings must be integers"):
+        framed_homfly("unknot", (2,), (0.5,))
 
 
 def test_unknot_small_colors():

@@ -7,20 +7,12 @@ import pytest
 from framedbps import ovengine
 from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind
 from framedbps.laurent import lp_specialize_q1
-from framedbps.links import FramedLinkSpec, homfly_link
+from framedbps.links import homfly_link
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
                                 connected_F, connected_F_partitions,
                                 enumerate_vector_partitions, ov_table, p_poly,
                                 strong_integrality_check)
 from framedbps.qsymbols import BRACE, BRACE_A, InexactDivision, qsym
-
-
-def unknot(tau=0):
-    return FramedLinkSpec("unknot", framings=(tau,))
-
-
-def whitehead(taus):
-    return FramedLinkSpec("whitehead", framings=taus)
 
 
 def q1(poly):
@@ -54,11 +46,11 @@ def test_zero_or_negative_colors_raise():
         with pytest.raises(ValueError, match="color vector"):
             enumerate_vector_partitions(rvec)
     # connected_F and ov_table refuse them as well
-    for link, rvec in [(unknot(), (0,)), (whitehead((0, 0)), (0, 0)),
-                       (whitehead((1, 0)), (2, -1)), (whitehead((0, 0)), (-1, -1)),
-                       (FramedLinkSpec("borromean"), (0, 0, 0))]:
+    for link, rvec, taus in [("unknot", (0,), (0,)), ("whitehead", (0, 0), (0, 0)),
+                             ("whitehead", (2, -1), (1, 0)), ("whitehead", (-1, -1), (0, 0)),
+                             ("borromean", (0, 0, 0), (0, 0, 0))]:
         with pytest.raises(ValueError, match="color vector"):
-            connected_F(link, rvec)
+            connected_F(link, rvec, taus)
     with pytest.raises(ValueError, match="color vector"):
         ov_table("whitehead", (0, 0), (0, 0))
 
@@ -80,20 +72,20 @@ def test_connected_and_p_poly_unknot_decomposition():
     # F_2 = H_2 - H_1^2/2, and at k = 1 p_2 = {1} (F_2 - Psi_2(F_1)/2),
     # which vanishes for the 0-framed unknot
     h1, h2 = (homfly_link("unknot", (r,)) for r in (1, 2))
-    f2 = connected_F(unknot(), (2,))
+    f2 = connected_F("unknot", (2,), (0,))
     assert f2 == h2.sub(h1.mul(h1).scale(Fraction(1, 2)))
-    moebius = f2.sub(connected_F(unknot(), (1,)).adams(2).scale(Fraction(1, 2)))
-    assert p_poly(unknot(), (2,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
+    moebius = f2.sub(connected_F("unknot", (1,), (0,)).adams(2).scale(Fraction(1, 2)))
+    assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
 
 
 def test_connected_f_log_oracle():
     # log(1 + W) and the unknot's recurrence equal the paper's partition sum
     for rvec, taus in [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1)),
                        ((2, 2), (-1, 2))]:
-        link = whitehead(taus)
-        assert connected_F(link, rvec) == connected_F_partitions(link, rvec), (rvec, taus)
-    tri = FramedLinkSpec("borromean", framings=(1, 0, -1))
-    assert connected_F(tri, (2, 1, 1)) == connected_F_partitions(tri, (2, 1, 1))
+        assert (connected_F("whitehead", rvec, taus)
+                == connected_F_partitions("whitehead", rvec, taus)), (rvec, taus)
+    tri = ("borromean", (2, 1, 1), (1, 0, -1))
+    assert connected_F(*tri) == connected_F_partitions(*tri)
 
 
 def clear_caches():
@@ -112,8 +104,7 @@ def cold_caches():
 
 def test_connected_f_denominators_are_least():
     # {r} on an axis, none off it: each F was divided down to it exactly
-    link = whitehead((1, -1))
-    dens = {v: dict(connected_F(link, v).den)
+    dens = {v: dict(connected_F("whitehead", v, (1, -1)).den)
             for v in product(range(4), range(3)) if any(v)}
     assert dens[(3, 0)] == {3: 1} and dens[(0, 2)] == {2: 1}
     assert all(not den for v, den in dens.items() if all(v))
@@ -139,65 +130,77 @@ def test_a_wrong_link_factor_leaves_h_inexact(monkeypatch, cold_caches):
         return real(i, r).scale(2) if (i, r) == (1, 2) else real(i, r)
     monkeypatch.setattr(ovengine, "link_factor", wrong)
     with pytest.raises(InexactDivision, match="does not divide"):
-        connected_F(whitehead((0, 0)), (2, 2))
+        connected_F("whitehead", (2, 2), (0, 0))
 
 
-def fresh_F(link, rvec):
+def fresh_F(link, rvec, framings):
     """connected_F computed from empty caches."""
     clear_caches()
-    return connected_F(link, rvec)
+    return connected_F(link, rvec, framings)
 
 
 @pytest.mark.parametrize("first, second", [((2, 2), (3, 3)), ((4, 3), (3, 4))])
 def test_memo_extends_to_a_larger_box(cold_caches, first, second):
-    link = whitehead((1, 0))
-    shared = [connected_F(link, first), connected_F(link, second)]
+    shared = [connected_F("whitehead", first, (1, 0)),
+              connected_F("whitehead", second, (1, 0))]
     for rvec, f in zip((first, second), shared):
-        assert f == fresh_F(link, rvec) == connected_F_partitions(link, rvec)
+        assert (f == fresh_F("whitehead", rvec, (1, 0))
+                == connected_F_partitions("whitehead", rvec, (1, 0)))
 
 
 def test_memo_keeps_framings_apart(cold_caches):
-    links = [whitehead((1, 0)), whitehead((-1, 2))]
-    shared = [connected_F(link, (2, 2)) for link in links]
-    for link, f in zip(links, shared):
-        assert f == fresh_F(link, (2, 2)) == connected_F_partitions(link, (2, 2))
+    framings = [(1, 0), (-1, 2)]
+    shared = [connected_F("whitehead", (2, 2), taus) for taus in framings]
+    for taus, f in zip(framings, shared):
+        assert (f == fresh_F("whitehead", (2, 2), taus)
+                == connected_F_partitions("whitehead", (2, 2), taus))
     assert shared[0] != shared[1]
 
 
 def test_memo_shares_the_all_zero_entry(cold_caches):
-    # a spec without framings reads the entries of framings (0, 0)
-    bare, zero = FramedLinkSpec("whitehead"), whitehead((0, 0))
-    f = connected_F(bare, (2, 3))
-    assert connected_F(zero, (2, 3)) == f
-    assert f == fresh_F(zero, (2, 3)) == connected_F_partitions(zero, (2, 3))
+    zero = ("whitehead", (2, 3), (0, 0))
+    f = connected_F(*zero)
+    assert f == fresh_F(*zero) == connected_F_partitions(*zero)
 
 
 def test_swapped_twin_agrees(cold_caches):
     # the twin is computed apart, in its own component order
-    f = connected_F(whitehead((1, -2)), (3, 4))
-    assert connected_F(whitehead((-2, 1)), (4, 3)) == f
-    assert f == connected_F_partitions(whitehead((-2, 1)), (4, 3))
+    f = connected_F("whitehead", (3, 4), (1, -2))
+    assert connected_F("whitehead", (4, 3), (-2, 1)) == f
+    assert f == connected_F_partitions("whitehead", (4, 3), (-2, 1))
 
 
 def test_memo_shares_the_unknot_axis(cold_caches):
-    f = connected_F(unknot(-1), (3,))
-    assert connected_F(whitehead((2, -1)), (0, 3)) is f
-    tri = FramedLinkSpec("borromean", framings=(1, -1, 0))
-    assert connected_F(tri, (0, 3, 0)) is f
-    assert f == connected_F_partitions(tri, (0, 3, 0))
+    f = connected_F("unknot", (3,), (-1,))
+    assert connected_F("whitehead", (0, 3), (2, -1)) is f
+    tri = ("borromean", (0, 3, 0), (1, -1, 0))
+    assert connected_F(*tri) is f
+    assert f == connected_F_partitions(*tri)
 
 
 def test_memo_keeps_swapped_framings_apart(cold_caches):
-    a = connected_F(whitehead((0, 1)), (2, 3))
-    b = connected_F(whitehead((1, 0)), (2, 3))
+    a = connected_F("whitehead", (2, 3), (0, 1))
+    b = connected_F("whitehead", (2, 3), (1, 0))
     assert a != b
-    assert a == connected_F_partitions(whitehead((0, 1)), (2, 3))
-    assert b == connected_F_partitions(whitehead((1, 0)), (2, 3))
+    assert a == connected_F_partitions("whitehead", (2, 3), (0, 1))
+    assert b == connected_F_partitions("whitehead", (2, 3), (1, 0))
 
 
 def test_connected_f_rejects_twist():
     with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
-        connected_F(FramedLinkSpec("twist", p=2), (1,))
+        connected_F("twist", (1,), (0,))
+
+
+@pytest.mark.parametrize("fn", [ov_table, p_poly, connected_F, connected_F_partitions],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("colors, framings, message", [
+    ((2.7, 2), (0, 0), "whitehead colors must be integers"),
+    ((2, 2), (0.9, 0), "whitehead framings must be integers"),
+], ids=["float color", "float framing"])
+def test_non_integer_color_or_framing_raises(fn, colors, framings, message):
+    # neither is truncated to an int: 2.7 would read as 2, 0.9 as 0
+    with pytest.raises(ValueError, match=message):
+        fn("whitehead", colors, framings)
 
 
 # --- p-polynomials and tables ----------------------------------------------
@@ -205,24 +208,24 @@ def test_connected_f_rejects_twist():
 
 def test_p_of_single_unknot_is_brace_a():
     # p_1(U^0) = {1} H_1 = {0;a}
-    assert p_poly(unknot(), (1,)) == qsym(BRACE_A, 0)
+    assert p_poly("unknot", (1,), (0,)) == qsym(BRACE_A, 0)
 
 
 def test_p_poly_k_dispatch():
     # k = 1 multiplies by {1}: p_1 has integer q-exponent parity shifts
-    p1 = p_poly(unknot(), (1,))
+    p1 = p_poly("unknot", (1,), (0,))
     assert set(p1) == {(0, 1), (0, -1)}
     # k = 2 leaves the reduced sum alone; (1,1) gives a 4-term a-polynomial at q=1
-    p11 = p_poly(whitehead((0, 0)), (1, 1))
+    p11 = p_poly("whitehead", (1, 1), (0, 0))
     assert q1(p11) == {4: -1, 2: 3, 0: -3, -2: 1}
     # k = 3 divides by {1} exactly
-    p111 = p_poly(FramedLinkSpec("borromean", framings=(0, 0, 0)), (1, 1, 1))
+    p111 = p_poly("borromean", (1, 1, 1), (0, 0, 0))
     assert q1(p111) == {3: -1, 1: 3, -1: -3, -3: 1}
 
 
 def test_p_poly_corrected_two_one_specialization():
     # colors (2,1), framing (0,0): a^(±5/2..) coefficients at q = 1
-    p = p_poly(whitehead((0, 0)), (2, 1))
+    p = p_poly("whitehead", (2, 1), (0, 0))
     assert q1(p) == {5: -1, 3: 2, -1: -2, -3: 1}
 
 
@@ -245,14 +248,6 @@ def test_ov_table_borromean_entry():
     assert strong_integrality_check(t)
 
 
-def test_ov_table_accepts_spec_and_framings():
-    spec = FramedLinkSpec("whitehead", framings=(1, 0))
-    a = ov_table(spec, (2, 2))
-    b = ov_table("whitehead", (2, 2), (1, 0))
-    assert a == b
-    assert a.framings == (1, 0)
-
-
 def test_non_integer_invariant_payload():
     err = NonIntegerInvariant(Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))
     assert err.args == (Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))
@@ -263,13 +258,12 @@ def test_non_integer_invariant_payload():
 
 def test_bps_list_row_sums():
     t = ov_table("whitehead", (1, 1), (0, 0))
-    b = bps_list(t)
-    assert b.values == {4: -1, 2: 3, 0: -3, -2: 1}
+    assert bps_list(t) == {4: -1, 2: 3, 0: -3, -2: 1}
 
 
 def test_bps_list_framed():
     t = ov_table("whitehead", (1, 1), (1, 0))
-    assert bps_list(t).values == {4: 1, 2: -3, 0: 3, -2: -1}
+    assert bps_list(t) == {4: 1, 2: -3, 0: 3, -2: -1}
 
 
 def test_bps_list_row_sum_mismatch_raises(monkeypatch):
