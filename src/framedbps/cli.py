@@ -255,8 +255,7 @@ def cmd_series(args, parser):
         terms = " + ".join(fmt_monomial(c, ("x", 2 * xd), ("y", 2 * yd), ("a", da))
                            for (xd, yd, da), c in source)
         return [f"curve knot={knot} kind={args.kind} framing={args.framing_int}: {terms}",
-                f"normal form: X = sigma*a^(e/2)*x, sigma={nf.sigma}, e={nf.e}, "
-                f"{nf.y_substitution}",
+                f"normal form: X = sigma*a^(e/2)*x, sigma={nf.sigma}, e={nf.e}, Y = 1 - y^2",
                 "x*d/dx log y(x):",
                 f"{'r':>3} {'m':>6} gamma",
                 *(f"{r:>3} {fmt_half(m):>6} {fmt_coeff(c)}" for (r, m), c in entries)]

@@ -14,6 +14,7 @@ negative exponents (framings are allowed to be negative) are safe.
 
 from fractions import Fraction
 from math import comb, gcd
+from operator import index
 
 
 class NonIntegerBPS(Exception):
@@ -38,11 +39,21 @@ def _sign(sign):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def check_integer(name, n):
+    """n as an int, read by operator.index: a float or Fraction raises ValueError."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+
+
 def check_twist_parameter(p):
-    """Twist knots K_p form the family p <= -1 or p >= 2; p in {0, 1}
-    degenerates out of it and raises UnsupportedKnotKind."""
+    """p as an int.  Twist knots K_p form the family p <= -1 or p >= 2;
+    p in {0, 1} degenerates out of it and raises UnsupportedKnotKind."""
+    p = check_integer("twist parameter p", p)
     if not (p <= -1 or p >= 2):
         raise UnsupportedKnotKind(f"twist parameter p={p} out of family")
+    return p
 
 
 def sign_pow(e):
@@ -143,7 +154,7 @@ def b_extremal_twist(r, sign, p, tau):
     """
     _positive("r", r)
     _sign(sign)
-    check_twist_parameter(p)
+    p, tau = check_twist_parameter(p), check_integer("framing tau", tau)
     if p <= -1:
         total = (_mobius_binomial(r, 2 * abs(p) + 1 + tau) if sign == "+"
                  else -_mobius_binomial(r, 3 - tau))

@@ -9,14 +9,15 @@ Two independent solvers produce the same data:
   form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
   so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n
   come out of one running power P^n, one kernel product by P per n;
-* `newton_series_solve` — quadratic Newton lifting of w = y² as a power
-  series in x directly on the curve polynomial, with x·w′/w read off w by
-  the log-derivative recurrence D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}
-  (w(0) = 1).  A round from k to n = min(2k, order) correct terms needs
-  the curve A(w) to n terms but, A(w) being O(x^k), the slope ∂A/∂w and
-  its inverse only to n - k.  The final residual needs no further curve
-  evaluation: the last round has 2k >= order, so its step δ = O(x^k) has
-  δ² = 0 mod x^order, and A(v + δ) = A(v) + ∂A(v)·δ holds there exactly.
+* `newton_series_solve` — quadratic Newton lifting of w = y², the list
+  of its coefficients in x, directly on the curve polynomial, with x·w′/w
+  read off w by the log-derivative recurrence
+  D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1).  A round from k to
+  n = min(2k, order) correct terms needs the curve A(w) to n terms but,
+  A(w) being O(x^k), the slope ∂A/∂w and its inverse only to n - k.  The
+  final residual needs no further curve evaluation: the last round has
+  2k >= order, so its step δ = O(x^k) has δ² = 0 mod x^order, and
+  A(v + δ) = A(v) + ∂A(v)·δ holds there exactly.
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -27,10 +28,9 @@ from fractions import Fraction
 from math import comb
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
-                          check_twist_parameter, mobius)
-from .laurent import (NonInvertibleLeadingTerm, TruncSeries, _addmul, exact,
-                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub,
-                      series_add, series_inv, series_mul, series_scale)
+                          check_integer, check_twist_parameter, mobius)
+from .laurent import (NonInvertibleLeadingTerm, _addmul, exact, lp_add, lp_mono,
+                      lp_mul, lp_one, lp_scale, lp_sub, series_inv, series_mul)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -63,11 +63,6 @@ class DualAPoly:
         self.kind = kind
         self.knot = knot
         self.framing = framing
-
-    def __eq__(self, other):
-        return (isinstance(other, DualAPoly) and self.source == other.source
-                and self.kind == other.kind and self.knot == other.knot
-                and self.framing == other.framing)
 
     def __repr__(self):
         return (f"DualAPoly(knot={self.knot!r}, kind={self.kind!r}, "
@@ -109,23 +104,21 @@ def make_curve(knot, kind, tau):
     display, times the unit (-1)^tau for the unknot.
 
     knot is "unknot" or ("twist", p) with p <= -1 or p >= 2; twist
-    knots only have extremal curves.  An unknown kind raises ValueError.
+    knots only have extremal curves.  An unknown kind or a non-integer
+    tau or p raises ValueError.
     """
-    tau = int(tau)
     if knot == "unknot":
         # an unknown kind gets no display and fails in DualAPoly
         terms = _UNKNOT_CURVES.get(kind, {})
     elif isinstance(knot, tuple) and len(knot) == 2 and knot[0] == "twist":
-        p = knot[1]
         if kind == KIND_FULL:
             raise UnsupportedKnotKind("twist knots only have extremal curves")
-        check_twist_parameter(p)
-        terms = _twist_curve(p, kind)
+        terms = _twist_curve(check_twist_parameter(knot[1]), kind)
     else:
         raise UnsupportedKnotKind(knot)
     curve = frame_transform(DualAPoly(terms, kind, knot, 0), tau)
-    if knot == "unknot" and tau % 2:
-        curve = DualAPoly({k: -c for k, c in curve.source.items()}, kind, knot, tau)
+    if knot == "unknot" and curve.framing % 2:
+        curve = DualAPoly({k: -c for k, c in curve.source.items()}, kind, knot, curve.framing)
     return curve
 
 
@@ -133,9 +126,9 @@ def frame_transform(curve, tau):
     """Substitute x -> (-1)^tau y^(2 tau) x and clear the y-monomial unit.
 
     Composes additively in tau (up to the cleared unit); the stored
-    framing field accumulates.
+    framing field accumulates.  A non-integer tau raises ValueError.
     """
-    tau = int(tau)
+    tau = check_integer("framing tau", tau)
     terms = {}
     for (xd, yd, da), c in curve.source.items():
         terms[(xd, yd + 2 * tau * xd, da)] = c if (tau * xd) % 2 == 0 else -c
@@ -152,20 +145,18 @@ class CurveNormalForm:
     `lagrange_log_y` may be asked for.
     """
 
-    __slots__ = ("poly", "pole", "sigma", "e", "order", "y_substitution", "framing")
+    __slots__ = ("poly", "pole", "sigma", "e", "order")
 
-    def __init__(self, poly, pole, sigma, e, order, framing):
+    def __init__(self, poly, pole, sigma, e, order):
         self.poly = poly
         self.pole = pole
         self.sigma = sigma
         self.e = e
         self.order = order
-        self.y_substitution = "Y = 1 - y^2"
-        self.framing = framing
 
     def __repr__(self):
         return (f"CurveNormalForm(sigma={self.sigma}, e={self.e}, pole={self.pole}, "
-                f"framing={self.framing}, order={self.order})")
+                f"order={self.order})")
 
 
 def normalize(curve, order):
@@ -221,8 +212,7 @@ def normalize(curve, order):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
     sigma, e = int(lead), m
     unit = lp_mono(0, -e, sigma)
-    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, sigma, e, order,
-                           curve.framing)
+    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, sigma, e, order)
 
 
 class GammaSeries:
@@ -237,9 +227,6 @@ class GammaSeries:
     def __init__(self, coefficients, order):
         self.coefficients = {k: exact(c) for k, c in coefficients.items() if c}
         self.order = order
-
-    def __getitem__(self, key):
-        return self.coefficients.get(key, 0)
 
     def __eq__(self, other):
         return (isinstance(other, GammaSeries)
@@ -293,28 +280,30 @@ def lagrange_log_y(nf, order):
 
 def _curve_eval(curve, w, order, slope_order):
     """The curve polynomial A at y² = w(x) to `order` terms and its
-    w-derivative ∂A/∂w to `slope_order` terms, both as TruncSeries in x,
-    from one shared table of the powers w^j, each the previous one times w."""
-    powers = [TruncSeries.constant(lp_one(), w.order)]
+    w-derivative ∂A/∂w to `slope_order` terms, both as coefficient lists in
+    x, each curve term added in by its monomial from one shared table of
+    the powers w^j, each the previous one times w."""
+    powers = [[lp_one()] + [{}] * (len(w) - 1)]
+    value, slope = [{} for _ in range(order)], [{} for _ in range(slope_order)]
 
-    def term(j, xd, mono, order):
-        """x^xd · mono · w^j, truncated at `order`."""
+    def add(out, j, xd, mono):
+        """out += x^xd · mono · w^j, in place."""
         while len(powers) <= j:
             powers.append(series_mul(powers[-1], w))
-        coeffs = [lp_mul(c, mono) for c in powers[j].coeffs[:max(order - xd, 0)]]
-        return TruncSeries([{}] * xd + coeffs, order)
+        for i, c in enumerate(powers[j][:max(len(out) - xd, 0)]):
+            _addmul(out[xd + i], c, mono)
 
-    value, slope = TruncSeries([], order), TruncSeries([], slope_order)
     for (xd, yd, da), c in sorted(curve.source.items()):
         j = yd // 2
-        value = series_add(value, term(j, xd, lp_mono(0, da, c), order))
+        add(value, j, xd, lp_mono(0, da, c))
         if j:
-            slope = series_add(slope, term(j - 1, xd, lp_mono(0, da, c * j), slope_order))
+            add(slope, j - 1, xd, lp_mono(0, da, c * j))
     return value, slope
 
 
 def solve_w_series(curve, order):
-    """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1.
+    """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1, the
+    list of its `order` coefficients.
 
     Quadratic Newton lifting (Brent–Kung): a round takes v, correct to k
     terms, to w = v - A(v)/∂A(v), correct to n = min(2k, order).  Since
@@ -332,10 +321,10 @@ def solve_w_series(curve, order):
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    w = TruncSeries([lp_one()], 1)
+    w = [lp_one()]
     while True:
-        k, n = w.order, min(2 * w.order, order)
-        v = TruncSeries(w.coeffs, n)
+        k, n = len(w), min(2 * len(w), order)
+        v = w + [{}] * (n - k)
         value, slope = _curve_eval(curve, v, n, n - k)
         w = v
         if n > k:
@@ -343,16 +332,15 @@ def solve_w_series(curve, order):
                 inverse = series_inv(slope)
             except NonInvertibleLeadingTerm as exc:
                 raise SingularBranch(curve) from exc
-            correction = series_mul(TruncSeries(value.coeffs[k:], n - k), inverse)
-            w = series_add(v, series_scale(TruncSeries([{}] * k + correction.coeffs, n), -1))
+            correction = [{}] * k + series_mul(value[k:], inverse)
+            w = [lp_add(a, lp_scale(b, -1)) for a, b in zip(v, correction)]
         if n == order:
             break
-    delta = [lp_sub(a, b) for a, b in zip(w.coeffs, v.coeffs)]
+    delta = [lp_sub(a, b) for a, b in zip(w, v)]
     if any(delta[:k]):
         raise MismatchDetected(f"Newton step on {curve!r} moved a settled coefficient")
-    change = series_mul(slope, TruncSeries(delta[k:], order - k))
-    residual = series_add(value, TruncSeries([{}] * k + change.coeffs, order))
-    if any(residual.coeffs):
+    change = [{}] * k + series_mul(slope, delta[k:])
+    if any(lp_add(a, b) for a, b in zip(value, change)):
         raise MismatchDetected(f"Newton residual of {curve!r} is nonzero")
     return w
 
@@ -364,7 +352,7 @@ def newton_series_solve(curve, order):
     branch with w(0) ≠ 1 raises MismatchDetected."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    w = solve_w_series(curve, order + 1).coeffs
+    w = solve_w_series(curve, order + 1)
     if w[0] != lp_one():
         raise MismatchDetected(f"Newton branch of {curve!r} has w(0) = {w[0]}, not 1")
     dlog = [{}]

@@ -7,6 +7,11 @@ q^(dq/2) a^(da/2).  Storing doubled exponents keeps everything an int —
 in particular the q^(i(i-1)/4) twist factors, whose doubled exponent
 i(i-1)/2 is always integral.
 
+A truncated power series in one variable x is a plain list of Laurent
+polynomials, s[j] the coefficient of x^j, and its length is its order:
+`series_mul` truncates at the shorter input, `series_inv` at the length
+of its input.
+
 Zero coefficients are never stored, so dict equality is value equality.
 `exact` makes every coefficient built from a scalar (`lp_mono`,
 `lp_scale`, `series_inv`), and sums and products of ints stay ints; a sum
@@ -94,85 +99,33 @@ def lp_specialize_q1(f):
     return out
 
 
-# --------------------------------------------------------------------------
-# Truncated power series in one formal variable over Laurent coefficients.
-
-
-class TruncSeries:
-    """A truncated power series: coeffs[j] is the LaurentPoly at power j.
-
-    `order` is exclusive: exactly `order` coefficients are stored and
-    arithmetic never reads beyond it.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order):
-        if order < 0:
-            raise ValueError(f"order must be at least 0, got {order}")
-        cs = list(coeffs[:order])
-        cs += [{}] * (order - len(cs))
-        self.coeffs = cs
-        self.order = order
-
-    @classmethod
-    def from_terms(cls, terms, order):
-        """Build from a sparse {power: LaurentPoly} map."""
-        cs = [{}] * order
-        for j, p in terms.items():
-            if 0 <= j < order and p:
-                cs[j] = dict(p)
-        return cls(cs, order)
-
-    @classmethod
-    def constant(cls, p, order):
-        return cls.from_terms({0: p}, order)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        nz = {j: c for j, c in enumerate(self.coeffs) if c}
-        return f"TruncSeries(order={self.order}, {nz})"
-
-
-def series_add(s1, s2):
-    order = min(s1.order, s2.order)
-    return TruncSeries([lp_add(s1.coeffs[j], s2.coeffs[j])
-                        for j in range(order)], order)
-
-
-def series_scale(s, c):
-    return TruncSeries([lp_scale(p, c) for p in s.coeffs], s.order)
-
-
 def series_mul(s1, s2):
-    order = min(s1.order, s2.order)
+    """s1 * s2, truncated at the shorter input."""
+    order = min(len(s1), len(s2))
     out = [{} for _ in range(order)]
-    for j1, c1 in enumerate(s1.coeffs[:order]):
+    for j1, c1 in enumerate(s1[:order]):
         if not c1:
             continue
         for j2 in range(order - j1):
-            c2 = s2.coeffs[j2]
+            c2 = s2[j2]
             if c2:
                 _addmul(out[j1 + j2], c1, c2)
-    return TruncSeries(out, order)
+    return out
 
 
 def series_inv(s):
-    """1/s when the constant term is an invertible monomial."""
-    c0 = s.coeffs[0]
+    """1/s, to the length of s, when the constant term is an invertible monomial."""
+    c0 = s[0]
     if len(c0) != 1:
         raise NonInvertibleLeadingTerm(f"constant term {c0} is not a monomial")
     ((dq, da), v), = c0.items()
     shift, inv = lp_mono(-dq, -da), Fraction(1, v)
-    out = [lp_scale(shift, inv)] + [{}] * (s.order - 1)
-    for j in range(1, s.order):
+    out = [lp_scale(shift, inv)] + [{}] * (len(s) - 1)
+    for j in range(1, len(s)):
         acc = {}
         for i in range(1, j + 1):
-            if s.coeffs[i] and out[j - i]:
-                _addmul(acc, s.coeffs[i], out[j - i])
+            if s[i] and out[j - i]:
+                _addmul(acc, s[i], out[j - i])
         if acc:
             out[j] = lp_scale(lp_mul(shift, acc), -inv)
-    return TruncSeries(out, s.order)
+    return out

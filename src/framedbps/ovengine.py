@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, gcd, prod
 
-from .closedforms import MismatchDetected, UnsupportedKnotKind, divisors, mobius
+from .closedforms import MismatchDetected, UnsupportedKnotKind, check_integer, divisors, mobius
 from .laurent import _addmul, lp_add, lp_mul, lp_neg, lp_one, lp_specialize_q1
 from .links import _CORES, apply_framing, check_link, framed_homfly, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
@@ -58,7 +58,7 @@ class VectorPartition(tuple):
 def enumerate_vector_partitions(rvec):
     """All multisets of nonzero componentwise-nonnegative vectors summing
     to rvec, each exactly once (parts generated lex-descending)."""
-    rvec = tuple(int(r) for r in rvec)
+    rvec = tuple(check_integer("color vector entry", r) for r in rvec)
     if not any(rvec) or any(r < 0 for r in rvec):
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
     out = []
@@ -237,10 +237,6 @@ class OVTable:
         i2s = [i2 for i2, _ in self.entries]
         j2s = [j2 for _, j2 in self.entries]
         return (min(i2s), max(i2s)), (min(j2s), max(j2s))
-
-    def __eq__(self, other):
-        return (isinstance(other, OVTable) and self.entries == other.entries
-                and self.colors == other.colors and self.framings == other.framings)
 
     def __repr__(self):
         return (f"OVTable(colors={self.colors}, framings={self.framings}, "

@@ -13,8 +13,8 @@ from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    b_extremal_twist, b_unknot, c_unknot,
                                    divisors, gbinom, integrality_statistic,
                                    mobius, sign_pow)
-from framedbps.curves import DualAPoly, make_curve
-from framedbps.laurent import TruncSeries, lp_one
+from framedbps.curves import DualAPoly, frame_transform, make_curve
+from framedbps.laurent import lp_one
 from framedbps.ovengine import connected_F, connected_F_partitions
 from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
 
@@ -144,11 +144,16 @@ BAD_ARGUMENTS = [
     (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)),
     (b_extremal_twist, (0, "-", 2, 0)), (b_extremal_twist, (2, "x", 2, 0)),
     (integrality_statistic, (0, 3)), (make_curve, ("unknot", "bogus", 0)),
+    # a non-integer framing or twist parameter is refused, not truncated
+    (make_curve, ("unknot", "full", 1.5)), (make_curve, (("twist", 2.5), "extremal_plus", 0)),
+    (make_curve, (("twist", Fraction(-2)), "extremal_minus", 0)),
+    (frame_transform, (make_curve("unknot", "full", 0), 1.5)),
+    (b_extremal_twist, (3, "+", 2.5, 0)), (b_extremal_twist, (3, "-", -2, 0.5)),
     (connected_F, ("whitehead", (3,), (0, 0))),
     # the partition oracle, like connected_F, refuses a negative color
     (connected_F_partitions, ("whitehead", (3, -1), (0, 0))),
     (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
-    (TruncSeries, ([lp_one()], -1)), (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
+    (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
     (load_golden_without_metadata, ())]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from framedbps.curves import (KIND_FULL, KIND_PLUS, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
-from framedbps.laurent import TruncSeries, lp_mono, series_inv
+from framedbps.laurent import lp_mono, series_inv
 from framedbps.links import homfly_link
 from framedbps.ovengine import connected_F, p_poly
 from framedbps.qsymbols import BraceRatio
@@ -39,8 +39,8 @@ def test_coefficients_are_ints_or_non_integral_fractions():
     polys = [p_poly("whitehead", (2, 2), (1, -1)),
              p_poly("borromean", (1, 1, 2), (0, 1, -1)),
              p_poly("unknot", (4,), (-1,))]
-    polys += solve_w_series(curve, 9).coeffs + solve_w_series(twist, 9).coeffs
-    polys += series_inv(TruncSeries([lp_mono(2, 0, 2), lp_mono(0, 1, 3)], 6)).coeffs
+    polys += solve_w_series(curve, 9) + solve_w_series(twist, 9)
+    polys += series_inv([lp_mono(2, 0, 2), lp_mono(0, 1, 3), {}, {}, {}, {}])
     for c in (curve, twist):
         polys += [lagrange_log_y(normalize(c, 8), 8).coefficients,
                   newton_series_solve(c, 8).coefficients]

@@ -42,7 +42,7 @@ def test_partitions_of_vector_color():
 
 
 def test_zero_or_negative_colors_raise():
-    for rvec in [(0,), (0, 0), (2, -1)]:
+    for rvec in [(0,), (0, 0), (2, -1), (2.7,)]:
         with pytest.raises(ValueError, match="color vector"):
             enumerate_vector_partitions(rvec)
     # connected_F and ov_table refuse them as well
