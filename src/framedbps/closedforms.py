@@ -109,6 +109,7 @@ def c_unknot(r, m, tau):
         (-1)^(r tau + r + (r+m)/2) C(r, (r+m)/2) gbinom(r tau + (r+m)/2 - 1, r - 1).
     """
     _positive("r", r)
+    m, tau = check_integer("m", m), check_integer("framing tau", tau)
     if (r + m) % 2 or abs(m) > r:
         return 0
     h = (r + m) // 2
@@ -122,6 +123,7 @@ def b_unknot(r, m, tau):
     ever is not, this raises NonIntegerBPS rather than returning a Fraction.
     """
     _positive("r", r)
+    m, tau = check_integer("m", m), check_integer("framing tau", tau)
     total = 0
     for d in divisors(gcd(r, m)):
         mu = mobius(d)
@@ -176,5 +178,5 @@ def integrality_statistic(r, t):
     build, not the input.
     """
     _positive("r", r)
-    value = Fraction(_mobius_binomial(r, t), r * r)
+    value = Fraction(_mobius_binomial(r, check_integer("t", t)), r * r)
     return value, value.denominator == 1

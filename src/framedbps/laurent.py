@@ -17,14 +17,25 @@ Zero coefficients are never stored, so dict equality is value equality.
 `lp_scale`, `series_inv`), and sums and products of ints stay ints; a sum
 of Fractions that lands on an integer may stay a Fraction, which compares
 and hashes equal to the int.  All public operations are pure: inputs are
-never mutated (only the private `_addmul` accumulates in place).
+never mutated (only the private `_addmul` accumulates in place).  An int
+polynomial of one exponent parity also packs into one big int by Kronecker
+substitution, for `ovengine`: `_frame` bounds it and halves its exponents,
+`_times` and `_hull` bound products and sums, `_width` sizes the digits,
+and `_pack`, `_shift` and `_unpack` move it into a big int, within one,
+and back.
 """
 
+import struct
 from fractions import Fraction
+from itertools import product
 
 
 class NonInvertibleLeadingTerm(Exception):
     """Series inversion needs an invertible (single-monomial) constant term."""
+
+
+class PackingError(Exception):
+    """A polynomial the packed kernel cannot hold (see `_frame`, `_shift`, `_unpack`)."""
 
 
 def exact(c):
@@ -129,3 +140,66 @@ def series_inv(s):
         if acc:
             out[j] = lp_scale(lp_mul(shift, acc), -inv)
     return out
+
+
+def _frame(p):
+    """(frame, halved) of a nonzero int polynomial: the frame (min dq, min
+    da, max dq, max da, 1-norm) and its terms (j, i, c), c q^(j) a^(i) with
+    exponents halved from the corner; PackingError on mixed parity."""
+    dqs, das = zip(*p)
+    lq, la = min(dqs), min(das)
+    if any((dq - lq) % 2 or (da - la) % 2 for dq, da in p):
+        raise PackingError(f"exponents of mixed parity in {p}")
+    return ((lq, la, max(dqs), max(das), sum(map(abs, p.values()))),
+            [((dq - lq) >> 1, (da - la) >> 1, c) for (dq, da), c in p.items()])
+
+
+def _times(f, g):
+    """The frame of a product: corners add, norms multiply."""
+    return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] * g[4]
+
+
+def _hull(frames):
+    """The frame of a sum: the least corner, the greatest top, norms added."""
+    if len(frames) == 1:
+        return frames[0]
+    lq, la, hq, ha, norm = zip(*frames)
+    return min(lq), min(la), max(hq), max(ha), sum(norm)
+
+
+def _width(frame):
+    """(span, b) for a value on `frame`: its halved a-span plus one, and
+    its bound's bit length plus a sign bit in whole bytes, as `_unpack`
+    reads them."""
+    return (frame[3] - frame[1]) // 2 + 1, 8 + frame[4].bit_length() // 8 * 8
+
+
+def _pack(halved, b, span):
+    """The int p(q = 2^(b span), a = 2^b) of halved terms (see `_frame`)."""
+    return sum(c << b * (span * j + i) for j, i, c in halved)
+
+
+def _shift(n, corner, target, b, span):
+    """n moved up from `corner` onto that of `target`, in the Kronecker packing
+    q = 2^(b span), a = 2^b of exponents halved; an odd step is mixed parity."""
+    dq, da = corner[0] - target[0], corner[1] - target[1]
+    if dq < 0 or da < 0 or dq % 2 or da % 2:
+        raise PackingError(f"{corner[:2]} is not above {target[:2]} by even steps")
+    return n << b * (span * dq + da) // 2
+
+
+def _unpack(n, frame, b, span):
+    """The polynomial packed as n on `frame` (corner, top, bound) at width b,
+    a multiple of 8, read from its balanced digits over the frame's box."""
+    lq, la, hq, _, bound = frame
+    w, size, half = b // 8, ((hq - lq) // 2 + 1) * span, 1 << (b - 1)
+    n += int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")   # each digit + half
+    if not 0 <= n < 1 << b * size:
+        raise PackingError(f"packed value reaches past frame {frame} at width {b}")
+    raw, fmt = n.to_bytes(w * size, "little"), {1: "B", 2: "H", 4: "I", 8: "Q"}.get(w)
+    digits = (struct.unpack(f"<{size}{fmt}", raw) if fmt else
+              [int.from_bytes(raw[k:k + w], "little") for k in range(0, w * size, w)])
+    if min(digits) < half - bound or max(digits) > half + bound:
+        raise PackingError(f"a digit above the bound of frame {frame}")
+    keys = product(range(lq, hq + 1, 2), range(la, la + 2 * span, 2))
+    return {k: c - half for k, c in zip(keys, digits) if c != half}

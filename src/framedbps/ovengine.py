@@ -9,7 +9,8 @@ The flow is
 with every intermediate value an exact numerator/denominator pair.  The
 link sum separates over the components (see `connected_F`), and W, its
 logarithm and the h_i it is built from have Laurent-polynomial
-coefficients, each h divided exactly by `reduce`.  The unknot's F is
+coefficients, each h divided exactly by `reduce`; the logarithm runs on
+Kronecker-packed big ints (`_log_w`).  The unknot's F is
 divided down to {r}, and `p_poly` clears the rest: checked exact
 divisions, where the integrality structure either survives or raises.
 The paper's vector-partition sum, `connected_F_partitions`, is the oracle;
@@ -19,12 +20,13 @@ it shares only the cores C_i, `link_factor` and the unknot's H with
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby, product
 from math import factorial, gcd, prod
 
 from .closedforms import MismatchDetected, UnsupportedKnotKind, check_integer, divisors, mobius
-from .laurent import _addmul, lp_add, lp_mul, lp_neg, lp_one, lp_specialize_q1
+from .laurent import (_frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one,
+                      lp_specialize_q1)
 from .links import _CORES, apply_framing, check_link, framed_homfly, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
@@ -156,29 +158,56 @@ def _h(i, r, tau):
 
 
 @lru_cache(maxsize=None)
-def _w(link, taus, v):
-    """[x^v] W = sum_{i>=1} C_i prod_t h_{i,t}(x_t), a Laurent polynomial."""
-    w = {}
-    for i in range(1, min(v) + 1):
-        term = _CORES[link](i)
-        for r, tau in zip(v, taus):
-            term = lp_mul(term, _h(i, r, tau))
-        w = lp_add(w, term)
-    return w
+def _framed(link, i, r=0, tau=0):
+    """C_i of the link (r = 0), or h_{i,r} at tau (link None, so that every
+    link shares it), as its (frame, halved terms)."""
+    return _frame(_h(i, r, tau) if r else _CORES[link](i))
+
+
+@lru_cache(maxsize=None)
+def _frames(link, taus, u):
+    """For u with no zero color: the terms C_i prod_t h_{i,u_t} (h at tau_t)
+    of W_u as (factors, frame), the frame of W_u, the terms D_s W_{u-s} of
+    D_u as (s, u - s, frame) and the frame of D_u, whose norm bounds its
+    coefficients, B_u = u_0 |W_u|_1 + sum B_s |W_{u-s}|_1."""
+    wterms = [(fs, reduce(_times, [f for f, _ in fs])) for fs in (
+        [_framed(link, i)] + [_framed(None, i, r, tau) for r, tau in zip(u, taus)]
+        for i in range(1, min(u) + 1))]
+    wf = _hull([f for _, f in wterms])
+    dterms = [(s, t, _times(_frames(link, taus, s)[3], _frames(link, taus, t)[1]))
+              for s in product(*(range(1, r) for r in u))
+              for t in [tuple(a - c for a, c in zip(u, s))]]
+    return wterms, wf, dterms, _hull([(*wf[:4], u[0] * wf[4])] + [f for *_, f in dterms])
 
 
 @lru_cache(maxsize=None)
 def _log_w(link, taus, v):
-    """D_v = v_0 [x^v] log(1 + W) for v with no zero color, on ints, from
+    """D_v = v_0 [x^v] log(1 + W) for v with no zero color, from
     (1 + W) x_0 d/dx_0 log(1 + W) = x_0 d/dx_0 W:
 
         D_v = v_0 W_v - sum_{0<u<v} D_u W_{v-u},
 
-    only u and v - u with no zero color counting (D and W vanish elsewhere)."""
-    acc = _addmul({}, _w(link, taus, v), {(0, 0): -v[0]})   # -D_v
-    for u in product(*(range(1, r) for r in v)):
-        _addmul(acc, _log_w(link, taus, u), _w(link, taus, tuple(a - b for a, b in zip(v, u))))
-    return lp_neg(acc)
+    only u and v - u with no zero color counting (D and W vanish elsewhere).
+    Each C_i and h_{i,r} is packed once at the a-span and width of D_v's
+    frame (`_frames`, `laurent._width`), every W_u and D_u is a big-int
+    product shifted up onto its frame's corner, and only D_v, the one
+    value that must fit, is unpacked."""
+    plan = {u: _frames(link, taus, u) for u in product(*(range(1, r + 1) for r in v))}
+    df = plan[v][3]
+    span, b = _width(df)
+    inputs = {id(x): x for wterms, *_ in plan.values() for fs, _ in wterms for _, x in fs}
+    packed = {key: _pack(x, b, span) for key, x in inputs.items()}
+    # C_i times every h_{i,u_t} but the last, shared by the W_u that differ in u_-1 alone
+    heads = {(i, u[:-1]): fs[:-1] for u, (wterms, *_) in plan.items()
+             for i, (fs, _) in enumerate(wterms, 1)}
+    heads = {key: prod(packed[id(x)] for _, x in fs) for key, fs in heads.items()}
+    w, d = {}, {}
+    for u, (wterms, wf, dterms, uf) in plan.items():
+        w[u] = sum(_shift(heads[i, u[:-1]] * packed[id(fs[-1][1])], f, wf, b, span)
+                   for i, (fs, f) in enumerate(wterms, 1))
+        d[u] = _shift(u[0] * w[u], wf, uf, b, span) - sum(
+            _shift(d[s] * w[t], f, uf, b, span) for s, t, f in dterms)
+    return _unpack(d[v], df, b, span)
 
 
 def p_poly(link, rvec, framings):

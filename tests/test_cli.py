@@ -242,11 +242,11 @@ def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
 
 
 def test_swapped_tables_are_computed_apart(monkeypatch, capsys):
-    # W at the first component's framing on every component makes
-    # connected_F depend on the component order; H stays symmetric
-    real = ovengine._w
-    monkeypatch.setattr(ovengine, "_w",
-                        lambda link, taus, v: real(link, taus[:1] * len(taus), v))
+    # the inputs of W (`_frames`) at the first component's framing on every
+    # component make connected_F depend on the component order; H stays symmetric
+    real = ovengine._frames
+    monkeypatch.setattr(ovengine, "_frames",
+                        lambda link, taus, u: real(link, taus[:1] * len(taus), u))
     ovengine._log_w.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "verify", "symmetry")

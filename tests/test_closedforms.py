@@ -164,6 +164,16 @@ def test_bad_arguments_raise_value_error(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn, args, name", [
+    (b_unknot, (2, 0, 1.5), "framing tau"), (b_unknot, (2, 0.5, 1), "m"),
+    (c_unknot, (1, 1, 0.5), "framing tau"), (integrality_statistic, (2, 1.5), "t")],
+    ids=["b_unknot tau", "b_unknot m", "c_unknot tau", "integrality_statistic t"])
+def test_float_arguments_are_named(fn, args, name):
+    # read through check_integer, not handed to math.comb as a float
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args)
+
+
 def test_integrality_statistic_returns_exact_fraction():
     v, ok = integrality_statistic(6, -5)
     assert isinstance(v, Fraction) and ok and v.denominator == 1

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import (NonInvertibleLeadingTerm, lp_add, lp_mono, lp_mul,
-                               lp_neg, lp_one, lp_scale, lp_specialize_q1, lp_sub,
-                               series_inv, series_mul)
+from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _hull, _pack,
+                               _shift, _times, _unpack, _width, lp_add, lp_mono, lp_mul,
+                               lp_neg, lp_one, lp_scale, lp_specialize_q1, lp_sub, series_inv,
+                               series_mul)
 from framedbps.qsymbols import BraceRatio
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -100,3 +101,56 @@ def test_series_inv_needs_monomial_constant():
     s = [lp_mono(2, 0, 2), {}, {}]
     assert series_inv(s)[0] == lp_mono(-2, 0, Fraction(1, 2))
 
+
+# int polynomials whose dq, and whose da, each have one parity
+int_polys = st.dictionaries(exponents, st.integers(-300, 300), min_size=1, max_size=6).map(
+    lambda d: {k: c for k, c in d.items() if c}).filter(bool)
+uniform = st.tuples(int_polys, st.integers(0, 1), st.integers(0, 1)).map(
+    lambda t: {(2 * dq + t[1], 2 * da + t[2]): c for (dq, da), c in t[0].items()})
+
+
+@given(uniform, uniform)
+@settings(max_examples=60)
+def test_packing_is_a_ring_map(p, q):
+    # the packed product, read back on the product's frame, is lp_mul
+    (fp, hp), (fq, hq) = _frame(p), _frame(q)
+    fpq = _times(fp, fq)
+    span, b = _width(fpq)
+    assert _unpack(_pack(hp, b, span) * _pack(hq, b, span), fpq, b, span) == lp_mul(p, q)
+    # a sum is read on the box around both frames, each shifted up onto its corner
+    hull = _hull([fp, fq])
+    span, b = _width(hull)
+
+    def total():
+        return (_shift(_pack(hp, b, span), fp, hull, b, span)
+                + _shift(_pack(hq, b, span), fq, hull, b, span))
+    if (fp[0] - fq[0]) % 2 or (fp[1] - fq[1]) % 2:
+        with pytest.raises(PackingError, match="by even steps"):
+            total()
+    else:
+        assert _unpack(total(), hull, b, span) == lp_add(p, q)
+
+
+def test_packing_checks_raise():
+    with pytest.raises(PackingError, match="mixed parity"):
+        _frame({(0, 0): 1, (1, 2): 1})
+    frame, _ = _frame({(0, 0): 1, (2, 2): -3})
+    assert frame == (0, 0, 2, 2, 4)
+    with pytest.raises(PackingError, match="by even steps"):
+        _shift(1, frame, (2, 0), 8, 2)          # a shift down
+    with pytest.raises(PackingError, match="by even steps"):
+        _shift(1, frame, (-1, 0), 8, 2)         # an odd shift
+    with pytest.raises(PackingError, match="reaches past"):
+        _unpack(1 << 8 * 4, frame, 8, 2)        # a digit past the 2 x 2 box
+    with pytest.raises(PackingError, match="above the bound"):
+        _unpack(5, frame, 8, 2)                 # |5| > the 1-norm 4
+
+
+@pytest.mark.parametrize("b", [8, 16, 24, 32, 40, 64, 72])
+def test_unpack_reads_extreme_digits_at_every_width(b):
+    # the widths read through struct ('B', 'H', 'I', 'Q') and byte by byte
+    top = (1 << (b - 1)) - 1
+    p = {(0, 0): top, (2, 0): -top, (0, 2): -1, (4, 2): 1, (2, 4): -top}
+    (frame, halved) = _frame(p)
+    frame = frame[:4] + (top,)
+    assert _unpack(_pack(halved, b, 3), frame, b, 3) == p

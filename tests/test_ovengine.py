@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -78,19 +82,72 @@ def test_connected_and_p_poly_unknot_decomposition():
     assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
 
 
+# Borromean (2,2,2) at (0,1,3): a term D_s W_{v-s} of D_v reaches below the
+# lowest exponents of W_v, so framing D_v by W_v's own offsets would need a
+# downward shift
+NEGATIVE_OFFSET = ("borromean", (2, 2, 2), (0, 1, 3))
+
+
 def test_connected_f_log_oracle():
-    # log(1 + W) and the unknot's recurrence equal the paper's partition sum
-    for rvec, taus in [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((2, 2), (1, 1)),
-                       ((2, 2), (-1, 2))]:
-        assert (connected_F("whitehead", rvec, taus)
-                == connected_F_partitions("whitehead", rvec, taus)), (rvec, taus)
-    tri = ("borromean", (2, 1, 1), (1, 0, -1))
-    assert connected_F(*tri) == connected_F_partitions(*tri)
+    # log(1 + W) on packed ints equals the paper's partition sum: every
+    # framing pair in -3..3 up to Whitehead (3,3); Borromean up to (2,2,2) at
+    # seven triples that put each framing in each slot, and two more
+    cases = [("whitehead", v, taus) for taus in product(range(-3, 4), repeat=2)
+             for v in product(range(1, 4), repeat=2)]
+    cases += [("borromean", v, (t, (t + 5) % 7 - 3, (t + 3) % 7 - 3))
+              for t in range(-3, 4) for v in product(range(1, 3), repeat=3)]
+    cases += [("borromean", (2, 1, 1), (1, 0, -1)), NEGATIVE_OFFSET]
+    for link, v, taus in cases:
+        assert connected_F(link, v, taus) == connected_F_partitions(link, v, taus), (link, v, taus)
+    link, v, taus = NEGATIVE_OFFSET
+    _, w_frame, _, d_frame = ovengine._frames(link, taus, v)
+    assert d_frame[0] < w_frame[0]
+
+
+def test_width_bound_holds():
+    # the norm bound of each D_v is at least its largest |coefficient|, and
+    # the frame's box holds its support
+    for link, taus, top in [("whitehead", (2, -3), 6), ("borromean", (1, -1, 2), 4)]:
+        for v in product(range(1, top + 1), repeat=len(taus)):
+            lq, la, hq, ha, bound = ovengine._frames(link, taus, v)[3]
+            d = ovengine._log_w(link, taus, v)
+            assert max(map(abs, d.values())) <= bound, (link, v)
+            assert all(lq <= dq <= hq and la <= da <= ha for dq, da in d), (link, v)
+
+
+MIXED_PARITY_SCRIPT = """
+from framedbps import ovengine
+from framedbps.laurent import PackingError
+real = ovengine._CORES["whitehead"]
+
+
+def mixed(i):
+    core = dict(real(i))
+    (dq, da), = list(core)[:1]
+    core[(dq + 1, da)] = 1
+    return core
+
+
+ovengine._CORES["whitehead"] = mixed
+try:
+    ovengine.connected_F("whitehead", (2, 2), (0, 0))
+except PackingError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_mixed_parity_core_raises(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(ovengine.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", MIXED_PARITY_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PackingError exponents of mixed parity"), proc.stdout
 
 
 def clear_caches():
-    for cache in (ovengine._g, ovengine._unknot_F, ovengine._h, ovengine._w,
-                  ovengine._log_w):
+    for cache in (ovengine._g, ovengine._unknot_F, ovengine._h, ovengine._framed,
+                  ovengine._frames, ovengine._log_w):
         cache.cache_clear()
 
 
