@@ -19,8 +19,7 @@ from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           check_twist_parameter, integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
-from .links import (RecursionViolated, check_link, check_unknot_recursion,
-                    framed_homfly)
+from .links import RecursionViolated, check_link, check_unknot_recursion, homfly_link
 from .ovengine import (bps_list, connected_F, connected_F_partitions, ov_table,
                        strong_integrality_check)
 
@@ -123,7 +122,7 @@ def _framed_link(args, parser):
 
 def cmd_homfly(args, parser):
     colors, framings = _framed_link(args, parser)
-    h = framed_homfly(args.link, colors, framings)
+    h = homfly_link(args.link, colors, framings)
     # numerator terms a-major descending, then q descending
     terms = sorted(h.scaled_num().items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
     den = sorted(h.den.elements())
@@ -342,7 +341,7 @@ def verify_recursion(args):
 def verify_symmetry(args):
     """H in every component order and, on one colored component, against
     the unknot, then swapped Whitehead tables against each other and the
-    swapped golden pair.  The H checks read `framed_homfly` in the given
+    swapped golden pair.  The H checks read `homfly_link` in the given
     order.  `connected_F` reads no H but the unknot's and computes a
     table and its swapped twin apart, so the table checks test the
     symmetry of the connected invariants on their own."""
@@ -354,13 +353,13 @@ def verify_symmetry(args):
         for colors in product(*(range(r + 1) for r in top)):
             if not any(colors):
                 continue
-            h = framed_homfly(link, colors, taus)
+            h = homfly_link(link, colors, taus)
             for perm in permutations(range(len(top))):
                 pc, pt = (tuple(x[t] for t in perm) for x in (colors, taus))
-                if framed_homfly(link, pc, pt) != h:
+                if homfly_link(link, pc, pt) != h:
                     bad.append((colors, perm))
             axis = [t for t, r in enumerate(colors) if r]
-            if len(axis) == 1 and h != framed_homfly(
+            if len(axis) == 1 and h != homfly_link(
                     "unknot", (colors[axis[0]],), (taus[axis[0]],)):
                 bad.append((colors, "unknot"))
         yield (f"H {link} colors<={top} framings={taus} permuted and as the "

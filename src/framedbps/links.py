@@ -1,18 +1,19 @@
-"""Colored HOMFLYPT invariants of the unknot, Whitehead link, and
-Borromean rings (symmetric colors), plus the framing factor.
+"""Framed colored HOMFLYPT invariants of the unknot, Whitehead link, and
+Borromean rings (symmetric colors).
 
 All three come from one cyclotomic-type sum, `homfly_link`, that differs
-per link only in its core C_i(a, q).  Invariants come back as exact
-`BraceRatio` values: none of them is a Laurent polynomial on its own
-(brace-factorial denominators survive), and the ratio form keeps every
-later division checked-exact.
+per link only in its core C_i(a, q); each component enters the sum through
+one factor, `link_factor`, which also carries that component's framing.
+Invariants come back as exact `BraceRatio` values: none of them is a
+Laurent polynomial on its own (brace-factorial denominators survive), and
+the ratio form keeps every later division checked-exact.
 
 Conventions baked in here and validated against the integer tables:
 
 * products {n;a}_i are descending for base n >= 0 (in particular
   {0;a}_2 = {0;a}{-1;a}) and single factors for the only negative base
   (n = -1) the sums below ever produce, where direction is moot;
-* the framing factor is (-1)^(sum r_t t_t) q^(sum r_t(r_t-1)t_t/2) — the
+* a component colored r at framing t gains (-1)^(r t) q^(t r(r-1)/2) — the
   sign exponent is taken mod 2, so writing |t| for t changes nothing.
 """
 
@@ -75,57 +76,43 @@ _CORES = {name: lru_cache(maxsize=None)(core) for name, core in {
 }.items()}
 
 
-def link_factor(i, r):
-    """{r+i-1;a}_{r-i} / {r-i}!, the factor of a component colored r in the
-    term i of `homfly_link`, as an exact ratio."""
-    return BraceRatio(qsym_falling(BRACE_A, r + i - 1, r - i), brace_factorial_multiset(r - i))
-
-
 @lru_cache(maxsize=None)
-def homfly_link(link, colors):
-    """Colored invariant of the 0-framed link as an exact ratio: the sum
-    over i = 0..min(colors) of
+def link_factor(i, r, tau):
+    """{r+i-1;a}_{r-i} / {r-i}! times (-1)^(r tau) q^(tau r(r-1)/2), the
+    factor of a component colored r at framing tau in the term i of
+    `homfly_link`, as an exact ratio.  The one place the framing enters."""
+    framing = lp_mono(tau * r * (r - 1), 0, -1 if r * tau % 2 else 1)
+    return BraceRatio(lp_mul(qsym_falling(BRACE_A, r + i - 1, r - i), framing),
+                      brace_factorial_multiset(r - i))
 
-        prod_t link_factor(i, r_t)  *  C_i(a, q)
 
-    with the per-link core C_i.  The zero color gives 1.  Raises
-    UnsupportedKnotKind for a link with no core (twist knots).
+def homfly_link(link, colors, framings):
+    """Colored invariant of the framed link as an exact ratio: the sum over
+    i = 0..min(colors) of
+
+        prod_t link_factor(i, r_t, tau_t)  *  C_i(a, q)
+
+    with the per-link core C_i, colors and framings in the given component
+    order.  The zero color gives 1.  Raises UnsupportedKnotKind for a link
+    with no core (twist knots) and ValueError as `check_link` does.
     """
     if link not in _CORES:
         raise UnsupportedKnotKind(f"no full invariant for {link!r}")
-    colors, _ = check_link(link, colors, (0,) * _COMPONENTS[link])
+    return _homfly_link(link, *check_link(link, colors, framings))
+
+
+@lru_cache(maxsize=None)
+def _homfly_link(link, colors, framings):
     terms = []
     for i in range(min(colors) + 1):
         core = _CORES[link](i)
         if not core:
             continue
         term = BraceRatio(core)
-        for r in colors:
-            term = term.mul(link_factor(i, r))
+        for r, tau in zip(colors, framings):
+            term = term.mul(link_factor(i, r, tau))
         terms.append(term)
     return BraceRatio.sum(terms)
-
-
-def framing_factor(colors, framings):
-    """The monomial (-1)^(sum r_t t_t) q^(sum r_t(r_t-1)t_t / 2) as a LaurentPoly."""
-    if len(colors) != len(framings):
-        raise ValueError(f"{len(colors)} colors {colors} but {len(framings)} "
-                         f"framings {framings}")
-    s = sum(r * t for r, t in zip(colors, framings))
-    dq = sum(r * (r - 1) * t for r, t in zip(colors, framings))
-    return lp_mono(dq, 0, -1 if s % 2 else 1)
-
-
-def apply_framing(h, colors, framings):
-    """Multiply an invariant `BraceRatio` by the framing factor."""
-    return h.mul_poly(framing_factor(colors, framings))
-
-
-def framed_homfly(link, colors, framings):
-    """The framed colored invariant, colors and framings in the given
-    component order."""
-    colors, framings = check_link(link, colors, framings)
-    return apply_framing(homfly_link(link, colors), colors, framings)
 
 
 def check_unknot_recursion(tau, n_max):
@@ -142,8 +129,8 @@ def check_unknot_recursion(tau, n_max):
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     sign = -1 if tau % 2 else 1
     for n in range(1, n_max):
-        hn = framed_homfly("unknot", (n,), (tau,))
-        hn1 = framed_homfly("unknot", (n + 1,), (tau,))
+        hn = homfly_link("unknot", (n,), (tau,))
+        hn1 = homfly_link("unknot", (n + 1,), (tau,))
         lhs = hn1.mul_poly(lp_mono(2 * n + 2, 0, sign))
         lhs = lhs.add(hn1.mul_poly(lp_mono(0, 0, -sign)))
         step = lp_sub(lp_mono(2 * n + 1, 1), lp_mono(1, -1))

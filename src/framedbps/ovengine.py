@@ -14,8 +14,8 @@ Kronecker-packed big ints (`_log_w`).  The unknot's F is
 divided down to {r}, and `p_poly` clears the rest: checked exact
 divisions, where the integrality structure either survives or raises.
 The paper's vector-partition sum, `connected_F_partitions`, is the oracle;
-it shares only the cores C_i, `link_factor` and the unknot's H with
-`connected_F`.
+it shares only the cores C_i and `link_factor` (the unknot's H is one
+`link_factor` term) with `connected_F`.
 """
 
 from collections import Counter
@@ -27,7 +27,7 @@ from math import factorial, gcd, prod
 from .closedforms import MismatchDetected, UnsupportedKnotKind, check_integer, divisors, mobius
 from .laurent import (_frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one,
                       lp_specialize_q1)
-from .links import _CORES, apply_framing, check_link, framed_homfly, link_factor
+from .links import _CORES, check_link, homfly_link, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -84,7 +84,7 @@ def connected_F_partitions(link, rvec, framings):
         (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts.
 
     The oracle that `verify connected` compares `connected_F` with.  It
-    reads each H from `framed_homfly`, in the caller's component order.
+    reads each H from `homfly_link`, in the caller's component order.
     """
     rvec, taus = check_link(link, rvec, framings)
     terms = []
@@ -94,7 +94,7 @@ def connected_F_partitions(link, rvec, framings):
             coef = -coef
         prod = BraceRatio.one()
         for v, mult in pt:
-            hv = framed_homfly(link, v, taus)
+            hv = homfly_link(link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)
         terms.append(prod.scale(coef))
@@ -106,7 +106,7 @@ def connected_F(link, rvec, framings):
     link at the given framings, as an exact ratio.
 
     The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
-    G_i(x) = sum_r link_factor(i, r) (framing factor) x^r and h_i = G_i / G_0.
+    G_i(x) = sum_r link_factor(i, r, tau) x^r and h_i = G_i / G_0.
     So F is the framed unknot's on one colored component, 0 on any other
     vector with a zero color, and [x^rvec] log(1 + W) when every component
     is colored.  Each coefficient is cached per link and framings in the
@@ -126,12 +126,6 @@ def connected_F(link, rvec, framings):
 
 
 @lru_cache(maxsize=None)
-def _g(i, r, tau):
-    """[x^r] G_i at framing tau; G_0 is the framed unknot's H."""
-    return apply_framing(link_factor(i, r), (r,), (tau,))
-
-
-@lru_cache(maxsize=None)
 def _unknot_F(r, tau):
     """F_r of the framed unknot by the log-derivative recurrence
 
@@ -140,7 +134,7 @@ def _unknot_F(r, tau):
     divided exactly down to {r}, the least denominator integrality allows:
     F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1} a Laurent
     polynomial.  InexactDivision if integrality fails."""
-    h = [framed_homfly("unknot", (w,), (tau,)) for w in range(r + 1)]
+    h = [homfly_link("unknot", (w,), (tau,)) for w in range(r + 1)]
     terms = [_unknot_F(r - w, tau).mul(h[w]).scale(Fraction(w - r, r)) for w in range(1, r)]
     return BraceRatio.sum(terms + [h[r]])._over(Counter({r: 1}))
 
@@ -149,11 +143,13 @@ def _unknot_F(r, tau):
 def _h(i, r, tau):
     """[x^r] h_i = G_i / G_0 at framing tau, a Laurent polynomial:
 
-        h_r = [x^r] G_i - sum_{0<s<=r-i} [x^s] G_0 h_{r-s}.
+        h_r = [x^r] G_i - sum_{0<s<=r-i} [x^s] G_0 h_{r-s},
 
-    `reduce` divides out every brace, InexactDivision if one is left."""
-    terms = [_g(i, r, tau)] + [_g(0, s, tau).mul_poly(_h(i, r - s, tau)).scale(-1)
-                               for s in range(1, r - i + 1)]
+    with [x^r] G_i = link_factor(i, r, tau).  `reduce` divides out every
+    brace, InexactDivision if one is left."""
+    terms = [link_factor(i, r, tau)] + [
+        link_factor(0, s, tau).mul_poly(_h(i, r - s, tau)).scale(-1)
+        for s in range(1, r - i + 1)]
     return BraceRatio.sum(terms).reduce()
 
 

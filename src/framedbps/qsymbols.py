@@ -208,7 +208,11 @@ class BraceRatio:
         return _ratio(self.num, self.den, exact(self.content * Fraction(c)))
 
     def mul_poly(self, p):
-        return BraceRatio(lp_mul(self.num, p), self.den, self.content)
+        """The ratio times the LaurentPoly p; only a p with non-int
+        coefficients goes through the clearing constructor."""
+        if any(type(c) is not int for c in p.values()):
+            return BraceRatio(lp_mul(self.num, p), self.den, self.content)
+        return _ratio(lp_mul(self.num, p), self.den, self.content)
 
     def adams(self, d):
         """Adams operation on the whole ratio: {n} -> {dn} in the denominator."""

@@ -17,7 +17,7 @@ from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, bps_from_gamma,
                               lagrange_log_y, make_curve, newton_series_solve,
                               normalize, solve_w_series)
 from framedbps.laurent import lp_specialize_q1
-from framedbps.links import check_unknot_recursion, framed_homfly
+from framedbps.links import check_unknot_recursion, homfly_link
 from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
                                 ov_table, p_poly, strong_integrality_check)
 
@@ -256,13 +256,13 @@ def test_criterion_6_structural_properties():
         for colors in product(*(range(r + 1) for r in top)):
             if not any(colors):
                 continue
-            h = framed_homfly(link, colors, taus)
+            h = homfly_link(link, colors, taus)
             for perm in permutations(range(len(top))):
                 pc, pt = (tuple(x[t] for t in perm) for x in (colors, taus))
-                if framed_homfly(link, pc, pt) != h:
+                if homfly_link(link, pc, pt) != h:
                     failures.append(("H swap", link, colors, taus, perm))
             axis = [t for t, r in enumerate(colors) if r]
-            if len(axis) == 1 and h != framed_homfly(
+            if len(axis) == 1 and h != homfly_link(
                     "unknot", (colors[axis[0]],), (taus[axis[0]],)):
                 failures.append(("H axis", link, colors, taus))
 

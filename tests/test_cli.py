@@ -224,10 +224,11 @@ def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
     # partition sum see a homfly_link that is not symmetric in colors
     real = links.homfly_link
 
-    def asymmetric(link, colors):
-        h = real(link, colors)
+    def asymmetric(link, colors, framings):
+        h = real(link, colors, framings)
         return h.scale(2) if colors[0] > colors[-1] else h
-    monkeypatch.setattr(links, "homfly_link", asymmetric)
+    for module in (cli, ovengine):
+        monkeypatch.setattr(module, "homfly_link", asymmetric)
     code, out, _ = run_cli(capsys, "verify", "symmetry")
     assert code == 1
     assert out.count("permuted and as the unknot: FAIL at") == 6

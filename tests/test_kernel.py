@@ -25,9 +25,9 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
     p_poly("unknot", (6,), (2,))
     # the partition weights and Moebius factors live in the contents
     assert any(type(t.content) is Fraction for t in totals)
-    ratios = totals + [homfly_link("whitehead", (2, 3)),
-                       homfly_link("borromean", (1, 2, 2)),
-                       homfly_link("unknot", (5,)),
+    ratios = totals + [homfly_link("whitehead", (2, 3), (0, 0)),
+                       homfly_link("borromean", (1, 2, 2), (0, 0, 0)),
+                       homfly_link("unknot", (5,), (0,)),
                        connected_F("whitehead", (2, 3), (1, -1)),
                        connected_F("borromean", (1, 1, 2), (0, 1, -1))]
     assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}

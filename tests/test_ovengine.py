@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from framedbps import ovengine
-from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind
-from framedbps.laurent import lp_specialize_q1
+from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind, b_unknot
+from framedbps.curves import (KIND_FULL, bps_from_gamma, lagrange_log_y, make_curve,
+                              normalize)
+from framedbps.laurent import lp_add, lp_one, lp_specialize_q1
 from framedbps.links import homfly_link
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
                                 connected_F, connected_F_partitions,
@@ -75,7 +77,7 @@ def test_partition_invariants():
 def test_connected_and_p_poly_unknot_decomposition():
     # F_2 = H_2 - H_1^2/2, and at k = 1 p_2 = {1} (F_2 - Psi_2(F_1)/2),
     # which vanishes for the 0-framed unknot
-    h1, h2 = (homfly_link("unknot", (r,)) for r in (1, 2))
+    h1, h2 = (homfly_link("unknot", (r,), (0,)) for r in (1, 2))
     f2 = connected_F("unknot", (2,), (0,))
     assert f2 == h2.sub(h1.mul(h1).scale(Fraction(1, 2)))
     moebius = f2.sub(connected_F("unknot", (1,), (0,)).adams(2).scale(Fraction(1, 2)))
@@ -146,7 +148,7 @@ def test_mixed_parity_core_raises(flags):
 
 
 def clear_caches():
-    for cache in (ovengine._g, ovengine._unknot_F, ovengine._h, ovengine._framed,
+    for cache in (ovengine._unknot_F, ovengine._h, ovengine._framed,
                   ovengine._frames, ovengine._log_w):
         cache.cache_clear()
 
@@ -183,11 +185,38 @@ def test_a_wrong_link_factor_leaves_h_inexact(monkeypatch, cold_caches):
     # a doubled [x^2] G_1 leaves the {1} of {2;a}/{1} in h_1 at x^2
     real = ovengine.link_factor
 
-    def wrong(i, r):
-        return real(i, r).scale(2) if (i, r) == (1, 2) else real(i, r)
+    def wrong(i, r, tau):
+        return real(i, r, tau).scale(2) if (i, r) == (1, 2) else real(i, r, tau)
     monkeypatch.setattr(ovengine, "link_factor", wrong)
     with pytest.raises(InexactDivision, match="does not divide"):
         connected_F("whitehead", (2, 2), (0, 0))
+
+
+def test_a_wrong_log_coefficient_is_not_integral(monkeypatch):
+    # D_(2,3) plus a unit term leaves 1/2 at a^0 q^0 once F = D / 2
+    real = ovengine._log_w
+
+    def wrong(link, taus, v):
+        d = real(link, taus, v)
+        return lp_add(d, lp_one()) if v == (2, 3) else d
+    monkeypatch.setattr(ovengine, "_log_w", wrong)
+    with pytest.raises(NonIntegerInvariant) as exc:
+        ov_table("whitehead", (2, 3), (0, 1))
+    assert exc.value.args == (0, 0, Fraction(1, 2))
+
+
+def test_a_wrong_unknot_h_leaves_f_inexact(monkeypatch, cold_caches):
+    # a doubled H_2 breaks the division of every F_r with r >= 2 down to {r}
+    real = ovengine.homfly_link
+
+    def wrong(link, colors, framings):
+        h = real(link, colors, framings)
+        return h.scale(2) if (link, tuple(colors)) == ("unknot", (2,)) else h
+    monkeypatch.setattr(ovengine, "homfly_link", wrong)
+    assert connected_F("unknot", (1,), (1,)) == real("unknot", (1,), (1,))
+    for r in (2, 3, 4):
+        with pytest.raises(InexactDivision, match="does not divide"):
+            connected_F("unknot", (r,), (1,))
 
 
 def fresh_F(link, rvec, framings):
@@ -328,3 +357,14 @@ def test_bps_list_row_sum_mismatch_raises(monkeypatch):
     monkeypatch.setattr(ovengine, "lp_specialize_q1", lambda poly: {})
     with pytest.raises(MismatchDetected, match="row sums"):
         bps_list(t)
+
+
+def test_unknot_tables_match_the_closed_form_and_the_curve():
+    # the plethystic, closed-form and curve pipelines on b_{r,m}, r <= 8
+    for tau in range(-3, 4):
+        nf = normalize(make_curve("unknot", KIND_FULL, tau), 8)
+        curve = bps_from_gamma(lagrange_log_y(nf, 8))
+        for r in range(1, 9):
+            closed = {m: b for m in range(-r, r + 1) if (b := b_unknot(r, m, tau))}
+            assert bps_list(ov_table("unknot", (r,), (tau,))) == closed, (r, tau)
+            assert {m: b for (s, m), b in curve.items() if s == r} == closed, (r, tau)

@@ -98,6 +98,11 @@ def test_content_carries_the_rationals():
     # Fraction coefficients given to the constructor move into the content
     f = BraceRatio({(0, 0): Fraction(1, 2), (2, 0): Fraction(-2, 3)})
     assert f.num == {(0, 0): 3, (2, 0): -4} and f.content == Fraction(1, 6)
+    # and so do those of a polynomial factor; an int factor keeps the content
+    g = a.mul_poly({(0, 0): Fraction(1, 2)})
+    assert g.num == a.num and g.content == Fraction(1, 2) and g.den == a.den
+    assert a.scale(Fraction(1, 3)).mul_poly({(2, 0): -2}).content == Fraction(1, 3)
+    assert a.mul_poly({}).is_zero()
     assert f.reduce() == {(0, 0): Fraction(1, 2), (2, 0): Fraction(-2, 3)}
     assert f.scaled_num() == f.reduce()
 
