@@ -124,7 +124,7 @@ def cmd_homfly(args, parser):
     colors, framings = _framed_link(args, parser)
     h = homfly_link(args.link, colors, framings)
     # numerator terms a-major descending, then q descending
-    terms = sorted(h.scaled_num().items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+    terms = sorted(h.num.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
     den = sorted(h.den.elements())
     braces = " ".join(f"{{{n}}}" for n in den) or "1"
 

@@ -29,11 +29,6 @@ class UnsupportedKnotKind(Exception):
     """No invariant or curve of the requested knot, kind or parameter exists here."""
 
 
-def _positive(name, n):
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
-
-
 def _sign(sign):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -45,6 +40,14 @@ def check_integer(name, n):
         return index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
+
+
+def check_at_least(name, n, least):
+    """n as an int (see `check_integer`) that is at least `least`, else ValueError."""
+    n = check_integer(name, n)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 def check_twist_parameter(p):
@@ -63,7 +66,7 @@ def sign_pow(e):
 
 def mobius(n):
     """Möbius function by trial factorization."""
-    _positive("n", n)
+    n = check_at_least("n", n, 1)
     result = 1
     d = 2
     while d * d <= n:
@@ -80,7 +83,7 @@ def mobius(n):
 
 def divisors(n):
     """Positive divisors of n, ascending."""
-    _positive("n", n)
+    n = check_at_least("n", n, 1)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -108,7 +111,7 @@ def c_unknot(r, m, tau):
 
         (-1)^(r tau + r + (r+m)/2) C(r, (r+m)/2) gbinom(r tau + (r+m)/2 - 1, r - 1).
     """
-    _positive("r", r)
+    r = check_at_least("r", r, 1)
     m, tau = check_integer("m", m), check_integer("framing tau", tau)
     if (r + m) % 2 or abs(m) > r:
         return 0
@@ -122,7 +125,7 @@ def b_unknot(r, m, tau):
     gcd(r, 0) = r.  The division is expected to be exact every time; if it
     ever is not, this raises NonIntegerBPS rather than returning a Fraction.
     """
-    _positive("r", r)
+    r = check_at_least("r", r, 1)
     m, tau = check_integer("m", m), check_integer("framing tau", tau)
     total = 0
     for d in divisors(gcd(r, m)):
@@ -154,7 +157,7 @@ def b_extremal_twist(r, sign, p, tau):
 
     p in {0, 1} degenerates out of the family and raises UnsupportedKnotKind.
     """
-    _positive("r", r)
+    r = check_at_least("r", r, 1)
     _sign(sign)
     p, tau = check_twist_parameter(p), check_integer("framing tau", tau)
     if p <= -1:
@@ -177,6 +180,6 @@ def integrality_statistic(r, t):
     is reported through the flag, never raised: it would falsify the
     build, not the input.
     """
-    _positive("r", r)
+    r = check_at_least("r", r, 1)
     value = Fraction(_mobius_binomial(r, check_integer("t", t)), r * r)
     return value, value.denominator == 1

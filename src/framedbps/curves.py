@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import comb
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
-                          check_integer, check_twist_parameter, mobius)
+                          check_at_least, check_integer, check_twist_parameter,
+                          mobius)
 from .laurent import (NonInvertibleLeadingTerm, _addmul, exact, lp_add, lp_mono,
                       lp_mul, lp_one, lp_scale, lp_sub, series_inv, series_mul)
 
@@ -170,8 +171,7 @@ def normalize(curve, order):
     φ(0), whose coefficient must be ±1.  Anything else raises
     NotNormalizable.
     """
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = check_at_least("order", order, 1)
     x0 = {}
     x1 = {}
     for (xd, yd, da), c in curve.source.items():
@@ -255,6 +255,7 @@ def lagrange_log_y(nf, order):
     truncated at `order`: one `_addmul` by the few nonzero coefficients of
     P per step, O(order²·deg P) products.  A q-power in P raises
     MismatchDetected."""
+    order = check_integer("order", order)
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
@@ -319,8 +320,7 @@ def solve_w_series(curve, order):
     last round's value and slope.  MismatchDetected is raised when δ moves
     one of the k settled coefficients or when that residual is nonzero.
     """
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = check_at_least("order", order, 1)
     w = [lp_one()]
     while True:
         k, n = len(w), min(2 * len(w), order)
@@ -350,8 +350,7 @@ def newton_series_solve(curve, order):
     γ_r = ½·D_r with D = x·w′/w.  Since D·w = x·w′ and w(0) = 1, one
     triangular pass gives D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}; a
     branch with w(0) ≠ 1 raises MismatchDetected."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = check_at_least("order", order, 1)
     w = solve_w_series(curve, order + 1)
     if w[0] != lp_one():
         raise MismatchDetected(f"Newton branch of {curve!r} has w(0) = {w[0]}, not 1")

@@ -20,7 +20,7 @@ Conventions baked in here and validated against the integer tables:
 from functools import lru_cache
 from operator import index
 
-from .closedforms import UnsupportedKnotKind
+from .closedforms import UnsupportedKnotKind, check_at_least
 from .laurent import lp_mono, lp_mul, lp_neg, lp_one, lp_sub
 from .qsymbols import (BRACE, BRACE_A, BraceRatio, brace_factorial_multiset,
                        qsym_falling)
@@ -125,8 +125,7 @@ def check_unknot_recursion(tau, n_max):
     Returns True, or raises RecursionViolated(n); n_max < 2 checks no n
     and raises ValueError.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    n_max = check_at_least("n_max", n_max, 2)
     sign = -1 if tau % 2 else 1
     for n in range(1, n_max):
         hn = homfly_link("unknot", (n,), (tau,))

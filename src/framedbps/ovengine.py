@@ -6,15 +6,18 @@ The flow is
     link sum  --log(1 + W)-->  connected F  --Möbius + Adams-->
     p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
 
-with every intermediate value an exact numerator/denominator pair.  The
-link sum separates over the components (see `connected_F`), and W, its
-logarithm and the h_i it is built from have Laurent-polynomial
-coefficients, each h divided exactly by `reduce`; the logarithm runs on
-Kronecker-packed big ints (`_log_w`).  The unknot's F is
-divided down to {r}, and `p_poly` clears the rest: checked exact
-divisions, where the integrality structure either survives or raises.
-The paper's vector-partition sum, `connected_F_partitions`, is the oracle;
-it shares only the cores C_i and `link_factor` (the unknot's H is one
+with every intermediate value an exact numerator/denominator pair.  F_v
+travels as (D, c), F = D / c, c = v_t the first nonzero color: its one
+rational is the 1/c of the logarithm, and D = [x^v] x_t d/dx_t log Z
+has int coefficients over braces.  The link sum separates over the
+components (see `connected_F`), and W, its logarithm and the h_i it is
+built from have Laurent-polynomial coefficients, each h divided exactly
+by `reduce`; the logarithm runs on Kronecker-packed big ints (`_log_w`).
+The unknot's D is divided down to {r}, and `p_poly` clears the braces
+left and then divides by c: checked exact divisions, where the
+integrality structure either survives or raises.  The paper's
+vector-partition sum, `connected_F_partitions`, is the oracle; it shares
+only the cores C_i and `link_factor` (the unknot's H is one
 `link_factor` term) with `connected_F`.
 """
 
@@ -78,32 +81,40 @@ def enumerate_vector_partitions(rvec):
 
 
 def connected_F_partitions(link, rvec, framings):
-    """Connected invariant F_rvec of the link at the given framings by the
-    paper's defining sum over vector partitions U of rvec of
+    """Connected invariant F_rvec of the link at the given framings as the
+    pair (D, c), F = D / c with c the first nonzero color, by the paper's
+    defining sum over vector partitions U of rvec:
 
-        (-1)^(l(U)-1) (l(U)-1)! / |Aut(U)| * prod of framed H-parts.
+        D = sum_U (-1)^(l(U)-1) c (l(U)-1)! / |Aut(U)| * prod of framed H-parts.
 
-    The oracle that `verify connected` compares `connected_F` with.  It
-    reads each H from `homfly_link`, in the caller's component order.
+    Each weight is a sum of multinomial coefficients, since c = sum_j m_j
+    (p_j)_t over the parts p_j of multiplicity m_j at the first colored
+    component t; MismatchDetected if one is not an integer.  The oracle of
+    `verify connected`; it reads each H from `homfly_link`, in the
+    caller's component order.
     """
     rvec, taus = check_link(link, rvec, framings)
+    parts = enumerate_vector_partitions(rvec)
+    c = next(r for r in rvec if r)
     terms = []
-    for pt in enumerate_vector_partitions(rvec):
-        coef = Fraction(factorial(pt.length - 1), pt.aut)
-        if (pt.length - 1) % 2:
-            coef = -coef
+    for pt in parts:
+        weight, rest = divmod(c * factorial(pt.length - 1), pt.aut)
+        if rest:
+            raise MismatchDetected(f"partition weight {c} * {pt.length - 1}! / {pt.aut} "
+                                   f"of {pt!r} is not an integer")
         prod = BraceRatio.one()
         for v, mult in pt:
             hv = homfly_link(link, v, taus)
             for _ in range(mult):
                 prod = prod.mul(hv)
-        terms.append(prod.scale(coef))
-    return BraceRatio.sum(terms)
+        terms.append(prod.scale(-weight if (pt.length - 1) % 2 else weight))
+    return BraceRatio.sum(terms), c
 
 
 def connected_F(link, rvec, framings):
     """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) of the
-    link at the given framings, as an exact ratio.
+    link at the given framings as the pair (D, c), F = D / c with c the
+    first nonzero color and D an exact ratio with int coefficients.
 
     The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
     G_i(x) = sum_r link_factor(i, r, tau) x^r and h_i = G_i / G_0.
@@ -118,25 +129,26 @@ def connected_F(link, rvec, framings):
     if link not in _CORES:
         raise UnsupportedKnotKind(f"no full invariant for {link!r}")
     colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
+    c = colored[0][0]
     if len(colored) == 1:
-        return _unknot_F(*colored[0])
+        return _unknot_D(*colored[0]), c
     if len(colored) < len(rvec):
-        return BraceRatio.zero()
-    return BraceRatio(_log_w(link, taus, rvec), content=Fraction(1, rvec[0]))
+        return BraceRatio.zero(), c
+    return BraceRatio(_log_w(link, taus, rvec)), c
 
 
 @lru_cache(maxsize=None)
-def _unknot_F(r, tau):
-    """F_r of the framed unknot by the log-derivative recurrence
+def _unknot_D(r, tau):
+    """D_r = r F_r of the framed unknot by the log-derivative recurrence
 
-        r F_r = r H_r - sum_{0<u<r} u F_u H_{r-u},
+        D_r = r H_r - sum_{0<u<r} D_u H_{r-u},
 
     divided exactly down to {r}, the least denominator integrality allows:
     F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1} a Laurent
     polynomial.  InexactDivision if integrality fails."""
     h = [homfly_link("unknot", (w,), (tau,)) for w in range(r + 1)]
-    terms = [_unknot_F(r - w, tau).mul(h[w]).scale(Fraction(w - r, r)) for w in range(1, r)]
-    return BraceRatio.sum(terms + [h[r]])._over(Counter({r: 1}))
+    terms = [_unknot_D(r - w, tau).mul(h[w]).scale(-1) for w in range(1, r)]
+    return BraceRatio.sum(terms + [h[r].scale(r)])._over(Counter({r: 1}))
 
 
 @lru_cache(maxsize=None)
@@ -210,10 +222,14 @@ def p_poly(link, rvec, framings):
     """The p-polynomial: Möbius/Adams sum of connected invariants times
     (q^(1/2) - q^(-1/2))^(2-k), k the number of nonzero colors.
 
-    The k = 1 case multiplies by the brace, k = 2 is the identity, and
-    k = 3 divides — the one place an exact division is demanded of the
-    whole pipeline, so InexactDivision here means the integrality
-    structure failed (or a bug upstream of it did).
+    With F_v = D_v / c (`connected_F`), sum_{d|v} mu(d)/d Adams_d(F_{v/d})
+    is sum_d mu(d) Adams_d(D_{v/d}) / c, since v/d has first color c/d.
+    That integral sum is multiplied by the brace power and reduced; the
+    k = 1 case multiplies by the brace, k = 2 is the identity, and k = 3
+    divides — the one place an exact division is demanded of the whole
+    pipeline, so InexactDivision here means the integrality structure
+    failed (or a bug upstream of it did).  Every coefficient is then
+    divided by c once, and is a Fraction only when it is not integral.
     """
     rvec, framings = check_link(link, rvec, framings)
     k = sum(1 for r in rvec if r)
@@ -223,14 +239,19 @@ def p_poly(link, rvec, framings):
     for d in divisors(gcd(*rvec)):
         mu = mobius(d)
         if mu:
-            sub = tuple(r // d for r in rvec)
-            terms.append(connected_F(link, sub, framings).adams(d).scale(Fraction(mu, d)))
+            dsub, _ = connected_F(link, tuple(r // d for r in rvec), framings)
+            terms.append(dsub.adams(d).scale(mu))
     total = BraceRatio.sum(terms)
     if k == 1:
         total = total.mul_poly(qsym(BRACE, 1))
     elif k == 3:
         total = total.mul(BraceRatio(lp_one(), Counter({1: 1})))
-    return total.reduce()
+    c = next(r for r in rvec if r)
+    out = {}
+    for key, v in total.reduce().items():
+        quo, rest = divmod(v, c)
+        out[key] = Fraction(v, c) if rest else quo
+    return out
 
 
 class OVTable:

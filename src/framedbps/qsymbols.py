@@ -8,18 +8,18 @@ Symbols, for integer n:
 plus descending products {n}{n-1}...{n-i+1} of i consecutive symbols
 and the brace factorial {n}! as a multiset.
 
-`BraceRatio` is the exact triple (int-coefficient numerator LaurentPoly,
-denominator = multiset of brace factors {n}, rational content) used for
-invariants that are not Laurent polynomials themselves; the denominator
-clears exactly only after the full Moebius/connected combination, and
-`reduce` checks just that by dividing out one brace at a time.
+`BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
+multiset of brace factors {n}) used for invariants that are not Laurent
+polynomials themselves; the denominator clears exactly only after the
+full Moebius/connected combination, and `reduce` checks just that by
+dividing out one brace at a time.  The pipeline keeps its numerators
+integral: the one rational of a connected invariant is carried apart
+from the ratio (see `ovengine`).
 """
 
 from collections import Counter
-from fractions import Fraction
-from math import gcd, lcm
 
-from .laurent import exact, lp_add, lp_mul, lp_one, lp_scale
+from .laurent import lp_add, lp_mul, lp_one
 
 BRACE = "brace"
 BRACE_A = "brace_a"
@@ -92,45 +92,32 @@ def brace_factorial_multiset(n):
     return Counter(range(1, n + 1))
 
 
-def _times(num, s):
-    """num scaled by the int s."""
-    return num if s == 1 else {k: v * s for k, v in num.items()}
-
-
-def _ratio(num, den, content):
-    """A BraceRatio from an all-int numerator, a Counter with positive
-    multiplicities and an exact content, taken as they are."""
+def _ratio(num, den):
+    """A BraceRatio from a numerator and a Counter with positive
+    multiplicities, taken as they are."""
     r = object.__new__(BraceRatio)
-    r._set(num, den, content)
+    r._set(num, den)
     return r
 
 
 class BraceRatio:
-    """Exact value content * num / prod_n {n}^mult: an int-coefficient
-    numerator, a brace-multiset denominator and one rational content.
+    """Exact value num / prod_n {n}^mult: a numerator LaurentPoly and a
+    brace-multiset denominator.
 
-    Rationals live only in `content`, an int or Fraction (an int when
-    integral), so the numerator's arithmetic runs on ints; a numerator
-    given with Fraction coefficients is cleared into the content.
-    `scale` touches only the content, `mul` multiplies the contents, and
-    `add` brings both sides to the common content gcd(numerators) /
-    lcm(denominators) of the two contents by integer rescaling.
+    The numerator's coefficients are whatever exact scalars it was built
+    from; every ratio the pipeline builds has int coefficients, so its
+    arithmetic runs on ints.
 
     Values are immutable: every operation returns a new ratio.  Addition
-    also raises both numerators to the multiset max of the denominators,
-    one shift-subtract brace multiply per missing factor {n} — a common
+    raises both numerators to the multiset max of the denominators, one
+    shift-subtract brace multiply per missing factor {n} — a common
     denominator (not necessarily least, which is fine: reduce() clears
     whatever accumulates by exact division).
     """
 
-    __slots__ = ("num", "den", "content")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, content=1):
-        content = exact(content)
-        if any(type(c) is not int for c in num.values()):
-            d = lcm(*(c.denominator for c in num.values()))
-            num = {k: c.numerator * (d // c.denominator) for k, c in num.items()}
-            content = exact(Fraction(content, d))
+    def __init__(self, num, den=None):
         clean = Counter()
         if den:
             for n, m in Counter(den).items():
@@ -138,13 +125,13 @@ class BraceRatio:
                     raise ValueError(f"denominator factor {{{n}}}^{m} needs n >= 1, m >= 0")
                 if m:
                     clean[n] = m
-        self._set(num, clean, content)
+        self._set(num, clean)
 
-    def _set(self, num, den, content):
-        if num and content:
-            self.num, self.den, self.content = num, den, content
+    def _set(self, num, den):
+        if num:
+            self.num, self.den = num, den
         else:
-            self.num, self.den, self.content = {}, Counter(), 1
+            self.num, self.den = {}, Counter()
 
     @staticmethod
     def zero():
@@ -166,8 +153,7 @@ class BraceRatio:
         """The same ratio over the denominator `target`: the numerator
         multiplied by the braces of `target` the denominator lacks, then
         divided exactly by the braces `target` lacks (InexactDivision if
-        one does not divide).  The content stays: braces are monic, so
-        content * num divides over Q exactly when num divides over Z."""
+        one does not divide)."""
         num = self.num
         for n, m in (target - self.den).items():
             for _ in range(m):
@@ -175,57 +161,38 @@ class BraceRatio:
         for n, m in sorted((self.den - target).items()):
             for _ in range(m):
                 num = _div_brace(num, n)
-        return _ratio(num, target, self.content)
-
-    def _common(self, other):
-        """Both numerators over the common denominator and common content
-        g: (num1, num2, den, g) with self = g num1 / den, other = g num2 / den."""
-        cd = self.den | other.den
-        c1, c2 = Fraction(self.content), Fraction(other.content)
-        gn = gcd(c1.numerator, c2.numerator)
-        gd = lcm(c1.denominator, c2.denominator)
-        s1 = c1.numerator // gn * (gd // c1.denominator)
-        s2 = c2.numerator // gn * (gd // c2.denominator)
-        return (_times(self._over(cd).num, s1), _times(other._over(cd).num, s2),
-                cd, exact(Fraction(gn, gd)))
+        return _ratio(num, target)
 
     def add(self, other):
         if not self.num:
             return other
         if not other.num:
             return self
-        num1, num2, cd, g = self._common(other)
-        return _ratio(lp_add(num1, num2), cd, g)
+        cd = self.den | other.den
+        return _ratio(lp_add(self._over(cd).num, other._over(cd).num), cd)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def mul(self, other):
-        return _ratio(lp_mul(self.num, other.num), self.den + other.den,
-                      exact(self.content * other.content))
+        return _ratio(lp_mul(self.num, other.num), self.den + other.den)
 
     def scale(self, c):
-        return _ratio(self.num, self.den, exact(self.content * Fraction(c)))
+        """The ratio times the exact scalar c."""
+        return _ratio({k: v * c for k, v in self.num.items()} if c else {}, self.den)
 
     def mul_poly(self, p):
-        """The ratio times the LaurentPoly p; only a p with non-int
-        coefficients goes through the clearing constructor."""
-        if any(type(c) is not int for c in p.values()):
-            return BraceRatio(lp_mul(self.num, p), self.den, self.content)
-        return _ratio(lp_mul(self.num, p), self.den, self.content)
+        """The ratio times the LaurentPoly p."""
+        return _ratio(lp_mul(self.num, p), self.den)
 
     def adams(self, d):
         """Adams operation on the whole ratio: {n} -> {dn} in the denominator."""
         num = {(dq * d, da * d): c for (dq, da), c in self.num.items()}
-        return _ratio(num, Counter({n * d: m for n, m in self.den.items()}), self.content)
-
-    def scaled_num(self):
-        """The numerator with the content applied, content * num."""
-        return lp_scale(self.num, self.content)
+        return _ratio(num, Counter({n * d: m for n, m in self.den.items()}))
 
     def reduce(self):
         """The Laurent polynomial, by exact division (see `_over`)."""
-        return lp_scale(self._over(Counter()).num, self.content)
+        return self._over(Counter()).num
 
     def is_zero(self):
         return not self.num
@@ -233,11 +200,10 @@ class BraceRatio:
     def __eq__(self, other):
         if not isinstance(other, BraceRatio):
             return NotImplemented
-        num1, num2, _, _ = self._common(other)
-        return num1 == num2
+        cd = self.den | other.den
+        return self._over(cd).num == other._over(cd).num
 
     def __repr__(self):
         den = "".join(f"{{{n}}}" + (f"^{m}" if m > 1 else "")
                       for n, m in sorted(self.den.items()))
-        content = f"{self.content} * " if self.content != 1 else ""
-        return f"BraceRatio({content}{len(self.num)} terms{' / ' + den if den else ''})"
+        return f"BraceRatio({len(self.num)} terms{' / ' + den if den else ''})"

@@ -263,10 +263,10 @@ def test_verify_connected_catches_a_wrong_F(monkeypatch, capsys):
     right = cli.connected_F
 
     def wrong(link, rvec, framings):
-        f = right(link, rvec, framings)
+        d, c = right(link, rvec, framings)
         if (link, rvec, framings) == ("whitehead", (2, 1), (1, -1)):
-            return f.scale(2)
-        return f
+            return d.scale(2), c
+        return d, c
     monkeypatch.setattr(cli, "connected_F", wrong)
     code, out, _ = run_cli(capsys, "verify", "connected")
     assert code == 1

@@ -13,8 +13,10 @@ from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    b_extremal_twist, b_unknot, c_unknot,
                                    divisors, gbinom, integrality_statistic,
                                    mobius, sign_pow)
-from framedbps.curves import DualAPoly, frame_transform, make_curve
+from framedbps.curves import (DualAPoly, frame_transform, lagrange_log_y, make_curve,
+                              newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_one
+from framedbps.links import check_unknot_recursion
 from framedbps.ovengine import connected_F, connected_F_partitions
 from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
 
@@ -164,10 +166,25 @@ def test_bad_arguments_raise_value_error(fn, args):
         fn(*args)
 
 
-@pytest.mark.parametrize("fn, args, name", [
-    (b_unknot, (2, 0, 1.5), "framing tau"), (b_unknot, (2, 0.5, 1), "m"),
-    (c_unknot, (1, 1, 0.5), "framing tau"), (integrality_statistic, (2, 1.5), "t")],
-    ids=["b_unknot tau", "b_unknot m", "c_unknot tau", "integrality_statistic t"])
+UNKNOT = make_curve("unknot", "full", 1)
+FLOAT_ARGUMENTS = {
+    "b_unknot tau": (b_unknot, (2, 0, 1.5), "framing tau"),
+    "b_unknot m": (b_unknot, (2, 0.5, 1), "m"),
+    "c_unknot tau": (c_unknot, (1, 1, 0.5), "framing tau"),
+    "integrality_statistic t": (integrality_statistic, (2, 1.5), "t"),
+    # sizes too: a float r, n, order or n_max is not compared and used as one
+    "b_extremal_twist r": (b_extremal_twist, (2.5, "+", 2, 0), "r"),
+    "mobius n": (mobius, (2.5,), "n"), "divisors n": (divisors, (4.0,), "n"),
+    "c_unknot r": (c_unknot, (2.5, 1, 0), "r"), "b_unknot r": (b_unknot, (2.5, 0, 1), "r"),
+    "integrality_statistic r": (integrality_statistic, (2.5, 1), "r"),
+    "normalize order": (normalize, (UNKNOT, 2.5), "order"),
+    "lagrange_log_y order": (lagrange_log_y, (normalize(UNKNOT, 4), 2.5), "order"),
+    "solve_w_series order": (solve_w_series, (UNKNOT, 2.5), "order"),
+    "newton_series_solve order": (newton_series_solve, (UNKNOT, 2.5), "order"),
+    "check_unknot_recursion n_max": (check_unknot_recursion, (0, 3.5), "n_max")}
+
+
+@pytest.mark.parametrize("fn, args, name", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS)
 def test_float_arguments_are_named(fn, args, name):
     # read through check_integer, not handed to math.comb as a float
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

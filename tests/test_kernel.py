@@ -7,7 +7,7 @@ from framedbps.curves import (KIND_FULL, KIND_PLUS, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_mono, series_inv
 from framedbps.links import homfly_link
-from framedbps.ovengine import connected_F, p_poly
+from framedbps.ovengine import connected_F, connected_F_partitions, p_poly
 from framedbps.qsymbols import BraceRatio
 
 
@@ -23,13 +23,16 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
     p_poly("whitehead", (2, 4), (1, -1))
     p_poly("borromean", (1, 2, 2), (0, 1, -1))
     p_poly("unknot", (6,), (2,))
-    # the partition weights and Moebius factors live in the contents
-    assert any(type(t.content) is Fraction for t in totals)
+    # the one rational, 1/c, is applied after reduce, so every ratio that
+    # p_poly reduces is integral
+    assert totals
     ratios = totals + [homfly_link("whitehead", (2, 3), (0, 0)),
                        homfly_link("borromean", (1, 2, 2), (0, 0, 0)),
                        homfly_link("unknot", (5,), (0,)),
-                       connected_F("whitehead", (2, 3), (1, -1)),
-                       connected_F("borromean", (1, 1, 2), (0, 1, -1))]
+                       connected_F("whitehead", (2, 3), (1, -1))[0],
+                       connected_F("borromean", (1, 1, 2), (0, 1, -1))[0],
+                       connected_F("unknot", (6,), (2,))[0],
+                       connected_F_partitions("whitehead", (2, 3), (1, -1))[0]]
     assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}
 
 

@@ -18,7 +18,7 @@ from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
                                 connected_F, connected_F_partitions,
                                 enumerate_vector_partitions, ov_table, p_poly,
                                 strong_integrality_check)
-from framedbps.qsymbols import BRACE, BRACE_A, InexactDivision, qsym
+from framedbps.qsymbols import BRACE, BRACE_A, BraceRatio, InexactDivision, qsym
 
 
 def q1(poly):
@@ -75,12 +75,15 @@ def test_partition_invariants():
 
 
 def test_connected_and_p_poly_unknot_decomposition():
-    # F_2 = H_2 - H_1^2/2, and at k = 1 p_2 = {1} (F_2 - Psi_2(F_1)/2),
+    # F_r = D_r / r with the integer identities D_1 = H_1 and
+    # D_2 = 2 H_2 - H_1^2, and at k = 1 p_2 = {1} (D_2 - Psi_2(D_1)) / 2,
     # which vanishes for the 0-framed unknot
     h1, h2 = (homfly_link("unknot", (r,), (0,)) for r in (1, 2))
-    f2 = connected_F("unknot", (2,), (0,))
-    assert f2 == h2.sub(h1.mul(h1).scale(Fraction(1, 2)))
-    moebius = f2.sub(connected_F("unknot", (1,), (0,)).adams(2).scale(Fraction(1, 2)))
+    (d1, c1), (d2, c2) = (connected_F("unknot", (r,), (0,)) for r in (1, 2))
+    assert (c1, c2) == (1, 2)
+    assert d1 == h1 and d2 == h2.scale(2).sub(h1.mul(h1))
+    assert all(type(c) is int for c in [*d1.num.values(), *d2.num.values()])
+    moebius = d2.sub(d1.adams(2))
     assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
 
 
@@ -138,17 +141,23 @@ except PackingError as exc:
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_mixed_parity_core_raises(flags):
+def run_script(flags, script):
+    """The standard output of `script` run in a fresh interpreter with `flags`."""
     env = dict(os.environ, PYTHONPATH=str(Path(ovengine.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, *flags, "-c", MIXED_PARITY_SCRIPT],
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("PackingError exponents of mixed parity"), proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_mixed_parity_core_raises(flags):
+    out = run_script(flags, MIXED_PARITY_SCRIPT)
+    assert out.startswith("PackingError exponents of mixed parity"), out
 
 
 def clear_caches():
-    for cache in (ovengine._unknot_F, ovengine._h, ovengine._framed,
+    for cache in (ovengine._unknot_D, ovengine._h, ovengine._framed,
                   ovengine._frames, ovengine._log_w):
         cache.cache_clear()
 
@@ -163,7 +172,7 @@ def cold_caches():
 
 def test_connected_f_denominators_are_least():
     # {r} on an axis, none off it: each F was divided down to it exactly
-    dens = {v: dict(connected_F("whitehead", v, (1, -1)).den)
+    dens = {v: dict(connected_F("whitehead", v, (1, -1))[0].den)
             for v in product(range(4), range(3)) if any(v)}
     assert dens[(3, 0)] == {3: 1} and dens[(0, 2)] == {2: 1}
     assert all(not den for v, den in dens.items() if all(v))
@@ -205,6 +214,39 @@ def test_a_wrong_log_coefficient_is_not_integral(monkeypatch):
     assert exc.value.args == (0, 0, Fraction(1, 2))
 
 
+def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
+    # D_3 plus the unit value leaves {1}/3 in p_3 once divided by c = 3
+    real = ovengine._unknot_D
+
+    def wrong(r, tau):
+        d = real(r, tau)
+        return d.add(BraceRatio.one()) if (r, tau) == (3, 1) else d
+    monkeypatch.setattr(ovengine, "_unknot_D", wrong)
+    with pytest.raises(NonIntegerInvariant) as exc:
+        ov_table("unknot", (3,), (1,))
+    assert exc.value.args[2].denominator == 3
+
+
+WRONG_WEIGHT_SCRIPT = """
+from math import factorial
+from framedbps import ovengine
+from framedbps.closedforms import MismatchDetected
+
+# 2! read as 3 makes |Aut| of the partition (1,) + (1,) of (2,) equal 3
+ovengine.factorial = lambda n: factorial(n) + (n == 2)
+try:
+    ovengine.connected_F_partitions("unknot", (2,), (0,))
+except MismatchDetected as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_partition_weight_raises(flags):
+    out = run_script(flags, WRONG_WEIGHT_SCRIPT)
+    assert out.startswith("MismatchDetected partition weight 2 * 1! / 3"), out
+
+
 def test_a_wrong_unknot_h_leaves_f_inexact(monkeypatch, cold_caches):
     # a doubled H_2 breaks the division of every F_r with r >= 2 down to {r}
     real = ovengine.homfly_link
@@ -213,7 +255,7 @@ def test_a_wrong_unknot_h_leaves_f_inexact(monkeypatch, cold_caches):
         h = real(link, colors, framings)
         return h.scale(2) if (link, tuple(colors)) == ("unknot", (2,)) else h
     monkeypatch.setattr(ovengine, "homfly_link", wrong)
-    assert connected_F("unknot", (1,), (1,)) == real("unknot", (1,), (1,))
+    assert connected_F("unknot", (1,), (1,)) == (real("unknot", (1,), (1,)), 1)
     for r in (2, 3, 4):
         with pytest.raises(InexactDivision, match="does not divide"):
             connected_F("unknot", (r,), (1,))
@@ -226,7 +268,7 @@ def fresh_F(link, rvec, framings):
 
 
 @pytest.mark.parametrize("first, second", [((2, 2), (3, 3)), ((4, 3), (3, 4))])
-def test_memo_extends_to_a_larger_box(cold_caches, first, second):
+def test_cached_coefficients_extend_to_a_larger_box(cold_caches, first, second):
     shared = [connected_F("whitehead", first, (1, 0)),
               connected_F("whitehead", second, (1, 0))]
     for rvec, f in zip((first, second), shared):
@@ -234,7 +276,7 @@ def test_memo_extends_to_a_larger_box(cold_caches, first, second):
                 == connected_F_partitions("whitehead", rvec, (1, 0)))
 
 
-def test_memo_keeps_framings_apart(cold_caches):
+def test_framings_are_cached_apart(cold_caches):
     framings = [(1, 0), (-1, 2)]
     shared = [connected_F("whitehead", (2, 2), taus) for taus in framings]
     for taus, f in zip(framings, shared):
@@ -243,28 +285,31 @@ def test_memo_keeps_framings_apart(cold_caches):
     assert shared[0] != shared[1]
 
 
-def test_memo_shares_the_all_zero_entry(cold_caches):
+def test_zero_framings_match_a_fresh_run_and_the_oracle(cold_caches):
     zero = ("whitehead", (2, 3), (0, 0))
     f = connected_F(*zero)
     assert f == fresh_F(*zero) == connected_F_partitions(*zero)
 
 
 def test_swapped_twin_agrees(cold_caches):
-    # the twin is computed apart, in its own component order
-    f = connected_F("whitehead", (3, 4), (1, -2))
-    assert connected_F("whitehead", (4, 3), (-2, 1)) == f
-    assert f == connected_F_partitions("whitehead", (4, 3), (-2, 1))
+    # the twin is computed apart, in its own component order: the same F,
+    # over the first color, 3 here and 4 in the twin
+    d, c = connected_F("whitehead", (3, 4), (1, -2))
+    twin = connected_F("whitehead", (4, 3), (-2, 1))
+    assert (c, twin[1]) == (3, 4) and twin[0].scale(3) == d.scale(4)
+    assert twin == connected_F_partitions("whitehead", (4, 3), (-2, 1))
 
 
-def test_memo_shares_the_unknot_axis(cold_caches):
-    f = connected_F("unknot", (3,), (-1,))
-    assert connected_F("whitehead", (0, 3), (2, -1)) is f
+def test_one_colored_component_reads_the_unknot(cold_caches):
+    d, c = connected_F("unknot", (3,), (-1,))
+    assert c == 3
+    assert connected_F("whitehead", (0, 3), (2, -1))[0] is d
     tri = ("borromean", (0, 3, 0), (1, -1, 0))
-    assert connected_F(*tri) is f
-    assert f == connected_F_partitions(*tri)
+    assert connected_F(*tri)[0] is d
+    assert (d, c) == connected_F_partitions(*tri)
 
 
-def test_memo_keeps_swapped_framings_apart(cold_caches):
+def test_swapped_framings_are_computed_apart(cold_caches):
     a = connected_F("whitehead", (2, 3), (0, 1))
     b = connected_F("whitehead", (2, 3), (1, 0))
     assert a != b
