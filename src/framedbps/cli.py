@@ -10,7 +10,6 @@ integer.  Exit status is 0 iff there were zero failures.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import permutations, product
@@ -35,15 +34,10 @@ def fmt_half(n2):
     return f"{n2}/2"
 
 
-def fmt_coeff(c):
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else str(c)
-
-
 def fmt_monomial(c, *powers):
     """The coefficient times each (variable, doubled exponent) power whose
     exponent is nonzero: (-1, ("q", 4), ("a", 3)) -> '-1*q^2*a^(3/2)'."""
-    bits = [fmt_coeff(c)]
+    bits = [str(c)]
     for v, e2 in powers:
         if e2:
             bits.append(f"{v}^({fmt_half(e2)})" if e2 % 2 else f"{v}^{e2 // 2}")
@@ -139,7 +133,7 @@ def cmd_homfly(args, parser):
     return render(args, ascii_lines,
                   {"link": args.link, "colors": list(colors), "framings": list(framings)},
                   "numerator", ("q2", "a2", "c"),
-                  [(dq, da, fmt_coeff(c)) for (dq, da), c in terms],
+                  [(dq, da, str(c)) for (dq, da), c in terms],
                   tail={"denominator": den}, csv_tail=[f"# denominator braces: {braces}"])
 
 
@@ -257,16 +251,16 @@ def cmd_series(args, parser):
                 f"normal form: X = sigma*a^(e/2)*x, sigma={nf.sigma}, e={nf.e}, Y = 1 - y^2",
                 "x*d/dx log y(x):",
                 f"{'r':>3} {'m':>6} gamma",
-                *(f"{r:>3} {fmt_half(m):>6} {fmt_coeff(c)}" for (r, m), c in entries)]
+                *(f"{r:>3} {fmt_half(m):>6} {c}" for (r, m), c in entries)]
 
     return render(args, ascii_lines,
                   {"knot": args.knot, "kind": args.kind, "framing": args.framing_int,
                    "order": args.order,
-                   "curve": [{"x": xd, "y": yd, "a2": da, "c": fmt_coeff(c)}
+                   "curve": [{"x": xd, "y": yd, "a2": da, "c": str(c)}
                              for (xd, yd, da), c in source],
                    "x_rescale": {"sigma": nf.sigma, "a2": nf.e}},
                   "gamma", ("r", "m2", "c"),
-                  [(r, m, fmt_coeff(c)) for (r, m), c in entries],
+                  [(r, m, str(c)) for (r, m), c in entries],
                   tail={"p": args.p} if args.knot == "twist" else None,
                   csv_columns=("r", "m2", "gamma"))
 

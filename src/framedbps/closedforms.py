@@ -96,9 +96,9 @@ def divisors(n):
 
 
 def gbinom(n, k):
-    """Binomial C(n, k) extended to negative n by (-1)^k C(-n+k-1, k)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    """Binomial C(n, k) extended to negative n by (-1)^k C(-n+k-1, k); a
+    non-integer n or k, or k < 0, raises ValueError."""
+    n, k = check_integer("n", n), check_at_least("k", k, 0)
     if n < 0:
         return sign_pow(k) * comb(-n + k - 1, k)
     return comb(n, k)

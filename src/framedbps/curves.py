@@ -22,6 +22,10 @@ Two independent solvers produce the same data:
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
 branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
+
+Curves, normal forms and Newton series hold ints only; both solvers
+compute D = 2γ and halve it once (`_halved`), so a γ is a Fraction only
+where it is not integral.
 """
 
 from fractions import Fraction
@@ -30,8 +34,8 @@ from math import comb
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
-from .laurent import (NonInvertibleLeadingTerm, _addmul, exact, lp_add, lp_mono,
-                      lp_mul, lp_one, lp_scale, lp_sub, series_inv, series_mul)
+from .laurent import (NonInvertibleLeadingTerm, _addmul, lp_add, lp_mono, lp_mul,
+                      lp_one, lp_scale, lp_sub, series_inv, series_mul)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -50,9 +54,9 @@ class SingularBranch(Exception):
 class DualAPoly:
     """A curve polynomial in (x, y) with a-Laurent coefficients.
 
-    `source` maps (x-degree, y-degree, doubled a-exponent) -> an exact
-    coefficient (int or Fraction, as `laurent.exact` gives it);
-    y-degrees are even throughout (the curves only see w = y²).
+    `source` maps (x-degree, y-degree, doubled a-exponent) -> an int, read
+    by `check_integer`: a float or a Fraction raises ValueError naming its
+    term, and so does an odd y-degree, since the curves only see w = y².
     """
 
     __slots__ = ("source", "kind", "knot", "framing")
@@ -60,7 +64,12 @@ class DualAPoly:
     def __init__(self, source, kind, knot, framing):
         if kind not in KINDS:
             raise ValueError(f"curve kind must be one of {KINDS}, got {kind!r}")
-        self.source = {k: exact(c) for k, c in source.items() if c}
+        self.source = {}
+        for key, c in source.items():
+            if key[1] % 2:
+                raise ValueError(f"curve term {key} has an odd y-degree")
+            if c := check_integer(f"curve coefficient of {key}", c):
+                self.source[key] = c
         self.kind = kind
         self.knot = knot
         self.framing = framing
@@ -166,7 +175,8 @@ def normalize(curve, order):
 
     The x⁰ part must be cu·(w^(J+1) - w^J) in w = y² with no
     a-dependence, the rest linear in x; then φ = Σ (c/cu)·a^(da/2)·(1-λ)^k
-    over the x¹ terms c·a^(da/2)·w^(J+k) x, kept as P = φ·(1 - λ)^m with
+    over the x¹ terms c·a^(da/2)·w^(J+k) x (each c a multiple of cu, which
+    is ±1 on every `make_curve` curve), kept as P = φ·(1 - λ)^m with
     m = max(0, -min k).  The rescale unit is read off the lowest a-term of
     φ(0), whose coefficient must be ±1.  Anything else raises
     NotNormalizable.
@@ -175,19 +185,14 @@ def normalize(curve, order):
     x0 = {}
     x1 = {}
     for (xd, yd, da), c in curve.source.items():
-        if yd % 2:
-            raise NotNormalizable("odd y-degree")
         if xd == 0:
             if da:
                 raise NotNormalizable("a-dependent x^0 part")
-            x0[yd // 2] = x0.get(yd // 2, 0) + c
+            x0[yd // 2] = c
         elif xd == 1:
-            key = (yd // 2, da)
-            x1[key] = x1.get(key, 0) + c
+            x1[(yd // 2, da)] = c
         else:
             raise NotNormalizable("degree in x exceeds 1")
-    x0 = {k: c for k, c in x0.items() if c}
-    x1 = {k: c for k, c in x1.items() if c}
     if len(x0) != 2 or not x1:
         raise NotNormalizable("x^0 part is not a w-binomial")
     j1, j0 = max(x0), min(x0)
@@ -198,10 +203,12 @@ def normalize(curve, order):
     pole = max(0, j - min(wdeg for wdeg, _ in x1))
     poly = [{} for _ in range(max(wdeg for wdeg, _ in x1) - j + pole + 1)]
     for (wdeg, da), c in sorted(x1.items()):
+        quo, rest = divmod(c, cu)
+        if rest:
+            raise NotNormalizable(f"x^1 coefficient {c} is not a multiple of the unit {cu}")
         k = wdeg - j + pole
         for i in range(k + 1):
-            term = lp_mono(0, da, Fraction(c, cu) * comb(k, i) * (-1) ** i)
-            poly[i] = lp_add(poly[i], term)
+            poly[i] = lp_add(poly[i], lp_mono(0, da, quo * comb(k, i) * (-1) ** i))
 
     const = poly[0]
     if not const:
@@ -210,22 +217,26 @@ def normalize(curve, order):
     lead = const[(0, m)]
     if lead not in (1, -1):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
-    sigma, e = int(lead), m
-    unit = lp_mono(0, -e, sigma)
-    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, sigma, e, order)
+    unit = lp_mono(0, -m, lead)
+    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, lead, m, order)
 
 
 class GammaSeries:
     """Coefficients of x·d/dx log y(x) = Σ γ_{r,m} x^r a^(m/2).
 
-    `coefficients` maps (r, doubled a-exponent m) -> an exact coefficient for
-    1 <= r <= order; zero values are not stored.
+    `coefficients` maps (r, doubled a-exponent m) -> γ_{r,m} for
+    1 <= r <= order, an int or a Fraction stored as given (any other value
+    raises ValueError); zero values are not stored.
     """
 
     __slots__ = ("coefficients", "order")
 
     def __init__(self, coefficients, order):
-        self.coefficients = {k: exact(c) for k, c in coefficients.items() if c}
+        for key, c in coefficients.items():
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"gamma coefficient at {key} must be an int or a "
+                                 f"Fraction, got {c!r}")
+        self.coefficients = {k: c for k, c in coefficients.items() if c}
         self.order = order
 
     def __eq__(self, other):
@@ -245,13 +256,21 @@ def _gamma_entries(out, r, poly):
             out[(r, da)] = c
 
 
+def _halved(doubled, order):
+    """The GammaSeries γ = D/2 of ints D = 2γ keyed (r, m), the one place the
+    curve pipeline builds a rational: a Fraction when D is odd."""
+    return GammaSeries({k: d // 2 if d % 2 == 0 else Fraction(d, 2)
+                        for k, d in doubled.items()}, order)
+
+
 def lagrange_log_y(nf, order):
     """GammaSeries by Lagrange inversion of Y = X φ(Y).
 
     Coefficient of X^n in log(1 - Y(X)) is -(1/n)·Σ_{j<n} [λ^j] φ(λ)^n,
     log y = ½ log(1 - Y); the X -> x rescale contributes σ^n a^(ne/2).
-    With φ = P/(1 - λ)^m the sum is Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n,
-    read off one running P^n, a dict keyed (λ-power, doubled a-exponent)
+    So 2γ_n = -σ^n Σ_{j<n} [λ^j] φ^n has int coefficients, halved once
+    by `_halved`.  With φ = P/(1 - λ)^m that sum is
+    Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n, read off one running P^n, a dict keyed (λ-power, doubled a-exponent)
     truncated at `order`: one `_addmul` by the few nonzero coefficients of
     P per step, O(order²·deg P) products.  A q-power in P raises
     MismatchDetected."""
@@ -269,14 +288,12 @@ def lagrange_log_y(nf, order):
     power = {(0, 0): 1}
     for n in range(1, order + 1):
         power = {k: c for k, c in _addmul({}, power, poly).items() if k[0] < order}
-        mn = nf.pole * n
-        acc = {}
+        mn, sign = nf.pole * n, -(nf.sigma ** n)
         for (i, da), c in power.items():
             if i < n:
-                acc[da] = acc.get(da, 0) + comb(n - 1 - i + mn, mn) * c
-        for da, c in acc.items():
-            out[(n, da + n * nf.e)] = c * Fraction(-(nf.sigma ** n), 2)
-    return GammaSeries(out, order)
+                key = (n, da + n * nf.e)
+                out[key] = out.get(key, 0) + sign * comb(n - 1 - i + mn, mn) * c
+    return _halved(out, order)
 
 
 def _curve_eval(curve, w, order, slope_order):
@@ -348,8 +365,9 @@ def solve_w_series(curve, order):
 def newton_series_solve(curve, order):
     """GammaSeries from the Newton-solved branch: log y = ½ log w, so
     γ_r = ½·D_r with D = x·w′/w.  Since D·w = x·w′ and w(0) = 1, one
-    triangular pass gives D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k}; a
-    branch with w(0) ≠ 1 raises MismatchDetected."""
+    triangular pass gives D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} on ints,
+    halved once by `_halved`; a branch with w(0) ≠ 1 or a q-power in some
+    D_r raises MismatchDetected."""
     order = check_at_least("order", order, 1)
     w = solve_w_series(curve, order + 1)
     if w[0] != lp_one():
@@ -361,8 +379,8 @@ def newton_series_solve(curve, order):
         for k in range(1, r):
             _addmul(acc, dlog[k], w[r - k])
         dlog.append(lp_sub(lp_scale(w[r], r), acc))
-        _gamma_entries(out, r, lp_scale(dlog[r], Fraction(1, 2)))
-    return GammaSeries(out, order)
+        _gamma_entries(out, r, dlog[r])
+    return _halved(out, order)
 
 
 def bps_from_gamma(gamma):
@@ -382,9 +400,9 @@ def bps_from_gamma(gamma):
                 totals[key] = totals.get(key, 0) + mu[d] * g
     out = {}
     for (r, m), total in sorted(totals.items()):
-        b = Fraction(2 * total, r * r)
+        b, rest = divmod(2 * total, r * r)
+        if rest:
+            raise NonIntegerBPS((r, m, Fraction(2 * total, r * r)))
         if b:
-            if b.denominator != 1:
-                raise NonIntegerBPS((r, m, b))
-            out[(r, m)] = int(b)
+            out[(r, m)] = b
     return out

@@ -1,11 +1,10 @@
 """Exact Laurent polynomials in q^(1/2), a^(1/2), and truncated power series.
 
 A Laurent polynomial is a plain dict mapping an exponent pair (dq, da)
-to a nonzero int or Fraction, an int when integral, never a float, where
-dq and da count *half units*: the key (dq, da) stands for the monomial
-q^(dq/2) a^(da/2).  Storing doubled exponents keeps everything an int —
-in particular the q^(i(i-1)/4) twist factors, whose doubled exponent
-i(i-1)/2 is always integral.
+to a nonzero int, where dq and da count *half units*: the key (dq, da)
+stands for the monomial q^(dq/2) a^(da/2).  Storing doubled exponents
+keeps everything an int — in particular the q^(i(i-1)/4) twist factors,
+whose doubled exponent i(i-1)/2 is always integral.
 
 A truncated power series in one variable x is a plain list of Laurent
 polynomials, s[j] the coefficient of x^j, and its length is its order:
@@ -13,35 +12,27 @@ polynomials, s[j] the coefficient of x^j, and its length is its order:
 of its input.
 
 Zero coefficients are never stored, so dict equality is value equality.
-`exact` makes every coefficient built from a scalar (`lp_mono`,
-`lp_scale`, `series_inv`), and sums and products of ints stay ints; a sum
-of Fractions that lands on an integer may stay a Fraction, which compares
-and hashes equal to the int.  All public operations are pure: inputs are
-never mutated (only the private `_addmul` accumulates in place).  An int
-polynomial of one exponent parity also packs into one big int by Kronecker
-substitution, for `ovengine`: `_frame` bounds it and halves its exponents,
-`_times` and `_hull` bound products and sums, `_width` sizes the digits,
-and `_pack`, `_shift` and `_unpack` move it into a big int, within one,
-and back.
+Every kernel runs on ints: `lp_mono` and `lp_scale` take the scalar as
+given, and `series_inv` inverts only a unit constant term
+±q^(dq/2) a^(da/2), so sums and products of int inputs stay ints.  All
+public operations are pure: inputs are never mutated (only the private
+`_addmul` accumulates in place).  A polynomial of one exponent parity
+also packs into one big int by Kronecker substitution, for `ovengine`:
+`_frame` bounds it and halves its exponents, `_times` and `_hull` bound
+products and sums, `_width` sizes the digits, and `_pack`, `_shift` and
+`_unpack` move it into a big int, within one, and back.
 """
 
 import struct
-from fractions import Fraction
 from itertools import product
 
 
 class NonInvertibleLeadingTerm(Exception):
-    """Series inversion needs an invertible (single-monomial) constant term."""
+    """Series inversion needs a unit constant term ±q^(dq/2)a^(da/2)."""
 
 
 class PackingError(Exception):
     """A polynomial the packed kernel cannot hold (see `_frame`, `_shift`, `_unpack`)."""
-
-
-def exact(c):
-    """c as a coefficient: Fraction(c), or its numerator when integral."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def lp_one():
@@ -50,7 +41,6 @@ def lp_one():
 
 def lp_mono(dq, da, c=1):
     """The monomial c * q^(dq/2) * a^(da/2)."""
-    c = exact(c)
     return {(dq, da): c} if c else {}
 
 
@@ -91,10 +81,9 @@ def lp_mul(p, q):
 
 
 def lp_scale(p, c):
-    c = exact(c)
     if not c:
         return {}
-    return {k: exact(v * c) for k, v in p.items()}
+    return {k: v * c for k, v in p.items()}
 
 
 def lp_specialize_q1(f):
@@ -125,20 +114,22 @@ def series_mul(s1, s2):
 
 
 def series_inv(s):
-    """1/s, to the length of s, when the constant term is an invertible monomial."""
+    """1/s, to the length of s, when the constant term is a unit ±q^(dq/2)a^(da/2),
+    whose inverse is ±q^(-dq/2)a^(-da/2); any other constant term raises
+    NonInvertibleLeadingTerm."""
     c0 = s[0]
-    if len(c0) != 1:
-        raise NonInvertibleLeadingTerm(f"constant term {c0} is not a monomial")
+    if len(c0) != 1 or next(iter(c0.values())) not in (1, -1):
+        raise NonInvertibleLeadingTerm(f"constant term {c0} is not a unit monomial")
     ((dq, da), v), = c0.items()
-    shift, inv = lp_mono(-dq, -da), Fraction(1, v)
-    out = [lp_scale(shift, inv)] + [{}] * (len(s) - 1)
+    out = [lp_mono(-dq, -da, v)] + [{}] * (len(s) - 1)
+    minus_inv = lp_mono(-dq, -da, -v)
     for j in range(1, len(s)):
         acc = {}
         for i in range(1, j + 1):
             if s[i] and out[j - i]:
                 _addmul(acc, s[i], out[j - i])
         if acc:
-            out[j] = lp_scale(lp_mul(shift, acc), -inv)
+            out[j] = lp_mul(minus_inv, acc)
     return out
 
 

@@ -228,8 +228,9 @@ def p_poly(link, rvec, framings):
     k = 1 case multiplies by the brace, k = 2 is the identity, and k = 3
     divides — the one place an exact division is demanded of the whole
     pipeline, so InexactDivision here means the integrality structure
-    failed (or a bug upstream of it did).  Every coefficient is then
-    divided by c once, and is a Fraction only when it is not integral.
+    failed (or a bug upstream of it did).  Every coefficient, in sorted key
+    order, is then divided by c into an int, and the first that is not a
+    multiple of c raises NonIntegerInvariant(i, j, value).
     """
     rvec, framings = check_link(link, rvec, framings)
     k = sum(1 for r in rvec if r)
@@ -248,9 +249,10 @@ def p_poly(link, rvec, framings):
         total = total.mul(BraceRatio(lp_one(), Counter({1: 1})))
     c = next(r for r in rvec if r)
     out = {}
-    for key, v in total.reduce().items():
-        quo, rest = divmod(v, c)
-        out[key] = Fraction(v, c) if rest else quo
+    for (dq, da), v in sorted(total.reduce().items()):
+        out[(dq, da)], rest = divmod(v, c)
+        if rest:
+            raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), Fraction(v, c))
     return out
 
 
@@ -290,20 +292,11 @@ class OVTable:
 
 
 def ov_table(link, rvec, framings):
-    """Read the p-polynomial's coefficients into an integer table.
-
-    Raises NonIntegerInvariant(i, j, value) on the first non-integral
-    coefficient (exponents reported as exact halves).
-    """
+    """The p-polynomial's coefficients as an integer table keyed (2i, 2j)."""
     rvec, framings = check_link(link, rvec, framings)
     p = p_poly(link, rvec, framings)
-    entries = {}
-    for (dq, da), c in sorted(p.items()):
-        if c.denominator != 1:
-            raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), c)
-        entries[(da, dq)] = int(c)
     k = sum(1 for r in rvec if r)
-    return OVTable(rvec, framings, k, entries, p)
+    return OVTable(rvec, framings, k, {(da, dq): c for (dq, da), c in p.items()}, p)
 
 
 def bps_list(table):
@@ -317,7 +310,7 @@ def bps_list(table):
     for (da, dq), n in table.entries.items():
         rows[da] = rows.get(da, 0) + n
     rows = {da: n for da, n in rows.items() if n}
-    q1 = {da: int(c) for (_, da), c in lp_specialize_q1(table.p_poly).items()}
+    q1 = {da: c for (_, da), c in lp_specialize_q1(table.p_poly).items()}
     if rows != q1:
         raise MismatchDetected(f"row sums {rows} differ from q=1 values {q1}")
     return rows

@@ -19,6 +19,7 @@ from the ratio (see `ovengine`).
 
 from collections import Counter
 
+from .closedforms import check_at_least, check_integer
 from .laurent import lp_add, lp_mul, lp_one
 
 BRACE = "brace"
@@ -30,7 +31,8 @@ class InexactDivision(Exception):
 
 
 def qsym(kind, n):
-    """One symbol of the given kind at integer n."""
+    """One symbol of the given kind at integer n (else ValueError)."""
+    n = check_integer("n", n)
     if kind == BRACE:
         if n == 0:
             return {}
@@ -41,9 +43,9 @@ def qsym(kind, n):
 
 
 def qsym_falling(kind, n, i):
-    """Product sym(n) sym(n-1) ... sym(n-i+1) of i symbols; i = 0 is 1."""
-    if i < 0:
-        raise ValueError(f"a product of {i} symbols; i must be at least 0")
+    """Product sym(n) sym(n-1) ... sym(n-i+1) of i symbols; i = 0 is 1.
+    A non-integer n or i, or i < 0, raises ValueError."""
+    n, i = check_integer("n", n), check_at_least("i", i, 0)
     out = lp_one()
     for t in range(i):
         out = lp_mul(out, qsym(kind, n - t))
@@ -88,8 +90,8 @@ def _div_brace(num, n):
 
 
 def brace_factorial_multiset(n):
-    """{n}! as a denominator multiset {k: multiplicity}."""
-    return Counter(range(1, n + 1))
+    """{n}! as a denominator multiset {k: multiplicity}; n an integer."""
+    return Counter(range(1, check_integer("n", n) + 1))
 
 
 def _ratio(num, den):

@@ -18,7 +18,8 @@ from framedbps.curves import (DualAPoly, frame_transform, lagrange_log_y, make_c
 from framedbps.laurent import lp_one
 from framedbps.links import check_unknot_recursion
 from framedbps.ovengine import connected_F, connected_F_partitions
-from framedbps.qsymbols import BRACE, BraceRatio, qsym_falling
+from framedbps.qsymbols import (BRACE, BraceRatio, brace_factorial_multiset, qsym,
+                                qsym_falling)
 
 
 @given(st.integers(-20, 20))
@@ -181,7 +182,13 @@ FLOAT_ARGUMENTS = {
     "lagrange_log_y order": (lagrange_log_y, (normalize(UNKNOT, 4), 2.5), "order"),
     "solve_w_series order": (solve_w_series, (UNKNOT, 2.5), "order"),
     "newton_series_solve order": (newton_series_solve, (UNKNOT, 2.5), "order"),
-    "check_unknot_recursion n_max": (check_unknot_recursion, (0, 3.5), "n_max")}
+    "check_unknot_recursion n_max": (check_unknot_recursion, (0, 3.5), "n_max"),
+    # and the symbol and binomial sizes: no float exponent key, no bare TypeError
+    "qsym n": (qsym, (BRACE, 1.5), "n"),
+    "qsym_falling n": (qsym_falling, (BRACE, 2.5, 1), "n"),
+    "qsym_falling i": (qsym_falling, (BRACE, 3, 1.5), "i"),
+    "brace_factorial_multiset n": (brace_factorial_multiset, (2.5,), "n"),
+    "gbinom n": (gbinom, (4.5, 2), "n"), "gbinom k": (gbinom, (4, 1.5), "k")}
 
 
 @pytest.mark.parametrize("fn, args, name", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS)

@@ -121,24 +121,56 @@ def synthetic(source):
 
 
 def test_not_normalizable_shapes():
-    good_x0 = {(0, 2, 0): F(1), (0, 0, 0): F(-1)}
-    with pytest.raises(NotNormalizable, match="odd y-degree"):
-        normalize(synthetic({**good_x0, (1, 1, 0): F(1)}), 4)
+    good_x0 = {(0, 2, 0): 1, (0, 0, 0): -1}
+    # an odd y-degree is refused by the constructor, before normalize sees it
+    with pytest.raises(ValueError, match=r"\(1, 1, 0\) has an odd y-degree"):
+        synthetic({**good_x0, (1, 1, 0): 1})
     with pytest.raises(NotNormalizable, match="a-dependent"):
-        normalize(synthetic({(0, 2, 2): F(1), (0, 0, 0): F(-1), (1, 0, 0): F(1)}), 4)
+        normalize(synthetic({(0, 2, 2): 1, (0, 0, 0): -1, (1, 0, 0): 1}), 4)
     with pytest.raises(NotNormalizable, match="exceeds 1"):
-        normalize(synthetic({**good_x0, (2, 0, 0): F(1)}), 4)
+        normalize(synthetic({**good_x0, (2, 0, 0): 1}), 4)
     with pytest.raises(NotNormalizable, match="w-binomial"):
-        normalize(synthetic({(0, 2, 0): F(1), (1, 0, 0): F(1)}), 4)
+        normalize(synthetic({(0, 2, 0): 1, (1, 0, 0): 1}), 4)
     with pytest.raises(NotNormalizable, match="w-binomial"):
-        normalize(synthetic({(0, 4, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-2),
-                             (1, 0, 0): F(1)}), 4)
+        normalize(synthetic({(0, 4, 0): 1, (0, 2, 0): 1, (0, 0, 0): -2,
+                             (1, 0, 0): 1}), 4)
     with pytest.raises(NotNormalizable, match=r"cu\*"):
-        normalize(synthetic({(0, 4, 0): F(1), (0, 0, 0): F(-1), (1, 0, 0): F(1)}), 4)
+        normalize(synthetic({(0, 4, 0): 1, (0, 0, 0): -1, (1, 0, 0): 1}), 4)
     with pytest.raises(NotNormalizable, match="phi\\(0\\) = 0"):
-        normalize(synthetic({**good_x0, (1, 2, 0): F(1), (1, 0, 0): F(-1)}), 4)
+        normalize(synthetic({**good_x0, (1, 2, 0): 1, (1, 0, 0): -1}), 4)
     with pytest.raises(NotNormalizable, match="leading unit"):
-        normalize(synthetic({**good_x0, (1, 0, 0): F(2)}), 4)
+        normalize(synthetic({**good_x0, (1, 0, 0): 2}), 4)
+
+
+def test_normalize_needs_x1_coefficients_divisible_by_the_unit():
+    # x^0 part 2w - 2 (cu = 2), x^1 part 2x + a^(1/2) x: phi = 1 + a^(1/2)/2
+    # has a coefficient 1/2, which normalize refuses instead of returning
+    with pytest.raises(NotNormalizable, match="x\\^1 coefficient 1 is not a multiple "
+                                              "of the unit 2"):
+        normalize(synthetic({(0, 2, 0): 2, (0, 0, 0): -2, (1, 0, 0): 2, (1, 0, 1): 1}), 4)
+    # with every x^1 coefficient a multiple of cu the unit divides out
+    nf = normalize(synthetic({(0, 2, 0): -2, (0, 0, 0): 2, (1, 0, 0): -2, (1, 2, 1): 4}), 4)
+    assert nf.poly == [{(0, 0): 1, (0, 1): -2}, {(0, 1): 2}]
+    assert (nf.sigma, nf.e) == (1, 0)
+
+
+def test_odd_y_degree_never_reaches_newton():
+    # y^3 - 1 + x: Newton would floor y^3 to w and solve the branch of w - 1 + x
+    with pytest.raises(ValueError, match=r"\(0, 3, 0\) has an odd y-degree"):
+        solve_w_series(DualAPoly({(0, 3, 0): 1, (0, 0, 0): -1, (1, 0, 0): 1},
+                                 KIND_FULL, "unknot", 0), 5)
+
+
+def test_curve_and_gamma_coefficients_are_exact():
+    # a float is refused at the boundary, not stored as its binary expansion
+    with pytest.raises(ValueError, match=r"curve coefficient of \(0, 0, 0\) must be an "
+                                         r"integer, got -1\.0"):
+        DualAPoly({(0, 2, 0): 1, (0, 0, 0): -1.0, (1, 0, 0): 1}, KIND_FULL, "unknot", 0)
+    with pytest.raises(ValueError, match="curve coefficient of"):
+        DualAPoly({(0, 2, 0): 1, (0, 0, 0): F(-1)}, KIND_FULL, "unknot", 0)
+    with pytest.raises(ValueError, match=r"gamma coefficient at \(1, 1\) must be an int "
+                                         r"or a Fraction, got 0\.5"):
+        GammaSeries({(1, 1): 0.5}, 1)
 
 
 def test_gamma_series_interface():
@@ -243,7 +275,7 @@ def test_newton_order_one_checks_the_residual_at_x0():
     w = solve_w_series(make_curve("unknot", KIND_FULL, 2), 1)
     assert w == [lp_one()]
     # w + 1 + x is 2 at w = 1, x = 0
-    c = synthetic({(0, 2, 0): F(1), (0, 0, 0): F(1), (1, 0, 0): F(1)})
+    c = synthetic({(0, 2, 0): 1, (0, 0, 0): 1, (1, 0, 0): 1})
     with pytest.raises(MismatchDetected, match="Newton residual"):
         solve_w_series(c, 1)
 
@@ -350,8 +382,7 @@ def test_bad_order_raises_value_error(solver, order):
 
 def test_singular_branch_detected():
     # (w - 1)^2 + x: derivative vanishes along the solved branch start
-    c = synthetic({(0, 4, 0): F(1), (0, 2, 0): F(-2), (0, 0, 0): F(1),
-                   (1, 0, 0): F(1)})
+    c = synthetic({(0, 4, 0): 1, (0, 2, 0): -2, (0, 0, 0): 1, (1, 0, 0): 1})
     with pytest.raises(SingularBranch):
         solve_w_series(c, 4)
 

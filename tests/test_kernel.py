@@ -1,5 +1,6 @@
-"""Coefficient types of the exact kernel: brace-ratio numerators hold only
-ints, and every coefficient is an int or, when not integral, a Fraction."""
+"""Coefficient types of the exact kernel: brace-ratio numerators, p-polynomials
+and Newton series hold only ints, and the one rational the curve pipeline
+builds, γ = D/2, is a Fraction only when it is not integral."""
 
 from fractions import Fraction
 
@@ -41,13 +42,18 @@ def test_coefficients_are_ints_or_non_integral_fractions():
     twist = make_curve(("twist", -2), KIND_PLUS, 1)
     polys = [p_poly("whitehead", (2, 2), (1, -1)),
              p_poly("borromean", (1, 1, 2), (0, 1, -1)),
-             p_poly("unknot", (4,), (-1,))]
+             p_poly("unknot", (4,), (-1,)),
+             curve.source, twist.source]
     polys += solve_w_series(curve, 9) + solve_w_series(twist, 9)
-    polys += series_inv([lp_mono(2, 0, 2), lp_mono(0, 1, 3), {}, {}, {}, {}])
+    polys += series_inv([lp_mono(2, 0, -1), lp_mono(0, 1, 3), {}, {}, {}, {}])
+    polys += [c for nf in (normalize(curve, 8), normalize(twist, 8)) for c in nf.poly]
+    # every kernel value is an int
+    assert {type(v) for v in coefficients(*polys)} == {int}
+    # gamma alone holds Fractions, each of them not integral
+    gammas = []
     for c in (curve, twist):
-        polys += [lagrange_log_y(normalize(c, 8), 8).coefficients,
-                  newton_series_solve(c, 8).coefficients]
-    values = coefficients(*polys)
-    assert any(type(v) is Fraction for v in values)
+        gammas += coefficients(lagrange_log_y(normalize(c, 8), 8).coefficients,
+                               newton_series_solve(c, 8).coefficients)
+    assert any(type(v) is Fraction for v in gammas)
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-               for v in values)
+               for v in gammas)

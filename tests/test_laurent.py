@@ -97,9 +97,14 @@ def test_series_inv_needs_monomial_constant():
         series_inv(bad)
     with pytest.raises(NonInvertibleLeadingTerm):
         series_inv([{}, {}, {}])  # zero constant term
-    # but a non-unit monomial like 2q is fine
-    s = [lp_mono(2, 0, 2), {}, {}]
-    assert series_inv(s)[0] == lp_mono(-2, 0, Fraction(1, 2))
+    # a monomial that is not a unit, like 2q, has no int inverse
+    with pytest.raises(NonInvertibleLeadingTerm, match="not a unit monomial"):
+        series_inv([lp_mono(2, 0, 2), {}, {}])
+    # a unit -q a^(1/2) inverts by negating its exponents
+    s = [lp_mono(2, 1, -1), lp_mono(0, 1, 3), {}]
+    inv = series_inv(s)
+    assert inv[0] == lp_mono(-2, -1, -1)
+    assert series_mul(s, inv) == [lp_one(), {}, {}]
 
 
 # int polynomials whose dq, and whose da, each have one parity

@@ -201,7 +201,8 @@ def test_a_wrong_link_factor_leaves_h_inexact(monkeypatch, cold_caches):
         connected_F("whitehead", (2, 2), (0, 0))
 
 
-def test_a_wrong_log_coefficient_is_not_integral(monkeypatch):
+@pytest.fixture
+def wrong_log_w(monkeypatch):
     # D_(2,3) plus a unit term leaves 1/2 at a^0 q^0 once F = D / 2
     real = ovengine._log_w
 
@@ -209,8 +210,18 @@ def test_a_wrong_log_coefficient_is_not_integral(monkeypatch):
         d = real(link, taus, v)
         return lp_add(d, lp_one()) if v == (2, 3) else d
     monkeypatch.setattr(ovengine, "_log_w", wrong)
+
+
+def test_a_wrong_log_coefficient_is_not_integral(wrong_log_w):
     with pytest.raises(NonIntegerInvariant) as exc:
         ov_table("whitehead", (2, 3), (0, 1))
+    assert exc.value.args == (0, 0, Fraction(1, 2))
+
+
+def test_p_poly_itself_refuses_a_non_integral_coefficient(wrong_log_w):
+    # p_poly returns ints only: the 1/2 is reported, not returned
+    with pytest.raises(NonIntegerInvariant) as exc:
+        p_poly("whitehead", (2, 3), (0, 1))
     assert exc.value.args == (0, 0, Fraction(1, 2))
 
 

@@ -21,6 +21,8 @@ def test_symbol_values():
     assert qsym(BRACE, 3) == {(3, 0): 1, (-3, 0): -1}
     assert qsym(BRACE_A, 2) == {(2, 1): 1, (-2, -1): -1}
     assert qsym(BRACE_A, 0) == {(0, 1): 1, (0, -1): -1}
+    # a bool n is read as the int it stands for, so no key holds True
+    assert [type(dq) for dq, _ in qsym(BRACE, True)] == [int, int]
     with pytest.raises(ValueError):
         qsym("angle", 1)
 
