@@ -18,7 +18,7 @@ from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           check_twist_parameter, integrality_statistic)
 from .curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, KINDS, bps_from_gamma,
                      lagrange_log_y, make_curve, newton_series_solve, normalize)
-from .links import RecursionViolated, check_link, check_unknot_recursion, homfly_link
+from .links import LINKS, RecursionViolated, check_link, check_unknot_recursion, homfly_link
 from .ovengine import (bps_list, connected_F, connected_F_partitions, ov_table,
                        strong_integrality_check)
 
@@ -93,12 +93,16 @@ def render(args, ascii_lines, head, key, columns, rows, tail=None, csv_columns=N
 # subcommands
 
 
-def _check_p(name, args, parser):
-    """The twist knot needs --p and no other knot or link takes it."""
-    if name == "twist" and args.p is None:
+def _knot(args, parser):
+    """The knot of --knot as `make_curve` takes it: "unknot", or ("twist", p)
+    with --p, which the twist knot alone needs, in its family."""
+    if args.knot == "unknot":
+        if args.p is not None:
+            parser.error("unknot takes no parameter p")
+        return "unknot"
+    if args.p is None:
         parser.error("twist knot needs --p")
-    if name != "twist" and args.p is not None:
-        parser.error(f"{name} takes no parameter p")
+    return "twist", check_twist_parameter(args.p)
 
 
 def _framed_link(args, parser):
@@ -108,7 +112,6 @@ def _framed_link(args, parser):
                                       parse_int_vector(args.framing))
     except ValueError as exc:
         parser.error(str(exc))
-    _check_p(args.link, args, parser)
     if not any(colors):
         parser.error("zero color vector")
     return colors, framings
@@ -201,14 +204,13 @@ def _twist_bps_rows(p, tau, r_max, source):
 def cmd_bps(args, parser):
     if args.r_max < 0:
         parser.error("r-max must be >= 0")
-    _check_p(args.knot, args, parser)
+    knot = _knot(args, parser)  # p is checked also when no r reaches the per-r checks
     tau = args.framing_int
-    if args.knot == "unknot":
+    if knot == "unknot":
         rows = _unknot_bps_rows(tau, args.r_max, args.source)
         mcol = "m"
-    elif args.knot == "twist":
-        check_twist_parameter(args.p)  # also when no r reaches the per-r checks
-        rows = _twist_bps_rows(args.p, tau, args.r_max, args.source)
+    else:
+        rows = _twist_bps_rows(knot[1], tau, args.r_max, args.source)
         mcol = "sign"
     both = args.source == "both"
     if both:
@@ -225,17 +227,13 @@ def cmd_bps(args, parser):
                   {"knot": args.knot, "framing": tau, "source": args.source,
                    "r_max": args.r_max},
                   "rows", columns, cells,
-                  tail={"p": args.p} if args.knot == "twist" else None)
+                  tail={"p": args.p} if args.p is not None else None)
 
 
 def cmd_series(args, parser):
     if args.order < 1:
         parser.error("order must be >= 1")
-    _check_p(args.knot, args, parser)
-    if args.knot == "twist":
-        knot = ("twist", args.p)
-    else:
-        knot = "unknot"
+    knot = _knot(args, parser)
     curve = make_curve(knot, args.kind, args.framing_int)
     nf = normalize(curve, args.order)
     gamma = lagrange_log_y(nf, args.order)
@@ -261,7 +259,7 @@ def cmd_series(args, parser):
                    "x_rescale": {"sigma": nf.sigma, "a2": nf.e}},
                   "gamma", ("r", "m2", "c"),
                   [(r, m, str(c)) for (r, m), c in entries],
-                  tail={"p": args.p} if args.knot == "twist" else None,
+                  tail={"p": args.p} if args.p is not None else None,
                   csv_columns=("r", "m2", "gamma"))
 
 
@@ -388,12 +386,6 @@ def verify_connected(args):
 
 
 def cmd_verify(args, parser):
-    reads = SUITE_OPTIONS.get(args.suite, {})
-    unread = [f"--{dest.replace('_', '-')}" for options in SUITE_OPTIONS.values()
-              for dest in options if dest not in reads and getattr(args, dest) is not None]
-    if unread:
-        parser.error(f"verify {args.suite} does not read {', '.join(unread)}")
-    vars(args).update((dest, v) for dest, v in reads.items() if getattr(args, dest) is None)
     # like an empty --t-range, these would make a suite pass vacuously
     if args.suite == "integrality" and args.r_max < 1:
         parser.error("r-max must be >= 1")
@@ -415,9 +407,6 @@ VERIFY_SUITES = {"tables": (verify_tables, "{passed}/{total} tables pass"),
                  "recursion": (verify_recursion, "recursion: {verdict}"),
                  "symmetry": (verify_symmetry, "symmetry: {verdict}"),
                  "connected": (verify_connected, "connected: {verdict}")}
-# the options a suite reads, with their defaults; the other suites read none
-SUITE_OPTIONS = {"integrality": {"r_max": 30, "t_range": (-10, 10)},
-                 "recursion": {"tau_max": 5, "n_max": 12}}
 
 
 # --------------------------------------------------------------------------
@@ -440,11 +429,9 @@ def build_parser():
     for name, func, text in (("homfly", cmd_homfly, "framed colored invariant as exact ratio"),
                              ("ov-table", cmd_ov_table, "integer invariant table")):
         p_l = sub.add_parser(name, help=text)
-        p_l.add_argument("--link", required=True,
-                         choices=("unknot", "whitehead", "borromean", "twist"))
+        p_l.add_argument("--link", required=True, choices=tuple(LINKS))
         p_l.add_argument("--colors", required=True, metavar="R1,R2,...")
         p_l.add_argument("--framing", required=True, metavar="T1,T2,...")
-        p_l.add_argument("--p", type=int, default=None)
         add_format(p_l)
         p_l.set_defaults(func=func, parser=p_l)
 
@@ -467,14 +454,17 @@ def build_parser():
     add_format(p_s)
     p_s.set_defaults(func=cmd_series, parser=p_s)
 
-    p_v = sub.add_parser("verify", help="run a verification suite")
-    p_v.add_argument("suite", choices=tuple(VERIFY_SUITES))
-    # defaults per suite, in SUITE_OPTIONS
-    p_v.add_argument("--r-max", dest="r_max", type=int)
-    p_v.add_argument("--t-range", dest="t_range", type=parse_range)
-    p_v.add_argument("--tau-max", dest="tau_max", type=int)
-    p_v.add_argument("--n-max", dest="n_max", type=int)
-    p_v.set_defaults(func=cmd_verify, parser=p_v)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True)
+    for name in VERIFY_SUITES:
+        p_v = suites.add_parser(name)
+        if name == "integrality":
+            p_v.add_argument("--r-max", dest="r_max", type=int, default=30)
+            p_v.add_argument("--t-range", dest="t_range", type=parse_range, default=(-10, 10))
+        elif name == "recursion":
+            p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)
+            p_v.add_argument("--n-max", dest="n_max", type=int, default=12)
+        p_v.set_defaults(func=cmd_verify, parser=p_v)
     return parser
 
 
@@ -497,7 +487,9 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args, extra = parser.parse_known_args(_merge_negative_values(list(argv)))
+    if extra:  # reported by the subcommand's parser, which names it
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args, args.parser)
     except Exception as exc:  # domain errors, failed cross-checks -> diagnostic, exit 1

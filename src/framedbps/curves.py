@@ -225,14 +225,18 @@ class GammaSeries:
     """Coefficients of x·d/dx log y(x) = Σ γ_{r,m} x^r a^(m/2).
 
     `coefficients` maps (r, doubled a-exponent m) -> γ_{r,m} for
-    1 <= r <= order, an int or a Fraction stored as given (any other value
-    raises ValueError); zero values are not stored.
+    1 <= r <= order, an int or a Fraction stored as given; zero values are
+    not stored.  An order below 1, a key with r outside 1..order or any
+    other value raises ValueError.
     """
 
     __slots__ = ("coefficients", "order")
 
     def __init__(self, coefficients, order):
+        order = check_at_least("order", order, 1)
         for key, c in coefficients.items():
+            if key[0] not in range(1, order + 1):
+                raise ValueError(f"gamma key {key} needs r in 1..{order}")
             if not isinstance(c, (int, Fraction)):
                 raise ValueError(f"gamma coefficient at {key} must be an int or a "
                                  f"Fraction, got {c!r}")

@@ -20,7 +20,7 @@ Conventions baked in here and validated against the integer tables:
 from functools import lru_cache
 from operator import index
 
-from .closedforms import UnsupportedKnotKind, check_at_least
+from .closedforms import check_at_least
 from .laurent import lp_mono, lp_mul, lp_neg, lp_one, lp_sub
 from .qsymbols import (BRACE, BRACE_A, BraceRatio, brace_factorial_multiset,
                        qsym_falling)
@@ -30,20 +30,18 @@ class RecursionViolated(Exception):
     """The framed unknot recursion failed at some color n."""
 
 
-_COMPONENTS = {"unknot": 1, "twist": 1, "whitehead": 2, "borromean": 3}
+# every link with a sum in `homfly_link`, by its number of components
+LINKS = {"unknot": 1, "whitehead": 2, "borromean": 3}
 
 
 def check_link(link, colors, framings):
     """The color and framing vectors of the framed link as int tuples, one
     entry per component.  Raises ValueError for an unknown link, a vector
     of the wrong length, a non-integer entry or a negative color.
-
-    Twist knots carry no full HOMFLYPT formula here (they exist for the
-    curve-engine and closed-form modules); `homfly_link` rejects them.
     """
-    if link not in _COMPONENTS:
+    if link not in LINKS:
         raise ValueError(f"unknown link {link!r}")
-    n = _COMPONENTS[link]
+    n = LINKS[link]
     vectors = []
     for name, vector in (("framings", framings), ("colors", colors)):
         try:
@@ -93,11 +91,8 @@ def homfly_link(link, colors, framings):
         prod_t link_factor(i, r_t, tau_t)  *  C_i(a, q)
 
     with the per-link core C_i, colors and framings in the given component
-    order.  The zero color gives 1.  Raises UnsupportedKnotKind for a link
-    with no core (twist knots) and ValueError as `check_link` does.
+    order.  The zero color gives 1.  Raises ValueError as `check_link` does.
     """
-    if link not in _CORES:
-        raise UnsupportedKnotKind(f"no full invariant for {link!r}")
     return _homfly_link(link, *check_link(link, colors, framings))
 
 

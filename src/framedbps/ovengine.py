@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from itertools import groupby, product
 from math import factorial, gcd, prod
 
-from .closedforms import MismatchDetected, UnsupportedKnotKind, check_integer, divisors, mobius
+from .closedforms import MismatchDetected, check_integer, divisors, mobius
 from .laurent import (_frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one,
                       lp_specialize_q1)
 from .links import _CORES, check_link, homfly_link, link_factor
@@ -126,8 +126,6 @@ def connected_F(link, rvec, framings):
     rvec, taus = check_link(link, rvec, framings)
     if not any(rvec):
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
-    if link not in _CORES:
-        raise UnsupportedKnotKind(f"no full invariant for {link!r}")
     colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
     c = colored[0][0]
     if len(colored) == 1:

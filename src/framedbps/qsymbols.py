@@ -90,8 +90,8 @@ def _div_brace(num, n):
 
 
 def brace_factorial_multiset(n):
-    """{n}! as a denominator multiset {k: multiplicity}; n an integer."""
-    return Counter(range(1, check_integer("n", n) + 1))
+    """{n}! as a denominator multiset {k: multiplicity}; n an integer >= 0."""
+    return Counter(range(1, check_at_least("n", n, 0) + 1))
 
 
 def _ratio(num, den):

@@ -282,12 +282,17 @@ def test_zero_color_vector_is_usage_error():
     assert exc.value.code == 2
 
 
+NO_TWIST = ("argument --link: invalid choice: 'twist' "
+            "(choose from 'unknot', 'whitehead', 'borromean')")
+
+
 def test_twist_has_no_full_invariant(capsys):
+    # --link offers only the links with a sum; the twist knot is not one of them
     for command in ("homfly", "ov-table"):
-        code, _, err = run_cli(capsys, command, "--link", "twist", "--p", "2",
-                               "--colors", "1", "--framing", "0")
-        assert code == 1
-        assert err == "error: UnsupportedKnotKind: no full invariant for 'twist'\n"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--link", "twist", "--colors", "1", "--framing", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\nframedbps {command}: error: {NO_TWIST}\n")
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
@@ -304,39 +309,48 @@ def test_boundary_errors_are_usage_errors(argv, capsys):
     (("ov-table", "--link", "unknot", "--colors", "1,", "--framing", "0"),
      "expected comma-separated integers, got '1,'"),
     (("bps", "--knot", "twist"), "twist knot needs --p"),
-    (("homfly", "--link", "twist", "--colors", "1", "--framing", "0"),
-     "twist knot needs --p"),
-    (("ov-table", "--link", "twist", "--colors", "1", "--framing", "0"),
-     "twist knot needs --p"),
+    (("homfly", "--link", "twist", "--colors", "1", "--framing", "0"), NO_TWIST),
+    (("ov-table", "--link", "twist", "--colors", "1", "--framing", "0"), NO_TWIST),
     (("series", "--knot", "unknot", "--order", "0"), "order must be >= 1"),
     (("verify", "recursion", "--n-max", "0"),
      "recursion needs n-max >= 2 and tau-max >= 0"),
-], ids=["homfly", "ov-table", "bps", "homfly twist", "ov-table twist", "series", "verify"])
+    (("ov-table", "--link", "unknot", "--colors", "2", "--framing", "0", "--bogus"),
+     "unrecognized arguments: --bogus"),
+], ids=["homfly", "ov-table", "bps", "homfly twist", "ov-table twist", "series", "verify",
+        "ov-table unrecognized"])
 def test_usage_error_names_its_command(argv, message, capsys):
-    # the usage line and the error name the subcommand, as argparse's own errors do
+    # the usage line and the error name the subcommand (a verify suite is
+    # one), as argparse's own errors do
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: framedbps {argv[0]} [-h] ")
-    assert err.endswith(f"\nframedbps {argv[0]}: error: {message}\n")
+    prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert err.startswith(f"usage: framedbps {prog} [-h] ")
+    assert err.endswith(f"\nframedbps {prog}: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "tables", "--n-max", "0", "--r-max", "0"),
-     "verify tables does not read --r-max, --n-max"),
+     "unrecognized arguments: --n-max 0 --r-max 0"),
     (("verify", "integrality", "--tau-max", "2"),
-     "verify integrality does not read --tau-max"),
+     "unrecognized arguments: --tau-max 2"),
     (("verify", "recursion", "--t-range", "-3:3"),
-     "verify recursion does not read --t-range"),
+     "unrecognized arguments: --t-range=-3:3"),
     (("verify", "connected", "--r-max", "30"),
-     "verify connected does not read --r-max"),
-], ids=["tables", "integrality", "recursion", "connected"])
+     "unrecognized arguments: --r-max 30"),
+    (("verify", "--r-max", "5", "integrality"),
+     "argument suite: invalid choice: '5' (choose from 'tables', 'integrality', "
+     "'recursion', 'symmetry', 'connected')"),
+], ids=["tables", "integrality", "recursion", "connected", "before the suite"])
 def test_verify_refuses_options_its_suite_does_not_read(argv, message, capsys):
+    # each suite's parser has its own options; an option placed before the
+    # suite belongs to none
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(f"\nframedbps verify: error: {message}\n")
+    prog = "verify" if argv[1].startswith("-") else f"verify {argv[1]}"
+    assert capsys.readouterr().err.endswith(f"\nframedbps {prog}: error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["bps", "series"])
@@ -357,11 +371,14 @@ def test_framing_metavar_is_tau(command, capsys):
     ("ov-table", "--link", "unknot", "--colors", "2", "--framing", "0", "--p", "1"),
 ], ids=" ".join)
 def test_p_is_refused_where_it_means_nothing(argv, capsys):
-    # p parametrizes the twist knots only; elsewhere it is not silently dropped
+    # p parametrizes the twist knots only; elsewhere it is not silently
+    # dropped, and the link commands have no --p at all
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
-    assert "takes no parameter p" in capsys.readouterr().err
+    message = ("unknot takes no parameter p" if argv[0] in ("bps", "series")
+               else f"unrecognized arguments: --p {argv[-1]}")
+    assert capsys.readouterr().err.endswith(f"\nframedbps {argv[0]}: error: {message}\n")
 
 
 def test_checks_survive_optimized_mode():

@@ -180,6 +180,20 @@ def test_gamma_series_interface():
     assert g.coefficients.get((9, 9), 0) == 0
 
 
+@pytest.mark.parametrize("coefficients, order, message", [
+    ({(1, 1): 1}, 2.5, "order must be an integer, got 2.5"),
+    ({(1, 1): 1}, 0, "order must be at least 1, got 0"),
+    ({(3, 1): 1}, 2, r"gamma key \(3, 1\) needs r in 1\.\.2"),
+    ({(0, 1): 1}, 2, r"gamma key \(0, 1\) needs r in 1\.\.2"),
+    ({(-1, 2): 3}, 2, r"gamma key \(-1, 2\) needs r in 1\.\.2"),
+], ids=["float order", "zero order", "r above order", "r zero", "r negative"])
+def test_gamma_series_refuses_order_and_keys_out_of_range(coefficients, order, message):
+    # bps_from_gamma trusts both: it would raise a bare TypeError or
+    # ZeroDivisionError, or drop the coefficient
+    with pytest.raises(ValueError, match=message):
+        bps_from_gamma(GammaSeries(coefficients, order))
+
+
 def test_gamma_small_values_unknot():
     nf = normalize(make_curve("unknot", KIND_FULL, 0), 3)
     g = lagrange_log_y(nf, 3)

@@ -2,7 +2,6 @@ from itertools import permutations
 
 import pytest
 
-from framedbps.closedforms import UnsupportedKnotKind
 from framedbps.laurent import lp_mono, lp_mul, lp_neg
 from framedbps.links import (RecursionViolated, check_link, check_unknot_recursion,
                              homfly_link, link_factor)
@@ -19,8 +18,8 @@ def test_spec_validation():
     colors, framings = check_link("whitehead", [2, 3], (0, -1))
     assert (colors, framings) == ((2, 3), (0, -1))
     assert all(type(x) is int for x in colors + framings)
-    assert check_link("twist", (3,), (1,)) == ((3,), (1,))
     for args, message in [(("hopf", (1,), (0,)), "unknown link 'hopf'"),
+                          (("twist", (3,), (1,)), "unknown link 'twist'"),
                           (("whitehead", (1, 1), (0,)),
                            r"^whitehead needs 2 framings, got \(0,\)$"),
                           (("unknot", (2, 1), (0,)), "unknot needs 1 colors"),
@@ -32,7 +31,7 @@ def test_spec_validation():
                           (("unknot", (2,), None), "unknot framings must be integers")]:
         with pytest.raises(ValueError, match=message):
             check_link(*args)
-    with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
+    with pytest.raises(ValueError, match="unknown link 'twist'"):
         homfly_link("twist", (1,), (0,))
     # the invariant takes its vectors through the same check
     for colors in [(1,), (2.5, 1)]:

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from framedbps import ovengine
-from framedbps.closedforms import MismatchDetected, UnsupportedKnotKind, b_unknot
+from framedbps.closedforms import MismatchDetected, b_unknot
 from framedbps.curves import (KIND_FULL, bps_from_gamma, lagrange_log_y, make_curve,
                               normalize)
 from framedbps.laurent import lp_add, lp_one, lp_specialize_q1
-from framedbps.links import homfly_link
+from framedbps.links import LINKS, homfly_link
 from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
                                 connected_F, connected_F_partitions,
                                 enumerate_vector_partitions, ov_table, p_poly,
@@ -328,8 +328,16 @@ def test_swapped_framings_are_computed_apart(cold_caches):
     assert b == connected_F_partitions("whitehead", (2, 3), (1, 0))
 
 
+@pytest.mark.parametrize("link", LINKS)
+def test_every_named_link_has_a_sum(link):
+    # the link table is the one list the command line offers, so a link
+    # named there with no sum behind it would be offered and then fail
+    n = LINKS[link]
+    assert ov_table(link, (1,) * n, (0,) * n).entries
+
+
 def test_connected_f_rejects_twist():
-    with pytest.raises(UnsupportedKnotKind, match="no full invariant for 'twist'"):
+    with pytest.raises(ValueError, match="unknown link 'twist'"):
         connected_F("twist", (1,), (0,))
 
 

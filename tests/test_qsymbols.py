@@ -44,6 +44,9 @@ def test_factorials_and_multiset():
                                    qsym(BRACE, 1))
     assert brace_factorial_multiset(4) == Counter({1: 1, 2: 1, 3: 1, 4: 1})
     assert brace_factorial_multiset(0) == Counter()
+    # a negative size is refused, not read as the empty factorial
+    with pytest.raises(ValueError, match="n must be at least 0, got -3"):
+        brace_factorial_multiset(-3)
 
 
 # --- BraceRatio -------------------------------------------------------------
