@@ -454,8 +454,9 @@ def build_parser():
     add_format(p_s)
     p_s.set_defaults(func=cmd_series, parser=p_s)
 
-    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
-        dest="suite", required=True)
+    p_verify = sub.add_parser("verify", help="run a verification suite")
+    parser.set_defaults(verify=p_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
     for name in VERIFY_SUITES:
         p_v = suites.add_parser(name)
         if name == "integrality":
@@ -471,25 +472,32 @@ def build_parser():
 def _merge_negative_values(argv):
     """Glue values that start with a minus and a digit ("-1,0", "-10:10") onto
     the long flag before them with '=' so argparse does not mistake them for
-    options.  No option of the parser starts with a digit."""
-    out = []
+    options; returns the tokens and a map from each glued one back to the two
+    typed.  No option of the parser starts with a digit."""
+    out, typed = [], {}
     for tok in argv:
         flag = out[-1] if out else ""
         if (flag[:2] == "--" and flag[2:3].isalpha() and "=" not in flag
                 and tok[:1] == "-" and tok[1:2].isdigit()):
             out[-1] = f"{flag}={tok}"
+            typed[out[-1]] = f"{flag} {tok}"
         else:
             out.append(tok)
-    return out
+    return out, typed
 
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args, extra = parser.parse_known_args(_merge_negative_values(list(argv)))
-    if extra:  # reported by the subcommand's parser, which names it
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    first = argv[1] if argv[:1] == ["verify"] and len(argv) > 1 else ""
+    if first[:1] == "-" and first not in ("-h", "--help"):
+        parser.get_default("verify").error(
+            f"{first} comes before the suite; a suite's options follow its name, "
+            f"as in 'verify integrality --r-max 5'")
+    merged, typed = _merge_negative_values(argv)
+    args, extra = parser.parse_known_args(merged)
+    if extra:  # reported by the subcommand's parser, which names it, as typed
+        args.parser.error(f"unrecognized arguments: {' '.join(typed.get(t, t) for t in extra)}")
     try:
         return args.func(args, args.parser)
     except Exception as exc:  # domain errors, failed cross-checks -> diagnostic, exit 1

@@ -8,7 +8,7 @@ Two independent solvers produce the same data:
   X a sign-and-monomial rescale of x).  `normalize` keeps φ in closed
   form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
   so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n
-  come out of one running power P^n, one kernel product by P per n;
+  come out of one running power P^n, one Kronecker-packed int per λ-power;
 * `newton_series_solve` — quadratic Newton lifting of w = y², the list
   of its coefficients in x, directly on the curve polynomial, with x·w′/w
   read off w by the log-derivative recurrence
@@ -29,13 +29,13 @@ where it is not integral.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
-from .laurent import (NonInvertibleLeadingTerm, _addmul, lp_add, lp_mono, lp_mul,
-                      lp_one, lp_scale, lp_sub, series_inv, series_mul)
+from .laurent import (NonInvertibleLeadingTerm, _addmul, _frame_rows, _rows_times, _unpack, _width,
+                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub, series_inv, series_mul)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -270,33 +270,31 @@ def _halved(doubled, order):
 def lagrange_log_y(nf, order):
     """GammaSeries by Lagrange inversion of Y = X φ(Y).
 
-    Coefficient of X^n in log(1 - Y(X)) is -(1/n)·Σ_{j<n} [λ^j] φ(λ)^n,
-    log y = ½ log(1 - Y); the X -> x rescale contributes σ^n a^(ne/2).
-    So 2γ_n = -σ^n Σ_{j<n} [λ^j] φ^n has int coefficients, halved once
-    by `_halved`.  With φ = P/(1 - λ)^m that sum is
-    Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n, read off one running P^n, a dict keyed (λ-power, doubled a-exponent)
-    truncated at `order`: one `_addmul` by the few nonzero coefficients of
-    P per step, O(order²·deg P) products.  A q-power in P raises
-    MismatchDetected."""
+    [X^n] log(1 - Y) = -(1/n)·Σ_{j<n} [λ^j] φ^n, log y = ½ log(1 - Y) and
+    the rescale adds σ^n a^(ne/2): with φ = P/(1 - λ)^m the ints
+    2γ_n = -σ^n Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n are halved by `_halved`.
+    rows[i] is [λ^i] P^n above a^(n·low/2) at a = 2^b (a^(1/2) = 2^b if P
+    mixes a-parities), so each sum is one int for `_unpack`; its digits
+    stay under ‖P‖₁^n·C(n(m+1), mn+1), which grows with n: one b serves
+    all n.  A q-power in P raises MismatchDetected."""
     order = check_integer("order", order)
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
-    poly = {}
-    for i, c in enumerate(nf.poly[:order]):
-        for (dq, da), v in c.items():
-            if dq:
-                raise MismatchDetected(f"normal form leaked a q-power at lambda^{i}")
-            poly[(i, da)] = v
-    out = {}
-    power = {(0, 0): 1}
+    poly, m = nf.poly[:order], nf.pole
+    for k, c in enumerate(poly):
+        if any(dq for dq, _ in c):
+            raise MismatchDetected(f"normal form leaked a q-power at lambda^{k}")
+    low, high, step, norm, terms = _frame_rows(poly)
+    bound = norm ** order * comb(order * (m + 1), m * order + 1)
+    rows, out = [1] + [0] * (order - 1), {}
     for n in range(1, order + 1):
-        power = {k: c for k, c in _addmul({}, power, poly).items() if k[0] < order}
-        mn, sign = nf.pole * n, -(nf.sigma ** n)
-        for (i, da), c in power.items():
-            if i < n:
-                key = (n, da + n * nf.e)
-                out[key] = out.get(key, 0) + sign * comb(n - 1 - i + mn, mn) * c
+        frame = (0, n * low, 0, n * high, bound)
+        span, b = _width(frame, step)
+        _rows_times(rows, terms, b, min(order, n * (len(poly) - 1) + 1))
+        total = sum(comb(n - 1 - i + m * n, m * n) * rows[i] for i in range(n))
+        for (_, da), c in _unpack(total, frame, b, span, step).items():
+            out[(n, da + n * nf.e)] = -(nf.sigma ** n) * c
     return _halved(out, order)
 
 
@@ -390,23 +388,25 @@ def newton_series_solve(curve, order):
 def bps_from_gamma(gamma):
     """BPS numbers b_{r,m} = (2/r²) Σ_{d | gcd(r,m)} μ(d) γ_{r/d, m/d}.
 
-    gcd(r, 0) = r.  One pass pushes each γ_{s,n} to every (sd, nd) with
-    sd <= order, weighted by μ(d).  Returns a map (r, m) -> integer over
-    the γ-support closure with zero values dropped, in sorted (r, m)
-    order; the first non-integral value raises NonIntegerBPS.
-    """
+    gcd(r, 0) = r.  One pass pushes each int L·γ_{s,n} (L the lcm of the
+    denominators) to every (sd, nd) with sd <= order, weighted by μ(d).
+    Returns a map (r, m) -> integer over the γ-support closure with zero
+    values dropped, in sorted (r, m) order; the first non-integral value
+    raises NonIntegerBPS."""
+    scale = lcm(*(g.denominator for g in gamma.coefficients.values()))
     mu = [0] + [mobius(d) for d in range(1, gamma.order + 1)]
     totals = {}
     for (s, n), g in gamma.coefficients.items():
+        g = int(g * scale)
         for d in range(1, gamma.order // s + 1):
             if mu[d]:
                 key = (s * d, n * d)
                 totals[key] = totals.get(key, 0) + mu[d] * g
     out = {}
     for (r, m), total in sorted(totals.items()):
-        b, rest = divmod(2 * total, r * r)
+        b, rest = divmod(2 * total, scale * r * r)
         if rest:
-            raise NonIntegerBPS((r, m, Fraction(2 * total, r * r)))
+            raise NonIntegerBPS((r, m, Fraction(2 * total, scale * r * r)))
         if b:
             out[(r, m)] = b
     return out

@@ -20,7 +20,10 @@ public operations are pure: inputs are never mutated (only the private
 also packs into one big int by Kronecker substitution, for `ovengine`:
 `_frame` bounds it and halves its exponents, `_times` and `_hull` bound
 products and sums, `_width` sizes the digits, and `_pack`, `_shift` and
-`_unpack` move it into a big int, within one, and back.
+`_unpack` move it into a big int, within one, and back.  A polynomial in
+λ packs as one int per λ-power, for the Lagrange sums of `curves`:
+`_frame_rows` bounds it, `_rows_times` multiplies it in place and
+`_unpack` reads back a sum of rows at its a-step.
 """
 
 import struct
@@ -158,11 +161,11 @@ def _hull(frames):
     return min(lq), min(la), max(hq), max(ha), sum(norm)
 
 
-def _width(frame):
-    """(span, b) for a value on `frame`: its halved a-span plus one, and
-    its bound's bit length plus a sign bit in whole bytes, as `_unpack`
-    reads them."""
-    return (frame[3] - frame[1]) // 2 + 1, 8 + frame[4].bit_length() // 8 * 8
+def _width(frame, step=2):
+    """(span, b) for a value on `frame`: its a-span in steps of `step` plus
+    one, and its bound's bit length plus a sign bit in whole bytes, as
+    `_unpack` reads them."""
+    return (frame[3] - frame[1]) // step + 1, 8 + frame[4].bit_length() // 8 * 8
 
 
 def _pack(halved, b, span):
@@ -179,11 +182,37 @@ def _shift(n, corner, target, b, span):
     return n << b * (span * dq + da) // 2
 
 
-def _unpack(n, frame, b, span):
+def _frame_rows(rows):
+    """(low, high, step, norm, terms) of the polynomial in λ with q-free
+    coefficients `rows`: its least and greatest doubled a-exponent, its a-step
+    (1 if those mix parities, else 2), 1-norm and terms (k, j, c), c·λ^k times
+    the j-th a-step above low."""
+    terms = [(k, da, c) for k, row in enumerate(rows) for (_, da), c in row.items()]
+    _, das, cs = zip(*terms)
+    low, high = min(das), max(das)
+    step = 1 if any((da - low) % 2 for da in das) else 2
+    return low, high, step, sum(map(abs, cs)), [(k, (da - low) // step, c) for k, da, c in terms]
+
+
+def _rows_times(rows, terms, b, top):
+    """rows·P in place below row `top`, rows[i] packing [λ^i] with one a-step
+    per b bits and P given by its terms (k, j, c) (see `_frame_rows`): top row
+    first, as a row reads only those below."""
+    for i in range(top - 1, -1, -1):
+        row = 0
+        for k, j, c in terms:
+            if k <= i:
+                row += (rows[i - k] * c) << b * j
+        rows[i] = row
+
+
+def _unpack(n, frame, b, span, step=2):
     """The polynomial packed as n on `frame` (corner, top, bound) at width b,
-    a multiple of 8, read from its balanced digits over the frame's box."""
+    a multiple of 8, read from balanced digits `step` a-exponents apart."""
     lq, la, hq, _, bound = frame
     w, size, half = b // 8, ((hq - lq) // 2 + 1) * span, 1 << (b - 1)
+    if bound >= half:
+        raise PackingError(f"width {b} cannot hold the bound of frame {frame}")
     n += int.from_bytes((bytes(w - 1) + b"\x80") * size, "little")   # each digit + half
     if not 0 <= n < 1 << b * size:
         raise PackingError(f"packed value reaches past frame {frame} at width {b}")
@@ -192,5 +221,5 @@ def _unpack(n, frame, b, span):
               [int.from_bytes(raw[k:k + w], "little") for k in range(0, w * size, w)])
     if min(digits) < half - bound or max(digits) > half + bound:
         raise PackingError(f"a digit above the bound of frame {frame}")
-    keys = product(range(lq, hq + 1, 2), range(la, la + 2 * span, 2))
+    keys = product(range(lq, hq + 1, 2), range(la, la + step * span, step))
     return {k: c - half for k, c in zip(keys, digits) if c != half}

@@ -336,21 +336,33 @@ def test_usage_error_names_its_command(argv, message, capsys):
     (("verify", "integrality", "--tau-max", "2"),
      "unrecognized arguments: --tau-max 2"),
     (("verify", "recursion", "--t-range", "-3:3"),
-     "unrecognized arguments: --t-range=-3:3"),
+     "unrecognized arguments: --t-range -3:3"),
     (("verify", "connected", "--r-max", "30"),
      "unrecognized arguments: --r-max 30"),
     (("verify", "--r-max", "5", "integrality"),
-     "argument suite: invalid choice: '5' (choose from 'tables', 'integrality', "
-     "'recursion', 'symmetry', 'connected')"),
+     "--r-max comes before the suite; a suite's options follow its name, as in "
+     "'verify integrality --r-max 5'"),
 ], ids=["tables", "integrality", "recursion", "connected", "before the suite"])
 def test_verify_refuses_options_its_suite_does_not_read(argv, message, capsys):
     # each suite's parser has its own options; an option placed before the
-    # suite belongs to none
+    # suite belongs to none, and the error says where it goes.  Leftover
+    # tokens are echoed as typed, not in the glued '--t-range=-3:3' form
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
     prog = "verify" if argv[1].startswith("-") else f"verify {argv[1]}"
     assert capsys.readouterr().err.endswith(f"\nframedbps {prog}: error: {message}\n")
+
+
+def test_a_value_list_starting_with_a_minus_parses(capsys):
+    # "-1,0" looks like an option to argparse; glued onto --framing it is its value
+    code, out, err = run_cli(capsys, "ov-table", "--link", "whitehead", "--colors", "2,1",
+                             "--framing", "-1,0", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["framings"] == [-1, 0]
+    assert {(e["i2"], e["j2"]): e["N"] for e in doc["entries"]} == ov_table(
+        "whitehead", (2, 1), (-1, 0)).entries
 
 
 @pytest.mark.parametrize("command", ["bps", "series"])

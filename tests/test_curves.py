@@ -225,6 +225,64 @@ def test_lagrange_equals_newton():
     assert poles == set(range(5))
 
 
+MIXED_PARITY = {(0, 2, 0): 1, (0, 0, 0): -1, (1, 0, 0): 1, (1, 2, 1): 1}
+
+
+def test_packed_lagrange_reads_a_mixed_parity_normal_form():
+    # P = 1 + a^(1/2) - a^(1/2) lambda mixes a-parities: its rows pack a^(1/2) itself
+    c = synthetic(MIXED_PARITY)
+    nf = normalize(c, 12)
+    assert {da % 2 for row in nf.poly for _, da in row} == {0, 1}
+    gamma = lagrange_log_y(nf, 12)
+    assert any(m % 2 for _, m in gamma.coefficients)
+    assert gamma == newton_series_solve(c, 12)
+
+
+@pytest.mark.parametrize("tau", [-1, -2, -3])
+def test_packed_lagrange_at_pole_orders_one_to_three(tau):
+    c = make_curve("unknot", KIND_FULL, tau)
+    nf = normalize(c, 24)
+    assert nf.pole == -tau
+    assert lagrange_log_y(nf, 24) == newton_series_solve(c, 24)
+
+
+@pytest.mark.parametrize("tau", [0, -1, -2])
+def test_packed_lagrange_on_a_one_row_p(tau):
+    # P = 1, a single row with no lambda-degree; the pole alone drives the sums
+    c = make_curve("unknot", KIND_MINUS, tau)
+    nf = normalize(c, 60)
+    assert nf.poly == [{(0, 0): 1}]
+    gamma = lagrange_log_y(nf, 60)
+    assert gamma == newton_series_solve(c, 60)
+    b = bps_from_gamma(gamma)
+    assert [b.get((r, 0), 0) for r in range(1, 61)] == [b_unknot(r, -r, tau)
+                                                          for r in range(1, 61)]
+
+
+NARROW_WIDTH_SCRIPT = """
+from framedbps import curves
+from framedbps.laurent import PackingError
+real = curves._width
+curves._width = lambda frame, step=2: (real(frame, step)[0], 8)
+try:
+    curves.lagrange_log_y(curves.normalize(curves.make_curve("unknot", "full", 2), 20), 20)
+except PackingError as exc:
+    print(type(exc).__name__, exc)
+else:
+    print("no error")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_packed_lagrange_refuses_a_width_below_its_bound(flags):
+    # 8-bit digits cannot hold the order-20 coefficients; the check is no assert
+    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", NARROW_WIDTH_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PackingError width 8 cannot hold the bound"), proc.stdout
+
+
 def phi_series(curve, order):
     """phi = (sigma a^(-e/2)) * sum (c/cu) a^(da/2) (1 - lambda)^(wdeg - J) as a
     series, expanded term by term with generalized binomials."""

@@ -149,6 +149,12 @@ def test_packing_checks_raise():
         _unpack(1 << 8 * 4, frame, 8, 2)        # a digit past the 2 x 2 box
     with pytest.raises(PackingError, match="above the bound"):
         _unpack(5, frame, 8, 2)                 # |5| > the 1-norm 4
+    with pytest.raises(PackingError, match="width 8 cannot hold"):
+        _unpack(0, frame[:4] + (128,), 8, 2)    # a bound past the digit's half
+    # at an a-step of 1 a digit is a power of a^(1/2), odd exponents included
+    mixed = {(0, -1): 1, (0, 0): -2, (0, 2): 5}
+    n = 1 - (2 << 8) + (5 << 24)
+    assert _unpack(n, (0, -1, 0, 2, 8), 8, _width((0, -1, 0, 2, 8), 1)[0], 1) == mixed
 
 
 @pytest.mark.parametrize("b", [8, 16, 24, 32, 40, 64, 72])
