@@ -166,18 +166,21 @@ def cmd_ov_table(args, parser):
 
 
 def _unknot_bps_rows(tau, r_max, source):
-    """Rows (r, m, curve value or None, closed value or None)."""
+    """Rows (r, m, curve value or None, closed value or None) over every
+    entry of the curve and the closed form's support r + m even, |m| <= r
+    (b_unknot is 0 off it), in (r, m) order."""
     curve_b = {}
     if source in ("curve", "both") and r_max >= 1:
         nf = normalize(make_curve("unknot", KIND_FULL, tau), r_max)
         curve_b = bps_from_gamma(lagrange_log_y(nf, r_max))
+    keys = set(curve_b)
+    if source in ("closed", "both"):
+        keys.update((r, m) for r in range(1, r_max + 1) for m in range(-r, r + 1, 2))
     rows = []
-    for r in range(1, r_max + 1):
-        for m in range(-r, r + 1):
-            cv = curve_b.get((r, m), 0) if source in ("curve", "both") else None
-            cl = b_unknot(r, m, tau) if source in ("closed", "both") else None
-            if not (cv or cl):
-                continue
+    for r, m in sorted(keys):
+        cv = curve_b.get((r, m), 0) if source in ("curve", "both") else None
+        cl = b_unknot(r, m, tau) if source in ("closed", "both") else None
+        if cv or cl:
             rows.append((r, m, cv, cl))
     return rows
 

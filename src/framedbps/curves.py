@@ -9,15 +9,12 @@ Two independent solvers produce the same data:
   form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
   so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n
   come out of one running power P^n, one Kronecker-packed int per λ-power;
-* `newton_series_solve` — quadratic Newton lifting of w = y², the list
-  of its coefficients in x, directly on the curve polynomial, with x·w′/w
-  read off w by the log-derivative recurrence
-  D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1).  A round from k to
-  n = min(2k, order) correct terms needs the curve A(w) to n terms but,
-  A(w) being O(x^k), the slope ∂A/∂w and its inverse only to n - k.  The
-  final residual needs no further curve evaluation: the last round has
-  2k >= order, so its step δ = O(x^k) has δ² = 0 mod x^order, and
-  A(v + δ) = A(v) + ∂A(v)·δ holds there exactly.
+* `newton_series_solve` — Newton–Hensel lifting of w = y², the list of
+  its coefficients in x, directly on the curve polynomial, one
+  coefficient per step (`solve_w_series`: each product coefficient is
+  computed once, and only the powers of w the curve has are kept), with
+  x·w′/w read off w by the log-derivative recurrence
+  D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1).
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -35,7 +32,7 @@ from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
 from .laurent import (NonInvertibleLeadingTerm, _addmul, _frame_rows, _rows_times, _unpack, _width,
-                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub, series_inv, series_mul)
+                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub, series_inv)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -298,69 +295,67 @@ def lagrange_log_y(nf, order):
     return _halved(out, order)
 
 
-def _curve_eval(curve, w, order, slope_order):
-    """The curve polynomial A at y² = w(x) to `order` terms and its
-    w-derivative ∂A/∂w to `slope_order` terms, both as coefficient lists in
-    x, each curve term added in by its monomial from one shared table of
-    the powers w^j, each the previous one times w."""
-    powers = [[lp_one()] + [{}] * (len(w) - 1)]
-    value, slope = [{} for _ in range(order)], [{} for _ in range(slope_order)]
-
-    def add(out, j, xd, mono):
-        """out += x^xd · mono · w^j, in place."""
-        while len(powers) <= j:
-            powers.append(series_mul(powers[-1], w))
-        for i, c in enumerate(powers[j][:max(len(out) - xd, 0)]):
-            _addmul(out[xd + i], c, mono)
-
-    for (xd, yd, da), c in sorted(curve.source.items()):
-        j = yd // 2
-        add(value, j, xd, lp_mono(0, da, c))
-        if j:
-            add(slope, j - 1, xd, lp_mono(0, da, c * j))
-    return value, slope
-
-
 def solve_w_series(curve, order):
     """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1, the
     list of its `order` coefficients.
 
-    Quadratic Newton lifting (Brent–Kung): a round takes v, correct to k
-    terms, to w = v - A(v)/∂A(v), correct to n = min(2k, order).  Since
-    A(v) = O(x^k), the correction is x^k times [A(v)/x^k mod x^(n-k)] over
-    ∂A(v) mod x^(n-k): the round evaluates A(v) to n terms but the slope
-    and its inverse only to n - k.  Raises SingularBranch when ∂A/∂w is not
-    invertible at the start point.
+    Linear Newton–Hensel lifting, one coefficient per step.  With w(0) = 1,
+    [x^r] A(w) = s·w_r + R_r, where s = ∂A/∂w(0, 1) sums j·c·a^(da/2) over
+    the x⁰ terms c·a^(da/2)·w^j and R_r reads only w_1..w_{r-1}; so
+    w_r = -s⁻¹·R_r, and R_0 = [x⁰]A(1) must vanish.  Only the powers w^j
+    (j ≥ 2) the curve has are kept, each one coefficient longer per step:
+    first without w_r, the sum over i = 1..r-1 (each unordered pair once
+    for w², w·w^(j-1) when w^(j-1) is kept, else J.C.P. Miller's recurrence
+    r·u_r = Σ_{k=1}^{r} ((j+1)k - r)·w_k·u_{r-k} for u = w^j), then plus
+    j·w_r once w_r is known.  No product coefficient is computed twice.
 
-    The residual is checked without a further curve evaluation.  The last
-    round has 2k >= order, so for δ = w - v = O(x^k) (taken by subtraction,
-    not from the correction) δ² vanishes mod x^order and, A being a
-    polynomial in w, A(w) ≡ A(v) + ∂A(v)·δ mod x^order exactly, from the
-    last round's value and slope.  MismatchDetected is raised when δ moves
-    one of the k settled coefficients or when that residual is nonzero.
+    Raises SingularBranch when s is not a unit, and MismatchDetected when
+    R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0) or when Miller's division
+    by r is not exact.
     """
     order = check_at_least("order", order, 1)
+    terms = [(xd, yd // 2, lp_mono(0, da, c)) for (xd, yd, da), c in sorted(curve.source.items())]
+    slope = {}
+    for xd, j, mono in terms:
+        if not xd:
+            _addmul(slope, mono, lp_mono(0, 0, j))
+    try:
+        inverse = series_inv([slope])[0]
+    except NonInvertibleLeadingTerm as exc:
+        raise SingularBranch(curve) from exc
     w = [lp_one()]
-    while True:
-        k, n = len(w), min(2 * len(w), order)
-        v = w + [{}] * (n - k)
-        value, slope = _curve_eval(curve, v, n, n - k)
-        w = v
-        if n > k:
-            try:
-                inverse = series_inv(slope)
-            except NonInvertibleLeadingTerm as exc:
-                raise SingularBranch(curve) from exc
-            correction = [{}] * k + series_mul(value[k:], inverse)
-            w = [lp_add(a, lp_scale(b, -1)) for a, b in zip(v, correction)]
-        if n == order:
-            break
-    delta = [lp_sub(a, b) for a, b in zip(w, v)]
-    if any(delta[:k]):
-        raise MismatchDetected(f"Newton step on {curve!r} moved a settled coefficient")
-    change = [{}] * k + series_mul(slope, delta[k:])
-    if any(lp_add(a, b) for a, b in zip(value, change)):
-        raise MismatchDetected(f"Newton residual of {curve!r} is nonzero")
+    kept = {j: [lp_one()] for j in sorted({j for _, j, _ in terms if j > 1})}
+    # powers[j][r] is [x^r] w^j without w_r until the step at r adds j·w_r
+    powers = {0: [lp_one()] + [{}] * order, 1: w, **kept}
+    for r in range(order):
+        if r:
+            w.append({})
+            for j, u in kept.items():
+                acc = {}
+                if j == 2:
+                    for i in range(1, r // 2 + 1):
+                        _addmul(acc, w[i], w[i] if 2 * i == r else lp_scale(w[r - i], 2))
+                elif j - 1 in kept:
+                    acc.update(kept[j - 1][r])
+                    for i in range(1, r):
+                        _addmul(acc, w[i], kept[j - 1][r - i])
+                else:
+                    for k in range(1, r):
+                        _addmul(acc, lp_scale(w[k], (j + 1) * k - r), u[r - k])
+                    if any(c % r for c in acc.values()):
+                        raise MismatchDetected(f"Miller's recurrence for w^{j} of {curve!r} "
+                                               f"is not exact at x^{r}")
+                    acc = {key: c // r for key, c in acc.items()}
+                u.append(acc)
+        rest = {}
+        for xd, j, mono in terms:
+            if xd <= r:
+                _addmul(rest, mono, powers[j][r - xd])
+        step = lp_scale(lp_mul(inverse, rest), -1) if r else {}
+        if _addmul(rest, slope, step):
+            raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
+        for j, u in powers.items():
+            u[r] = lp_add(u[r], lp_scale(step, j))
     return w
 
 

@@ -8,8 +8,7 @@ whose doubled exponent i(i-1)/2 is always integral.
 
 A truncated power series in one variable x is a plain list of Laurent
 polynomials, s[j] the coefficient of x^j, and its length is its order:
-`series_mul` truncates at the shorter input, `series_inv` at the length
-of its input.
+`series_inv` inverts one to its length.
 
 Zero coefficients are never stored, so dict equality is value equality.
 Every kernel runs on ints: `lp_mono` and `lp_scale` take the scalar as
@@ -99,20 +98,6 @@ def lp_specialize_q1(f):
             out[k] = v
         elif k in out:
             del out[k]
-    return out
-
-
-def series_mul(s1, s2):
-    """s1 * s2, truncated at the shorter input."""
-    order = min(len(s1), len(s2))
-    out = [{} for _ in range(order)]
-    for j1, c1 in enumerate(s1[:order]):
-        if not c1:
-            continue
-        for j2 in range(order - j1):
-            c2 = s2[j2]
-            if c2:
-                _addmul(out[j1 + j2], c1, c2)
     return out
 
 

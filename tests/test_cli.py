@@ -574,6 +574,17 @@ def test_mismatch_detected_surfaces(monkeypatch, capsys):
     assert cli.MismatchDetected is closedforms.MismatchDetected
 
 
+@pytest.mark.parametrize("extra", [(2, 1), (3, 5)], ids=["odd r+m", "m past r"])
+def test_bps_unknot_compares_every_curve_entry(monkeypatch, capsys, extra):
+    # a curve entry off the closed form's support is a mismatch, not a dropped row
+    real = cli.bps_from_gamma
+    monkeypatch.setattr(cli, "bps_from_gamma", lambda gamma: {**real(gamma), extra: 1})
+    code, _, err = run_cli(capsys, "bps", "--knot", "unknot", "--framing", "1",
+                           "--r-max", "4", "--source", "both")
+    assert code == 1
+    assert err == f"error: MismatchDetected: ('unknot', {extra[0]}, {extra[1]}, 1, 0)\n"
+
+
 def test_series_solver_mismatch_surfaces(monkeypatch, capsys):
     monkeypatch.setattr(cli, "newton_series_solve",
                         lambda curve, order: GammaSeries({}, order))

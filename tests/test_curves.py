@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from framedbps import curves
+from framedbps import curves, laurent
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
                                    b_extremal_twist, b_unknot)
-from framedbps.laurent import lp_mono, lp_one, series_inv, series_mul
+from framedbps.laurent import lp_add, lp_mono, lp_mul, lp_one, series_inv
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
@@ -303,6 +303,15 @@ def padded(coeffs, order):
     return (coeffs + [{}] * order)[:order]
 
 
+def series_mul(s1, s2):
+    # s1 * s2 to the length of the shorter input
+    out = [{} for _ in range(min(len(s1), len(s2)))]
+    for i, c1 in enumerate(s1[:len(out)]):
+        for j, c2 in enumerate(s2[:len(out) - i]):
+            out[i + j] = lp_add(out[i + j], lp_mul(c1, c2))
+    return out
+
+
 def test_normal_form_is_phi_over_its_pole():
     # P * (1 - lambda)^(-m), expanded by series inversion, is phi itself
     order = 12
@@ -330,17 +339,32 @@ def test_nonzero_newton_residual_raises(monkeypatch):
         solve_w_series(make_curve("unknot", KIND_FULL, 1), 4)
 
 
-def test_newton_slope_and_inverse_at_half_precision(monkeypatch):
-    # a round from k to n terms inverts the slope to n - k terms only, and the
-    # residual comes from the last round's value and slope, not a new evaluation
-    lengths, evals = [], []
-    inv, curve_eval = curves.series_inv, curves._curve_eval
-    monkeypatch.setattr(curves, "series_inv", lambda s: lengths.append(len(s)) or inv(s))
-    monkeypatch.setattr(curves, "_curve_eval",
-                        lambda *args: evals.append(args[2:]) or curve_eval(*args))
-    newton_series_solve(make_curve("unknot", KIND_FULL, 2), 20)
-    assert lengths == [1, 2, 4, 8, 5]
-    assert evals == [(2, 1), (4, 2), (8, 4), (16, 8), (21, 5)]
+def test_newton_inverts_the_unit_slope_once(monkeypatch):
+    # the lift needs only s^-1 for s = dA/dw(0, 1), a one-term series
+    lengths = []
+    monkeypatch.setattr(curves, "series_inv", lambda s: lengths.append(len(s)) or series_inv(s))
+    for tau in (-3, 2):
+        newton_series_solve(make_curve("unknot", KIND_FULL, tau), 20)
+    assert lengths == [1, 1]
+
+
+def test_newton_term_products_stay_under_their_ceilings(monkeypatch):
+    # each product coefficient once, and only the powers of w the curve has
+    # (w^5 and w^6 at tau = 5, not w^2 through w^6)
+    count = [0]
+
+    def counting(addmul):
+        def wrapped(acc, p, q):
+            count[0] += len(p) * len(q)
+            return addmul(acc, p, q)
+        return wrapped
+
+    monkeypatch.setattr(curves, "_addmul", counting(curves._addmul))
+    monkeypatch.setattr(laurent, "_addmul", counting(laurent._addmul))
+    for tau, order, ceiling in ((2, 20, 28_000), (5, 30, 150_000), (-5, 30, 150_000)):
+        count[0] = 0
+        newton_series_solve(make_curve("unknot", KIND_FULL, tau), order)
+        assert 0 < count[0] <= ceiling, (tau, order, count[0])
 
 
 def test_newton_order_one_checks_the_residual_at_x0():
@@ -357,21 +381,17 @@ from framedbps import curves
 from framedbps.closedforms import MismatchDetected
 from framedbps.laurent import lp_add, lp_one, lp_scale, series_inv
 
-
-def bump(s, j):
-    s = list(s)
-    s[j] = lp_add(s[j], lp_one())
-    return s
-
-
-# a step that moves the settled coefficients (each negated correction
-# coefficient, the zero ones below x^k too, off by one), then a wrong top
-# coefficient of the truncated inverse (past the truncation at full precision)
-for name, fault in (("lp_scale", lambda p, c: lp_add(lp_scale(p, c), lp_one())),
-                    ("series_inv", lambda s: bump(series_inv(s), -1))):
+# a wrong step (every scale off by one, the step's -1 among them), a wrong
+# unit inverse, and Miller weights ((j+1)k - r) off by one on the framing-5
+# curve, whose w^5 comes from Miller's recurrence (the step's -1 and the
+# scales by j = 0, 1, 5, 6 that complete the powers untouched)
+for name, fault, tau in (
+        ("lp_scale", lambda p, c: lp_add(lp_scale(p, c), lp_one()), 2),
+        ("series_inv", lambda s: [lp_add(series_inv(s)[0], lp_one())], 2),
+        ("lp_scale", lambda p, c: lp_scale(p, c if c in (-1, 0, 1, 5, 6) else c + 1), 5)):
     setattr(curves, name, fault)
     try:
-        curves.solve_w_series(curves.make_curve("unknot", "full", 2), 21)
+        curves.solve_w_series(curves.make_curve("unknot", "full", tau), 21)
     except MismatchDetected as exc:
         print(exc)
     else:
@@ -387,10 +407,12 @@ def test_newton_faults_raise(flags):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "Newton step on DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
-        "moved a settled coefficient",
         "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
-        "is nonzero"], proc.stdout
+        "is nonzero at x^1",
+        "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
+        "is nonzero at x^1",
+        "Miller's recurrence for w^5 of DualAPoly(knot='unknot', kind='full', framing=5, "
+        "4 terms) is not exact at x^2"], proc.stdout
 
 
 BAD_W0_SCRIPT = """
@@ -457,6 +479,50 @@ def test_singular_branch_detected():
     c = synthetic({(0, 4, 0): 1, (0, 2, 0): -2, (0, 0, 0): 1, (1, 0, 0): 1})
     with pytest.raises(SingularBranch):
         solve_w_series(c, 4)
+
+
+# w at order 15 on a curve with x^2 terms and no w^4 (w^5 by Miller's
+# recurrence), which `normalize` refuses, as the quadratic Newton lifting
+# computed it: (lowest doubled a-exponent, coefficients upward), all q-free
+X2_CURVE = {(0, 4, 0): 1, (0, 2, 0): -1, (1, 6, 1): 1, (2, 10, 0): -1, (2, 0, -1): 1,
+            (1, 0, 0): 2}
+X2_W = [
+    (0, [1]),
+    (0, [-2, -1]),
+    (-1, [-1, -3, 2, 2]),
+    (-1, [-4, -21, -6, -6, -5]),
+    (-2, [-1, -27, -72, 29, 28, 20, 14]),
+    (-2, [-12, -156, -482, -173, -200, -128, -70, -42]),
+    (-3, [-2, -119, -1147, -2754, -273, 682, 973, 555, 252, 132]),
+    (-3, [-40, -1121, -8076, -18702, -7062, -3632, -4182, -4494, -2338, -924, -429]),
+    (-4, [-5, -560, -10090, -61021, -125274, -37180, 14743, 24550, 23184, 20186, 9688, 3432,
+          1430]),
+    (-4, [-140, -6725, -89524, -456852, -876402, -355268, -88710, -126924, -149850, -120540,
+          -89046, -39744, -12870, -4862]),
+    (-5, [-14, -2520, -74100, -780108, -3505627, -6266207, -2565806, 44670, 588151, 849532,
+          844683, 599736, 387805, 162006, 48620, 16796]),
+    (-5, [-504, -36971, -772688, -6752388, -27019044, -45646304, -21133406, -3825689,
+          -3012977, -4449816, -5203932, -4510672, -2890884, -1672814, -657580, -184756,
+          -58786]),
+    (-6, [-42, -11087, -481068, -7760343, -58014299, -210763476, -339142042, -165235584,
+          -19796848, 13154720, 24361134, 30047904, 29951325, 23162958, 13607968, 7162142,
+          2661384, 705432, 208012]),
+    (-6, [-1848, -192192, -5783400, -75825311, -496676240, -1654776168, -2550589502,
+          -1325291814, -251915786, -73240720, -124404620, -176730170, -187767924,
+          -164588600, -115474800, -62889827, -30482088, -10749440, -2704156, -742900]),
+    (-7, [-132, -48041, -2884476, -65736944, -725821100, -4237878432, -13089737141,
+          -19450144310, -10585129749, -2034664588, 162465920, 620746726, 974528346,
+          1177243650, 1108067532, 872702402, 562494966, 286439894, 129098578, 43354675,
+          10400600, 2674440]),
+]
+
+
+def test_newton_golden_where_lagrange_cannot_go():
+    curve = DualAPoly(X2_CURVE, KIND_FULL, "unknot", 0)
+    with pytest.raises(NotNormalizable):
+        normalize(curve, 15)
+    assert solve_w_series(curve, 15) == [{(0, low + i): c for i, c in enumerate(cs)}
+                                         for low, cs in X2_W]
 
 
 def test_bps_from_gamma_matches_closed_forms():
