@@ -11,10 +11,9 @@ Two independent solvers produce the same data:
   come out of one running power P^n, one Kronecker-packed int per λ-power;
 * `newton_series_solve` — Newton–Hensel lifting of w = y², the list of
   its coefficients in x, directly on the curve polynomial, one
-  coefficient per step (`solve_w_series`: each product coefficient is
-  computed once, and only the powers of w the curve has are kept), with
-  x·w′/w read off w by the log-derivative recurrence
-  D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1).
+  coefficient per step (`solve_w_series`), which builds D = x·w′/w in
+  the same lift: D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1), and
+  each power w^j (j ≥ 3) the curve has from x·(w^j)′ = j·w^j·D.
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -32,7 +31,7 @@ from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
 from .laurent import (NonInvertibleLeadingTerm, _addmul, _frame_rows, _rows_times, _unpack, _width,
-                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, lp_sub, series_inv)
+                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, series_inv)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -296,22 +295,24 @@ def lagrange_log_y(nf, order):
 
 
 def solve_w_series(curve, order):
-    """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1, the
-    list of its `order` coefficients.
+    """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1: the
+    pair (w, D) of the lists of the first `order` coefficients of w and of
+    D = x·w′/w.
 
     Linear Newton–Hensel lifting, one coefficient per step.  With w(0) = 1,
     [x^r] A(w) = s·w_r + R_r, where s = ∂A/∂w(0, 1) sums j·c·a^(da/2) over
     the x⁰ terms c·a^(da/2)·w^j and R_r reads only w_1..w_{r-1}; so
-    w_r = -s⁻¹·R_r, and R_0 = [x⁰]A(1) must vanish.  Only the powers w^j
-    (j ≥ 2) the curve has are kept, each one coefficient longer per step:
-    first without w_r, the sum over i = 1..r-1 (each unordered pair once
-    for w², w·w^(j-1) when w^(j-1) is kept, else J.C.P. Miller's recurrence
-    r·u_r = Σ_{k=1}^{r} ((j+1)k - r)·w_k·u_{r-k} for u = w^j), then plus
-    j·w_r once w_r is known.  No product coefficient is computed twice.
+    w_r = -s⁻¹·R_r, and R_0 = [x⁰]A(1) must vanish.  D·w = x·w′ gives
+    D_r = r·w_r + E_r with E_r = -Σ_{k=1}^{r-1} D_k·w_{r-k}, computed once
+    per step.  Only the powers u = w^j (j ≥ 2) the curve has are kept, each
+    one coefficient longer per step: first without w_r (the pair sum over
+    i = 1..r-1 for w², and for j ≥ 3 j·(E_r + Σ_{k=1}^{r-1} D_k·u_{r-k})/r,
+    by x·u′ = j·u·D), then plus j·w_r once w_r is known.  No product
+    coefficient is computed twice.
 
     Raises SingularBranch when s is not a unit, and MismatchDetected when
-    R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0) or when Miller's division
-    by r is not exact.
+    R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0) or when a division by r
+    is not exact.
     """
     order = check_at_least("order", order, 1)
     terms = [(xd, yd // 2, lp_mono(0, da, c)) for (xd, yd, da), c in sorted(curve.source.items())]
@@ -323,11 +324,16 @@ def solve_w_series(curve, order):
         inverse = series_inv([slope])[0]
     except NonInvertibleLeadingTerm as exc:
         raise SingularBranch(curve) from exc
-    w = [lp_one()]
+    w, dlog = [lp_one()], []
     kept = {j: [lp_one()] for j in sorted({j for _, j, _ in terms if j > 1})}
     # powers[j][r] is [x^r] w^j without w_r until the step at r adds j·w_r
     powers = {0: [lp_one()] + [{}] * order, 1: w, **kept}
     for r in range(order):
+        # E_r, shared by D_r and by every kept w^j with j ≥ 3
+        e_r = {}
+        for k in range(1, r):
+            _addmul(e_r, dlog[k], w[r - k])
+        e_r = lp_scale(e_r, -1)
         if r:
             w.append({})
             for j, u in kept.items():
@@ -335,17 +341,15 @@ def solve_w_series(curve, order):
                 if j == 2:
                     for i in range(1, r // 2 + 1):
                         _addmul(acc, w[i], w[i] if 2 * i == r else lp_scale(w[r - i], 2))
-                elif j - 1 in kept:
-                    acc.update(kept[j - 1][r])
-                    for i in range(1, r):
-                        _addmul(acc, w[i], kept[j - 1][r - i])
                 else:
+                    acc.update(e_r)
                     for k in range(1, r):
-                        _addmul(acc, lp_scale(w[k], (j + 1) * k - r), u[r - k])
-                    if any(c % r for c in acc.values()):
-                        raise MismatchDetected(f"Miller's recurrence for w^{j} of {curve!r} "
-                                               f"is not exact at x^{r}")
-                    acc = {key: c // r for key, c in acc.items()}
+                        _addmul(acc, dlog[k], u[r - k])
+                    for key, c in acc.items():
+                        acc[key], rem = divmod(j * c, r)
+                        if rem:
+                            raise MismatchDetected(f"x·(w^{j})′ = {j}·w^{j}·D for {curve!r} "
+                                                   f"is not exact at x^{r}")
                 u.append(acc)
         rest = {}
         for xd, j, mono in terms:
@@ -356,27 +360,19 @@ def solve_w_series(curve, order):
             raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
         for j, u in powers.items():
             u[r] = lp_add(u[r], lp_scale(step, j))
-    return w
+        dlog.append(lp_add(lp_scale(w[r], r), e_r))
+    return w, dlog
 
 
 def newton_series_solve(curve, order):
     """GammaSeries from the Newton-solved branch: log y = ½ log w, so
-    γ_r = ½·D_r with D = x·w′/w.  Since D·w = x·w′ and w(0) = 1, one
-    triangular pass gives D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} on ints,
-    halved once by `_halved`; a branch with w(0) ≠ 1 or a q-power in some
-    D_r raises MismatchDetected."""
+    γ_r = ½·D_r with D = x·w′/w, the ints `solve_w_series` builds in its
+    lift, halved once by `_halved`; a q-power in some D_r raises
+    MismatchDetected."""
     order = check_at_least("order", order, 1)
-    w = solve_w_series(curve, order + 1)
-    if w[0] != lp_one():
-        raise MismatchDetected(f"Newton branch of {curve!r} has w(0) = {w[0]}, not 1")
-    dlog = [{}]
     out = {}
-    for r in range(1, order + 1):
-        acc = {}
-        for k in range(1, r):
-            _addmul(acc, dlog[k], w[r - k])
-        dlog.append(lp_sub(lp_scale(w[r], r), acc))
-        _gamma_entries(out, r, dlog[r])
+    for r, d in enumerate(solve_w_series(curve, order + 1)[1][1:], 1):
+        _gamma_entries(out, r, d)
     return _halved(out, order)
 
 

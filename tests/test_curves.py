@@ -326,10 +326,30 @@ def test_normal_form_is_phi_over_its_pole():
         assert expanded == phi_series(c, order), case
 
 
+def curve_at(curve, w):
+    """A(x, w) mod x^len(w), every power of w by repeated series_mul."""
+    order = len(w)
+    powers = [padded([lp_one()], order)]
+    for _ in range(max(yd // 2 for _, yd, _ in curve.source)):
+        powers.append(series_mul(powers[-1], w))
+    total = [{} for _ in range(order)]
+    for (xd, yd, da), c in curve.source.items():
+        for r in range(xd, order):
+            total[r] = lp_add(total[r], lp_mul(lp_mono(0, da, c), powers[yd // 2][r - xd]))
+    return total
+
+
 def test_newton_residual_is_exactly_zero():
-    # solve_w_series raises MismatchDetected on a nonzero full-order residual
-    w = solve_w_series(make_curve("unknot", KIND_FULL, 1), 13)
-    assert len(w) == 13
+    # the lift checks each step against its own kept powers; here A(x, w) is
+    # rebuilt from w alone
+    cases = [make_curve("unknot", kind, tau) for kind in (KIND_FULL, KIND_PLUS, KIND_MINUS)
+             for tau in range(-5, 6)]
+    cases += [make_curve(("twist", p), kind, tau) for p in (-3, -2, -1, 2, 3)
+              for kind in (KIND_PLUS, KIND_MINUS) for tau in range(-2, 3)]
+    cases.append(DualAPoly(X2_CURVE, KIND_FULL, "unknot", 0))
+    for c in cases:
+        w, _ = solve_w_series(c, 13)
+        assert len(w) == 13 and curve_at(c, w) == [{}] * 13, c
 
 
 def test_nonzero_newton_residual_raises(monkeypatch):
@@ -361,15 +381,15 @@ def test_newton_term_products_stay_under_their_ceilings(monkeypatch):
 
     monkeypatch.setattr(curves, "_addmul", counting(curves._addmul))
     monkeypatch.setattr(laurent, "_addmul", counting(laurent._addmul))
-    for tau, order, ceiling in ((2, 20, 28_000), (5, 30, 150_000), (-5, 30, 150_000)):
+    for tau, order, ceiling in ((2, 20, 28_000), (5, 30, 150_000), (-5, 30, 150_000),
+                                (3, 12, 5_500), (-3, 12, 5_500)):
         count[0] = 0
         newton_series_solve(make_curve("unknot", KIND_FULL, tau), order)
         assert 0 < count[0] <= ceiling, (tau, order, count[0])
 
 
 def test_newton_order_one_checks_the_residual_at_x0():
-    w = solve_w_series(make_curve("unknot", KIND_FULL, 2), 1)
-    assert w == [lp_one()]
+    assert solve_w_series(make_curve("unknot", KIND_FULL, 2), 1) == ([lp_one()], [{}])
     # w + 1 + x is 2 at w = 1, x = 0
     c = synthetic({(0, 2, 0): 1, (0, 0, 0): 1, (1, 0, 0): 1})
     with pytest.raises(MismatchDetected, match="Newton residual"):
@@ -382,9 +402,9 @@ from framedbps.closedforms import MismatchDetected
 from framedbps.laurent import lp_add, lp_one, lp_scale, series_inv
 
 # a wrong step (every scale off by one, the step's -1 among them), a wrong
-# unit inverse, and Miller weights ((j+1)k - r) off by one on the framing-5
-# curve, whose w^5 comes from Miller's recurrence (the step's -1 and the
-# scales by j = 0, 1, 5, 6 that complete the powers untouched)
+# unit inverse, and D off by one on the framing-5 curve, whose w^5 and w^6
+# come from x·(w^j)′ = j·w^j·D: D_r = r·w_r + E_r becomes (r+1)·w_r + E_r
+# (the -1s and the scales by j = 0, 1, 5, 6 stay untouched)
 for name, fault, tau in (
         ("lp_scale", lambda p, c: lp_add(lp_scale(p, c), lp_one()), 2),
         ("series_inv", lambda s: [lp_add(series_inv(s)[0], lp_one())], 2),
@@ -411,38 +431,8 @@ def test_newton_faults_raise(flags):
         "is nonzero at x^1",
         "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
         "is nonzero at x^1",
-        "Miller's recurrence for w^5 of DualAPoly(knot='unknot', kind='full', framing=5, "
-        "4 terms) is not exact at x^2"], proc.stdout
-
-
-BAD_W0_SCRIPT = """
-from framedbps import curves
-from framedbps.closedforms import MismatchDetected
-for w0 in ({(0, 0): 2}, {(0, 0): 1, (0, 2): 1}):
-    curves.solve_w_series = lambda curve, order: [w0] + [{}] * (order - 1)
-    try:
-        curves.newton_series_solve(curves.make_curve("unknot", "full", 1), 4)
-    except MismatchDetected as exc:
-        print(exc)
-    else:
-        print("no error")
-"""
-
-
-def test_newton_readout_needs_w0_one(monkeypatch):
-    # D = x w'/w by the recurrence is only valid for w(0) = 1
-    c = make_curve("unknot", KIND_FULL, 1)
-    for w0 in ({(0, 0): 2}, {(0, 0): 1, (0, 2): 1}):
-        monkeypatch.setattr(curves, "solve_w_series",
-                            lambda curve, order: [w0] + [{}] * (order - 1))
-        with pytest.raises(MismatchDetected, match=r"w\(0\)"):
-            newton_series_solve(c, 4)
-    # and the check is no assert: python -O keeps it
-    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", BAD_W0_SCRIPT],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("has w(0) = ") == 2, proc.stdout
+        "x·(w^5)′ = 5·w^5·D for DualAPoly(knot='unknot', kind='full', framing=5, "
+        "4 terms) is not exact at x^3"], proc.stdout
 
 
 def test_gamma_q_power_raises():
@@ -481,9 +471,10 @@ def test_singular_branch_detected():
         solve_w_series(c, 4)
 
 
-# w at order 15 on a curve with x^2 terms and no w^4 (w^5 by Miller's
-# recurrence), which `normalize` refuses, as the quadratic Newton lifting
-# computed it: (lowest doubled a-exponent, coefficients upward), all q-free
+# w at order 15 on a curve with x^2 terms and no w^4 (w^5 from
+# x·(w^5)′ = 5·w^5·D), which `normalize` refuses, as the quadratic Newton
+# lifting computed it: (lowest doubled a-exponent, coefficients upward), all
+# q-free
 X2_CURVE = {(0, 4, 0): 1, (0, 2, 0): -1, (1, 6, 1): 1, (2, 10, 0): -1, (2, 0, -1): 1,
             (1, 0, 0): 2}
 X2_W = [
@@ -517,12 +508,49 @@ X2_W = [
 ]
 
 
+# D = x·w′/w = 2γ on the same curve through x^14, rows by r as for X2_W, as
+# the pass D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} over a finished w computed
+# it; no Lagrange run checks this D
+X2_D = [
+    (0, [-2, -1]),
+    (-1, [-2, -10, 0, 3]),
+    (-1, [-18, -92, -27, -6, -10]),
+    (-2, [-6, -168, -562, -36, 84, 32, 35]),
+    (-2, [-100, -1405, -4362, -1440, -580, -420, -150, -126]),
+    (-3, [-20, -1260, -12330, -31954, -9096, 1965, 3270, 2040, 672, 462]),
+    (-3, [-490, -14140, -105385, -250280, -101682, -20384, -15820, -17248, -9597, -2940,
+          -1716]),
+    (-4, [-70, -8064, -148488, -911744, -1953570, -799008, 11108, 117920, 99708, 87024, 44072,
+          12672, 6435]),
+    (-4, [-2268, -110943, -1498572, -7811334, -15524102, -7254198, -1107720, -644805, -781074,
+          -579096, -425976, -198792, -54054, -24310]),
+    (-5, [-252, -46190, -1376020, -14680705, -67055450, -124391400, -60964440, -6438220,
+          3237550, 4684260, 4765040, 3178620, 2038770, 884520, 228800, 92378]),
+    (-5, [-10164, -754996, -15945160, -140919570, -573992562, -1005402004, -529380511,
+          -93308600, -21926190, -27628216, -31181172, -27432768, -16739910, -9588040,
+          -3893890, -962676, -352716]),
+    (-6, [-924, -247032, -10820880, -176111292, -1330994094, -4915739520, -8192389726,
+          -4519904496, -812392572, 54765648, 166742493, 200380896, 193775538, 151255440,
+          85423140, 44456984, 16996056, 4031040, 1352078]),
+    (-6, [-44616, -4683042, -142009504, -1876806620, -12420163392, -42079632595, -67156254882,
+          -38805407654, -8408873616, -1012886992, -917732816, -1286947662, -1338887940,
+          -1143385815, -806471380, -425243104, -203734232, -73667256, -16812796, -5200300]),
+    (-7, [-3432, -1260868, -76250272, -1749257762, -19457657352, -114763632921, -360357692198,
+          -553864882980, -332188675224, -77952808066, -4024293672, 4878038004, 7597143708,
+          9096524010, 8414697676, 6478554082, 4186115472, 2075034507, 924493388, 317444400,
+          69892032, 20058300]),
+]
+
+
 def test_newton_golden_where_lagrange_cannot_go():
     curve = DualAPoly(X2_CURVE, KIND_FULL, "unknot", 0)
     with pytest.raises(NotNormalizable):
         normalize(curve, 15)
-    assert solve_w_series(curve, 15) == [{(0, low + i): c for i, c in enumerate(cs)}
-                                         for low, cs in X2_W]
+    w, _ = solve_w_series(curve, 15)
+    assert w == [{(0, low + i): c for i, c in enumerate(cs)} for low, cs in X2_W]
+    assert newton_series_solve(curve, 14) == GammaSeries(
+        {(r, low + i): F(d, 2) for r, (low, ds) in enumerate(X2_D, 1)
+         for i, d in enumerate(ds)}, 14)
 
 
 def test_bps_from_gamma_matches_closed_forms():

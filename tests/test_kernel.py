@@ -44,7 +44,7 @@ def test_coefficients_are_ints_or_non_integral_fractions():
              p_poly("borromean", (1, 1, 2), (0, 1, -1)),
              p_poly("unknot", (4,), (-1,)),
              curve.source, twist.source]
-    polys += solve_w_series(curve, 9) + solve_w_series(twist, 9)
+    polys += [p for c in (curve, twist) for series in solve_w_series(c, 9) for p in series]
     polys += series_inv([lp_mono(2, 0, -1), lp_mono(0, 1, 3), {}, {}, {}, {}])
     polys += [c for nf in (normalize(curve, 8), normalize(twist, 8)) for c in nf.poly]
     # every kernel value is an int
