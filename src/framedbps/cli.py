@@ -374,9 +374,11 @@ def verify_symmetry(args):
 
 
 def verify_connected(args):
-    """`connected_F`, from log(1 + W), against the partition sum over H,
-    on every nonzero color vector up to each case's largest one.  The two
-    share only the cores C_i, `link_factor` and the unknot's H."""
+    """`connected_F`, from log(1 + W) and the unknot's q-difference
+    equation, against the partition sum over H, on every nonzero color
+    vector up to each case's largest one.  The two share only the cores C_i,
+    `link_factor` and the unknot's H (the G_0 of h_i = G_i / G_0), and on
+    one colored component nothing."""
     cases = ([("whitehead", (3, 3), taus) for taus in product(range(-2, 3), repeat=2)]
              + [("borromean", (2, 2, 2), taus) for taus in product((-1, 0, 1), repeat=3)]
              + [("unknot", (8,), (tau,)) for tau in range(-2, 3)]

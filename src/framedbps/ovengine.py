@@ -13,12 +13,14 @@ has int coefficients over braces.  The link sum separates over the
 components (see `connected_F`), and W, its logarithm and the h_i it is
 built from have Laurent-polynomial coefficients, each h divided exactly
 by `reduce`; the logarithm runs on Kronecker-packed big ints (`_log_w`).
-The unknot's D is divided down to {r}, and `p_poly` clears the braces
-left and then divides by c: checked exact divisions, where the
+The unknot's D, over {r}, comes from its q-difference equation on packed
+ints too, with no brace division (`_unknot_D`), and `p_poly` clears the
+braces left and then divides by c: checked exact divisions, where the
 integrality structure either survives or raises.  The paper's
 vector-partition sum, `connected_F_partitions`, is the oracle; it shares
-only the cores C_i and `link_factor` (the unknot's H is one
-`link_factor` term) with `connected_F`.
+only the cores C_i, `link_factor` and the unknot's H (the G_0 of each h)
+with `connected_F`, and on one colored component nothing: there it reads
+the unknot's H, which `_unknot_D` never reads.
 """
 
 from collections import Counter
@@ -91,7 +93,8 @@ def connected_F_partitions(link, rvec, framings):
     (p_j)_t over the parts p_j of multiplicity m_j at the first colored
     component t; MismatchDetected if one is not an integer.  The oracle of
     `verify connected`; it reads each H from `homfly_link`, in the
-    caller's component order.
+    caller's component order, and so shares nothing with `connected_F` on
+    one colored component (see `_unknot_D`).
     """
     rvec, taus = check_link(link, rvec, framings)
     parts = enumerate_vector_partitions(rvec)
@@ -135,18 +138,85 @@ def connected_F(link, rvec, framings):
     return BraceRatio(_log_w(link, taus, rvec)), c
 
 
+def _unknot_plan(r, tau):
+    """The frames of `_unknot_D`'s y_n and L_n for n <= r and M_n, rho_n and
+    n rho_n for n < r, as lists by n, and the terms (k, frame) of the sums:
+    rho_(n-1-k) a q^(tau k) y_k in y_n, L_k y_(n-k) in L_n, M_k rho_(n-k) in
+    n rho_n.  A zero has the frame None: M_n and rho_n with n > 0 at
+    tau = 0, where s_tau = 0 and R = 1."""
+    def up(f, dq, da):
+        return f[0] + dq, f[1] + da, f[2] + dq, f[3] + da, f[4]
+    _, js = _s_exponents(tau)
+    unit = (0, 0, 0, 0, 1)
+    yf, lf, mf, rf, nf = [unit], [None], [None], [unit], [unit]
+    yt, lt, rt = [None], [None], [None]
+    for n in range(1, r + 1):
+        yt.append([(k, up(_times(rf[n - 1 - k], yf[k]), 2 * tau * k, 2))
+                   for k in range(n) if rf[n - 1 - k]])
+        yf.append(_hull([f for _, f in yt[n]] + ([rf[n - 1]] if rf[n - 1] else [])))
+        lt.append([(k, _times(lf[k], yf[n - k])) for k in range(1, n)])
+        lf.append(_hull([yf[n][:4] + (n * yf[n][4],)] + [f for _, f in lt[n]]))
+        if n < r:
+            mf.append(_hull([up(lf[n], 2 * j * n, 0) for j in js]) if js else None)
+            rt.append([(k, _times(mf[k], rf[n - k])) for k in range(1, n + 1)
+                       if mf[k] and rf[n - k]])
+            nf.append(_hull([f for _, f in rt[n]]) if rt[n] else None)
+            rf.append(nf[n] and nf[n][:4] + (nf[n][4] // n,))   # |rho_n|_1 <= bound / n
+    return (yf, yt), (lf, lt), mf, (rf, rt, nf)
+
+
+def _s_exponents(tau):
+    """s_tau(t) = (t^tau - 1) / (t - 1) as (sign, exponents): the sum of t^j
+    over 0 <= j < tau for tau >= 0, minus that over tau <= j < 0 for tau < 0."""
+    return (1, range(tau)) if tau >= 0 else (-1, range(tau, 0))
+
+
 @lru_cache(maxsize=None)
 def _unknot_D(r, tau):
-    """D_r = r F_r of the framed unknot by the log-derivative recurrence
+    """D_r = r F_r of the framed unknot from its q-difference equation.
 
-        D_r = r H_r - sum_{0<u<r} D_u H_{r-u},
+    With z = (-1)^tau a^(-1/2) q^(1/2) x, H_r x^r = c_r z^r with
+    (1 - q^(r+1)) c_(r+1) = q^(tau r) (1 - a q^r) c_r, so the series Z of
+    the c_r has Z(z) - Z(qz) = z [Z(q^tau z) - a Z(q^(tau+1) z)].  For
+    y = Z(qz) / Z(z), R = Z(q^tau z) / Z(z) and L = z (log y)', with
+    y_0 = rho_0 = 1,
 
-    divided exactly down to {r}, the least denominator integrality allows:
-    F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1} a Laurent
-    polynomial.  InexactDivision if integrality fails."""
-    h = [homfly_link("unknot", (w,), (tau,)) for w in range(r + 1)]
-    terms = [_unknot_D(r - w, tau).mul(h[w]).scale(-1) for w in range(1, r)]
-    return BraceRatio.sum(terms + [h[r].scale(r)])._over(Counter({r: 1}))
+        y_n = -rho_(n-1) + a sum_(k<n) rho_(n-1-k) q^(tau k) y_k,
+        L_n = n y_n - sum_(0<k<n) L_k y_(n-k),
+        n rho_n = sum_(0<k<=n) M_k rho_(n-k),  M_k = L_k s_tau(q^k),
+
+    s_tau(t) = (t^tau - 1) / (t - 1) (`_s_exponents`); at q = 1 the
+    equation reads 1 - y = z y^tau (1 - a y).  Then
+    D_r = (-1)^(tau r) a^(-r/2) L_r / {r}, over the least denominator
+    integrality allows: F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1}
+    a Laurent polynomial.  Every y_n, L_n, M_n and rho_n is one int packed
+    at the a-span and width of L_r's frame (`_unknot_plan`,
+    `laurent._width`), whose bound is above that of each n rho_n: so each
+    n rho_n is unpacked on its own frame, and a coefficient that n does not
+    divide raises MismatchDetected.  Of the rest only L_r is unpacked.  No
+    brace is raised or divided, and nothing is shared with the partition
+    oracle, which reads H from `homfly_link`."""
+    (yf, yt), (lf, lt), mf, (rf, rt, nf) = _unknot_plan(r, tau)
+    span, b = _width(lf[r])
+    sign, js = _s_exponents(tau)
+    y, ell, m, rho = [1], [None], [None], [1]
+    for n in range(1, r + 1):
+        y.append(sum(_shift(rho[n - 1 - k] * y[k], f, yf[n], b, span) for k, f in yt[n])
+                 - (_shift(rho[n - 1], rf[n - 1], yf[n], b, span) if rf[n - 1] else 0))
+        ell.append(_shift(n * y[n], yf[n], lf[n], b, span) - sum(
+            _shift(ell[k] * y[n - k], f, lf[n], b, span) for k, f in lt[n]))
+        if n < r:
+            m.append(sign * sum(_shift(ell[n], (lf[n][0] + 2 * j * n, lf[n][1]), mf[n], b, span)
+                                for j in js))
+            total = sum(_shift(m[k] * rho[n - k], f, rf[n], b, span) for k, f in rt[n])
+            if n > 1 and nf[n] and any(c % n for c in _unpack(total, nf[n], b, span).values()):
+                raise MismatchDetected(f"{n} rho_{n} of the unknot at framing {tau} "
+                                       f"is not a multiple of {n}")
+            rho.append(total // n)
+    odd = tau * r % 2
+    return BraceRatio({(dq, da - r): -c if odd else c
+                       for (dq, da), c in _unpack(ell[r], lf[r], b, span).items()},
+                      {r: 1})
 
 
 @lru_cache(maxsize=None)
@@ -155,10 +225,11 @@ def _h(i, r, tau):
 
         h_r = [x^r] G_i - sum_{0<s<=r-i} [x^s] G_0 h_{r-s},
 
-    with [x^r] G_i = link_factor(i, r, tau).  `reduce` divides out every
+    with [x^r] G_i = link_factor(i, r, tau) and G_0 the framed unknot's
+    series, [x^s] G_0 = H_s (`homfly_link`).  `reduce` divides out every
     brace, InexactDivision if one is left."""
     terms = [link_factor(i, r, tau)] + [
-        link_factor(0, s, tau).mul_poly(_h(i, r - s, tau)).scale(-1)
+        homfly_link("unknot", (s,), (tau,)).mul_poly(_h(i, r - s, tau)).scale(-1)
         for s in range(1, r - i + 1)]
     return BraceRatio.sum(terms).reduce()
 

@@ -20,6 +20,7 @@ from framedbps.laurent import lp_specialize_q1
 from framedbps.links import check_unknot_recursion, homfly_link
 from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
                                 ov_table, p_poly, strong_integrality_check)
+from series_products import curve_at
 
 F = Fraction
 
@@ -273,8 +274,11 @@ def test_criterion_6_structural_properties():
                         make_curve(("twist", 3), KIND_MINUS, 2)]
     for curve in residual_curves:
         try:
-            solve_w_series(curve, 13)   # raises on a nonzero residual
-        except MismatchDetected:
+            w, _ = solve_w_series(curve, 13)
+        except MismatchDetected as exc:
+            failures.append(("residual", curve.knot, curve.kind, curve.framing, exc))
+            continue
+        if curve_at(curve, w) != [{}] * 13:
             failures.append(("residual", curve.knot, curve.kind, curve.framing))
 
     gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected F "

@@ -535,6 +535,11 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
     # an abbreviated flag before a value that starts with a minus
     ("verify_integrality_r6_t-3_3.txt",
      ("verify", "integrality", "--r-max", "6", "--t-r", "-3:3")),
+    # unknot tables captured from the brace-ratio recurrence the q-difference equation replaced
+    ("ov_unknot_12_f-3.csv",
+     ("ov-table", "--link", "unknot", "--colors", "12", "--framing", "-3")),
+    ("ov_unknot_16_f1.csv",
+     ("ov-table", "--link", "unknot", "--colors", "16", "--framing", "1")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
     # the output format is the snapshot's suffix; .txt is the default ascii,

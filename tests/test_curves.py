@@ -10,13 +10,14 @@ import pytest
 from framedbps import curves, laurent
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
                                    b_extremal_twist, b_unknot)
-from framedbps.laurent import lp_add, lp_mono, lp_mul, lp_one, series_inv
+from framedbps.laurent import lp_mono, lp_one, series_inv
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
                               frame_transform, lagrange_log_y,
                               make_curve, newton_series_solve, normalize,
                               solve_w_series)
+from series_products import curve_at, series_mul
 
 F = Fraction
 
@@ -303,15 +304,6 @@ def padded(coeffs, order):
     return (coeffs + [{}] * order)[:order]
 
 
-def series_mul(s1, s2):
-    # s1 * s2 to the length of the shorter input
-    out = [{} for _ in range(min(len(s1), len(s2)))]
-    for i, c1 in enumerate(s1[:len(out)]):
-        for j, c2 in enumerate(s2[:len(out) - i]):
-            out[i + j] = lp_add(out[i + j], lp_mul(c1, c2))
-    return out
-
-
 def test_normal_form_is_phi_over_its_pole():
     # P * (1 - lambda)^(-m), expanded by series inversion, is phi itself
     order = 12
@@ -324,19 +316,6 @@ def test_normal_form_is_phi_over_its_pole():
             pole = series_mul(pole, one_minus)
         expanded = series_mul(padded(nf.poly, order), series_inv(pole))
         assert expanded == phi_series(c, order), case
-
-
-def curve_at(curve, w):
-    """A(x, w) mod x^len(w), every power of w by repeated series_mul."""
-    order = len(w)
-    powers = [padded([lp_one()], order)]
-    for _ in range(max(yd // 2 for _, yd, _ in curve.source)):
-        powers.append(series_mul(powers[-1], w))
-    total = [{} for _ in range(order)]
-    for (xd, yd, da), c in curve.source.items():
-        for r in range(xd, order):
-            total[r] = lp_add(total[r], lp_mul(lp_mono(0, da, c), powers[yd // 2][r - xd]))
-    return total
 
 
 def test_newton_residual_is_exactly_zero():

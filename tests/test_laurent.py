@@ -8,6 +8,7 @@ from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _
                                _shift, _times, _unpack, _width, lp_add, lp_mono, lp_mul,
                                lp_neg, lp_one, lp_scale, lp_specialize_q1, lp_sub, series_inv)
 from framedbps.qsymbols import BraceRatio
+from series_products import series_mul
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 exponents = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -69,15 +70,6 @@ def test_specialize_q1_collects_a_terms():
 def geom(order):
     # 1 + x + x^2 + ...
     return [lp_one()] * order
-
-
-def series_mul(s1, s2):
-    # s1 * s2 to the length of the shorter input
-    out = [{} for _ in range(min(len(s1), len(s2)))]
-    for i, c1 in enumerate(s1[:len(out)]):
-        for j, c2 in enumerate(s2[:len(out) - i]):
-            out[i + j] = lp_add(out[i + j], lp_mul(c1, c2))
-    return out
 
 
 def test_series_inv_of_geometric():

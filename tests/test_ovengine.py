@@ -258,18 +258,91 @@ def test_a_wrong_partition_weight_raises(flags):
     assert out.startswith("MismatchDetected partition weight 2 * 1! / 3"), out
 
 
-def test_a_wrong_unknot_h_leaves_f_inexact(monkeypatch, cold_caches):
-    # a doubled H_2 breaks the division of every F_r with r >= 2 down to {r}
-    real = ovengine.homfly_link
+WRONG_UNKNOT_SCRIPT = """
+from framedbps import ovengine
+from framedbps.laurent import PackingError
+from framedbps.qsymbols import InexactDivision
 
-    def wrong(link, colors, framings):
-        h = real(link, colors, framings)
-        return h.scale(2) if (link, tuple(colors)) == ("unknot", (2,)) else h
-    monkeypatch.setattr(ovengine, "homfly_link", wrong)
-    assert connected_F("unknot", (1,), (1,)) == (real("unknot", (1,), (1,)), 1)
-    for r in (2, 3, 4):
-        with pytest.raises(InexactDivision, match="does not divide"):
-            connected_F("unknot", (r,), (1,))
+plan, s_exponents = ovengine._unknot_plan, ovengine._s_exponents
+
+
+def q_step_off(r, tau):
+    # each rho_(n-1-k) a q^(tau k) y_k of y_n read with q^((tau+1) k)
+    (yf, yt), *rest = plan(r, tau)
+    yt = [ts and [(k, (f[0] + 2 * k, f[1], f[2] + 2 * k, *f[3:])) for k, f in ts] for ts in yt]
+    return ((yf, yt), *rest)
+
+
+def s_off(tau):
+    # s_tau read as s_(tau+1), the q^tau of R = Z(q^tau z) / Z(z) as q^(tau+1)
+    return s_exponents(tau + 1)
+
+
+ovengine._unknot_plan, ovengine._s_exponents = {
+    "q_step": (q_step_off, s_exponents), "s": (plan, s_off)}[FAULT]
+for r in (2, 3, 4, 6, 8):
+    for tau in (-3, -1, 0, 2, 3):
+        try:
+            ovengine.ov_table("unknot", (r,), (tau,))
+            print("no error at", r, tau)
+        except (InexactDivision, PackingError) as exc:
+            print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("fault", ["q_step", "s"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_unknot_equation_leaves_the_table_inexact(flags, fault):
+    # a wrong coefficient of the q-difference equation gives a D whose
+    # braces p_poly cannot clear, or an L_r that does not fit its frame
+    out = run_script(flags, f"FAULT = {fault!r}\n" + WRONG_UNKNOT_SCRIPT).split("\n")
+    assert len(out) == 26 and not out[-1], out
+    assert set(out[:-1]) <= {"InexactDivision", "PackingError"}, out
+
+
+WRONG_L_SCRIPT = """
+from framedbps import ovengine
+from framedbps.closedforms import MismatchDetected
+
+plan = ovengine._unknot_plan
+
+
+def l_off(r, tau):
+    # each L_k y_(n-k) of L_n read times q^STEP
+    y, (lf, lt), *rest = plan(r, tau)
+    lt = [ts and [(k, (f[0] + 2 * STEP, f[1], f[2] + 2 * STEP, *f[3:])) for k, f in ts]
+          for ts in lt]
+    return (y, (lf, lt), *rest)
+
+
+ovengine._unknot_plan = l_off
+try:
+    ovengine._unknot_D(3, TAU)
+except MismatchDetected as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("step, tau", [(1, 2), (-1, -2)], ids=["q", "q_inverse"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_rho_with_a_remainder_raises(flags, step, tau):
+    # with L_1 = a - 1, 2 rho_2 has odd coefficients.  At tau = 2 it is
+    # (1 + a^2)(1 + q + q^2 + q^3) mod 2, odd at its corner.  At tau = -2
+    # its corner coefficient (q^-6) is 2 and its coefficients sum to 0, so
+    # its packed int is even: only a check of each coefficient sees the 3
+    # at q^-5
+    out = run_script(flags, f"STEP, TAU = {step}, {tau}\n" + WRONG_L_SCRIPT)
+    assert out.startswith(f"MismatchDetected 2 rho_2 of the unknot at framing {tau} "
+                          "is not a multiple of 2"), out
+
+
+@pytest.mark.parametrize("tau", range(-5, 6))
+def test_unknot_equation_matches_the_partition_sum(tau):
+    # beyond verify connected's reach (r <= 8, tau in -2..2); the two
+    # routes share nothing
+    for r in range(1, 11):
+        assert (connected_F("unknot", (r,), (tau,))
+                == connected_F_partitions("unknot", (r,), (tau,))), r
 
 
 def fresh_F(link, rvec, framings):
