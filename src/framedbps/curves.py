@@ -13,7 +13,11 @@ Two independent solvers produce the same data:
   its coefficients in x, directly on the curve polynomial, one
   coefficient per step (`solve_w_series`), which builds D = x·w′/w in
   the same lift: D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1), and
-  each power w^j (j ≥ 3) the curve has from x·(w^j)′ = j·w^j·D.
+  each power w^j (j ≥ 3) the curve has from x·(w^j)′ = j·w^j·D.  A curve
+  has no q, so the lift runs on dicts keyed by the doubled a-exponent
+  alone, through one multiply-accumulate (`_mac`); once lifted, w and D
+  must satisfy A(x, w) ≡ 0 and x·w′ ≡ w·D at one point a^(1/2) mod a
+  prime, with the powers of w rebuilt there (`_check_at_point`).
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
@@ -25,18 +29,22 @@ where it is not integral.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
+from operator import mul
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
-from .laurent import (NonInvertibleLeadingTerm, _addmul, _frame_rows, _rows_times, _unpack, _width,
-                      lp_add, lp_mono, lp_mul, lp_one, lp_scale, series_inv)
+from .laurent import (NonInvertibleLeadingTerm, _frame_rows, _rows_times, _unpack, _width, lp_add,
+                      lp_mono, lp_mul, series_inv)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
 KIND_MINUS = "extremal_minus"
 KINDS = (KIND_FULL, KIND_PLUS, KIND_MINUS)
+_ONE = {0: 1}
+_P, _T = 2 ** 61 - 1, 1_414_213_562_373_095_048   # a prime, and a^(1/2) mod it for `_check_at_point`
 
 
 class NotNormalizable(Exception):
@@ -294,6 +302,41 @@ def lagrange_log_y(nf, order):
     return _halved(out, order)
 
 
+def _mac(acc, p, q, k=1):
+    """acc += k·p·q in place on polynomials in a^(1/2) alone, dicts {doubled
+    a-exponent: nonzero int}: the lift's one kernel; returns acc."""
+    if len(p) > len(q):
+        p, q = q, p
+    for a1, c1 in p.items():
+        c1 *= k
+        for a2, c2 in q.items():
+            key = a1 + a2
+            v = acc.get(key, 0) + c1 * c2
+            if v:
+                acc[key] = v
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
+def _check_at_point(curve, w, dlog):
+    """MismatchDetected unless A(x, w) ≡ 0 and x·w′ ≡ w·D mod x^len(w) at a^(1/2) = _T
+    mod _P, every w^j by plain products: this reads no power the lift kept."""
+    das = set(chain(*w, *dlog, (da for _, _, da in curve.source)))
+    n, at = len(w), {min(das): pow(_T, min(das), _P)}
+    for da in range(min(das) + 1, max(das) + 1):
+        at[da] = at[da - 1] * _T % _P
+    W, D = ([sum(map(mul, p.values(), map(at.__getitem__, p))) % _P for p in s] for s in (w, dlog))
+    powers = [[1] + [0] * (n - 1), W]
+    for _ in range(max(yd for _, yd, _ in curve.source) // 2 - 1):
+        powers.append([sum(map(mul, powers[-1], W[r::-1])) % _P for r in range(n)])
+    terms = [(xd, powers[yd // 2], c * at[da]) for (xd, yd, da), c in curve.source.items()]
+    if any(sum(c * u[r - xd] for xd, u, c in terms if xd <= r) % _P for r in range(n)):
+        raise MismatchDetected(f"A(x, w) of {curve!r} is nonzero at a^(1/2) = {_T} mod 2^61 - 1")
+    if any((r * W[r] - sum(map(mul, W, D[r::-1]))) % _P for r in range(n)):
+        raise MismatchDetected(f"x·w′ ≠ w·D for {curve!r} at a^(1/2) = {_T} mod 2^61 - 1")
+
+
 def solve_w_series(curve, order):
     """Solve curve(x, y, a) = 0 for w = y² as a series with w(0) = 1: the
     pair (w, D) of the lists of the first `order` coefficients of w and of
@@ -308,43 +351,45 @@ def solve_w_series(curve, order):
     one coefficient longer per step: first without w_r (the pair sum over
     i = 1..r-1 for w², and for j ≥ 3 j·(E_r + Σ_{k=1}^{r-1} D_k·u_{r-k})/r,
     by x·u′ = j·u·D), then plus j·w_r once w_r is known.  No product
-    coefficient is computed twice.
+    coefficient is computed twice.  A curve has no q, so every coefficient
+    is a polynomial in a^(1/2) alone, and the lift runs on dicts keyed by
+    the doubled a-exponent through `_mac`; w and D come back keyed (0, da).
 
     Raises SingularBranch when s is not a unit, and MismatchDetected when
-    R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0) or when a division by r
-    is not exact.
+    R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0), when a division by r
+    is not exact, or when the lifted w and D fail `_check_at_point`.
     """
     order = check_at_least("order", order, 1)
-    terms = [(xd, yd // 2, lp_mono(0, da, c)) for (xd, yd, da), c in sorted(curve.source.items())]
+    terms = [(xd, yd // 2, {da: c}) for (xd, yd, da), c in sorted(curve.source.items())]
     slope = {}
-    for xd, j, mono in terms:
+    for (xd, yd, da), c in curve.source.items():
         if not xd:
-            _addmul(slope, mono, lp_mono(0, 0, j))
+            slope = lp_add(slope, lp_mono(0, da, yd // 2 * c))
     try:
         inverse = series_inv([slope])[0]
     except NonInvertibleLeadingTerm as exc:
         raise SingularBranch(curve) from exc
-    w, dlog = [lp_one()], []
-    kept = {j: [lp_one()] for j in sorted({j for _, j, _ in terms if j > 1})}
+    slope, inverse = ({da: c for (_, da), c in p.items()} for p in (slope, inverse))
+    w, dlog = [{0: 1}], []
+    kept = {j: [{0: 1}] for j in sorted({j for _, j, _ in terms if j > 1})}
     # powers[j][r] is [x^r] w^j without w_r until the step at r adds j·w_r
-    powers = {0: [lp_one()] + [{}] * order, 1: w, **kept}
+    powers = {0: [_ONE] + [{}] * order, 1: w, **kept}
     for r in range(order):
         # E_r, shared by D_r and by every kept w^j with j ≥ 3
         e_r = {}
         for k in range(1, r):
-            _addmul(e_r, dlog[k], w[r - k])
-        e_r = lp_scale(e_r, -1)
+            _mac(e_r, dlog[k], w[r - k], -1)
         if r:
             w.append({})
             for j, u in kept.items():
                 acc = {}
                 if j == 2:
                     for i in range(1, r // 2 + 1):
-                        _addmul(acc, w[i], w[i] if 2 * i == r else lp_scale(w[r - i], 2))
+                        _mac(acc, w[i], w[r - i], 1 if 2 * i == r else 2)
                 else:
                     acc.update(e_r)
                     for k in range(1, r):
-                        _addmul(acc, dlog[k], u[r - k])
+                        _mac(acc, dlog[k], u[r - k])
                     for key, c in acc.items():
                         acc[key], rem = divmod(j * c, r)
                         if rem:
@@ -354,14 +399,17 @@ def solve_w_series(curve, order):
         rest = {}
         for xd, j, mono in terms:
             if xd <= r:
-                _addmul(rest, mono, powers[j][r - xd])
-        step = lp_scale(lp_mul(inverse, rest), -1) if r else {}
-        if _addmul(rest, slope, step):
+                _mac(rest, mono, powers[j][r - xd])
+        step = _mac({}, inverse, rest, -1) if r else {}
+        if _mac(rest, slope, step):
             raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
-        for j, u in powers.items():
-            u[r] = lp_add(u[r], lp_scale(step, j))
-        dlog.append(lp_add(lp_scale(w[r], r), e_r))
-    return w, dlog
+        if r:
+            w[r] = step
+            for j, u in kept.items():
+                u[r] = lp_add(u[r], {da: j * c for da, c in step.items()})
+        dlog.append(_mac(e_r, _ONE, step, r))
+    _check_at_point(curve, w, dlog)
+    return tuple([{(0, da): c for da, c in p.items()} for p in s] for s in (w, dlog))
 
 
 def newton_series_solve(curve, order):

@@ -11,11 +11,11 @@ polynomials, s[j] the coefficient of x^j, and its length is its order:
 `series_inv` inverts one to its length.
 
 Zero coefficients are never stored, so dict equality is value equality.
-Every kernel runs on ints: `lp_mono` and `lp_scale` take the scalar as
-given, and `series_inv` inverts only a unit constant term
-±q^(dq/2) a^(da/2), so sums and products of int inputs stay ints.  All
-public operations are pure: inputs are never mutated (only the private
-`_addmul` accumulates in place).  A polynomial of one exponent parity
+Every kernel runs on ints: `lp_mono` takes the scalar as given, and
+`series_inv` inverts only a unit constant term ±q^(dq/2) a^(da/2), so
+sums and products of int inputs stay ints.  All public operations are
+pure: inputs are never mutated (only the private `_addmul` accumulates
+in place).  A polynomial of one exponent parity
 also packs into one big int by Kronecker substitution, for `ovengine`:
 `_frame` bounds it and halves its exponents, `_times` and `_hull` bound
 products and sums, `_width` sizes the digits, and `_pack`, `_shift` and
@@ -80,12 +80,6 @@ def _addmul(acc, p, q):
 
 def lp_mul(p, q):
     return _addmul({}, p, q)
-
-
-def lp_scale(p, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in p.items()}
 
 
 def lp_specialize_q1(f):

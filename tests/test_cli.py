@@ -540,6 +540,18 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
      ("ov-table", "--link", "unknot", "--colors", "12", "--framing", "-3")),
     ("ov_unknot_16_f1.csv",
      ("ov-table", "--link", "unknot", "--colors", "16", "--framing", "1")),
+    # gamma series captured before the Newton lift moved to a-only dicts; the
+    # series command also checks Lagrange against Newton, so a change to both
+    # solvers shows here
+    ("series_unknot_full_f-3_o24.csv",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "-3", "--order", "24")),
+    ("series_unknot_full_f2_o20.csv",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "2", "--order", "20")),
+    ("series_unknot_full_f5_o30.csv",
+     ("series", "--knot", "unknot", "--kind", "full", "--framing", "5", "--order", "30")),
+    ("series_twist_p-3_extremal_plus_f1_o24.csv",
+     ("series", "--knot", "twist", "--p", "-3", "--kind", "extremal_plus", "--framing", "1",
+      "--order", "24")),
 ])
 def test_csv_matches_snapshot(capsys, snapshot, argv):
     # the output format is the snapshot's suffix; .txt is the default ascii,
@@ -548,7 +560,7 @@ def test_csv_matches_snapshot(capsys, snapshot, argv):
     fmt = () if suffix == "txt" else ("--format", suffix)
     code, out, _ = run_cli(capsys, *argv, *fmt)
     assert code == 0
-    assert out == (SNAPSHOTS / snapshot).read_text()
+    assert out.encode() == (SNAPSHOTS / snapshot).read_bytes()
 
 
 def test_domain_errors_exit_nonzero(capsys):

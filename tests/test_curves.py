@@ -274,14 +274,19 @@ else:
 """
 
 
+def run_script(script, flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_packed_lagrange_refuses_a_width_below_its_bound(flags):
     # 8-bit digits cannot hold the order-20 coefficients; the check is no assert
-    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, *flags, "-c", NARROW_WIDTH_SCRIPT],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("PackingError width 8 cannot hold the bound"), proc.stdout
+    out = run_script(NARROW_WIDTH_SCRIPT, flags)
+    assert out[0].startswith("PackingError width 8 cannot hold the bound"), out
 
 
 def phi_series(curve, order):
@@ -352,13 +357,13 @@ def test_newton_term_products_stay_under_their_ceilings(monkeypatch):
     # (w^5 and w^6 at tau = 5, not w^2 through w^6)
     count = [0]
 
-    def counting(addmul):
-        def wrapped(acc, p, q):
+    def counting(kernel):
+        def wrapped(acc, p, q, *scale):
             count[0] += len(p) * len(q)
-            return addmul(acc, p, q)
+            return kernel(acc, p, q, *scale)
         return wrapped
 
-    monkeypatch.setattr(curves, "_addmul", counting(curves._addmul))
+    monkeypatch.setattr(curves, "_mac", counting(curves._mac))
     monkeypatch.setattr(laurent, "_addmul", counting(laurent._addmul))
     for tau, order, ceiling in ((2, 20, 28_000), (5, 30, 150_000), (-5, 30, 150_000),
                                 (3, 12, 5_500), (-3, 12, 5_500)):
@@ -378,16 +383,17 @@ def test_newton_order_one_checks_the_residual_at_x0():
 NEWTON_FAULT_SCRIPT = """
 from framedbps import curves
 from framedbps.closedforms import MismatchDetected
-from framedbps.laurent import lp_add, lp_one, lp_scale, series_inv
+from framedbps.laurent import lp_add, lp_one, series_inv
 
-# a wrong step (every scale off by one, the step's -1 among them), a wrong
-# unit inverse, and D off by one on the framing-5 curve, whose w^5 and w^6
-# come from x·(w^j)′ = j·w^j·D: D_r = r·w_r + E_r becomes (r+1)·w_r + E_r
-# (the -1s and the scales by j = 0, 1, 5, 6 stay untouched)
+# a wrong step (every scale k of the lift's kernel off by one, the step's -1
+# among them), a wrong unit inverse, and D off by one on the framing-5 curve,
+# whose w^5 and w^6 come from x·(w^j)′ = j·w^j·D: D_r = r·w_r + E_r becomes
+# (r+1)·w_r + E_r (the -1s and the scales by j = 0, 1, 5, 6 stay untouched)
+mac = curves._mac
 for name, fault, tau in (
-        ("lp_scale", lambda p, c: lp_add(lp_scale(p, c), lp_one()), 2),
+        ("_mac", lambda acc, p, q, k=1: mac(acc, p, q, k + 1), 2),
         ("series_inv", lambda s: [lp_add(series_inv(s)[0], lp_one())], 2),
-        ("lp_scale", lambda p, c: lp_scale(p, c if c in (-1, 0, 1, 5, 6) else c + 1), 5)):
+        ("_mac", lambda acc, p, q, k=1: mac(acc, p, q, k if k in (-1, 0, 1, 5, 6) else k + 1), 5)):
     setattr(curves, name, fault)
     try:
         curves.solve_w_series(curves.make_curve("unknot", "full", tau), 21)
@@ -395,23 +401,61 @@ for name, fault, tau in (
         print(exc)
     else:
         print("no error")
-    setattr(curves, name, {"lp_scale": lp_scale, "series_inv": series_inv}[name])
+    setattr(curves, name, {"_mac": mac, "series_inv": series_inv}[name])
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_newton_faults_raise(flags):
-    env = dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, *flags, "-c", NEWTON_FAULT_SCRIPT],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_script(NEWTON_FAULT_SCRIPT, flags) == [
         "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
         "is nonzero at x^1",
         "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
         "is nonzero at x^1",
         "x·(w^5)′ = 5·w^5·D for DualAPoly(knot='unknot', kind='full', framing=5, "
-        "4 terms) is not exact at x^3"], proc.stdout
+        "4 terms) is not exact at x^3"]
+
+
+SOLVED_AROUND_SCRIPT = """
+from framedbps import curves
+from framedbps.closedforms import MismatchDetected
+
+mac = curves._mac
+step_doubled = lambda acc, p, q, k=1: mac(acc, p, q, 2 * k if k == -1 and len(p) == 1 else k)
+pair_sum_off = lambda acc, p, q, k=1: mac(acc, p, q, 3 if k == 2 and p is not curves._ONE else k)
+d_off = lambda acc, p, q, k=1: mac(acc, p, q, k + 1 if p is curves._ONE and k > 1 else k)
+# each stored w_r doubled: w_r is the product s^-1·R_r (s^-1 one term) scaled by
+# -2 instead of -1.  Then faults every step solves around, on curves that keep
+# w^2 at most, so that no kept power reads D: the w^2 pair sum with 3·w_i·w_(r-i)
+# for 2·w_i·w_(r-i), and D_r = (r+1)·w_r + E_r for r >= 2
+for fault, knot, kind, tau in ((step_doubled, "unknot", "full", 2),
+                               (pair_sum_off, "unknot", "full", 1),
+                               (d_off, "unknot", "full", 1),
+                               (d_off, ("twist", 2), "extremal_minus", 0)):
+    curves._mac = fault
+    try:
+        curves.solve_w_series(curves.make_curve(knot, kind, tau), 21)
+    except MismatchDetected as exc:
+        print(exc)
+    else:
+        print("no error")
+    curves._mac = mac
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_newton_faults_solved_around_fail_the_end_residual(flags):
+    # the stored w_r is the step the per-step residual checks; the other
+    # faults pass every step and are caught only at the end, where A(x, w)
+    # and x·w′ - w·D are rebuilt from w and D alone at a^(1/2) = _T mod _P
+    at = "at a^(1/2) = 1414213562373095048 mod 2^61 - 1"
+    assert run_script(SOLVED_AROUND_SCRIPT, flags) == [
+        "Newton residual of DualAPoly(knot='unknot', kind='full', framing=2, 4 terms) "
+        "is nonzero at x^1",
+        f"A(x, w) of DualAPoly(knot='unknot', kind='full', framing=1, 4 terms) is nonzero {at}",
+        f"x·w′ ≠ w·D for DualAPoly(knot='unknot', kind='full', framing=1, 4 terms) {at}",
+        f"x·w′ ≠ w·D for DualAPoly(knot=('twist', 2), kind='extremal_minus', framing=0, "
+        f"3 terms) {at}"]
 
 
 def test_gamma_q_power_raises():

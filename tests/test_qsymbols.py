@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import lp_add, lp_mul, lp_one, lp_scale
+from framedbps.laurent import lp_add, lp_mul, lp_one
 from framedbps.qsymbols import (BRACE, BRACE_A, BraceRatio, InexactDivision,
                                 _div_brace, _mul_brace, brace_factorial_multiset,
                                 qsym, qsym_falling)
@@ -87,7 +87,8 @@ def test_ratio_mul_and_scale():
     p = a.mul(b)
     assert p.den == Counter({1: 1, 2: 1})
     assert p.num == lp_mul(qsym(BRACE, 2), qsym(BRACE_A, 0))
-    assert a.scale(Fraction(-1, 3)) == BraceRatio(lp_scale(a.num, Fraction(-1, 3)), a.den)
+    assert a.scale(Fraction(-1, 3)) == BraceRatio({k: c * Fraction(-1, 3) for k, c in a.num.items()},
+                                                   a.den)
     assert a.mul_poly(qsym(BRACE, 1)).num == lp_mul(a.num, qsym(BRACE, 1))
     assert a.scale(0).is_zero() and a.scale(0).den == Counter()
     assert a.mul_poly({}).is_zero()
