@@ -17,6 +17,7 @@ Conventions baked in here and validated against the integer tables:
   sign exponent is taken mod 2, so writing |t| for t changes nothing.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from operator import index
 
@@ -30,10 +31,6 @@ class RecursionViolated(Exception):
     """The framed unknot recursion failed at some color n."""
 
 
-# every link with a sum in `homfly_link`, by its number of components
-LINKS = {"unknot": 1, "whitehead": 2, "borromean": 3}
-
-
 def check_link(link, colors, framings):
     """The color and framing vectors of the framed link as int tuples, one
     entry per component.  Raises ValueError for an unknown link, a vector
@@ -41,7 +38,7 @@ def check_link(link, colors, framings):
     """
     if link not in LINKS:
         raise ValueError(f"unknown link {link!r}")
-    n = LINKS[link]
+    n = LINKS[link].components
     vectors = []
     for name, vector in (("framings", framings), ("colors", colors)):
         try:
@@ -63,15 +60,17 @@ def _cyclotomic_factor(i):
     return lp_neg(c) if i % 2 else c
 
 
-# The per-link core C_i(a, q) of the cyclotomic sum in `homfly_link`, each
-# computed once.  The Whitehead core carries a^(i/2) q^(i(i-1)/4) (its
-# {i}!/{i}! pair cancels), the Borromean one an uncancelled {i}!; the unknot
-# keeps only C_0 = 1.
-_CORES = {name: lru_cache(maxsize=None)(core) for name, core in {
-    "unknot": lambda i: {} if i else lp_one(),
-    "whitehead": lambda i: lp_mul(_cyclotomic_factor(i), lp_mono(i * (i - 1) // 2, i)),
-    "borromean": lambda i: lp_mul(_cyclotomic_factor(i), qsym_falling(BRACE, i, i)),
-}.items()}
+Link = namedtuple("Link", "components core")
+
+# Every link with a sum in `homfly_link`: its number of components and its
+# core C_i(a, q) in that sum, each computed once.  The Whitehead core
+# carries a^(i/2) q^(i(i-1)/4) (its {i}!/{i}! pair cancels), the Borromean
+# one an uncancelled {i}!; the unknot keeps only C_0 = 1.
+LINKS = {name: Link(n, lru_cache(maxsize=None)(core)) for name, n, core in [
+    ("unknot", 1, lambda i: {} if i else lp_one()),
+    ("whitehead", 2, lambda i: lp_mul(_cyclotomic_factor(i), lp_mono(i * (i - 1) // 2, i))),
+    ("borromean", 3, lambda i: lp_mul(_cyclotomic_factor(i), qsym_falling(BRACE, i, i))),
+]}
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +99,7 @@ def homfly_link(link, colors, framings):
 def _homfly_link(link, colors, framings):
     terms = []
     for i in range(min(colors) + 1):
-        core = _CORES[link](i)
+        core = LINKS[link].core(i)
         if not core:
             continue
         term = BraceRatio(core)

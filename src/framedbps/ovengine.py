@@ -16,23 +16,25 @@ by `reduce`; the logarithm runs on Kronecker-packed big ints (`_log_w`).
 The unknot's D, over {r}, comes from its q-difference equation on packed
 ints too, with no brace division (`_unknot_D`), and `p_poly` clears the
 braces left and then divides by c: checked exact divisions, where the
-integrality structure either survives or raises.  The paper's
-vector-partition sum, `connected_F_partitions`, is the oracle; it shares
+integrality structure either survives or raises.  The oracle,
+`connected_F_box`, takes the logarithm of the whole sum
+Z = sum_v H_v x^v instead, by one recurrence over H on the color box,
+polynomial in the colors.  It reads H alone, from `homfly_link`: it shares
 only the cores C_i, `link_factor` and the unknot's H (the G_0 of each h)
-with `connected_F`, and on one colored component nothing: there it reads
-the unknot's H, which `_unknot_D` never reads.
+with `connected_F`, and on one colored component nothing, since there it
+reads the unknot's H, which `_unknot_D` never reads.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby, product
-from math import factorial, gcd, prod
+from itertools import product
+from math import gcd, prod
 
-from .closedforms import MismatchDetected, check_integer, divisors, mobius
+from .closedforms import MismatchDetected, divisors, mobius
 from .laurent import (_frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one,
                       lp_specialize_q1)
-from .links import _CORES, check_link, homfly_link, link_factor
+from .links import LINKS, check_link, homfly_link, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
 
@@ -44,74 +46,31 @@ class NonIntegerInvariant(Exception):
     """
 
 
-class VectorPartition(tuple):
-    """A multiset of nonzero color vectors: the tuple of its (part,
-    multiplicity) pairs in descending lexicographic part order."""
-
-    __slots__ = ()
-
-    @property
-    def length(self):
-        return sum(mult for _, mult in self)
-
-    @property
-    def aut(self):
-        return prod(factorial(mult) for _, mult in self)
-
-    def __repr__(self):
-        return f"VectorPartition({tuple(self)})"
-
-
-def enumerate_vector_partitions(rvec):
-    """All multisets of nonzero componentwise-nonnegative vectors summing
-    to rvec, each exactly once (parts generated lex-descending)."""
-    rvec = tuple(check_integer("color vector entry", r) for r in rvec)
-    if not any(rvec) or any(r < 0 for r in rvec):
-        raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
-    out = []
-
-    def descend(remaining, cap, acc):
-        if not any(remaining):
-            out.append(VectorPartition((v, len(list(g))) for v, g in groupby(acc)))
-            return
-        for v in product(*(range(x, -1, -1) for x in remaining)):
-            if any(v) and v <= cap:
-                descend(tuple(a - b for a, b in zip(remaining, v)), v, acc + (v,))
-
-    descend(rvec, rvec, ())
-    return out
-
-
-def connected_F_partitions(link, rvec, framings):
+def connected_F_box(link, rvec, framings):
     """Connected invariant F_rvec of the link at the given framings as the
-    pair (D, c), F = D / c with c the first nonzero color, by the paper's
-    defining sum over vector partitions U of rvec:
+    pair (D, c) that `connected_F` gives, from Z = sum_v H_v x^v alone.
+    With t the first colored component and c = rvec_t, D = x_t d/dx_t log Z
+    and D Z = x_t d/dx_t Z give, over the box u <= rvec in `product` order,
 
-        D = sum_U (-1)^(l(U)-1) c (l(U)-1)! / |Aut(U)| * prod of framed H-parts.
+        D_u = u_t H_u - sum_{0<w<u} D_w H_(u-w),
 
-    Each weight is a sum of multinomial coefficients, since c = sum_j m_j
-    (p_j)_t over the parts p_j of multiplicity m_j at the first colored
-    component t; MismatchDetected if one is not an integer.  The oracle of
-    `verify connected`; it reads each H from `homfly_link`, in the
-    caller's component order, and so shares nothing with `connected_F` on
-    one colored component (see `_unknot_D`).
+    with D_w = w_t F_w = 0 wherever w_t = 0.  Each H is `homfly_link`'s, in
+    the caller's component order, and nothing else is read; the D_u live
+    for one call only.  The oracle of `verify connected`.
     """
     rvec, taus = check_link(link, rvec, framings)
-    parts = enumerate_vector_partitions(rvec)
-    c = next(r for r in rvec if r)
-    terms = []
-    for pt in parts:
-        weight, rest = divmod(c * factorial(pt.length - 1), pt.aut)
-        if rest:
-            raise MismatchDetected(f"partition weight {c} * {pt.length - 1}! / {pt.aut} "
-                                   f"of {pt!r} is not an integer")
-        prod = BraceRatio.one()
-        for v, mult in pt:
-            hv = homfly_link(link, v, taus)
-            for _ in range(mult):
-                prod = prod.mul(hv)
-        terms.append(prod.scale(-weight if (pt.length - 1) % 2 else weight))
-    return BraceRatio.sum(terms), c
+    if not any(rvec):
+        raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
+    t = next(i for i, r in enumerate(rvec) if r)
+    box = [u for u in product(*(range(r + 1) for r in rvec)) if any(u)]
+    h = {u: homfly_link(link, u, taus) for u in box}
+    d = {}
+    for u in box:
+        if u[t]:
+            d[u] = h[u].scale(u[t]).sub(BraceRatio.sum(
+                d[w].mul(h[tuple(a - b for a, b in zip(u, w))])
+                for w in product(*(range(a + 1) for a in u)) if w[t] and w != u))
+    return d[rvec], rvec[t]
 
 
 def connected_F(link, rvec, framings):
@@ -194,8 +153,8 @@ def _unknot_D(r, tau):
     `laurent._width`), whose bound is above that of each n rho_n: so each
     n rho_n is unpacked on its own frame, and a coefficient that n does not
     divide raises MismatchDetected.  Of the rest only L_r is unpacked.  No
-    brace is raised or divided, and nothing is shared with the partition
-    oracle, which reads H from `homfly_link`."""
+    brace is raised or divided, and nothing is shared with the oracle
+    `connected_F_box`, which reads H from `homfly_link`."""
     (yf, yt), (lf, lt), mf, (rf, rt, nf) = _unknot_plan(r, tau)
     span, b = _width(lf[r])
     sign, js = _s_exponents(tau)
@@ -238,7 +197,7 @@ def _h(i, r, tau):
 def _framed(link, i, r=0, tau=0):
     """C_i of the link (r = 0), or h_{i,r} at tau (link None, so that every
     link shares it), as its (frame, halved terms)."""
-    return _frame(_h(i, r, tau) if r else _CORES[link](i))
+    return _frame(_h(i, r, tau) if r else LINKS[link].core(i))
 
 
 @lru_cache(maxsize=None)

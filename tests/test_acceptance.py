@@ -18,8 +18,8 @@ from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, bps_from_gamma,
                               normalize, solve_w_series)
 from framedbps.laurent import lp_specialize_q1
 from framedbps.links import check_unknot_recursion, homfly_link
-from framedbps.ovengine import (bps_list, connected_F, connected_F_partitions,
-                                ov_table, p_poly, strong_integrality_check)
+from framedbps.ovengine import (bps_list, connected_F, connected_F_box, ov_table,
+                                p_poly, strong_integrality_check)
 from series_products import curve_at
 
 F = Fraction
@@ -238,7 +238,7 @@ def test_criterion_6_structural_properties():
     oracle_cases += [("borromean", (1, 2, 2), ((0, 0, 0))),
                      ("borromean", (1, 1, 2), (1, 1, 1))]
     for link, rvec, taus in oracle_cases:
-        if connected_F(link, rvec, taus) != connected_F_partitions(link, rvec, taus):
+        if connected_F(link, rvec, taus) != connected_F_box(link, rvec, taus):
             failures.append(("oracle", link, rvec, taus))
 
     for taus in ((0, 1), (1, 0), (2, -1), (0, 0)):
@@ -282,7 +282,7 @@ def test_criterion_6_structural_properties():
             failures.append(("residual", curve.knot, curve.kind, curve.framing))
 
     gate("criterion 6: unknot recursion (|tau|<=5, n<=12), connected F "
-         "from log(1 + W) equal to the partition sum on all computed cases, "
+         "from log(1 + W) equal to the box recurrence over H on all computed cases, "
          "color/framing swap symmetry of tables and of H, and curve residual 0 "
          "through order 12",
          failures)

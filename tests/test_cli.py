@@ -221,7 +221,7 @@ def test_verify_symmetry(capsys):
 
 def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
     # connected_F reads no H but the unknot's, so the H checks and the
-    # partition sum see a homfly_link that is not symmetric in colors
+    # oracle of `verify connected` see a homfly_link that is not symmetric in colors
     real = links.homfly_link
 
     def asymmetric(link, colors, framings):

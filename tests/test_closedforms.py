@@ -17,7 +17,7 @@ from framedbps.curves import (DualAPoly, frame_transform, lagrange_log_y, make_c
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_one
 from framedbps.links import check_unknot_recursion
-from framedbps.ovengine import connected_F, connected_F_partitions
+from framedbps.ovengine import connected_F, connected_F_box
 from framedbps.qsymbols import (BRACE, BraceRatio, brace_factorial_multiset, qsym,
                                 qsym_falling)
 
@@ -153,8 +153,8 @@ BAD_ARGUMENTS = [
     (frame_transform, (make_curve("unknot", "full", 0), 1.5)),
     (b_extremal_twist, (3, "+", 2.5, 0)), (b_extremal_twist, (3, "-", -2, 0.5)),
     (connected_F, ("whitehead", (3,), (0, 0))),
-    # the partition oracle, like connected_F, refuses a negative color
-    (connected_F_partitions, ("whitehead", (3, -1), (0, 0))),
+    # the oracle, like connected_F, refuses a negative color
+    (connected_F_box, ("whitehead", (3, -1), (0, 0))),
     (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
     (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
     (load_golden_without_metadata, ())]

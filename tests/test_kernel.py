@@ -8,7 +8,7 @@ from framedbps.curves import (KIND_FULL, KIND_PLUS, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_mono, series_inv
 from framedbps.links import homfly_link
-from framedbps.ovengine import connected_F, connected_F_partitions, p_poly
+from framedbps.ovengine import connected_F, connected_F_box, p_poly
 from framedbps.qsymbols import BraceRatio
 
 
@@ -33,7 +33,7 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
                        connected_F("whitehead", (2, 3), (1, -1))[0],
                        connected_F("borromean", (1, 1, 2), (0, 1, -1))[0],
                        connected_F("unknot", (6,), (2,))[0],
-                       connected_F_partitions("whitehead", (2, 3), (1, -1))[0]]
+                       connected_F_box("whitehead", (2, 3), (1, -1))[0]]
     assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}
 
 

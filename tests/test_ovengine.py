@@ -3,7 +3,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -14,9 +13,8 @@ from framedbps.curves import (KIND_FULL, bps_from_gamma, lagrange_log_y, make_cu
                               normalize)
 from framedbps.laurent import lp_add, lp_one, lp_specialize_q1
 from framedbps.links import LINKS, homfly_link
-from framedbps.ovengine import (NonIntegerInvariant, VectorPartition, bps_list,
-                                connected_F, connected_F_partitions,
-                                enumerate_vector_partitions, ov_table, p_poly,
+from framedbps.ovengine import (NonIntegerInvariant, bps_list, connected_F,
+                                connected_F_box, ov_table, p_poly,
                                 strong_integrality_check)
 from framedbps.qsymbols import BRACE, BRACE_A, BraceRatio, InexactDivision, qsym
 
@@ -25,53 +23,19 @@ def q1(poly):
     return {da: c for (_, da), c in lp_specialize_q1(poly).items()}
 
 
-# --- vector partitions ------------------------------------------------------
-
-
-def test_partitions_of_scalar_color():
-    # partitions of (4,) are the five integer partitions of 4
-    parts = enumerate_vector_partitions((4,))
-    assert len(parts) == 5
-    assert VectorPartition((((1,), 4),)) in parts
-
-
-def test_partitions_of_vector_color():
-    parts = enumerate_vector_partitions((1, 1))
-    expected = {
-        VectorPartition((((1, 1), 1),)),
-        VectorPartition((((1, 0), 1), ((0, 1), 1))),
-    }
-    assert set(parts) == expected
-    # (2,1): {(2,1)}, {(2,0),(0,1)}, {(1,1),(1,0)}, {(1,0)^2,(0,1)}
-    assert len(enumerate_vector_partitions((2, 1))) == 4
-    assert len(enumerate_vector_partitions((2, 2))) == 9
+# --- connected invariants ---------------------------------------------------
 
 
 def test_zero_or_negative_colors_raise():
-    for rvec in [(0,), (0, 0), (2, -1), (2.7,)]:
-        with pytest.raises(ValueError, match="color vector"):
-            enumerate_vector_partitions(rvec)
-    # connected_F and ov_table refuse them as well
+    # connected_F, its oracle and ov_table refuse them
     for link, rvec, taus in [("unknot", (0,), (0,)), ("whitehead", (0, 0), (0, 0)),
                              ("whitehead", (2, -1), (1, 0)), ("whitehead", (-1, -1), (0, 0)),
                              ("borromean", (0, 0, 0), (0, 0, 0))]:
-        with pytest.raises(ValueError, match="color vector"):
-            connected_F(link, rvec, taus)
+        for fn in (connected_F, connected_F_box):
+            with pytest.raises(ValueError, match="color vector"):
+                fn(link, rvec, taus)
     with pytest.raises(ValueError, match="color vector"):
         ov_table("whitehead", (0, 0), (0, 0))
-
-
-def test_partition_invariants():
-    for pt in enumerate_vector_partitions((2, 2)):
-        assert tuple(sum(m * v[c] for v, m in pt) for c in range(2)) == (2, 2)
-        assert pt.length == sum(m for _, m in pt)
-        assert pt.aut == prod(factorial(m) for _, m in pt)
-    # no duplicates
-    parts = enumerate_vector_partitions((3, 1))
-    assert len(parts) == len(set(parts))
-
-
-# --- connected invariants ---------------------------------------------------
 
 
 def test_connected_and_p_poly_unknot_decomposition():
@@ -94,16 +58,16 @@ NEGATIVE_OFFSET = ("borromean", (2, 2, 2), (0, 1, 3))
 
 
 def test_connected_f_log_oracle():
-    # log(1 + W) on packed ints equals the paper's partition sum: every
-    # framing pair in -3..3 up to Whitehead (3,3); Borromean up to (2,2,2) at
-    # seven triples that put each framing in each slot, and two more
+    # log(1 + W) on packed ints equals the log of the sum over H on the color
+    # box: every framing pair in -3..3 up to Whitehead (3,3); Borromean up to
+    # (2,2,2) at seven triples that put each framing in each slot, and two more
     cases = [("whitehead", v, taus) for taus in product(range(-3, 4), repeat=2)
              for v in product(range(1, 4), repeat=2)]
     cases += [("borromean", v, (t, (t + 5) % 7 - 3, (t + 3) % 7 - 3))
               for t in range(-3, 4) for v in product(range(1, 3), repeat=3)]
     cases += [("borromean", (2, 1, 1), (1, 0, -1)), NEGATIVE_OFFSET]
     for link, v, taus in cases:
-        assert connected_F(link, v, taus) == connected_F_partitions(link, v, taus), (link, v, taus)
+        assert connected_F(link, v, taus) == connected_F_box(link, v, taus), (link, v, taus)
     link, v, taus = NEGATIVE_OFFSET
     _, w_frame, _, d_frame = ovengine._frames(link, taus, v)
     assert d_frame[0] < w_frame[0]
@@ -123,17 +87,17 @@ def test_width_bound_holds():
 MIXED_PARITY_SCRIPT = """
 from framedbps import ovengine
 from framedbps.laurent import PackingError
-real = ovengine._CORES["whitehead"]
+real = ovengine.LINKS["whitehead"]
 
 
 def mixed(i):
-    core = dict(real(i))
+    core = dict(real.core(i))
     (dq, da), = list(core)[:1]
     core[(dq + 1, da)] = 1
     return core
 
 
-ovengine._CORES["whitehead"] = mixed
+ovengine.LINKS["whitehead"] = real._replace(core=mixed)
 try:
     ovengine.connected_F("whitehead", (2, 2), (0, 0))
 except PackingError as exc:
@@ -238,24 +202,55 @@ def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
     assert exc.value.args[2].denominator == 3
 
 
-WRONG_WEIGHT_SCRIPT = """
-from math import factorial
-from framedbps import ovengine
-from framedbps.closedforms import MismatchDetected
+INNER_FAULT_SCRIPT = """
+from framedbps import cli, ovengine
 
-# 2! read as 3 makes |Aut| of the partition (1,) + (1,) of (2,) equal 3
-ovengine.factorial = lambda n: factorial(n) + (n == 2)
-try:
-    ovengine.connected_F_partitions("unknot", (2,), (0,))
-except MismatchDetected as exc:
-    print(type(exc).__name__, exc)
+caches = [ovengine._unknot_D, ovengine._h, ovengine._framed, ovengine._frames, ovengine._log_w]
+
+
+def doubled_at(real, at):
+    def wrong(*args):
+        value = real(*args)
+        if args != at:
+            return value
+        return value.scale(2) if hasattr(value, "scale") else {k: 2 * c for k, c in value.items()}
+    return wrong
+
+
+for name, at in FAULTS:
+    for cache in caches:
+        cache.cache_clear()
+    real = getattr(ovengine, name)
+    setattr(ovengine, name, doubled_at(real, at))
+    print("fault", name)
+    print("exit", cli.main(["verify", "connected"]))
+    setattr(ovengine, name, real)
 """
+
+# one layer of connected_F doubled at one argument, a line of `verify
+# connected` that it fails, and the number of cases it fails
+INNER_FAULTS = [
+    # h_{1,3} at framing 0, read by no larger h of the suite
+    ("_h", (1, 3, 0), "whitehead colors<=(3, 3) framings=(0, 0): "
+     "FAIL at [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]", 10),
+    ("_log_w", ("whitehead", (1, -1), (2, 1)),
+     "whitehead colors<=(3, 3) framings=(1, -1): FAIL at [(2, 1)]", 1),
+    ("_unknot_D", (3, 1), "unknot colors<=(8,) framings=(1,): FAIL at [(3,)]", 11),
+]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_a_wrong_partition_weight_raises(flags):
-    out = run_script(flags, WRONG_WEIGHT_SCRIPT)
-    assert out.startswith("MismatchDetected partition weight 2 * 1! / 3"), out
+def test_verify_connected_catches_a_wrong_inner_layer(flags):
+    # the oracle reads H alone, so it disagrees with each fault, under -O too
+    faults = [(name, at) for name, at, *_ in INNER_FAULTS]
+    runs = run_script(flags, f"FAULTS = {faults!r}\n" + INNER_FAULT_SCRIPT).split("fault ")
+    assert len(runs) == 4 and not runs[0], runs
+    for run, (name, _, line, failures) in zip(runs[1:], INNER_FAULTS):
+        lines = run.splitlines()
+        assert lines[0] == name
+        assert lines[-2:] == [f"connected: {failures} failures", "exit 1"], (name, lines[-2:])
+        assert f"connected {line}" in lines, name
+        assert sum(": FAIL at [" in x for x in lines) == failures, name
 
 
 WRONG_UNKNOT_SCRIPT = """
@@ -339,10 +334,11 @@ def test_a_rho_with_a_remainder_raises(flags, step, tau):
 @pytest.mark.parametrize("tau", range(-5, 6))
 def test_unknot_equation_matches_the_partition_sum(tau):
     # beyond verify connected's reach (r <= 8, tau in -2..2); the two
-    # routes share nothing
+    # routes share nothing.  The oracle's recurrence evaluates the same
+    # logarithm the paper writes as a sum over partitions
     for r in range(1, 11):
         assert (connected_F("unknot", (r,), (tau,))
-                == connected_F_partitions("unknot", (r,), (tau,))), r
+                == connected_F_box("unknot", (r,), (tau,))), r
 
 
 def fresh_F(link, rvec, framings):
@@ -357,7 +353,7 @@ def test_cached_coefficients_extend_to_a_larger_box(cold_caches, first, second):
               connected_F("whitehead", second, (1, 0))]
     for rvec, f in zip((first, second), shared):
         assert (f == fresh_F("whitehead", rvec, (1, 0))
-                == connected_F_partitions("whitehead", rvec, (1, 0)))
+                == connected_F_box("whitehead", rvec, (1, 0)))
 
 
 def test_framings_are_cached_apart(cold_caches):
@@ -365,14 +361,14 @@ def test_framings_are_cached_apart(cold_caches):
     shared = [connected_F("whitehead", (2, 2), taus) for taus in framings]
     for taus, f in zip(framings, shared):
         assert (f == fresh_F("whitehead", (2, 2), taus)
-                == connected_F_partitions("whitehead", (2, 2), taus))
+                == connected_F_box("whitehead", (2, 2), taus))
     assert shared[0] != shared[1]
 
 
 def test_zero_framings_match_a_fresh_run_and_the_oracle(cold_caches):
     zero = ("whitehead", (2, 3), (0, 0))
     f = connected_F(*zero)
-    assert f == fresh_F(*zero) == connected_F_partitions(*zero)
+    assert f == fresh_F(*zero) == connected_F_box(*zero)
 
 
 def test_swapped_twin_agrees(cold_caches):
@@ -381,7 +377,7 @@ def test_swapped_twin_agrees(cold_caches):
     d, c = connected_F("whitehead", (3, 4), (1, -2))
     twin = connected_F("whitehead", (4, 3), (-2, 1))
     assert (c, twin[1]) == (3, 4) and twin[0].scale(3) == d.scale(4)
-    assert twin == connected_F_partitions("whitehead", (4, 3), (-2, 1))
+    assert twin == connected_F_box("whitehead", (4, 3), (-2, 1))
 
 
 def test_one_colored_component_reads_the_unknot(cold_caches):
@@ -390,22 +386,22 @@ def test_one_colored_component_reads_the_unknot(cold_caches):
     assert connected_F("whitehead", (0, 3), (2, -1))[0] is d
     tri = ("borromean", (0, 3, 0), (1, -1, 0))
     assert connected_F(*tri)[0] is d
-    assert (d, c) == connected_F_partitions(*tri)
+    assert (d, c) == connected_F_box(*tri)
 
 
 def test_swapped_framings_are_computed_apart(cold_caches):
     a = connected_F("whitehead", (2, 3), (0, 1))
     b = connected_F("whitehead", (2, 3), (1, 0))
     assert a != b
-    assert a == connected_F_partitions("whitehead", (2, 3), (0, 1))
-    assert b == connected_F_partitions("whitehead", (2, 3), (1, 0))
+    assert a == connected_F_box("whitehead", (2, 3), (0, 1))
+    assert b == connected_F_box("whitehead", (2, 3), (1, 0))
 
 
 @pytest.mark.parametrize("link", LINKS)
 def test_every_named_link_has_a_sum(link):
     # the link table is the one list the command line offers, so a link
     # named there with no sum behind it would be offered and then fail
-    n = LINKS[link]
+    n = LINKS[link].components
     assert ov_table(link, (1,) * n, (0,) * n).entries
 
 
@@ -414,7 +410,7 @@ def test_connected_f_rejects_twist():
         connected_F("twist", (1,), (0,))
 
 
-@pytest.mark.parametrize("fn", [ov_table, p_poly, connected_F, connected_F_partitions],
+@pytest.mark.parametrize("fn", [ov_table, p_poly, connected_F, connected_F_box],
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("colors, framings, message", [
     ((2.7, 2), (0, 0), "whitehead colors must be integers"),
