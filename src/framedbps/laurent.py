@@ -82,19 +82,6 @@ def lp_mul(p, q):
     return _addmul({}, p, q)
 
 
-def lp_specialize_q1(f):
-    """Substitute q^(1/2) := 1, collecting a-terms."""
-    out = {}
-    for (dq, da), c in f.items():
-        k = (0, da)
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
-
-
 def series_inv(s):
     """1/s, to the length of s, when the constant term is a unit ±q^(dq/2)a^(da/2),
     whose inverse is ±q^(-dq/2)a^(-da/2); any other constant term raises

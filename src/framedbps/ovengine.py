@@ -1,10 +1,10 @@
 """The plethystic pipeline: connected invariants, p-polynomials, integer
-N-tables, BPS lists, and strong-integrality parities.
+N-tables, and strong-integrality parities.
 
 The flow is
 
     link sum  --log(1 + W)-->  connected F  --Möbius + Adams-->
-    p-polynomial  --coefficients-->  N-table  --row sums-->  b-list,
+    p-polynomial  --coefficients-->  N-table,
 
 with every intermediate value an exact numerator/denominator pair.  F_v
 travels as (D, c), F = D / c, c = v_t the first nonzero color: its one
@@ -19,7 +19,8 @@ braces left and then divides by c: checked exact divisions, where the
 integrality structure either survives or raises.  The oracle,
 `connected_F_box`, takes the logarithm of the whole sum
 Z = sum_v H_v x^v instead, by one recurrence over H on the color box,
-polynomial in the colors.  It reads H alone, from `homfly_link`: it shares
+polynomial in the colors, and returns every vector of the box from that
+one pass.  It reads H alone, from `homfly_link`: it shares
 only the cores C_i, `link_factor` and the unknot's H (the G_0 of each h)
 with `connected_F`, and on one colored component nothing, since there it
 reads the unknot's H, which `_unknot_D` never reads.
@@ -32,8 +33,7 @@ from itertools import product
 from math import gcd, prod
 
 from .closedforms import MismatchDetected, divisors, mobius
-from .laurent import (_frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one,
-                      lp_specialize_q1)
+from .laurent import _frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one
 from .links import LINKS, check_link, homfly_link, link_factor
 from .qsymbols import BRACE, BraceRatio, qsym
 
@@ -46,31 +46,33 @@ class NonIntegerInvariant(Exception):
     """
 
 
-def connected_F_box(link, rvec, framings):
-    """Connected invariant F_rvec of the link at the given framings as the
-    pair (D, c) that `connected_F` gives, from Z = sum_v H_v x^v alone.
-    With t the first colored component and c = rvec_t, D = x_t d/dx_t log Z
-    and D Z = x_t d/dx_t Z give, over the box u <= rvec in `product` order,
+def connected_F_box(link, top, framings):
+    """Connected invariants of the link at the given framings on its whole
+    color box, {v: (D_v, c_v)} for every nonzero v <= top, each the pair
+    that `connected_F(link, v, framings)` gives, from Z = sum_v H_v x^v
+    alone.  With t = u's first colored component and c_u = u_t,
+    D_u = x_t d/dx_t log Z and D Z = x_t d/dx_t Z give
 
         D_u = u_t H_u - sum_{0<w<u} D_w H_(u-w),
 
-    with D_w = w_t F_w = 0 wherever w_t = 0.  Each H is `homfly_link`'s, in
-    the caller's component order, and nothing else is read; the D_u live
-    for one call only.  The oracle of `verify connected`.
+    with D_w = w_t F_w = 0 wherever w_t = 0.  Every w <= u with w_t > 0
+    is zero before t, so it takes the same t, and comes before u in
+    `product` order: one pass over the box reads only values it has made.
+    Each H is `homfly_link`'s, in the caller's component order, and nothing
+    else is read.  The oracle of `verify connected`.
     """
-    rvec, taus = check_link(link, rvec, framings)
-    if not any(rvec):
-        raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
-    t = next(i for i, r in enumerate(rvec) if r)
-    box = [u for u in product(*(range(r + 1) for r in rvec)) if any(u)]
+    top, taus = check_link(link, top, framings)
+    if not any(top):
+        raise ValueError(f"color vector {top} must be nonnegative and not all zero")
+    box = [u for u in product(*(range(r + 1) for r in top)) if any(u)]
     h = {u: homfly_link(link, u, taus) for u in box}
-    d = {}
+    f = {}
     for u in box:
-        if u[t]:
-            d[u] = h[u].scale(u[t]).sub(BraceRatio.sum(
-                d[w].mul(h[tuple(a - b for a, b in zip(u, w))])
-                for w in product(*(range(a + 1) for a in u)) if w[t] and w != u))
-    return d[rvec], rvec[t]
+        t = next(i for i, r in enumerate(u) if r)
+        f[u] = h[u].scale(u[t]).sub(BraceRatio.sum(
+            f[w][0].mul(h[tuple(a - b for a, b in zip(u, w))])
+            for w in product(*(range(a + 1) for a in u)) if w[t] and w != u)), u[t]
+    return f
 
 
 def connected_F(link, rvec, framings):
@@ -325,23 +327,6 @@ def ov_table(link, rvec, framings):
     p = p_poly(link, rvec, framings)
     k = sum(1 for r in rvec if r)
     return OVTable(rvec, framings, k, {(da, dq): c for (dq, da), c in p.items()}, p)
-
-
-def bps_list(table):
-    """Collapse a table to its BPS list {doubled a-exponent 2i: b_i}, with
-    b_i = sum_j N_{i,j} and zeros dropped.
-
-    Computed twice — by row sums and as the q = 1 specialization of the
-    p-polynomial — and MismatchDetected is raised if the two differ.
-    """
-    rows = {}
-    for (da, dq), n in table.entries.items():
-        rows[da] = rows.get(da, 0) + n
-    rows = {da: n for da, n in rows.items() if n}
-    q1 = {da: c for (_, da), c in lp_specialize_q1(table.p_poly).items()}
-    if rows != q1:
-        raise MismatchDetected(f"row sums {rows} differ from q=1 values {q1}")
-    return rows
 
 
 def strong_integrality_check(table):

@@ -140,10 +140,6 @@ class BraceRatio:
         return BraceRatio({})
 
     @staticmethod
-    def one():
-        return BraceRatio(lp_one())
-
-    @staticmethod
     def sum(terms):
         """The sum of `terms`, folded with `add`.  Empty gives zero."""
         total = BraceRatio.zero()

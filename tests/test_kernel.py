@@ -33,7 +33,7 @@ def test_ratio_numerators_hold_only_ints(monkeypatch):
                        connected_F("whitehead", (2, 3), (1, -1))[0],
                        connected_F("borromean", (1, 1, 2), (0, 1, -1))[0],
                        connected_F("unknot", (6,), (2,))[0],
-                       connected_F_box("whitehead", (2, 3), (1, -1))[0]]
+                       *(d for d, _ in connected_F_box("whitehead", (2, 3), (1, -1)).values())]
     assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _hull, _pack,
                                _shift, _times, _unpack, _width, lp_add, lp_mono, lp_mul,
-                               lp_neg, lp_one, lp_specialize_q1, lp_sub, series_inv)
+                               lp_neg, lp_one, lp_sub, series_inv)
 from framedbps.qsymbols import BraceRatio
 from series_products import series_mul
 
@@ -46,21 +46,6 @@ def test_adams_is_multiplicative(p, q, d):
     x, y = BraceRatio(p, {1: 1}), BraceRatio(q, {2: 1})
     assert x.mul(y).adams(d) == x.adams(d).mul(y.adams(d))
     assert x.adams(1) == x
-
-
-@given(polys, polys)
-@settings(max_examples=40)
-def test_specialize_q1_is_a_ring_map(p, q):
-    assert lp_specialize_q1(lp_mul(p, q)) == lp_mul(
-        lp_specialize_q1(p), lp_specialize_q1(q))
-    assert lp_specialize_q1(lp_add(p, q)) == lp_add(
-        lp_specialize_q1(p), lp_specialize_q1(q))
-
-
-def test_specialize_q1_collects_a_terms():
-    p = {(3, 1): Fraction(1), (-3, 1): Fraction(2), (0, -2): Fraction(1),
-         (5, 3): Fraction(1), (1, 3): Fraction(-1)}
-    assert lp_specialize_q1(p) == {(0, 1): 3, (0, -2): 1}
 
 
 # --- truncated series ------------------------------------------------------

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from framedbps.laurent import lp_mono, lp_mul, lp_neg
+from framedbps.laurent import lp_mono, lp_mul, lp_neg, lp_one
 from framedbps.links import (RecursionViolated, check_link, check_unknot_recursion,
                              homfly_link, link_factor)
 from framedbps.qsymbols import (BRACE_A, BraceRatio, brace_factorial_multiset,
@@ -46,7 +46,7 @@ def test_spec_validation():
 
 
 def test_unknot_small_colors():
-    assert unknot(0) == BraceRatio.one()
+    assert unknot(0) == BraceRatio(lp_one())
     # H_1 = {0;a}/{1}
     assert unknot(1) == BraceRatio(qsym(BRACE_A, 0), {1: 1})
     # H_2 = {1;a}{0;a}/{1}{2}

@@ -8,19 +8,28 @@ from pathlib import Path
 import pytest
 
 from framedbps import ovengine
-from framedbps.closedforms import MismatchDetected, b_unknot
+from framedbps.closedforms import b_unknot
 from framedbps.curves import (KIND_FULL, bps_from_gamma, lagrange_log_y, make_curve,
                               normalize)
-from framedbps.laurent import lp_add, lp_one, lp_specialize_q1
+from framedbps.laurent import lp_add, lp_one
 from framedbps.links import LINKS, homfly_link
-from framedbps.ovengine import (NonIntegerInvariant, bps_list, connected_F,
+from framedbps.ovengine import (NonIntegerInvariant, connected_F,
                                 connected_F_box, ov_table, p_poly,
                                 strong_integrality_check)
 from framedbps.qsymbols import BRACE, BRACE_A, BraceRatio, InexactDivision, qsym
 
 
 def q1(poly):
-    return {da: c for (_, da), c in lp_specialize_q1(poly).items()}
+    """The a-coefficients of a p-polynomial at q = 1, zeros dropped."""
+    out = {}
+    for (_, da), c in poly.items():
+        out[da] = out.get(da, 0) + c
+    return {da: c for da, c in out.items() if c}
+
+
+def bps(table):
+    """A table's BPS list {2i: b_i}, b_i = sum_j N_{i,j}, zeros dropped."""
+    return q1({(j2, i2): n for (i2, j2), n in table.entries.items()})
 
 
 # --- connected invariants ---------------------------------------------------
@@ -58,16 +67,17 @@ NEGATIVE_OFFSET = ("borromean", (2, 2, 2), (0, 1, 3))
 
 
 def test_connected_f_log_oracle():
-    # log(1 + W) on packed ints equals the log of the sum over H on the color
-    # box: every framing pair in -3..3 up to Whitehead (3,3); Borromean up to
-    # (2,2,2) at seven triples that put each framing in each slot, and two more
-    cases = [("whitehead", v, taus) for taus in product(range(-3, 4), repeat=2)
-             for v in product(range(1, 4), repeat=2)]
-    cases += [("borromean", v, (t, (t + 5) % 7 - 3, (t + 3) % 7 - 3))
-              for t in range(-3, 4) for v in product(range(1, 3), repeat=3)]
+    # log(1 + W) on packed ints equals the log of the sum over H on every
+    # nonzero vector of the color box: every framing pair in -3..3 up to
+    # Whitehead (3,3); Borromean up to (2,2,2) at seven triples that put each
+    # framing in each slot, and two more
+    cases = [("whitehead", (3, 3), taus) for taus in product(range(-3, 4), repeat=2)]
+    cases += [("borromean", (2, 2, 2), (t, (t + 5) % 7 - 3, (t + 3) % 7 - 3))
+              for t in range(-3, 4)]
     cases += [("borromean", (2, 1, 1), (1, 0, -1)), NEGATIVE_OFFSET]
-    for link, v, taus in cases:
-        assert connected_F(link, v, taus) == connected_F_box(link, v, taus), (link, v, taus)
+    for link, top, taus in cases:
+        for v, f in connected_F_box(link, top, taus).items():
+            assert connected_F(link, v, taus) == f, (link, v, taus)
     link, v, taus = NEGATIVE_OFFSET
     _, w_frame, _, d_frame = ovengine._frames(link, taus, v)
     assert d_frame[0] < w_frame[0]
@@ -195,7 +205,7 @@ def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
 
     def wrong(r, tau):
         d = real(r, tau)
-        return d.add(BraceRatio.one()) if (r, tau) == (3, 1) else d
+        return d.add(BraceRatio(lp_one())) if (r, tau) == (3, 1) else d
     monkeypatch.setattr(ovengine, "_unknot_D", wrong)
     with pytest.raises(NonIntegerInvariant) as exc:
         ov_table("unknot", (3,), (1,))
@@ -336,9 +346,10 @@ def test_unknot_equation_matches_the_partition_sum(tau):
     # beyond verify connected's reach (r <= 8, tau in -2..2); the two
     # routes share nothing.  The oracle's recurrence evaluates the same
     # logarithm the paper writes as a sum over partitions
+    box = connected_F_box("unknot", (10,), (tau,))
+    assert list(box) == [(r,) for r in range(1, 11)]
     for r in range(1, 11):
-        assert (connected_F("unknot", (r,), (tau,))
-                == connected_F_box("unknot", (r,), (tau,))), r
+        assert connected_F("unknot", (r,), (tau,)) == box[r,], r
 
 
 def fresh_F(link, rvec, framings):
@@ -351,9 +362,20 @@ def fresh_F(link, rvec, framings):
 def test_cached_coefficients_extend_to_a_larger_box(cold_caches, first, second):
     shared = [connected_F("whitehead", first, (1, 0)),
               connected_F("whitehead", second, (1, 0))]
-    for rvec, f in zip((first, second), shared):
-        assert (f == fresh_F("whitehead", rvec, (1, 0))
-                == connected_F_box("whitehead", rvec, (1, 0)))
+    boxes = [connected_F_box("whitehead", rvec, (1, 0)) for rvec in (first, second)]
+    for rvec, f, box in zip((first, second), shared, boxes):
+        assert f == fresh_F("whitehead", rvec, (1, 0)) == box[rvec]
+    # a smaller top's box is the restriction of a larger top's
+    big = connected_F_box("whitehead", (4, 4), (1, 0))
+    for rvec, box in zip((first, second), boxes):
+        assert box == {v: f for v, f in big.items() if all(a <= r for a, r in zip(v, rvec))}
+    # a vector with a zero first color takes its own t and c: the framed
+    # unknot of the second component, and zero on two of three components
+    assert big[0, 2] == connected_F("unknot", (2,), (0,))
+    assert big[0, 2][1] == 2
+    tri = connected_F_box("borromean", (1, 2, 2), (1, -1, 0))
+    assert tri[0, 1, 2] == (BraceRatio.zero(), 1) == connected_F("borromean", (0, 1, 2), (1, -1, 0))
+    assert tri[0, 2, 1] == (BraceRatio.zero(), 2)
 
 
 def test_framings_are_cached_apart(cold_caches):
@@ -361,14 +383,14 @@ def test_framings_are_cached_apart(cold_caches):
     shared = [connected_F("whitehead", (2, 2), taus) for taus in framings]
     for taus, f in zip(framings, shared):
         assert (f == fresh_F("whitehead", (2, 2), taus)
-                == connected_F_box("whitehead", (2, 2), taus))
+                == connected_F_box("whitehead", (2, 2), taus)[2, 2])
     assert shared[0] != shared[1]
 
 
 def test_zero_framings_match_a_fresh_run_and_the_oracle(cold_caches):
     zero = ("whitehead", (2, 3), (0, 0))
     f = connected_F(*zero)
-    assert f == fresh_F(*zero) == connected_F_box(*zero)
+    assert f == fresh_F(*zero) == connected_F_box(*zero)[2, 3]
 
 
 def test_swapped_twin_agrees(cold_caches):
@@ -377,7 +399,7 @@ def test_swapped_twin_agrees(cold_caches):
     d, c = connected_F("whitehead", (3, 4), (1, -2))
     twin = connected_F("whitehead", (4, 3), (-2, 1))
     assert (c, twin[1]) == (3, 4) and twin[0].scale(3) == d.scale(4)
-    assert twin == connected_F_box("whitehead", (4, 3), (-2, 1))
+    assert twin == connected_F_box("whitehead", (4, 3), (-2, 1))[4, 3]
 
 
 def test_one_colored_component_reads_the_unknot(cold_caches):
@@ -386,15 +408,15 @@ def test_one_colored_component_reads_the_unknot(cold_caches):
     assert connected_F("whitehead", (0, 3), (2, -1))[0] is d
     tri = ("borromean", (0, 3, 0), (1, -1, 0))
     assert connected_F(*tri)[0] is d
-    assert (d, c) == connected_F_box(*tri)
+    assert (d, c) == connected_F_box(*tri)[0, 3, 0]
 
 
 def test_swapped_framings_are_computed_apart(cold_caches):
     a = connected_F("whitehead", (2, 3), (0, 1))
     b = connected_F("whitehead", (2, 3), (1, 0))
     assert a != b
-    assert a == connected_F_box("whitehead", (2, 3), (0, 1))
-    assert b == connected_F_box("whitehead", (2, 3), (1, 0))
+    assert a == connected_F_box("whitehead", (2, 3), (0, 1))[2, 3]
+    assert b == connected_F_box("whitehead", (2, 3), (1, 0))[2, 3]
 
 
 @pytest.mark.parametrize("link", LINKS)
@@ -477,19 +499,12 @@ def test_non_integer_invariant_payload():
 
 def test_bps_list_row_sums():
     t = ov_table("whitehead", (1, 1), (0, 0))
-    assert bps_list(t) == {4: -1, 2: 3, 0: -3, -2: 1}
+    assert bps(t) == {4: -1, 2: 3, 0: -3, -2: 1}
 
 
 def test_bps_list_framed():
     t = ov_table("whitehead", (1, 1), (1, 0))
-    assert bps_list(t) == {4: 1, 2: -3, 0: 3, -2: -1}
-
-
-def test_bps_list_row_sum_mismatch_raises(monkeypatch):
-    t = ov_table("whitehead", (1, 1), (0, 0))
-    monkeypatch.setattr(ovengine, "lp_specialize_q1", lambda poly: {})
-    with pytest.raises(MismatchDetected, match="row sums"):
-        bps_list(t)
+    assert bps(t) == {4: 1, 2: -3, 0: 3, -2: -1}
 
 
 def test_unknot_tables_match_the_closed_form_and_the_curve():
@@ -499,5 +514,5 @@ def test_unknot_tables_match_the_closed_form_and_the_curve():
         curve = bps_from_gamma(lagrange_log_y(nf, 8))
         for r in range(1, 9):
             closed = {m: b for m in range(-r, r + 1) if (b := b_unknot(r, m, tau))}
-            assert bps_list(ov_table("unknot", (r,), (tau,))) == closed, (r, tau)
+            assert bps(ov_table("unknot", (r,), (tau,))) == closed, (r, tau)
             assert {m: b for (s, m), b in curve.items() if s == r} == closed, (r, tau)

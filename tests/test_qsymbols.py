@@ -58,7 +58,7 @@ def br(num, den=None):
 
 def test_ratio_identities():
     assert BraceRatio.zero().is_zero()
-    assert not BraceRatio.one().is_zero()
+    assert not BraceRatio(lp_one()).is_zero()
     # zero numerator clears the denominator
     assert br({}, {2: 1}).den == Counter()
 

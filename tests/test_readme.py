@@ -25,6 +25,6 @@ def test_readme_library_example():
         got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
         assert got == shown, ast.unparse(stmt)
         checked.append(ast.unparse(stmt))
-    assert checked == ["table.epsilon", "table.entry(8, 6)", "bps_list(table)",
+    assert checked == ["table.epsilon", "table.entry(8, 6)", "rows",
                        "{m: b for (r, m), b in sorted(bps.items()) if r == 3}",
                        "{m: b_unknot(3, m, 2) for m in (-3, -1, 1, 3)}"]
