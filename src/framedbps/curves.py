@@ -23,11 +23,12 @@ Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
 branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 
-Curves, normal forms and Newton series hold ints only; both solvers
-compute D = 2γ and halve it once (`_halved`), so a γ is a Fraction only
-where it is not integral.
+A curve has no q: the rows of a normal form and the w and D of Newton are
+dicts {doubled a-exponent: int}.  Both solvers compute D = 2γ and halve
+it once (`_halved`), so a γ is a Fraction only where it is not integral.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
@@ -37,7 +38,7 @@ from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
                           check_at_least, check_integer, check_twist_parameter,
                           mobius)
 from .laurent import (NonInvertibleLeadingTerm, _frame_rows, _rows_times, _unpack, _width, lp_add,
-                      lp_mono, lp_mul, series_inv)
+                      lp_mono, series_inv)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -149,28 +150,13 @@ def frame_transform(curve, tau):
     return DualAPoly(_cleared(terms), curve.kind, curve.knot, curve.framing + tau)
 
 
-class CurveNormalForm:
-    """Functional-equation form Y = X φ(Y) of a curve, Y = 1 - y².
-
-    φ(λ) = P(λ)/(1 - λ)^m, λ standing for Y: `poly` lists the a-Laurent
-    coefficients of the polynomial P by power of λ, and `pole` is m ≥ 0.
-    `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x; φ(0) = P(0) is
-    a unit of the coefficient field.  `order` bounds the orders that
-    `lagrange_log_y` may be asked for.
-    """
-
-    __slots__ = ("poly", "pole", "sigma", "e", "order")
-
-    def __init__(self, poly, pole, sigma, e, order):
-        self.poly = poly
-        self.pole = pole
-        self.sigma = sigma
-        self.e = e
-        self.order = order
-
-    def __repr__(self):
-        return (f"CurveNormalForm(sigma={self.sigma}, e={self.e}, pole={self.pole}, "
-                f"order={self.order})")
+# Functional-equation form Y = X φ(Y) of a curve, Y = 1 - y².  φ(λ) =
+# P(λ)/(1 - λ)^m, λ standing for Y: `poly` lists the coefficients of the
+# polynomial P by power of λ, each {doubled a-exponent: int}, and `pole` is
+# m ≥ 0.  `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x; φ(0) =
+# P(0) is a unit of the coefficient field.  `order` bounds the orders that
+# `lagrange_log_y` may be asked for.
+CurveNormalForm = namedtuple("CurveNormalForm", "poly pole sigma e order")
 
 
 def normalize(curve, order):
@@ -212,17 +198,17 @@ def normalize(curve, order):
             raise NotNormalizable(f"x^1 coefficient {c} is not a multiple of the unit {cu}")
         k = wdeg - j + pole
         for i in range(k + 1):
-            poly[i] = lp_add(poly[i], lp_mono(0, da, quo * comb(k, i) * (-1) ** i))
+            poly[i][da] = poly[i].get(da, 0) + quo * comb(k, i) * (-1) ** i
+    poly = [{da: c for da, c in row.items() if c} for row in poly]
 
-    const = poly[0]
-    if not const:
+    if not poly[0]:
         raise NotNormalizable("phi(0) = 0")
-    m = min(da for _, da in const)
-    lead = const[(0, m)]
+    m = min(poly[0])
+    lead = poly[0][m]
     if lead not in (1, -1):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
-    unit = lp_mono(0, -m, lead)
-    return CurveNormalForm([lp_mul(c, unit) for c in poly], pole, lead, m, order)
+    return CurveNormalForm([{da - m: lead * c for da, c in row.items()} for row in poly],
+                           pole, lead, m, order)
 
 
 class GammaSeries:
@@ -256,14 +242,6 @@ class GammaSeries:
         return f"GammaSeries(order={self.order}, {len(self.coefficients)} terms)"
 
 
-def _gamma_entries(out, r, poly):
-    for (dq, da), c in poly.items():
-        if dq:
-            raise MismatchDetected(f"gamma coefficient at r={r} leaked a q-power")
-        if c:
-            out[(r, da)] = c
-
-
 def _halved(doubled, order):
     """The GammaSeries γ = D/2 of ints D = 2γ keyed (r, m), the one place the
     curve pipeline builds a rational: a Fraction when D is odd."""
@@ -280,15 +258,12 @@ def lagrange_log_y(nf, order):
     rows[i] is [λ^i] P^n above a^(n·low/2) at a = 2^b (a^(1/2) = 2^b if P
     mixes a-parities), so each sum is one int for `_unpack`; its digits
     stay under ‖P‖₁^n·C(n(m+1), mn+1), which grows with n: one b serves
-    all n.  A q-power in P raises MismatchDetected."""
+    all n."""
     order = check_integer("order", order)
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
     poly, m = nf.poly[:order], nf.pole
-    for k, c in enumerate(poly):
-        if any(dq for dq, _ in c):
-            raise MismatchDetected(f"normal form leaked a q-power at lambda^{k}")
     low, high, step, norm, terms = _frame_rows(poly)
     bound = norm ** order * comb(order * (m + 1), m * order + 1)
     rows, out = [1] + [0] * (order - 1), {}
@@ -353,7 +328,7 @@ def solve_w_series(curve, order):
     by x·u′ = j·u·D), then plus j·w_r once w_r is known.  No product
     coefficient is computed twice.  A curve has no q, so every coefficient
     is a polynomial in a^(1/2) alone, and the lift runs on dicts keyed by
-    the doubled a-exponent through `_mac`; w and D come back keyed (0, da).
+    the doubled a-exponent through `_mac`, as w and D come back.
 
     Raises SingularBranch when s is not a unit, and MismatchDetected when
     R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0), when a division by r
@@ -409,19 +384,16 @@ def solve_w_series(curve, order):
                 u[r] = lp_add(u[r], {da: j * c for da, c in step.items()})
         dlog.append(_mac(e_r, _ONE, step, r))
     _check_at_point(curve, w, dlog)
-    return tuple([{(0, da): c for da, c in p.items()} for p in s] for s in (w, dlog))
+    return w, dlog
 
 
 def newton_series_solve(curve, order):
     """GammaSeries from the Newton-solved branch: log y = ½ log w, so
     γ_r = ½·D_r with D = x·w′/w, the ints `solve_w_series` builds in its
-    lift, halved once by `_halved`; a q-power in some D_r raises
-    MismatchDetected."""
+    lift, halved once by `_halved`."""
     order = check_at_least("order", order, 1)
-    out = {}
-    for r, d in enumerate(solve_w_series(curve, order + 1)[1][1:], 1):
-        _gamma_entries(out, r, d)
-    return _halved(out, order)
+    dlog = solve_w_series(curve, order + 1)[1]
+    return _halved({(r, da): c for r in range(1, order + 1) for da, c in dlog[r].items()}, order)
 
 
 def bps_from_gamma(gamma):

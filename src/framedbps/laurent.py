@@ -149,11 +149,11 @@ def _shift(n, corner, target, b, span):
 
 
 def _frame_rows(rows):
-    """(low, high, step, norm, terms) of the polynomial in λ with q-free
-    coefficients `rows`: its least and greatest doubled a-exponent, its a-step
-    (1 if those mix parities, else 2), 1-norm and terms (k, j, c), c·λ^k times
-    the j-th a-step above low."""
-    terms = [(k, da, c) for k, row in enumerate(rows) for (_, da), c in row.items()]
+    """(low, high, step, norm, terms) of the polynomial in λ whose
+    coefficients `rows` are {doubled a-exponent: int}: its least and greatest
+    a-exponent, its a-step (1 if those mix parities, else 2), 1-norm and terms
+    (k, j, c), c·λ^k times the j-th a-step above low."""
+    terms = [(k, da, c) for k, row in enumerate(rows) for da, c in row.items()]
     _, das, cs = zip(*terms)
     low, high = min(das), max(das)
     step = 1 if any((da - low) % 2 for da in das) else 2

@@ -10,27 +10,25 @@ with every intermediate value an exact numerator/denominator pair.  F_v
 travels as (D, c), F = D / c, c = v_t the first nonzero color: its one
 rational is the 1/c of the logarithm, and D = [x^v] x_t d/dx_t log Z
 has int coefficients over braces.  The link sum separates over the
-components (see `connected_F`), and W, its logarithm and the h_i it is
-built from have Laurent-polynomial coefficients, each h divided exactly
-by `reduce`; the logarithm runs on Kronecker-packed big ints (`_log_w`).
-The unknot's D, over {r}, comes from its q-difference equation on packed
-ints too, with no brace division (`_unknot_D`), and `p_poly` clears the
-braces left and then divides by c: checked exact divisions, where the
+components (see `connected_F`) into log(1 + W), whose h_i `reduce`
+divides exactly (`_log_w`), and the framed unknot's D over {r}, from its
+q-difference equation (`_unknot_D`): two lists of nodes that one engine,
+`_packed`, runs on Kronecker-packed big ints.  `p_poly` clears the braces
+left and then divides by c: checked exact divisions, where the
 integrality structure either survives or raises.  The oracle,
-`connected_F_box`, takes the logarithm of the whole sum
-Z = sum_v H_v x^v instead, by one recurrence over H on the color box,
-polynomial in the colors, and returns every vector of the box from that
-one pass.  It reads H alone, from `homfly_link`: it shares
-only the cores C_i, `link_factor` and the unknot's H (the G_0 of each h)
-with `connected_F`, and on one colored component nothing, since there it
-reads the unknot's H, which `_unknot_D` never reads.
+`connected_F_box`, takes the logarithm of Z = sum_v H_v x^v by one
+recurrence over H on the color box, every vector of the box in one pass.
+It reads H alone, from `homfly_link`, and shares only the cores C_i,
+`link_factor` and the unknot's H (the G_0 of each h) with `connected_F`;
+on one colored component it shares nothing, as `_unknot_D` never reads H.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd, prod
+from math import gcd
+from operator import mul, sub
 
 from .closedforms import MismatchDetected, divisors, mobius
 from .laurent import _frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one
@@ -99,37 +97,64 @@ def connected_F(link, rvec, framings):
     return BraceRatio(_log_w(link, taus, rvec)), c
 
 
-def _unknot_plan(r, tau):
-    """The frames of `_unknot_D`'s y_n and L_n for n <= r and M_n, rho_n and
-    n rho_n for n < r, as lists by n, and the terms (k, frame) of the sums:
-    rho_(n-1-k) a q^(tau k) y_k in y_n, L_k y_(n-k) in L_n, M_k rho_(n-k) in
-    n rho_n.  A zero has the frame None: M_n and rho_n with n > 0 at
-    tau = 0, where s_tau = 0 and R = 1."""
-    def up(f, dq, da):
-        return f[0] + dq, f[1] + da, f[2] + dq, f[3] + da, f[4]
-    _, js = _s_exponents(tau)
-    unit = (0, 0, 0, 0, 1)
-    yf, lf, mf, rf, nf = [unit], [None], [None], [unit], [unit]
-    yt, lt, rt = [None], [None], [None]
+def _packed(inputs, nodes, out):
+    """The polynomial at key `out` of a recurrence on Kronecker-packed ints.
+    `inputs` maps keys to (frame, halved) pairs (`_framed`); `nodes`, in
+    evaluation order, are (key, terms, n), a term (c, (dq, da), keys) being
+    c q^(dq/2) a^(da/2) times the values at `keys` and a node its terms' sum
+    over n.  A term's frame comes from the term (`_times`); a node with no
+    term is zero and drops each term that reads it.  One (span, b) holds
+    `out` and each sum over n > 1 (`laurent._width`); each product is
+    shifted onto its node's corner, the product of its operands but the
+    last made once for all terms that share it.  A sum over n > 1 is checked
+    when unpacked, MismatchDetected if n does not divide a coefficient."""
+    frame, plan, heads = {key: f for key, (f, _) in inputs.items()}, [], {}
+    for key, terms, n in nodes:
+        live = [(c, keys[:-1], keys[-1],
+                 reduce(_times, map(frame.get, keys), (dq, da, dq, da, abs(c))))
+                for c, (dq, da), keys in terms if all(map(frame.get, keys))]
+        hull = _hull([f for *_, f in live]) if live else None
+        frame[key] = hull and hull[:4] + (hull[4] // n,)
+        plan.append((key, live, n, hull))
+    span, b = map(max, zip(*map(_width, [frame[out]] + [
+        hull for _, live, n, hull in plan if n > 1 and live])))
+    value = {key: _pack(halved, b, span) for key, (_, halved) in inputs.items()}
+    for key, live, n, hull in plan:
+        total = 0
+        for c, head, last, f in live:
+            x = value[last]
+            if head:
+                if head not in heads:
+                    heads[head] = reduce(mul, map(value.get, head))
+                x *= heads[head]
+            x = _shift(x, f, hull, b, span)
+            total = total - x if c == -1 else total + (x if c == 1 else c * x)
+        if n > 1 and live:
+            if any(c % n for c in _unpack(total, hull, b, span).values()):
+                raise MismatchDetected(f"{n} {key} is not a multiple of {n}")
+            total //= n
+        value[key] = total
+    return _unpack(value[out], frame[out], b, span)
+
+
+def _unknot_nodes(r, tau):
+    """`_packed`'s (inputs, nodes, out) for `_unknot_D(r, tau)`: the inputs
+    y_0 = rho_0 = 1, the nodes y_n and L_n for n <= r, M_n and rho_n for
+    n < r, and D_r = (-1)^(tau r) a^(-r/2) L_r, keyed by their names."""
+    y, ell, m, rho = ([f"{x}_{n} of the unknot at framing {tau}" for n in range(r + 1)]
+                      for x in ("y", "L", "M", "rho"))
+    sign, js = (1, range(tau)) if tau >= 0 else (-1, range(tau, 0))   # s_tau = sign sum_js t^j
+    nodes = []
     for n in range(1, r + 1):
-        yt.append([(k, up(_times(rf[n - 1 - k], yf[k]), 2 * tau * k, 2))
-                   for k in range(n) if rf[n - 1 - k]])
-        yf.append(_hull([f for _, f in yt[n]] + ([rf[n - 1]] if rf[n - 1] else [])))
-        lt.append([(k, _times(lf[k], yf[n - k])) for k in range(1, n)])
-        lf.append(_hull([yf[n][:4] + (n * yf[n][4],)] + [f for _, f in lt[n]]))
+        nodes.append((y[n], [(1, (2 * tau * k, 2), (rho[n - 1 - k], y[k])) for k in range(n)]
+                      + [(-1, (0, 0), (rho[n - 1],))], 1))
+        nodes.append((ell[n], [(n, (0, 0), (y[n],))]
+                      + [(-1, (0, 0), (ell[k], y[n - k])) for k in range(1, n)], 1))
         if n < r:
-            mf.append(_hull([up(lf[n], 2 * j * n, 0) for j in js]) if js else None)
-            rt.append([(k, _times(mf[k], rf[n - k])) for k in range(1, n + 1)
-                       if mf[k] and rf[n - k]])
-            nf.append(_hull([f for _, f in rt[n]]) if rt[n] else None)
-            rf.append(nf[n] and nf[n][:4] + (nf[n][4] // n,))   # |rho_n|_1 <= bound / n
-    return (yf, yt), (lf, lt), mf, (rf, rt, nf)
-
-
-def _s_exponents(tau):
-    """s_tau(t) = (t^tau - 1) / (t - 1) as (sign, exponents): the sum of t^j
-    over 0 <= j < tau for tau >= 0, minus that over tau <= j < 0 for tau < 0."""
-    return (1, range(tau)) if tau >= 0 else (-1, range(tau, 0))
+            nodes.append((m[n], [(sign, (2 * j * n, 0), (ell[n],)) for j in js], 1))
+            nodes.append((rho[n], [(1, (0, 0), (m[k], rho[n - k])) for k in range(1, n + 1)], n))
+    nodes.append(("D", [(-1 if tau * r % 2 else 1, (0, -r), (ell[r],))], 1))
+    return {y[0]: _frame(lp_one()), rho[0]: _frame(lp_one())}, nodes, "D"
 
 
 @lru_cache(maxsize=None)
@@ -146,38 +171,15 @@ def _unknot_D(r, tau):
         L_n = n y_n - sum_(0<k<n) L_k y_(n-k),
         n rho_n = sum_(0<k<=n) M_k rho_(n-k),  M_k = L_k s_tau(q^k),
 
-    s_tau(t) = (t^tau - 1) / (t - 1) (`_s_exponents`); at q = 1 the
+    s_tau(t) = (t^tau - 1) / (t - 1), zero at tau = 0; at q = 1 the
     equation reads 1 - y = z y^tau (1 - a y).  Then
     D_r = (-1)^(tau r) a^(-r/2) L_r / {r}, over the least denominator
     integrality allows: F_r = sum_{d|r} f_{r/d}(q^d, a^d) / d with f_u {1}
-    a Laurent polynomial.  Every y_n, L_n, M_n and rho_n is one int packed
-    at the a-span and width of L_r's frame (`_unknot_plan`,
-    `laurent._width`), whose bound is above that of each n rho_n: so each
-    n rho_n is unpacked on its own frame, and a coefficient that n does not
-    divide raises MismatchDetected.  Of the rest only L_r is unpacked.  No
-    brace is raised or divided, and nothing is shared with the oracle
-    `connected_F_box`, which reads H from `homfly_link`."""
-    (yf, yt), (lf, lt), mf, (rf, rt, nf) = _unknot_plan(r, tau)
-    span, b = _width(lf[r])
-    sign, js = _s_exponents(tau)
-    y, ell, m, rho = [1], [None], [None], [1]
-    for n in range(1, r + 1):
-        y.append(sum(_shift(rho[n - 1 - k] * y[k], f, yf[n], b, span) for k, f in yt[n])
-                 - (_shift(rho[n - 1], rf[n - 1], yf[n], b, span) if rf[n - 1] else 0))
-        ell.append(_shift(n * y[n], yf[n], lf[n], b, span) - sum(
-            _shift(ell[k] * y[n - k], f, lf[n], b, span) for k, f in lt[n]))
-        if n < r:
-            m.append(sign * sum(_shift(ell[n], (lf[n][0] + 2 * j * n, lf[n][1]), mf[n], b, span)
-                                for j in js))
-            total = sum(_shift(m[k] * rho[n - k], f, rf[n], b, span) for k, f in rt[n])
-            if n > 1 and nf[n] and any(c % n for c in _unpack(total, nf[n], b, span).values()):
-                raise MismatchDetected(f"{n} rho_{n} of the unknot at framing {tau} "
-                                       f"is not a multiple of {n}")
-            rho.append(total // n)
-    odd = tau * r % 2
-    return BraceRatio({(dq, da - r): -c if odd else c
-                       for (dq, da), c in _unpack(ell[r], lf[r], b, span).items()},
-                      {r: 1})
+    a Laurent polynomial.  The nodes (`_unknot_nodes`) run in `_packed`,
+    which checks each n rho_n before it divides it.  No brace is raised or
+    divided, and nothing is shared with the oracle `connected_F_box`, which
+    reads H from `homfly_link`."""
+    return BraceRatio(_packed(*_unknot_nodes(r, tau)), {r: 1})
 
 
 @lru_cache(maxsize=None)
@@ -202,20 +204,20 @@ def _framed(link, i, r=0, tau=0):
     return _frame(_h(i, r, tau) if r else LINKS[link].core(i))
 
 
-@lru_cache(maxsize=None)
-def _frames(link, taus, u):
-    """For u with no zero color: the terms C_i prod_t h_{i,u_t} (h at tau_t)
-    of W_u as (factors, frame), the frame of W_u, the terms D_s W_{u-s} of
-    D_u as (s, u - s, frame) and the frame of D_u, whose norm bounds its
-    coefficients, B_u = u_0 |W_u|_1 + sum B_s |W_{u-s}|_1."""
-    wterms = [(fs, reduce(_times, [f for f, _ in fs])) for fs in (
-        [_framed(link, i)] + [_framed(None, i, r, tau) for r, tau in zip(u, taus)]
-        for i in range(1, min(u) + 1))]
-    wf = _hull([f for _, f in wterms])
-    dterms = [(s, t, _times(_frames(link, taus, s)[3], _frames(link, taus, t)[1]))
-              for s in product(*(range(1, r) for r in u))
-              for t in [tuple(a - c for a, c in zip(u, s))]]
-    return wterms, wf, dterms, _hull([(*wf[:4], u[0] * wf[4])] + [f for *_, f in dterms])
+def _log_w_nodes(link, taus, v):
+    """`_packed`'s (inputs, nodes, out) for `_log_w(link, taus, v)`: on every
+    u <= v with no zero color, W_u as its terms C_i prod_t h_{i,u_t} (h at
+    tau_t), then D_u; the inputs are keyed by `_framed`'s arguments."""
+    nodes, low = [], range(1, min(v) + 1)
+    for u in product(*(range(1, r + 1) for r in v)):
+        w = [((link, i), *((None, i, r, t) for r, t in zip(u, taus))) for i in range(1, min(u) + 1)]
+        nodes.append((("W", u), [(1, (0, 0), keys) for keys in w], 1))
+        nodes.append((("D", u), [(u[0], (0, 0), (("W", u),))] + [
+            (-1, (0, 0), (("D", s), ("W", tuple(map(sub, u, s)))))
+            for s in product(*(range(1, r) for r in u))], 1))
+    inputs = {key: _framed(*key) for key in [(link, i) for i in low] + [
+        (None, i, r, tau) for i in low for top, tau in zip(v, taus) for r in range(i, top + 1)]}
+    return inputs, nodes, ("D", v)
 
 
 @lru_cache(maxsize=None)
@@ -226,26 +228,9 @@ def _log_w(link, taus, v):
         D_v = v_0 W_v - sum_{0<u<v} D_u W_{v-u},
 
     only u and v - u with no zero color counting (D and W vanish elsewhere).
-    Each C_i and h_{i,r} is packed once at the a-span and width of D_v's
-    frame (`_frames`, `laurent._width`), every W_u and D_u is a big-int
-    product shifted up onto its frame's corner, and only D_v, the one
-    value that must fit, is unpacked."""
-    plan = {u: _frames(link, taus, u) for u in product(*(range(1, r + 1) for r in v))}
-    df = plan[v][3]
-    span, b = _width(df)
-    inputs = {id(x): x for wterms, *_ in plan.values() for fs, _ in wterms for _, x in fs}
-    packed = {key: _pack(x, b, span) for key, x in inputs.items()}
-    # C_i times every h_{i,u_t} but the last, shared by the W_u that differ in u_-1 alone
-    heads = {(i, u[:-1]): fs[:-1] for u, (wterms, *_) in plan.items()
-             for i, (fs, _) in enumerate(wterms, 1)}
-    heads = {key: prod(packed[id(x)] for _, x in fs) for key, fs in heads.items()}
-    w, d = {}, {}
-    for u, (wterms, wf, dterms, uf) in plan.items():
-        w[u] = sum(_shift(heads[i, u[:-1]] * packed[id(fs[-1][1])], f, wf, b, span)
-                   for i, (fs, f) in enumerate(wterms, 1))
-        d[u] = _shift(u[0] * w[u], wf, uf, b, span) - sum(
-            _shift(d[s] * w[t], f, uf, b, span) for s, t, f in dterms)
-    return _unpack(d[v], df, b, span)
+    The nodes (`_log_w_nodes`) run in `_packed`, whose frame of D_v bounds
+    its coefficients by B_u = u_0 |W_u|_1 + sum B_s |W_{u-s}|_1."""
+    return _packed(*_log_w_nodes(link, taus, v))
 
 
 def p_poly(link, rvec, framings):

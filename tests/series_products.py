@@ -14,9 +14,11 @@ def series_mul(s1, s2):
 
 
 def curve_at(curve, w):
-    """A(x, w) mod x^len(w) from w alone, every power of w by repeated
-    series_mul: none of the powers a Newton lift keeps is read."""
+    """A(x, w) mod x^len(w) from w alone, each coefficient of w keyed by its
+    doubled a-exponent, every power of w by repeated series_mul: none of the
+    powers a Newton lift keeps is read."""
     order = len(w)
+    w = [{(0, da): c for da, c in p.items()} for p in w]
     powers = [[lp_one()] + [{}] * (order - 1)]
     for _ in range(max(yd // 2 for _, yd, _ in curve.source)):
         powers.append(series_mul(powers[-1], w))

@@ -243,11 +243,12 @@ def test_symmetry_checks_read_h_in_the_given_order(monkeypatch, capsys):
 
 
 def test_swapped_tables_are_computed_apart(monkeypatch, capsys):
-    # the inputs of W (`_frames`) at the first component's framing on every
-    # component make connected_F depend on the component order; H stays symmetric
-    real = ovengine._frames
-    monkeypatch.setattr(ovengine, "_frames",
-                        lambda link, taus, u: real(link, taus[:1] * len(taus), u))
+    # the inputs of W (`_log_w_nodes`) at the first component's framing on
+    # every component make connected_F depend on the component order; H
+    # stays symmetric
+    real = ovengine._log_w_nodes
+    monkeypatch.setattr(ovengine, "_log_w_nodes",
+                        lambda link, taus, v: real(link, taus[:1] * len(taus), v))
     ovengine._log_w.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "verify", "symmetry")

@@ -66,7 +66,17 @@ def test_connected_and_p_poly_unknot_decomposition():
 NEGATIVE_OFFSET = ("borromean", (2, 2, 2), (0, 1, 3))
 
 
-def test_connected_f_log_oracle():
+def engine_frame(monkeypatch, inputs, nodes, out):
+    """The value `_packed` computes at `out`, and the frame it unpacks it on."""
+    frames, real = [], ovengine._unpack
+    monkeypatch.setattr(ovengine, "_unpack",
+                        lambda n, frame, *rest: frames.append(frame) or real(n, frame, *rest))
+    value = ovengine._packed(inputs, nodes, out)
+    monkeypatch.setattr(ovengine, "_unpack", real)
+    return value, frames[-1]
+
+
+def test_connected_f_log_oracle(monkeypatch):
     # log(1 + W) on packed ints equals the log of the sum over H on every
     # nonzero vector of the color box: every framing pair in -3..3 up to
     # Whitehead (3,3); Borromean up to (2,2,2) at seven triples that put each
@@ -79,17 +89,20 @@ def test_connected_f_log_oracle():
         for v, f in connected_F_box(link, top, taus).items():
             assert connected_F(link, v, taus) == f, (link, v, taus)
     link, v, taus = NEGATIVE_OFFSET
-    _, w_frame, _, d_frame = ovengine._frames(link, taus, v)
+    inputs, nodes, _ = ovengine._log_w_nodes(link, taus, v)
+    _, w_frame = engine_frame(monkeypatch, inputs, nodes, ("W", v))
+    _, d_frame = engine_frame(monkeypatch, inputs, nodes, ("D", v))
     assert d_frame[0] < w_frame[0]
 
 
-def test_width_bound_holds():
+def test_width_bound_holds(monkeypatch):
     # the norm bound of each D_v is at least its largest |coefficient|, and
     # the frame's box holds its support
     for link, taus, top in [("whitehead", (2, -3), 6), ("borromean", (1, -1, 2), 4)]:
         for v in product(range(1, top + 1), repeat=len(taus)):
-            lq, la, hq, ha, bound = ovengine._frames(link, taus, v)[3]
-            d = ovengine._log_w(link, taus, v)
+            d, (lq, la, hq, ha, bound) = engine_frame(
+                monkeypatch, *ovengine._log_w_nodes(link, taus, v))
+            assert d == ovengine._log_w(link, taus, v), (link, v)
             assert max(map(abs, d.values())) <= bound, (link, v)
             assert all(lq <= dq <= hq and la <= da <= ha for dq, da in d), (link, v)
 
@@ -131,8 +144,7 @@ def test_mixed_parity_core_raises(flags):
 
 
 def clear_caches():
-    for cache in (ovengine._unknot_D, ovengine._h, ovengine._framed,
-                  ovengine._frames, ovengine._log_w):
+    for cache in (ovengine._unknot_D, ovengine._h, ovengine._framed, ovengine._log_w):
         cache.cache_clear()
 
 
@@ -215,7 +227,7 @@ def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
 INNER_FAULT_SCRIPT = """
 from framedbps import cli, ovengine
 
-caches = [ovengine._unknot_D, ovengine._h, ovengine._framed, ovengine._frames, ovengine._log_w]
+caches = [ovengine._unknot_D, ovengine._h, ovengine._framed, ovengine._log_w]
 
 
 def doubled_at(real, at):
@@ -268,23 +280,25 @@ from framedbps import ovengine
 from framedbps.laurent import PackingError
 from framedbps.qsymbols import InexactDivision
 
-plan, s_exponents = ovengine._unknot_plan, ovengine._s_exponents
+build = ovengine._unknot_nodes
 
 
 def q_step_off(r, tau):
-    # each rho_(n-1-k) a q^(tau k) y_k of y_n read with q^((tau+1) k)
-    (yf, yt), *rest = plan(r, tau)
-    yt = [ts and [(k, (f[0] + 2 * k, f[1], f[2] + 2 * k, *f[3:])) for k, f in ts] for ts in yt]
-    return ((yf, yt), *rest)
+    # the k-th term of each y_n, rho_(n-1-k) a q^(tau k) y_k, read with q^((tau+1) k)
+    inputs, nodes, out = build(r, tau)
+    return inputs, [(key, [(c, (dq + 2 * k, da) if da else (dq, da), keys)
+                           for k, (c, (dq, da), keys) in enumerate(terms)]
+                     if key.startswith("y_") else terms, n) for key, terms, n in nodes], out
 
 
-def s_off(tau):
-    # s_tau read as s_(tau+1), the q^tau of R = Z(q^tau z) / Z(z) as q^(tau+1)
-    return s_exponents(tau + 1)
+def s_off(r, tau):
+    # s_tau read as s_(tau+1) = s_tau + t^tau: each M_n = L_n s_tau(q^n) gains q^(tau n) L_n
+    inputs, nodes, out = build(r, tau)
+    return inputs, [(key, terms + [(1, (2 * tau * int(key.split()[0][2:]), 0), ("L" + key[1:],))]
+                     if key.startswith("M_") else terms, n) for key, terms, n in nodes], out
 
 
-ovengine._unknot_plan, ovengine._s_exponents = {
-    "q_step": (q_step_off, s_exponents), "s": (plan, s_off)}[FAULT]
+ovengine._unknot_nodes = {"q_step": q_step_off, "s": s_off}[FAULT]
 for r in (2, 3, 4, 6, 8):
     for tau in (-3, -1, 0, 2, 3):
         try:
@@ -309,18 +323,18 @@ WRONG_L_SCRIPT = """
 from framedbps import ovengine
 from framedbps.closedforms import MismatchDetected
 
-plan = ovengine._unknot_plan
+build = ovengine._unknot_nodes
 
 
 def l_off(r, tau):
     # each L_k y_(n-k) of L_n read times q^STEP
-    y, (lf, lt), *rest = plan(r, tau)
-    lt = [ts and [(k, (f[0] + 2 * STEP, f[1], f[2] + 2 * STEP, *f[3:])) for k, f in ts]
-          for ts in lt]
-    return (y, (lf, lt), *rest)
+    inputs, nodes, out = build(r, tau)
+    return inputs, [(key, [(c, (dq + 2 * STEP, da) if len(keys) == 2 else (dq, da), keys)
+                           for c, (dq, da), keys in terms]
+                     if key.startswith("L_") else terms, n) for key, terms, n in nodes], out
 
 
-ovengine._unknot_plan = l_off
+ovengine._unknot_nodes = l_off
 try:
     ovengine._unknot_D(3, TAU)
 except MismatchDetected as exc:
