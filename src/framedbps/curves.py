@@ -325,10 +325,12 @@ def solve_w_series(curve, order):
     per step.  Only the powers u = w^j (j ≥ 2) the curve has are kept, each
     one coefficient longer per step: first without w_r (the pair sum over
     i = 1..r-1 for w², and for j ≥ 3 j·(E_r + Σ_{k=1}^{r-1} D_k·u_{r-k})/r,
-    by x·u′ = j·u·D), then plus j·w_r once w_r is known.  No product
-    coefficient is computed twice.  A curve has no q, so every coefficient
-    is a polynomial in a^(1/2) alone, and the lift runs on dicts keyed by
-    the doubled a-exponent through `_mac`, as w and D come back.
+    by x·u′ = j·u·D), then plus j·w_r once w_r is known.  The last step
+    lengthens only the powers an x⁰ term reads, as no later step reads the
+    rest.  No product coefficient is computed twice.  A curve has no q, so
+    every coefficient is a polynomial in a^(1/2) alone, and the lift runs
+    on dicts keyed by the doubled a-exponent through `_mac`, as w and D
+    come back.
 
     Raises SingularBranch when s is not a unit, and MismatchDetected when
     R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0), when a division by r
@@ -349,14 +351,17 @@ def solve_w_series(curve, order):
     kept = {j: [{0: 1}] for j in sorted({j for _, j, _ in terms if j > 1})}
     # powers[j][r] is [x^r] w^j without w_r until the step at r adds j·w_r
     powers = {0: [_ONE] + [{}] * order, 1: w, **kept}
+    # at the last step r = order - 1 only an x⁰ term reads a kept power at r
+    last = {j: kept[j] for xd, j, _ in terms if not xd and j in kept}
     for r in range(order):
         # E_r, shared by D_r and by every kept w^j with j ≥ 3
         e_r = {}
         for k in range(1, r):
             _mac(e_r, dlog[k], w[r - k], -1)
+        live = kept if r < order - 1 else last
         if r:
             w.append({})
-            for j, u in kept.items():
+            for j, u in live.items():
                 acc = {}
                 if j == 2:
                     for i in range(1, r // 2 + 1):
@@ -380,7 +385,7 @@ def solve_w_series(curve, order):
             raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
         if r:
             w[r] = step
-            for j, u in kept.items():
+            for j, u in live.items():
                 u[r] = lp_add(u[r], {da: j * c for da, c in step.items()})
         dlog.append(_mac(e_r, _ONE, step, r))
     _check_at_point(curve, w, dlog)

@@ -6,24 +6,27 @@ The flow is
     link sum  --log(1 + W)-->  connected F  --Möbius + Adams-->
     p-polynomial  --coefficients-->  N-table,
 
-with every intermediate value an exact numerator/denominator pair.  F_v
-travels as (D, c), F = D / c, c = v_t the first nonzero color: its one
-rational is the 1/c of the logarithm, and D = [x^v] x_t d/dx_t log Z
-has int coefficients over braces.  The link sum separates over the
-components (see `connected_F`) into log(1 + W), whose h_i `reduce`
-divides exactly (`_log_w`), and the framed unknot's D over {r}, from its
-q-difference equation (`_unknot_D`): two lists of nodes that one engine,
-`_packed`, runs on Kronecker-packed big ints.  `p_poly` clears the braces
-left and then divides by c: checked exact divisions, where the
-integrality structure either survives or raises.  The oracle,
-`connected_F_box`, takes the logarithm of Z = sum_v H_v x^v by one
+with every intermediate value an int numerator whose brace denominator
+is fixed by what it is.  F_v travels as (D, c), F = D / c, c = v_t the
+first nonzero color: its one rational is the 1/c of the logarithm, and
+D = [x^v] x_t d/dx_t log Z has int coefficients over {c} on an axis and
+over 1 off it.  The link sum separates over the components (see
+`connected_F`) into log(1 + W) (`_log_w`), whose h_i = G_i / G_0 `_h`
+divides exactly one brace at a time, and the framed unknot's D over {r},
+from its q-difference equation (`_unknot_D`): two lists of nodes that one
+engine, `_packed`, runs on Kronecker-packed big ints.  `p_poly` sums
+those numerators, clears the one brace left and then divides by c:
+checked exact divisions, where the integrality structure either survives
+or raises.  A table's only brace arithmetic is `qsymbols._mul_brace` and
+`_div_brace` on int dicts; `connected_F` wraps its numerator in a
+`BraceRatio` for callers.  The oracle, `connected_F_box`, computes with
+`BraceRatio`s: it takes the logarithm of Z = sum_v H_v x^v by one
 recurrence over H on the color box, every vector of the box in one pass.
 It reads H alone, from `homfly_link`, and shares only the cores C_i,
 `link_factor` and the unknot's H (the G_0 of each h) with `connected_F`;
 on one colored component it shares nothing, as `_unknot_D` never reads H.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -31,9 +34,10 @@ from math import gcd
 from operator import mul, sub
 
 from .closedforms import MismatchDetected, divisors, mobius
-from .laurent import _frame, _hull, _pack, _shift, _times, _unpack, _width, lp_one
+from .laurent import (_addmul, _frame, _hull, _pack, _shift, _times, _unpack, _width, lp_add,
+                      lp_one, lp_sub)
 from .links import LINKS, check_link, homfly_link, link_factor
-from .qsymbols import BRACE, BraceRatio, qsym
+from .qsymbols import BraceRatio, _div_brace, _mul_brace
 
 
 class NonIntegerInvariant(Exception):
@@ -76,7 +80,9 @@ def connected_F_box(link, top, framings):
 def connected_F(link, rvec, framings):
     """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) of the
     link at the given framings as the pair (D, c), F = D / c with c the
-    first nonzero color and D an exact ratio with int coefficients.
+    first nonzero color and D an exact ratio with int coefficients: the
+    numerator `_connected_num` gives, over {c} on an axis and over 1
+    elsewhere.
 
     The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
     G_i(x) = sum_r link_factor(i, r, tau) x^r and h_i = G_i / G_0.
@@ -88,13 +94,21 @@ def connected_F(link, rvec, framings):
     rvec, taus = check_link(link, rvec, framings)
     if not any(rvec):
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
+    c = next(r for r in rvec if r)
+    axis = sum(map(bool, rvec)) == 1
+    return BraceRatio(_connected_num(link, rvec, taus), {c: 1} if axis else None), c
+
+
+def _connected_num(link, rvec, taus):
+    """The int numerator of D_rvec (`connected_F`) for checked, nonzero
+    colors: `_unknot_D`'s, over {c}, on one colored component, `_log_w`'s
+    when every component is colored, and zero otherwise."""
     colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
-    c = colored[0][0]
     if len(colored) == 1:
-        return _unknot_D(*colored[0]), c
+        return _unknot_D(*colored[0])
     if len(colored) < len(rvec):
-        return BraceRatio.zero(), c
-    return BraceRatio(_log_w(link, taus, rvec)), c
+        return {}
+    return _log_w(link, taus, rvec)
 
 
 def _packed(inputs, nodes, out):
@@ -178,23 +192,29 @@ def _unknot_D(r, tau):
     a Laurent polynomial.  The nodes (`_unknot_nodes`) run in `_packed`,
     which checks each n rho_n before it divides it.  No brace is raised or
     divided, and nothing is shared with the oracle `connected_F_box`, which
-    reads H from `homfly_link`."""
-    return BraceRatio(_packed(*_unknot_nodes(r, tau)), {r: 1})
+    reads H from `homfly_link`.  Returns the int numerator, over {r}."""
+    return _packed(*_unknot_nodes(r, tau))
 
 
 @lru_cache(maxsize=None)
 def _h(i, r, tau):
     """[x^r] h_i = G_i / G_0 at framing tau, a Laurent polynomial:
 
-        h_r = [x^r] G_i - sum_{0<s<=r-i} [x^s] G_0 h_{r-s},
+        h_r = [x^r] G_i - sum_{0<s<=n} [x^s] G_0 h_{r-s},   n = r - i,
 
-    with [x^r] G_i = link_factor(i, r, tau) and G_0 the framed unknot's
-    series, [x^s] G_0 = H_s (`homfly_link`).  `reduce` divides out every
-    brace, InexactDivision if one is left."""
-    terms = [link_factor(i, r, tau)] + [
-        homfly_link("unknot", (s,), (tau,)).mul_poly(_h(i, r - s, tau)).scale(-1)
-        for s in range(1, r - i + 1)]
-    return BraceRatio.sum(terms).reduce()
+    with [x^r] G_i = link_factor(i, r, tau), over {n}!, and G_0 the framed
+    unknot's series, [x^s] G_0 = link_factor(0, s, tau) = H_s, over {s}!.
+    On int numerators, {n}! h_r is [x^r] G_i's numerator less
+    sum_s {s+1}...{n} H_s h_{r-s}, that sum raised Horner-style (R <- R {s}
+    + H_s h_{r-s}, one `_mul_brace` per s).  `_div_brace` then divides by
+    {1}, ..., {n} in turn, InexactDivision if one does not divide."""
+    n, rest = r - i, {}
+    for s in range(1, n + 1):
+        rest = _addmul(_mul_brace(rest, s), link_factor(0, s, tau).num, _h(i, r - s, tau))
+    num = lp_sub(link_factor(i, r, tau).num, rest)
+    for s in range(1, n + 1):
+        num = _div_brace(num, s)
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -239,32 +259,33 @@ def p_poly(link, rvec, framings):
 
     With F_v = D_v / c (`connected_F`), sum_{d|v} mu(d)/d Adams_d(F_{v/d})
     is sum_d mu(d) Adams_d(D_{v/d}) / c, since v/d has first color c/d.
-    That integral sum is multiplied by the brace power and reduced; the
-    k = 1 case multiplies by the brace, k = 2 is the identity, and k = 3
-    divides — the one place an exact division is demanded of the whole
-    pipeline, so InexactDivision here means the integrality structure
-    failed (or a bug upstream of it did).  Every coefficient, in sorted key
-    order, is then divided by c into an int, and the first that is not a
-    multiple of c raises NonIntegerInvariant(i, j, value).
+    That integral sum is formed on the int numerators (`_connected_num`),
+    over {c} when k = 1 (Adams_d takes {c/d} to {c}) and over 1 otherwise.
+    For k = 1 it is multiplied by {1} and divided by {c}, k = 2 leaves it
+    as it is, and k = 3 divides it by {1}: each a `_div_brace`, the place
+    an exact division is demanded of the whole pipeline, so
+    InexactDivision here means the integrality structure failed (or a bug
+    upstream of it did).  Every coefficient, in sorted key order, is then
+    divided by c into an int, and the first that is not a multiple of c
+    raises NonIntegerInvariant(i, j, value).
     """
     rvec, framings = check_link(link, rvec, framings)
     k = sum(1 for r in rvec if r)
     if k not in (1, 2, 3):
         raise ValueError(f"color vector {rvec} needs 1 to 3 nonzero colors")
-    terms = []
+    c = next(r for r in rvec if r)
+    total = {}
     for d in divisors(gcd(*rvec)):
         mu = mobius(d)
         if mu:
-            dsub, _ = connected_F(link, tuple(r // d for r in rvec), framings)
-            terms.append(dsub.adams(d).scale(mu))
-    total = BraceRatio.sum(terms)
+            num = _connected_num(link, tuple(r // d for r in rvec), framings)
+            total = lp_add(total, {(dq * d, da * d): mu * v for (dq, da), v in num.items()})
     if k == 1:
-        total = total.mul_poly(qsym(BRACE, 1))
+        total = _div_brace(_mul_brace(total, 1), c)
     elif k == 3:
-        total = total.mul(BraceRatio(lp_one(), Counter({1: 1})))
-    c = next(r for r in rvec if r)
+        total = _div_brace(total, 1)
     out = {}
-    for (dq, da), v in sorted(total.reduce().items()):
+    for (dq, da), v in sorted(total.items()):
         out[(dq, da)], rest = divmod(v, c)
         if rest:
             raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), Fraction(v, c))

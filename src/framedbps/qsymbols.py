@@ -10,9 +10,11 @@ and the brace factorial {n}! as a multiset.
 
 `BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
 multiset of brace factors {n}) used for invariants that are not Laurent
-polynomials themselves; the denominator clears exactly only after the
-full Moebius/connected combination, and `reduce` checks just that by
-dividing out one brace at a time.  The pipeline keeps its numerators
+polynomials themselves: the colored invariants H and the connected
+invariants `ovengine.connected_F` returns.  A table does no arithmetic
+on them: it multiplies and divides int numerators by one brace at a time
+(`_mul_brace`, `_div_brace`), the same steps by which `reduce` clears a
+ratio's denominator exactly.  The pipeline keeps its numerators
 integral: the one rational of a connected invariant is carried apart
 from the ratio (see `ovengine`).
 """
@@ -182,11 +184,6 @@ class BraceRatio:
     def mul_poly(self, p):
         """The ratio times the LaurentPoly p."""
         return _ratio(lp_mul(self.num, p), self.den)
-
-    def adams(self, d):
-        """Adams operation on the whole ratio: {n} -> {dn} in the denominator."""
-        num = {(dq * d, da * d): c for (dq, da), c in self.num.items()}
-        return _ratio(num, Counter({n * d: m for n, m in self.den.items()}))
 
     def reduce(self):
         """The Laurent polynomial, by exact division (see `_over`)."""

@@ -4,12 +4,12 @@ builds, γ = D/2, is a Fraction only when it is not integral."""
 
 from fractions import Fraction
 
+from framedbps import ovengine
 from framedbps.curves import (KIND_FULL, KIND_PLUS, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_mono, series_inv
 from framedbps.links import homfly_link
 from framedbps.ovengine import connected_F, connected_F_box, p_poly
-from framedbps.qsymbols import BraceRatio
 
 
 def coefficients(*polys):
@@ -18,23 +18,23 @@ def coefficients(*polys):
 
 def test_ratio_numerators_hold_only_ints(monkeypatch):
     totals = []
-    reduce = BraceRatio.reduce
-    monkeypatch.setattr(BraceRatio, "reduce",
-                        lambda self: totals.append(self) or reduce(self))
+    div_brace = ovengine._div_brace
+    monkeypatch.setattr(ovengine, "_div_brace",
+                        lambda num, n: totals.append(num) or div_brace(num, n))
     p_poly("whitehead", (2, 4), (1, -1))
     p_poly("borromean", (1, 2, 2), (0, 1, -1))
     p_poly("unknot", (6,), (2,))
-    # the one rational, 1/c, is applied after reduce, so every ratio that
-    # p_poly reduces is integral
+    # the one rational, 1/c, is applied after the brace divisions, so every
+    # numerator p_poly (or an h it reads) divides by a brace is integral
     assert totals
-    ratios = totals + [homfly_link("whitehead", (2, 3), (0, 0)),
-                       homfly_link("borromean", (1, 2, 2), (0, 0, 0)),
-                       homfly_link("unknot", (5,), (0,)),
-                       connected_F("whitehead", (2, 3), (1, -1))[0],
-                       connected_F("borromean", (1, 1, 2), (0, 1, -1))[0],
-                       connected_F("unknot", (6,), (2,))[0],
-                       *(d for d, _ in connected_F_box("whitehead", (2, 3), (1, -1)).values())]
-    assert {type(c) for c in coefficients(*(r.num for r in ratios))} == {int}
+    ratios = [homfly_link("whitehead", (2, 3), (0, 0)),
+              homfly_link("borromean", (1, 2, 2), (0, 0, 0)),
+              homfly_link("unknot", (5,), (0,)),
+              connected_F("whitehead", (2, 3), (1, -1))[0],
+              connected_F("borromean", (1, 1, 2), (0, 1, -1))[0],
+              connected_F("unknot", (6,), (2,))[0],
+              *(d for d, _ in connected_F_box("whitehead", (2, 3), (1, -1)).values())]
+    assert {type(c) for c in coefficients(*totals, *(r.num for r in ratios))} == {int}
 
 
 def test_coefficients_are_ints_or_non_integral_fractions():

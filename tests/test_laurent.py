@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _hull, _pack,
                                _shift, _times, _unpack, _width, lp_add, lp_mono, lp_mul,
                                lp_neg, lp_one, lp_sub, series_inv)
-from framedbps.qsymbols import BraceRatio
 from series_products import series_mul
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -38,14 +37,6 @@ def test_ring_axioms(p, q, r):
     assert lp_mul(p, lp_add(q, r)) == lp_add(lp_mul(p, q), lp_mul(p, r))
     assert lp_add(p, lp_neg(p)) == {}
     assert lp_sub(p, q) == lp_add(p, lp_neg(q))
-
-
-@given(polys, polys, st.integers(1, 4))
-@settings(max_examples=40)
-def test_adams_is_multiplicative(p, q, d):
-    x, y = BraceRatio(p, {1: 1}), BraceRatio(q, {2: 1})
-    assert x.mul(y).adams(d) == x.adams(d).mul(y.adams(d))
-    assert x.adams(1) == x
 
 
 # --- truncated series ------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from framedbps.closedforms import b_unknot
 from framedbps.curves import (KIND_FULL, bps_from_gamma, lagrange_log_y, make_curve,
                               normalize)
 from framedbps.laurent import lp_add, lp_one
-from framedbps.links import LINKS, homfly_link
+from framedbps.links import LINKS, homfly_link, link_factor
 from framedbps.ovengine import (NonIntegerInvariant, connected_F,
                                 connected_F_box, ov_table, p_poly,
                                 strong_integrality_check)
@@ -56,7 +57,8 @@ def test_connected_and_p_poly_unknot_decomposition():
     assert (c1, c2) == (1, 2)
     assert d1 == h1 and d2 == h2.scale(2).sub(h1.mul(h1))
     assert all(type(c) is int for c in [*d1.num.values(), *d2.num.values()])
-    moebius = d2.sub(d1.adams(2))
+    psi_2 = BraceRatio({(2 * dq, 2 * da): c for (dq, da), c in d1.num.items()}, {2: 1})
+    moebius = d2.sub(psi_2)
     assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
 
 
@@ -176,6 +178,45 @@ def test_h_has_int_laurent_coefficients():
                 assert h
 
 
+@lru_cache(maxsize=None)
+def brace_ratio_h(i, r, tau):
+    """h_{i,r} by the recurrence on `BraceRatio`s: every term raised to
+    {r-i}! by `add`, then `reduce`d."""
+    terms = [link_factor(i, r, tau)] + [
+        homfly_link("unknot", (s,), (tau,)).mul_poly(brace_ratio_h(i, r - s, tau)).scale(-1)
+        for s in range(1, r - i + 1)]
+    return BraceRatio.sum(terms).reduce()
+
+
+def test_h_matches_the_brace_ratio_recurrence():
+    # the shift-subtract Horner sum over {r-i}! gives the same polynomial
+    for i, r, tau in product(range(7), range(9), range(-3, 4)):
+        if r >= i:
+            assert ovengine._h(i, r, tau) == brace_ratio_h(i, r, tau), (i, r, tau)
+
+
+WRONG_UNKNOT_H_SCRIPT = """
+from framedbps import ovengine
+from framedbps.qsymbols import InexactDivision
+
+real = ovengine.link_factor
+ovengine.link_factor = lambda i, r, tau: real(i, r, tau).scale(2 if (i, r, tau) == (0, 2, 0) else 1)
+try:
+    ovengine.ov_table("whitehead", (3, 3), (0, 0))
+    print("no error")
+except InexactDivision as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_wrong_unknot_h_leaves_h_inexact(flags):
+    # a doubled H_2, the [x^2] G_0 that h_(1,3) reads, leaves a {1} that
+    # _div_brace cannot divide, under -O too
+    out = run_script(flags, WRONG_UNKNOT_H_SCRIPT)
+    assert out.startswith("InexactDivision {1} does not divide"), out
+
+
 def test_a_wrong_link_factor_leaves_h_inexact(monkeypatch, cold_caches):
     # a doubled [x^2] G_1 leaves the {1} of {2;a}/{1} in h_1 at x^2
     real = ovengine.link_factor
@@ -212,12 +253,13 @@ def test_p_poly_itself_refuses_a_non_integral_coefficient(wrong_log_w):
 
 
 def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
-    # D_3 plus the unit value leaves {1}/3 in p_3 once divided by c = 3
+    # D_3 plus the unit value, numerator {3} over {3}, leaves {1}/3 in p_3
+    # once divided by c = 3
     real = ovengine._unknot_D
 
     def wrong(r, tau):
         d = real(r, tau)
-        return d.add(BraceRatio(lp_one())) if (r, tau) == (3, 1) else d
+        return lp_add(d, qsym(BRACE, 3)) if (r, tau) == (3, 1) else d
     monkeypatch.setattr(ovengine, "_unknot_D", wrong)
     with pytest.raises(NonIntegerInvariant) as exc:
         ov_table("unknot", (3,), (1,))
@@ -419,9 +461,9 @@ def test_swapped_twin_agrees(cold_caches):
 def test_one_colored_component_reads_the_unknot(cold_caches):
     d, c = connected_F("unknot", (3,), (-1,))
     assert c == 3
-    assert connected_F("whitehead", (0, 3), (2, -1))[0] is d
+    assert connected_F("whitehead", (0, 3), (2, -1))[0].num is d.num
     tri = ("borromean", (0, 3, 0), (1, -1, 0))
-    assert connected_F(*tri)[0] is d
+    assert connected_F(*tri)[0].num is d.num
     assert (d, c) == connected_F_box(*tri)[0, 3, 0]
 
 

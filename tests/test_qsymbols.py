@@ -98,13 +98,6 @@ def test_ratio_mul_and_scale():
     assert f.scale(6).reduce() == {(0, 0): 3, (2, 0): -4}
 
 
-def test_ratio_adams_scales_everything():
-    a = br(qsym(BRACE_A, 1), {1: 1, 3: 2})
-    t = a.adams(2)
-    assert t.den == Counter({2: 1, 6: 2})
-    assert t.num == {(2, 2): 1, (-2, -2): -1}
-
-
 def test_reduce_clears_exactly_or_raises():
     ok = br(lp_mul(qsym(BRACE, 2), qsym(BRACE, 5)), {2: 1, 5: 1})
     assert ok.reduce() == lp_one()
