@@ -15,16 +15,18 @@ over 1 off it.  The link sum separates over the components (see
 divides exactly one brace at a time, and the framed unknot's D over {r},
 from its q-difference equation (`_unknot_D`): two lists of nodes that one
 engine, `_packed`, runs on Kronecker-packed big ints.  `p_poly` sums
-those numerators, clears the one brace left and then divides by c:
-checked exact divisions, where the integrality structure either survives
-or raises.  A table's only brace arithmetic is `qsymbols._mul_brace` and
-`_div_brace` on int dicts; `connected_F` wraps its numerator in a
-`BraceRatio` for callers.  The oracle, `connected_F_box`, computes with
-`BraceRatio`s: it takes the logarithm of Z = sum_v H_v x^v by one
-recurrence over H on the color box, every vector of the box in one pass.
-It reads H alone, from `homfly_link`, and shares only the cores C_i,
-`link_factor` and the unknot's H (the G_0 of each h) with `connected_F`;
-on one colored component it shares nothing, as `_unknot_D` never reads H.
+the numerators `connected_F` wraps, clears the one brace left and then
+divides by c: checked exact divisions, where the integrality structure
+either survives or raises.  A table's only brace arithmetic is
+`qsymbols._mul_brace` and `_div_brace` on int dicts: it reads the
+numerators of the unknot's H and of `connected_F`'s D out of their
+`BraceRatio`s and does no arithmetic on them.  The oracle,
+`connected_F_box`, computes with `BraceRatio`s: it takes the logarithm
+of Z = sum_v H_v x^v by one recurrence over H on the color box, every
+vector of the box in one pass.  It reads H alone, from `homfly_link`,
+and shares only the cores C_i, `link_factor` and the unknot's H (the G_0
+of each h) with `connected_F`; on one colored component it shares
+nothing, as `_unknot_D` never reads H.
 """
 
 from fractions import Fraction
@@ -80,35 +82,26 @@ def connected_F_box(link, top, framings):
 def connected_F(link, rvec, framings):
     """Connected invariant F_rvec = [x^rvec] log(1 + sum_v H_v x^v) of the
     link at the given framings as the pair (D, c), F = D / c with c the
-    first nonzero color and D an exact ratio with int coefficients: the
-    numerator `_connected_num` gives, over {c} on an axis and over 1
-    elsewhere.
+    first nonzero color and D an exact ratio with int coefficients: an int
+    numerator over {c} on an axis and over 1 elsewhere.
 
     The sum is prod_t G_0(x_t) (1 + W) with W = sum_{i>=1} C_i prod_t h_i(x_t),
     G_i(x) = sum_r link_factor(i, r, tau) x^r and h_i = G_i / G_0.
-    So F is the framed unknot's on one colored component, 0 on any other
-    vector with a zero color, and [x^rvec] log(1 + W) when every component
-    is colored.  Each coefficient is cached per link and framings in the
-    given component order, so a swapped twin is computed apart.
+    So F is the framed unknot's on one colored component (`_unknot_D`), 0
+    on any other vector with a zero color, and [x^rvec] log(1 + W)
+    (`_log_w`) when every component is colored.  Each numerator is cached
+    per link and framings in the given component order, so a swapped twin
+    is computed apart; the `BraceRatio` around it is only its wrapper, and
+    `p_poly` reads the numerator back.
     """
     rvec, taus = check_link(link, rvec, framings)
     if not any(rvec):
         raise ValueError(f"color vector {rvec} must be nonnegative and not all zero")
     c = next(r for r in rvec if r)
-    axis = sum(map(bool, rvec)) == 1
-    return BraceRatio(_connected_num(link, rvec, taus), {c: 1} if axis else None), c
-
-
-def _connected_num(link, rvec, taus):
-    """The int numerator of D_rvec (`connected_F`) for checked, nonzero
-    colors: `_unknot_D`'s, over {c}, on one colored component, `_log_w`'s
-    when every component is colored, and zero otherwise."""
     colored = [(r, tau) for r, tau in zip(rvec, taus) if r]
     if len(colored) == 1:
-        return _unknot_D(*colored[0])
-    if len(colored) < len(rvec):
-        return {}
-    return _log_w(link, taus, rvec)
+        return BraceRatio(_unknot_D(*colored[0]), {c: 1}), c
+    return BraceRatio(_log_w(link, taus, rvec) if len(colored) == len(rvec) else {}), c
 
 
 def _packed(inputs, nodes, out):
@@ -203,14 +196,15 @@ def _h(i, r, tau):
         h_r = [x^r] G_i - sum_{0<s<=n} [x^s] G_0 h_{r-s},   n = r - i,
 
     with [x^r] G_i = link_factor(i, r, tau), over {n}!, and G_0 the framed
-    unknot's series, [x^s] G_0 = link_factor(0, s, tau) = H_s, over {s}!.
+    unknot's series, [x^s] G_0 = H_s from `homfly_link`, over {s}!.
     On int numerators, {n}! h_r is [x^r] G_i's numerator less
     sum_s {s+1}...{n} H_s h_{r-s}, that sum raised Horner-style (R <- R {s}
     + H_s h_{r-s}, one `_mul_brace` per s).  `_div_brace` then divides by
     {1}, ..., {n} in turn, InexactDivision if one does not divide."""
     n, rest = r - i, {}
     for s in range(1, n + 1):
-        rest = _addmul(_mul_brace(rest, s), link_factor(0, s, tau).num, _h(i, r - s, tau))
+        h_s = homfly_link("unknot", (s,), (tau,)).num
+        rest = _addmul(_mul_brace(rest, s), h_s, _h(i, r - s, tau))
     num = lp_sub(link_factor(i, r, tau).num, rest)
     for s in range(1, n + 1):
         num = _div_brace(num, s)
@@ -259,8 +253,8 @@ def p_poly(link, rvec, framings):
 
     With F_v = D_v / c (`connected_F`), sum_{d|v} mu(d)/d Adams_d(F_{v/d})
     is sum_d mu(d) Adams_d(D_{v/d}) / c, since v/d has first color c/d.
-    That integral sum is formed on the int numerators (`_connected_num`),
-    over {c} when k = 1 (Adams_d takes {c/d} to {c}) and over 1 otherwise.
+    That integral sum is formed on the int numerators of the D's, over {c}
+    when k = 1 (Adams_d takes {c/d} to {c}) and over 1 otherwise.
     For k = 1 it is multiplied by {1} and divided by {c}, k = 2 leaves it
     as it is, and k = 3 divides it by {1}: each a `_div_brace`, the place
     an exact division is demanded of the whole pipeline, so
@@ -278,7 +272,7 @@ def p_poly(link, rvec, framings):
     for d in divisors(gcd(*rvec)):
         mu = mobius(d)
         if mu:
-            num = _connected_num(link, tuple(r // d for r in rvec), framings)
+            num = connected_F(link, tuple(r // d for r in rvec), framings)[0].num
             total = lp_add(total, {(dq * d, da * d): mu * v for (dq, da), v in num.items()})
     if k == 1:
         total = _div_brace(_mul_brace(total, 1), c)

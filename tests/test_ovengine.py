@@ -199,8 +199,9 @@ WRONG_UNKNOT_H_SCRIPT = """
 from framedbps import ovengine
 from framedbps.qsymbols import InexactDivision
 
-real = ovengine.link_factor
-ovengine.link_factor = lambda i, r, tau: real(i, r, tau).scale(2 if (i, r, tau) == (0, 2, 0) else 1)
+real = ovengine.homfly_link
+ovengine.homfly_link = lambda link, r, tau: real(link, r, tau).scale(
+    2 if (link, r, tau) == ("unknot", (2,), (0,)) else 1)
 try:
     ovengine.ov_table("whitehead", (3, 3), (0, 0))
     print("no error")
