@@ -160,8 +160,8 @@ def cmd_ov_table(args, parser):
                   {"link": args.link, "colors": list(table.colors),
                    "framings": list(table.framings), "epsilon": [e1, e2]},
                   "entries", ("i2", "j2", "N"),
-                  [(i2, j2, n) for (i2, j2), n in sorted(
-                      table.entries.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))])
+                  [(i2, j2, table.entries[i2, j2])
+                   for i2, j2 in sorted(table.entries, reverse=True)])
 
 
 def _unknot_bps_rows(tau, r_max, source):

@@ -15,14 +15,13 @@ Every kernel runs on ints: `lp_mono` takes the scalar as given, and
 `series_inv` inverts only a unit constant term ±q^(dq/2) a^(da/2), so
 sums and products of int inputs stay ints.  All public operations are
 pure: inputs are never mutated (only the private `_addmul` accumulates
-in place).  A polynomial of one exponent parity
-also packs into one big int by Kronecker substitution, for `ovengine`:
-`_frame` bounds it and halves its exponents, `_times` and `_hull` bound
-products and sums, `_width` sizes the digits, and `_pack`, `_shift` and
-`_unpack` move it into a big int, within one, and back.  A polynomial in
-λ packs as one int per λ-power, for the Lagrange sums of `curves`:
-`_frame_rows` bounds it, `_rows_times` multiplies it in place and
-`_unpack` reads back a sum of rows at its a-step.
+in place).  A polynomial of one exponent parity also packs into one big
+int by Kronecker substitution, for `ovengine`: `_frame` bounds it and
+halves its exponents, `_width` sizes the digits, and `_pack`, `_shift`
+and `_unpack` move it into a big int, within one, and back.  A
+polynomial in λ packs as one int per λ-power, for the Lagrange sums of
+`curves`: `_frame_rows` bounds it, `_rows_times` multiplies it in place
+and `_unpack` reads back a sum of rows at its a-step.
 """
 
 import struct
@@ -112,19 +111,6 @@ def _frame(p):
         raise PackingError(f"exponents of mixed parity in {p}")
     return ((lq, la, max(dqs), max(das), sum(map(abs, p.values()))),
             [((dq - lq) >> 1, (da - la) >> 1, c) for (dq, da), c in p.items()])
-
-
-def _times(f, g):
-    """The frame of a product: corners add, norms multiply."""
-    return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] * g[4]
-
-
-def _hull(frames):
-    """The frame of a sum: the least corner, the greatest top, norms added."""
-    if len(frames) == 1:
-        return frames[0]
-    lq, la, hq, ha, norm = zip(*frames)
-    return min(lq), min(la), max(hq), max(ha), sum(norm)
 
 
 def _width(frame, step=2):

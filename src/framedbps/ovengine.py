@@ -32,12 +32,11 @@ nothing, as `_unknot_D` never reads H.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd
+from math import gcd, inf
 from operator import mul, sub
 
 from .closedforms import MismatchDetected, divisors, mobius
-from .laurent import (_addmul, _frame, _hull, _pack, _shift, _times, _unpack, _width, lp_add,
-                      lp_one, lp_sub)
+from .laurent import _addmul, _frame, _pack, _shift, _unpack, _width, lp_one, lp_sub
 from .links import LINKS, check_link, homfly_link, link_factor
 from .qsymbols import BraceRatio, _div_brace, _mul_brace
 
@@ -109,32 +108,43 @@ def _packed(inputs, nodes, out):
     `inputs` maps keys to (frame, halved) pairs (`_framed`); `nodes`, in
     evaluation order, are (key, terms, n), a term (c, (dq, da), keys) being
     c q^(dq/2) a^(da/2) times the values at `keys` and a node its terms' sum
-    over n.  A term's frame comes from the term (`_times`); a node with no
-    term is zero and drops each term that reads it.  One (span, b) holds
+    over n.  One sweep per node sums each term's frame from its operands'
+    frames (corners add, norms multiply) and keeps the node's hull as a
+    running least corner, greatest top and norm sum; a node with no term
+    is zero and drops each term that reads it.  One (span, b) holds
     `out` and each sum over n > 1 (`laurent._width`); each product is
     shifted onto its node's corner, the product of its operands but the
     last made once for all terms that share it.  A sum over n > 1 is checked
     when unpacked, MismatchDetected if n does not divide a coefficient."""
     frame, plan, heads = {key: f for key, (f, _) in inputs.items()}, [], {}
     for key, terms, n in nodes:
-        live = [(c, keys[:-1], keys[-1],
-                 reduce(_times, map(frame.get, keys), (dq, da, dq, da, abs(c))))
-                for c, (dq, da), keys in terms if all(map(frame.get, keys))]
-        hull = _hull([f for *_, f in live]) if live else None
-        frame[key] = hull and hull[:4] + (hull[4] // n,)
+        live, q0, a0, q1, a1, norm = [], inf, inf, -inf, -inf, 0
+        for c, (dq, da), keys in terms:
+            lq, la, hq, ha, m = dq, da, dq, da, abs(c)
+            for f in map(frame.get, keys):
+                if not f:
+                    break
+                lq, la, hq, ha, m = lq + f[0], la + f[1], hq + f[2], ha + f[3], m * f[4]
+            else:
+                live.append((c, keys, (lq, la)))
+                q0, a0, norm = (lq if lq < q0 else q0), (la if la < a0 else a0), norm + m
+                q1, a1 = (hq if hq > q1 else q1), (ha if ha > a1 else a1)
+        hull = (q0, a0, q1, a1, norm) if live else None
+        frame[key] = (q0, a0, q1, a1, norm // n) if live else None
         plan.append((key, live, n, hull))
     span, b = map(max, zip(*map(_width, [frame[out]] + [
         hull for _, live, n, hull in plan if n > 1 and live])))
     value = {key: _pack(halved, b, span) for key, (_, halved) in inputs.items()}
     for key, live, n, hull in plan:
         total = 0
-        for c, head, last, f in live:
-            x = value[last]
-            if head:
+        for c, keys, corner in live:
+            x = value[keys[-1]]
+            if len(keys) > 1:
+                head = keys[:-1]
                 if head not in heads:
                     heads[head] = reduce(mul, map(value.get, head))
                 x *= heads[head]
-            x = _shift(x, f, hull, b, span)
+            x = _shift(x, corner, hull, b, span)
             total = total - x if c == -1 else total + (x if c == 1 else c * x)
         if n > 1 and live:
             if any(c % n for c in _unpack(total, hull, b, span).values()):
@@ -253,15 +263,15 @@ def p_poly(link, rvec, framings):
 
     With F_v = D_v / c (`connected_F`), sum_{d|v} mu(d)/d Adams_d(F_{v/d})
     is sum_d mu(d) Adams_d(D_{v/d}) / c, since v/d has first color c/d.
-    That integral sum is formed on the int numerators of the D's, over {c}
-    when k = 1 (Adams_d takes {c/d} to {c}) and over 1 otherwise.
+    That integral sum is formed in place on the int numerators of the D's,
+    over {c} when k = 1 (Adams_d takes {c/d} to {c}) and over 1 otherwise.
     For k = 1 it is multiplied by {1} and divided by {c}, k = 2 leaves it
     as it is, and k = 3 divides it by {1}: each a `_div_brace`, the place
     an exact division is demanded of the whole pipeline, so
     InexactDivision here means the integrality structure failed (or a bug
-    upstream of it did).  Every coefficient, in sorted key order, is then
-    divided by c into an int, and the first that is not a multiple of c
-    raises NonIntegerInvariant(i, j, value).
+    upstream of it did).  Every coefficient is then divided by c into an
+    int; if any is not a multiple of c, the one at the least key raises
+    NonIntegerInvariant(i, j, value).
     """
     rvec, framings = check_link(link, rvec, framings)
     k = sum(1 for r in rvec if r)
@@ -273,17 +283,20 @@ def p_poly(link, rvec, framings):
         mu = mobius(d)
         if mu:
             num = connected_F(link, tuple(r // d for r in rvec), framings)[0].num
-            total = lp_add(total, {(dq * d, da * d): mu * v for (dq, da), v in num.items()})
+            for (dq, da), v in num.items():
+                key = dq * d, da * d
+                total[key] = v = total.get(key, 0) + mu * v
+                if not v:
+                    del total[key]
     if k == 1:
         total = _div_brace(_mul_brace(total, 1), c)
     elif k == 3:
         total = _div_brace(total, 1)
-    out = {}
-    for (dq, da), v in sorted(total.items()):
-        out[(dq, da)], rest = divmod(v, c)
-        if rest:
-            raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), Fraction(v, c))
-    return out
+    bad = [key for key, v in total.items() if v % c] if c > 1 else None
+    if bad:
+        dq, da = min(bad)
+        raise NonIntegerInvariant(Fraction(da, 2), Fraction(dq, 2), Fraction(total[dq, da], c))
+    return {key: v // c for key, v in total.items()} if c > 1 else total
 
 
 class OVTable:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _hull, _pack,
-                               _shift, _times, _unpack, _width, lp_add, lp_mono, lp_mul,
-                               lp_neg, lp_one, lp_sub, series_inv)
+from framedbps.laurent import (NonInvertibleLeadingTerm, PackingError, _frame, _pack, _shift,
+                               _unpack, _width, lp_add, lp_mono, lp_mul, lp_neg, lp_one, lp_sub,
+                               series_inv)
 from series_products import series_mul
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -85,11 +85,12 @@ uniform = st.tuples(int_polys, st.integers(0, 1), st.integers(0, 1)).map(
 def test_packing_is_a_ring_map(p, q):
     # the packed product, read back on the product's frame, is lp_mul
     (fp, hp), (fq, hq) = _frame(p), _frame(q)
-    fpq = _times(fp, fq)
+    fpq = (*(a + b for a, b in zip(fp[:4], fq)), fp[4] * fq[4])
     span, b = _width(fpq)
     assert _unpack(_pack(hp, b, span) * _pack(hq, b, span), fpq, b, span) == lp_mul(p, q)
     # a sum is read on the box around both frames, each shifted up onto its corner
-    hull = _hull([fp, fq])
+    hull = (min(fp[0], fq[0]), min(fp[1], fq[1]), max(fp[2], fq[2]), max(fp[3], fq[3]),
+            fp[4] + fq[4])
     span, b = _width(hull)
 
     def total():

@@ -253,6 +253,20 @@ def test_p_poly_itself_refuses_a_non_integral_coefficient(wrong_log_w):
     assert exc.value.args == (0, 0, Fraction(1, 2))
 
 
+def test_p_poly_reports_the_least_key_that_is_not_integral(monkeypatch):
+    # unit terms at q^1 and then q^-1 leave 1/2 at both once F = D / 2; the
+    # lesser key (-2, 0) is reported although (2, 0) comes first in the dict
+    real = ovengine._log_w
+
+    def wrong(link, taus, v):
+        d = real(link, taus, v)
+        return lp_add(d, {(2, 0): 1, (-2, 0): 1}) if v == (2, 3) else d
+    monkeypatch.setattr(ovengine, "_log_w", wrong)
+    with pytest.raises(NonIntegerInvariant) as exc:
+        p_poly("whitehead", (2, 3), (0, 1))
+    assert exc.value.args == (0, -1, Fraction(1, 2))
+
+
 def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
     # D_3 plus the unit value, numerator {3} over {3}, leaves {1}/3 in p_3
     # once divided by c = 3
