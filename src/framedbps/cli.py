@@ -7,12 +7,13 @@ JSON and CSV carry doubled exponents (i2, j2) so everything stays an
 integer.  Exit status is 0 iff there were zero failures.
 """
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache
+from collections import namedtuple
 from importlib import resources
 from itertools import permutations, product
+from types import SimpleNamespace
 
 from .closedforms import (MismatchDetected, b_extremal_twist, b_unknot,
                           check_twist_parameter, integrality_statistic)
@@ -62,9 +63,9 @@ def parse_range(text):
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+        raise ValueError(f"expected LO:HI, got {text!r}") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -394,7 +395,7 @@ def cmd_verify(args, parser):
         parser.error("r-max must be >= 1")
     if args.suite == "recursion" and (args.n_max < 2 or args.tau_max < 0):
         parser.error("recursion needs n-max >= 2 and tau-max >= 0")
-    suite, summary = VERIFY_SUITES[args.suite]
+    suite, summary, _ = VERIFY_SUITES[args.suite]
     records = failures = 0
     for line, n in suite(args):
         print(line)
@@ -404,105 +405,159 @@ def cmd_verify(args, parser):
     return 0 if failures == 0 else 1
 
 
-# suite and its summary line, formatted from the failures and records counted
-VERIFY_SUITES = {"tables": (verify_tables, "{passed}/{total} tables pass"),
-                 "integrality": (verify_integrality, "integrality statistic: {verdict}"),
-                 "recursion": (verify_recursion, "recursion: {verdict}"),
-                 "symmetry": (verify_symmetry, "symmetry: {verdict}"),
-                 "connected": (verify_connected, "connected: {verdict}")}
-
-
 # --------------------------------------------------------------------------
-# parser
+# command table and its parser
+
+# one option of a command: its flag takes one value, which `type` reads (raising
+# ValueError on bad text) into `dest`; the metavar defaults to the choices, else to DEST
+_Option = namedtuple("_Option", "flag dest type choices default required metavar",
+                     defaults=(str, None, None, False, None))
+# suite, its summary line (formatted from the failures and records counted), options
+VERIFY_SUITES = {
+    "tables": (verify_tables, "{passed}/{total} tables pass", ()),
+    "integrality": (verify_integrality, "integrality statistic: {verdict}", (
+        _Option("--r-max", "r_max", int, default=30),
+        _Option("--t-range", "t_range", parse_range, default=(-10, 10)))),
+    "recursion": (verify_recursion, "recursion: {verdict}", (
+        _Option("--tau-max", "tau_max", int, default=5),
+        _Option("--n-max", "n_max", int, default=12))),
+    "symmetry": (verify_symmetry, "symmetry: {verdict}", ()),
+    "connected": (verify_connected, "connected: {verdict}", ())}
+_FORMAT = _Option("--format", "format", choices=("ascii", "json", "csv"), default="ascii")
+_LINK = (_Option("--link", "link", choices=tuple(LINKS), required=True),
+         _Option("--colors", "colors", required=True, metavar="R1,R2,..."),
+         _Option("--framing", "framing", required=True, metavar="T1,T2,..."), _FORMAT)
+_KNOT = (_Option("--knot", "knot", choices=("unknot", "twist"), required=True),
+         _Option("--p", "p", int))
+_TAU = _Option("--framing", "framing_int", int, default=0, metavar="TAU")
+# command path ("" the top level) -> (handler, description or help line, options)
+COMMANDS = {
+    "": (None, "Framed colored HOMFLYPT invariants, integer tables, and BPS invariants "
+               "from\nexact symbolic pipelines.", ()),
+    "homfly": (cmd_homfly, "framed colored invariant as exact ratio", _LINK),
+    "ov-table": (cmd_ov_table, "integer invariant table", _LINK),
+    "bps": (cmd_bps, "BPS invariants of framed knots", (
+        *_KNOT, _TAU, _Option("--source", "source", choices=("curve", "closed", "both"),
+                              default="both"),
+        _Option("--r-max", "r_max", int, default=6), _FORMAT)),
+    "series": (cmd_series, "curve normal form and log-derivative series", (
+        *_KNOT, _Option("--kind", "kind", choices=KINDS, default=KIND_FULL), _TAU,
+        _Option("--order", "order", int, default=8), _FORMAT)),
+    "verify": (None, "run a verification suite", ()),
+    **{f"verify {name}": (cmd_verify, None, suite[2]) for name, suite in VERIFY_SUITES.items()}}
+_is_option = re.compile(r"-\D").match  # so that values such as -1,0 and -3:3 parse as typed
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built on the first call and then reused."""
-    parser = argparse.ArgumentParser(
-        prog="framedbps",
-        description="Framed colored HOMFLYPT invariants, integer tables, and "
-                    "BPS invariants from exact symbolic pipelines.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("ascii", "json", "csv"),
-                       default="ascii")
-
-    for name, func, text in (("homfly", cmd_homfly, "framed colored invariant as exact ratio"),
-                             ("ov-table", cmd_ov_table, "integer invariant table")):
-        p_l = sub.add_parser(name, help=text)
-        p_l.add_argument("--link", required=True, choices=tuple(LINKS))
-        p_l.add_argument("--colors", required=True, metavar="R1,R2,...")
-        p_l.add_argument("--framing", required=True, metavar="T1,T2,...")
-        add_format(p_l)
-        p_l.set_defaults(func=func, parser=p_l)
-
-    p_b = sub.add_parser("bps", help="BPS invariants of framed knots")
-    p_b.add_argument("--knot", required=True, choices=("unknot", "twist"))
-    p_b.add_argument("--p", type=int, default=None)
-    p_b.add_argument("--framing", dest="framing_int", type=int, default=0, metavar="TAU")
-    p_b.add_argument("--source", choices=("curve", "closed", "both"),
-                     default="both")
-    p_b.add_argument("--r-max", dest="r_max", type=int, default=6)
-    add_format(p_b)
-    p_b.set_defaults(func=cmd_bps, parser=p_b)
-
-    p_s = sub.add_parser("series", help="curve normal form and log-derivative series")
-    p_s.add_argument("--knot", required=True, choices=("unknot", "twist"))
-    p_s.add_argument("--p", type=int, default=None)
-    p_s.add_argument("--kind", choices=KINDS, default=KIND_FULL)
-    p_s.add_argument("--framing", dest="framing_int", type=int, default=0, metavar="TAU")
-    p_s.add_argument("--order", type=int, default=8)
-    add_format(p_s)
-    p_s.set_defaults(func=cmd_series, parser=p_s)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    parser.set_defaults(verify=p_verify)
-    suites = p_verify.add_subparsers(dest="suite", required=True)
-    for name in VERIFY_SUITES:
-        p_v = suites.add_parser(name)
-        if name == "integrality":
-            p_v.add_argument("--r-max", dest="r_max", type=int, default=30)
-            p_v.add_argument("--t-range", dest="t_range", type=parse_range, default=(-10, 10))
-        elif name == "recursion":
-            p_v.add_argument("--tau-max", dest="tau_max", type=int, default=5)
-            p_v.add_argument("--n-max", dest="n_max", type=int, default=12)
-        p_v.set_defaults(func=cmd_verify, parser=p_v)
-    return parser
+def _braces(names):
+    return "{%s}" % ",".join(names) if names else ""
 
 
-def _merge_negative_values(argv):
-    """Glue values that start with a minus and a digit ("-1,0", "-10:10") onto
-    the long flag before them with '=' so argparse does not mistake them for
-    options; returns the tokens and a map from each glued one back to the two
-    typed.  No option of the parser starts with a digit."""
-    out, typed = [], {}
-    for tok in argv:
-        flag = out[-1] if out else ""
-        if (flag[:2] == "--" and flag[2:3].isalpha() and "=" not in flag
-                and tok[:1] == "-" and tok[1:2].isdigit()):
-            out[-1] = f"{flag}={tok}"
-            typed[out[-1]] = f"{flag} {tok}"
+class _Command:
+    """A path of COMMANDS, which its handler gets as `parser`.  `error` prints
+    what argparse printed, and `help` its sections; no line is wrapped."""
+
+    def __init__(self, path):
+        self.path, self.prog = path, f"framedbps {path}".rstrip()
+        self.handler, self.about, self.options = COMMANDS[path]
+        self.flags = {"--help": None, **{opt.flag: opt for opt in self.options}}
+        self.subs = [p.rpartition(" ")[2] for p in COMMANDS if p and p.rpartition(" ")[0] == path]
+        self.words = [f"{opt.flag} {opt.metavar or _braces(opt.choices) or opt.dest.upper()}"
+                      for opt in self.options]
+
+    def lookup(self, token):
+        """The flag that `token` names, -h or a unique prefix included, or None."""
+        name = "--help" if token == "-h" else token.partition("=")[0]
+        hits = [flag for flag in self.flags if flag == name] or [
+            flag for flag in self.flags if len(name) > 2 and flag.startswith(name)]
+        if len(hits) > 1:
+            self.error(f"ambiguous option: {token} could match {', '.join(hits)}")
+        return hits[0] if hits else None
+
+    def usage(self):
+        words = [word if opt.required else f"[{word}]" for word, opt in zip(self.words, self.options)]
+        tail = [f"{_braces(self.subs)} ..."] if self.subs else []
+        return " ".join(["usage:", self.prog, "[-h]", *words, *tail])
+
+    def error(self, message):
+        sys.stderr.write(f"{self.usage()}\n{self.prog}: error: {message}\n")
+        sys.exit(2)
+
+    def help(self):
+        lines = [self.usage(), ""]
+        if not self.path:
+            lines += [self.about, ""]
+        if self.subs:
+            lines += ["positional arguments:", f"  {_braces(self.subs)}",
+                      *(f"    {sub:<18}  {COMMANDS[sub][1]}" for sub in self.subs if not self.path),
+                      ""]
+        lines += ["options:", "  -h, --help            show this help message and exit",
+                  *(f"  {word}" for word in self.words)]
+        print("\n".join(lines))
+        sys.exit(0)
+
+
+def _parse(argv):
+    """(args, command) for `argv`: the command, or `verify` and its suite,
+    then its options as `--flag value` or `--flag=value`, a flag also by a
+    unique prefix; the last of a repeated flag wins.  Usage errors exit 2."""
+    command, rest, extra = _Command(""), list(argv), []
+    while command.subs:
+        dest = "suite" if command.path else "command"
+        if not rest:
+            command.error(f"the following arguments are required: {dest}")
+        token = rest.pop(0)
+        if command.lookup(token) == "--help":
+            command.help()
+        if command.path and token[:1] == "-":
+            command.error(f"{token} comes before the suite; a suite's options follow its "
+                          "name, as in 'verify integrality --r-max 5'")
+        if token in command.subs:
+            command = _Command(f"{command.path} {token}".lstrip())
+        elif _is_option(token):  # reported by the command that follows
+            extra.append(token)
         else:
-            out.append(tok)
-    return out, typed
+            command.error(f"argument {dest}: invalid choice: {token!r} "
+                          f"(choose from {', '.join(map(repr, command.subs))})")
+    # every option is looked up first, so an ambiguous prefix is the first error
+    flags = [command.lookup(token) if _is_option(token) else None for token in rest]
+    args = SimpleNamespace(suite=command.path.partition(" ")[2],
+                           **{opt.dest: opt.default for opt in command.options})
+    missing, i = [opt.flag for opt in command.options if opt.required], 0
+    while i < len(rest):
+        token, flag, i = rest[i], flags[i], i + 1
+        if flag == "--help":
+            command.help()
+        if flag is None:
+            extra.append(token)
+            continue
+        opt = command.flags[flag]
+        if "=" in token:
+            text = token.partition("=")[2]
+        elif i < len(rest) and not _is_option(rest[i]):
+            text, i = rest[i], i + 1
+        else:
+            command.error(f"argument {flag}: expected one argument")
+        try:
+            value = opt.type(text)
+        except ValueError as exc:
+            command.error(f"argument {flag}: "
+                          + (f"invalid int value: {text!r}" if opt.type is int else str(exc)))
+        if opt.choices and value not in opt.choices:
+            command.error(f"argument {flag}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, opt.choices))})")
+        setattr(args, opt.dest, value)
+        missing = [m for m in missing if m != flag]
+    if missing:
+        command.error(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        command.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args, command
 
 
 def main(argv=None):
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    first = argv[1] if argv[:1] == ["verify"] and len(argv) > 1 else ""
-    if first[:1] == "-" and first not in ("-h", "--help"):
-        parser.get_default("verify").error(
-            f"{first} comes before the suite; a suite's options follow its name, "
-            f"as in 'verify integrality --r-max 5'")
-    merged, typed = _merge_negative_values(argv)
-    args, extra = parser.parse_known_args(merged)
-    if extra:  # reported by the subcommand's parser, which names it, as typed
-        args.parser.error(f"unrecognized arguments: {' '.join(typed.get(t, t) for t in extra)}")
+    args, command = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args, args.parser)
+        return command.handler(args, command)
     except Exception as exc:  # domain errors, failed cross-checks -> diagnostic, exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

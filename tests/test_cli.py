@@ -126,7 +126,6 @@ def test_parser_is_reused_across_commands(capsys):
     assert code == 0
     _, again, _ = run_cli(capsys, *table)
     assert again == first
-    assert cli.build_parser() is cli.build_parser()
 
 
 def test_bps_both_sources_agree(capsys):
@@ -321,7 +320,7 @@ def test_boundary_errors_are_usage_errors(argv, capsys):
         "ov-table unrecognized"])
 def test_usage_error_names_its_command(argv, message, capsys):
     # the usage line and the error name the subcommand (a verify suite is
-    # one), as argparse's own errors do
+    # one), as every usage error of the command table does
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
@@ -345,9 +344,9 @@ def test_usage_error_names_its_command(argv, message, capsys):
      "'verify integrality --r-max 5'"),
 ], ids=["tables", "integrality", "recursion", "connected", "before the suite"])
 def test_verify_refuses_options_its_suite_does_not_read(argv, message, capsys):
-    # each suite's parser has its own options; an option placed before the
-    # suite belongs to none, and the error says where it goes.  Leftover
-    # tokens are echoed as typed, not in the glued '--t-range=-3:3' form
+    # each suite has its own options; an option placed before the suite
+    # belongs to none, and the error says where it goes.  Leftover tokens
+    # are echoed as typed
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
@@ -356,7 +355,7 @@ def test_verify_refuses_options_its_suite_does_not_read(argv, message, capsys):
 
 
 def test_a_value_list_starting_with_a_minus_parses(capsys):
-    # "-1,0" looks like an option to argparse; glued onto --framing it is its value
+    # "-1,0" starts with a minus and a digit, so it is the value of --framing, not an option
     code, out, err = run_cli(capsys, "ov-table", "--link", "whitehead", "--colors", "2,1",
                              "--framing", "-1,0", "--format", "json")
     assert (code, err) == (0, "")
@@ -364,6 +363,98 @@ def test_a_value_list_starting_with_a_minus_parses(capsys):
     assert doc["framings"] == [-1, 0]
     assert {(e["i2"], e["j2"]): e["N"] for e in doc["entries"]} == ov_table(
         "whitehead", (2, 1), (-1, 0)).entries
+    code, out, err = run_cli(capsys, "verify", "integrality", "--r-max", "2",
+                             "--t-range", "-3:3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "r=1: t=-3..3 all integer"
+
+
+# usage errors: the command line, the command that reports it, and the
+# message, each as argparse printed it for the same command line
+PARSE_ERRORS = [
+    ((), "", "the following arguments are required: command"),
+    (("foo",), "", "argument command: invalid choice: 'foo' "
+                   "(choose from 'homfly', 'ov-table', 'bps', 'series', 'verify')"),
+    (("verify",), "verify", "the following arguments are required: suite"),
+    (("verify", "foo"), "verify", "argument suite: invalid choice: 'foo' (choose from "
+                                  "'tables', 'integrality', 'recursion', 'symmetry', 'connected')"),
+    (("ov-table", "--link", "unknot"), "ov-table",
+     "the following arguments are required: --colors, --framing"),
+    (("ov-table", "--link", "unknot", "--colors"), "ov-table",
+     "argument --colors: expected one argument"),
+    (("ov-table", "--link", "unknot", "--colors", "--framing", "0"), "ov-table",
+     "argument --colors: expected one argument"),
+    (("bps", "--knot", "unknot", "--p", "x"), "bps", "argument --p: invalid int value: 'x'"),
+    (("verify", "integrality", "--t-range", "1-3"), "verify integrality",
+     "argument --t-range: expected LO:HI, got '1-3'"),
+    (("bps", "--knot", "unknot", "--f", "1"), "bps",
+     "ambiguous option: --f could match --framing, --format"),
+    (("bps", "--knot", "twist", "--f=1"), "bps",
+     "ambiguous option: --f=1 could match --framing, --format"),
+    # every option token is looked up before any value is read
+    (("ov-table", "--link", "twist", "--f", "1"), "ov-table",
+     "ambiguous option: --f could match --framing, --format"),
+    # an option before the command is left over for the command to report
+    (("--bogus", "ov-table", "--link", "unknot", "--colors", "1", "--framing", "0"), "ov-table",
+     "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, prog, message", PARSE_ERRORS,
+                         ids=[" ".join(argv) or "no command" for argv, _, _ in PARSE_ERRORS])
+def test_parse_errors_keep_argparse_messages(argv, prog, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    prog = f"framedbps {prog}".rstrip()
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize("spelled", [
+    ("--link", "whitehead", "--colors", "2,1", "--framing", "0,0", "--format=csv"),
+    ("--link", "whitehead", "--col", "2,1", "--fram", "0,0", "--form", "csv"),
+    ("--li=whitehead", "--colors=2,1", "--fr=0,0", "--fo=csv"),
+], ids=["equals", "prefixes", "prefixes with equals"])
+def test_flags_by_equals_and_unique_prefix(spelled, capsys):
+    code, out, err = run_cli(capsys, "ov-table", *spelled)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "ov-table", "--link", "whitehead", "--colors", "2,1",
+                          "--framing", "0,0", "--format", "csv")[1]
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    code, out, _ = run_cli(capsys, "verify", "integrality", "--r-max", "1", "--r-max", "2")
+    assert code == 0
+    assert out == run_cli(capsys, "verify", "integrality", "--r-max", "2")[1]
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == ["r=1", "r=2"]
+
+
+@pytest.mark.parametrize("path", cli.COMMANDS, ids=lambda path: path or "top level")
+def test_help_lists_every_flag_of_the_command(path, capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path.split(), flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: {' '.join(['framedbps', *path.split()])} [-h]")
+        assert "-h, --help" in out
+        lines = out.splitlines()
+        for option in cli.COMMANDS[path][2]:   # in the option list, not only the usage line
+            assert any(line.startswith(f"  {option.flag} ") for line in lines)
+        for sub in (p for p in cli.COMMANDS if p and p.rpartition(" ")[0] == path):
+            assert sub.rpartition(" ")[2] in out
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    # argparse's import and first use cost more than parsing one command line
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, framedbps.cli; "
+                           "print('argparse' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("command", ["bps", "series"])
