@@ -13,6 +13,7 @@ negative exponents (framings are allowed to be negative) are safe.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from operator import index
 
@@ -65,8 +66,12 @@ def sign_pow(e):
 
 
 def mobius(n):
-    """Möbius function by trial factorization."""
-    n = check_at_least("n", n, 1)
+    """Möbius function by trial factorization, cached per n (`_mobius`)."""
+    return _mobius(check_at_least("n", n, 1))
+
+
+@lru_cache(maxsize=4096)
+def _mobius(n):
     result = 1
     d = 2
     while d * d <= n:
@@ -82,8 +87,13 @@ def mobius(n):
 
 
 def divisors(n):
-    """Positive divisors of n, ascending."""
-    n = check_at_least("n", n, 1)
+    """Positive divisors of n, ascending: a fresh list of the trial division
+    cached per n (`_divisors`)."""
+    return list(_divisors(check_at_least("n", n, 1)))
+
+
+@lru_cache(maxsize=4096)
+def _divisors(n):
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -92,7 +102,7 @@ def divisors(n):
             if d * d != n:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def gbinom(n, k):

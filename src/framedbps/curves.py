@@ -14,17 +14,19 @@ Two independent solvers produce the same data:
   coefficient per step (`solve_w_series`), which builds D = x·w′/w in
   the same lift: D_r = r·w_r - Σ_{k=1}^{r-1} D_k·w_{r-k} (w(0) = 1), and
   each power w^j (j ≥ 3) the curve has from x·(w^j)′ = j·w^j·D.  A curve
-  has no q, so the lift runs on dicts keyed by the doubled a-exponent
-  alone, through one multiply-accumulate (`_mac`); once lifted, w and D
-  must satisfy A(x, w) ≡ 0 and x·w′ ≡ w·D at one point a^(1/2) mod a
-  prime, with the powers of w rebuilt there (`_check_at_point`).
+  has no q: the lift keeps each coefficient as a dense pair (lowest doubled
+  a-exponent, ints at stride 2, or 1 where the curve's a-parity is not
+  affine in the x-degree) and sums each step's products in one kernel
+  (`_dense_sum`); once lifted, w and D must satisfy A(x, w) ≡ 0 and
+  x·w′ ≡ w·D at one point a^(1/2) mod a prime, with the powers of w
+  rebuilt there (`_check_at_point`).
 
 Both emit a GammaSeries: the coefficients of x · d/dx log y(x), from
 which the BPS numbers b_{r,m} follow by Möbius inversion.  The solved
 branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 
-A curve has no q: the rows of a normal form and the w and D of Newton are
-dicts {doubled a-exponent: int}.  Both solvers compute D = 2γ and halve
+A curve has no q: the rows of a normal form and the w and D Newton returns
+are dicts {doubled a-exponent: int}.  Both solvers compute D = 2γ and halve
 it once (`_halved`), so a γ is a Fraction only where it is not integral.
 """
 
@@ -44,7 +46,7 @@ KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
 KIND_MINUS = "extremal_minus"
 KINDS = (KIND_FULL, KIND_PLUS, KIND_MINUS)
-_ONE = {0: 1}
+_ONE = (0, [1])   # 1 as a dense pair (see `_dense_sum`)
 _P, _T = 2 ** 61 - 1, 1_414_213_562_373_095_048   # a prime, and a^(1/2) mod it for `_check_at_point`
 
 
@@ -277,21 +279,53 @@ def lagrange_log_y(nf, order):
     return _halved(out, order)
 
 
-def _mac(acc, p, q, k=1):
-    """acc += k·p·q in place on polynomials in a^(1/2) alone, dicts {doubled
-    a-exponent: nonzero int}: the lift's one kernel; returns acc."""
-    if len(p) > len(q):
-        p, q = q, p
-    for a1, c1 in p.items():
-        c1 *= k
-        for a2, c2 in q.items():
-            key = a1 + a2
-            v = acc.get(key, 0) + c1 * c2
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    return acc
+def _dense_sum(terms, stride, plus=(), *scaled):
+    """plus + Σ k·p over the pairs (k, p) of `scaled` + Σ k·p·q over the triples
+    (k, p, q) of `terms`, the lift's one kernel, on dense pairs (low, [c_0, ...])
+    with c_i at a^((low + stride·i)/2) and () for 0: plain index loops fill one
+    list sized from the operands' ranges, trimmed to its nonzero ends."""
+    if scaled:
+        terms = terms + [(k, _ONE, p) for k, p in scaled]
+    low = top = None
+    if plus:
+        low, top = plus[0], plus[0] + stride * (len(plus[1]) - 1)
+    for k, p, q in terms:
+        if p and q:
+            a = p[0] + q[0]
+            b = a + stride * (len(p[1]) + len(q[1]) - 2)
+            if low is None or a < low:
+                low = a
+            if top is None or b > top:
+                top = b
+    if low is None:
+        return ()
+    acc = [0] * ((top - low) // stride + 1)
+    if plus:
+        i = (plus[0] - low) // stride
+        acc[i:i + len(plus[1])] = plus[1]
+    for k, p, q in terms:
+        if p and q:
+            (a1, ps), (a2, qs) = p, q
+            if len(ps) > len(qs):
+                ps, qs = qs, ps
+            i = (a1 + a2 - low) // stride
+            for c1 in ps:
+                if c1:
+                    c1 *= k
+                    j = i
+                    for c2 in qs:
+                        acc[j] += c1 * c2
+                        j += 1
+                i += 1
+    hi, lo = len(acc), 0
+    while not acc[hi - 1]:
+        hi -= 1
+        if not hi:
+            return ()
+    while not acc[lo]:
+        lo += 1
+    del acc[hi:], acc[:lo]
+    return low + stride * lo, acc
 
 
 def _check_at_point(curve, w, dlog):
@@ -328,16 +362,18 @@ def solve_w_series(curve, order):
     by x·u′ = j·u·D), then plus j·w_r once w_r is known.  The last step
     lengthens only the powers an x⁰ term reads, as no later step reads the
     rest.  No product coefficient is computed twice.  A curve has no q, so
-    every coefficient is a polynomial in a^(1/2) alone, and the lift runs
-    on dicts keyed by the doubled a-exponent through `_mac`, as w and D
-    come back.
+    each coefficient is a dense pair in a^(1/2) (`_dense_sum`), at stride 2
+    when every term's a-parity is α + β·(x-degree), as [x^r] of w, D and
+    each w^j then has parity β·r, and 1 otherwise; w and D come back as
+    dicts {doubled a-exponent: nonzero int}.
 
     Raises SingularBranch when s is not a unit, and MismatchDetected when
     R_r + s·w_r ≠ 0 at some r (w_0 = 1 at r = 0), when a division by r
     is not exact, or when the lifted w and D fail `_check_at_point`.
     """
     order = check_at_least("order", order, 1)
-    terms = [(xd, yd // 2, {da: c}) for (xd, yd, da), c in sorted(curve.source.items())]
+    stride = 1 + any(len({(da - b * xd) % 2 for xd, _, da in curve.source}) == 1 for b in (0, 1))
+    terms = [(xd, yd // 2, (da, [c])) for (xd, yd, da), c in sorted(curve.source.items())]
     slope = {}
     for (xd, yd, da), c in curve.source.items():
         if not xd:
@@ -347,47 +383,44 @@ def solve_w_series(curve, order):
     except NonInvertibleLeadingTerm as exc:
         raise SingularBranch(curve) from exc
     slope, inverse = ({da: c for (_, da), c in p.items()} for p in (slope, inverse))
-    w, dlog = [{0: 1}], []
-    kept = {j: [{0: 1}] for j in sorted({j for _, j, _ in terms if j > 1})}
+    slope, inverse = ((min(p), [p.get(da, 0) for da in range(min(p), max(p) + 1, stride)])
+                      if p else () for p in (slope, inverse))
+    w, dlog = [_ONE], []
+    kept = {j: [_ONE] for j in sorted({j for _, j, _ in terms if j > 1})}
     # powers[j][r] is [x^r] w^j without w_r until the step at r adds j·w_r
-    powers = {0: [_ONE] + [{}] * order, 1: w, **kept}
+    powers = {0: [_ONE] + [()] * order, 1: w, **kept}
     # at the last step r = order - 1 only an x⁰ term reads a kept power at r
     last = {j: kept[j] for xd, j, _ in terms if not xd and j in kept}
     for r in range(order):
         # E_r, shared by D_r and by every kept w^j with j ≥ 3
-        e_r = {}
-        for k in range(1, r):
-            _mac(e_r, dlog[k], w[r - k], -1)
+        e_r = _dense_sum([(-1, dlog[k], w[r - k]) for k in range(1, r)], stride)
         live = kept if r < order - 1 else last
         if r:
-            w.append({})
+            w.append(())
             for j, u in live.items():
-                acc = {}
                 if j == 2:
-                    for i in range(1, r // 2 + 1):
-                        _mac(acc, w[i], w[r - i], 1 if 2 * i == r else 2)
+                    acc = _dense_sum([(1 if 2 * i == r else 2, w[i], w[r - i])
+                                      for i in range(1, r // 2 + 1)], stride)
                 else:
-                    acc.update(e_r)
-                    for k in range(1, r):
-                        _mac(acc, dlog[k], u[r - k])
-                    for key, c in acc.items():
-                        acc[key], rem = divmod(j * c, r)
+                    acc = _dense_sum([(1, dlog[k], u[r - k]) for k in range(1, r)], stride, e_r)
+                    for i, c in enumerate(acc and acc[1]):
+                        acc[1][i], rem = divmod(j * c, r)
                         if rem:
                             raise MismatchDetected(f"x·(w^{j})′ = {j}·w^{j}·D for {curve!r} "
                                                    f"is not exact at x^{r}")
                 u.append(acc)
-        rest = {}
-        for xd, j, mono in terms:
-            if xd <= r:
-                _mac(rest, mono, powers[j][r - xd])
-        step = _mac({}, inverse, rest, -1) if r else {}
-        if _mac(rest, slope, step):
+        rest = _dense_sum([(1, mono, powers[j][r - xd]) for xd, j, mono in terms if xd <= r],
+                          stride)
+        step = _dense_sum([(-1, inverse, rest)], stride) if r else ()
+        if _dense_sum([(1, slope, step)], stride, rest):
             raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
         if r:
             w[r] = step
             for j, u in live.items():
-                u[r] = lp_add(u[r], {da: j * c for da, c in step.items()})
-        dlog.append(_mac(e_r, _ONE, step, r))
+                u[r] = _dense_sum([], stride, u[r], (j, step))
+        dlog.append(_dense_sum([(r, _ONE, step)], stride, e_r))
+    w, dlog = ([{p[0] + stride * i: c for i, c in enumerate(p[1]) if c} if p else {} for p in s]
+               for s in (w, dlog))
     _check_at_point(curve, w, dlog)
     return w, dlog
 

@@ -355,22 +355,64 @@ def test_newton_inverts_the_unit_slope_once(monkeypatch):
 
 def test_newton_term_products_stay_under_their_ceilings(monkeypatch):
     # each product coefficient once, and only the powers of w the curve has
-    # (w^5 and w^6 at tau = 5, not w^2 through w^6)
+    # (w^5 and w^6 at tau = 5, not w^2 through w^6); a dense pair (low, cs)
+    # holds len(cs) coefficients
     count = [0]
+    dense_sum, addmul = curves._dense_sum, laurent._addmul
 
-    def counting(kernel):
-        def wrapped(acc, p, q, *scale):
-            count[0] += len(p) * len(q)
-            return kernel(acc, p, q, *scale)
-        return wrapped
+    def counting_dense_sum(terms, *rest):
+        terms = list(terms)
+        count[0] += sum(len(p[1]) * len(q[1]) for _, p, q in terms if p and q)
+        return dense_sum(terms, *rest)
 
-    monkeypatch.setattr(curves, "_mac", counting(curves._mac))
-    monkeypatch.setattr(laurent, "_addmul", counting(laurent._addmul))
+    def counting_addmul(acc, p, q, *scale):
+        count[0] += len(p) * len(q)
+        return addmul(acc, p, q, *scale)
+
+    monkeypatch.setattr(curves, "_dense_sum", counting_dense_sum)
+    monkeypatch.setattr(laurent, "_addmul", counting_addmul)
     for tau, order, ceiling in ((2, 20, 28_000), (5, 30, 150_000), (-5, 30, 150_000),
                                 (3, 12, 5_500), (-3, 12, 5_500)):
         count[0] = 0
         newton_series_solve(make_curve("unknot", KIND_FULL, tau), order)
         assert 0 < count[0] <= ceiling, (tau, order, count[0])
+
+
+# products of two operands, neither of them 1, in the lift on dicts keyed by
+# the doubled a-exponent (len(p)·len(q) per product), at order 21
+DICT_LIFT_PRODUCTS = {("unknot", KIND_FULL, 2): 23_429, ("unknot", KIND_FULL, -3): 31_392,
+                      ("unknot", KIND_PLUS, 3): 420, ("unknot", KIND_MINUS, -4): 589,
+                      (("twist", -3), KIND_PLUS, 1): 420, (("twist", 3), KIND_PLUS, 2): 420,
+                      (("twist", -2), KIND_MINUS, -3): 514, (("twist", 2), KIND_MINUS, 1): 344}
+
+
+def test_newton_stride_follows_the_curves_a_parity(monkeypatch):
+    # every make_curve curve has its a-parity affine in the x-degree, so the
+    # lift runs at stride 2, with no more inner products than on dicts;
+    # X2_CURVE mixes parities in x^1 and runs at stride 1.  w and D come back
+    # as dicts without zero values
+    strides, count = set(), [0]
+    dense_sum = curves._dense_sum
+
+    def recording(terms, stride, *plus):
+        strides.add(stride)
+        count[0] += sum(len(p[1]) * len(q[1]) for _, p, q in terms
+                        if p and q and (0, [1]) not in (p, q))
+        return dense_sum(terms, stride, *plus)
+
+    monkeypatch.setattr(curves, "_dense_sum", recording)
+    for case, dict_products in DICT_LIFT_PRODUCTS.items():
+        strides.clear()
+        count[0] = 0
+        w, dlog = solve_w_series(make_curve(*case), 21)
+        assert strides == {2} and 0 < count[0] <= dict_products, (case, count[0])
+        assert all(0 not in p.values() for p in w + dlog), case
+    strides.clear()
+    w, dlog = solve_w_series(DualAPoly(X2_CURVE, KIND_FULL, "unknot", 0), 15)
+    assert strides == {1}
+    assert w == [{low + i: c for i, c in enumerate(cs) if c} for low, cs in X2_W]
+    assert dlog[1:] == [{low + i: d for i, d in enumerate(ds) if d} for low, ds in X2_D]
+    assert all(0 not in p.values() for p in w + dlog)
 
 
 def test_newton_order_one_checks_the_residual_at_x0():
@@ -390,11 +432,12 @@ from framedbps.laurent import lp_add, lp_one, series_inv
 # among them), a wrong unit inverse, and D off by one on the framing-5 curve,
 # whose w^5 and w^6 come from x·(w^j)′ = j·w^j·D: D_r = r·w_r + E_r becomes
 # (r+1)·w_r + E_r (the -1s and the scales by j = 0, 1, 5, 6 stay untouched)
-mac = curves._mac
+kernel = curves._dense_sum
+scaled = lambda k_of: lambda terms, *rest: kernel([(k_of(k), p, q) for k, p, q in terms], *rest)
 for name, fault, tau in (
-        ("_mac", lambda acc, p, q, k=1: mac(acc, p, q, k + 1), 2),
+        ("_dense_sum", scaled(lambda k: k + 1), 2),
         ("series_inv", lambda s: [lp_add(series_inv(s)[0], lp_one())], 2),
-        ("_mac", lambda acc, p, q, k=1: mac(acc, p, q, k if k in (-1, 0, 1, 5, 6) else k + 1), 5)):
+        ("_dense_sum", scaled(lambda k: k if k in (-1, 0, 1, 5, 6) else k + 1), 5)):
     setattr(curves, name, fault)
     try:
         curves.solve_w_series(curves.make_curve("unknot", "full", tau), 21)
@@ -402,7 +445,7 @@ for name, fault, tau in (
         print(exc)
     else:
         print("no error")
-    setattr(curves, name, {"_mac": mac, "series_inv": series_inv}[name])
+    setattr(curves, name, {"_dense_sum": kernel, "series_inv": series_inv}[name])
 """
 
 
@@ -421,10 +464,15 @@ SOLVED_AROUND_SCRIPT = """
 from framedbps import curves
 from framedbps.closedforms import MismatchDetected
 
-mac = curves._mac
-step_doubled = lambda acc, p, q, k=1: mac(acc, p, q, 2 * k if k == -1 and len(p) == 1 else k)
-pair_sum_off = lambda acc, p, q, k=1: mac(acc, p, q, 3 if k == 2 and p is not curves._ONE else k)
-d_off = lambda acc, p, q, k=1: mac(acc, p, q, k + 1 if p is curves._ONE and k > 1 else k)
+kernel = curves._dense_sum
+one = curves._ONE
+# each product (k, p, q) of a kernel call rescaled by its own k_of(k, p, q); a
+# dense pair (low, [c]) holds one term, and 1 is the pair `one` itself
+rescaled = lambda k_of: lambda terms, *rest: kernel([(k_of(k, p, q), p, q) for k, p, q in terms],
+                                                    *rest)
+step_doubled = rescaled(lambda k, p, q: 2 * k if k == -1 and p and len(p[1]) == 1 else k)
+pair_sum_off = rescaled(lambda k, p, q: 3 if k == 2 and p is not one and q is not one else k)
+d_off = rescaled(lambda k, p, q: k + 1 if p is one and k > 1 else k)
 # each stored w_r doubled: w_r is the product s^-1·R_r (s^-1 one term) scaled by
 # -2 instead of -1.  Then faults every step solves around, on curves that keep
 # w^2 at most, so that no kept power reads D: the w^2 pair sum with 3·w_i·w_(r-i)
@@ -433,14 +481,14 @@ for fault, knot, kind, tau in ((step_doubled, "unknot", "full", 2),
                                (pair_sum_off, "unknot", "full", 1),
                                (d_off, "unknot", "full", 1),
                                (d_off, ("twist", 2), "extremal_minus", 0)):
-    curves._mac = fault
+    curves._dense_sum = fault
     try:
         curves.solve_w_series(curves.make_curve(knot, kind, tau), 21)
     except MismatchDetected as exc:
         print(exc)
     else:
         print("no error")
-    curves._mac = mac
+    curves._dense_sum = kernel
 """
 
 
