@@ -13,7 +13,6 @@ negative exponents (framings are allowed to be negative) are safe.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 from operator import index
 
@@ -66,12 +65,8 @@ def sign_pow(e):
 
 
 def mobius(n):
-    """Möbius function by trial factorization, cached per n (`_mobius`)."""
-    return _mobius(check_at_least("n", n, 1))
-
-
-@lru_cache(maxsize=4096)
-def _mobius(n):
+    """Möbius function by trial factorization."""
+    n = check_at_least("n", n, 1)
     result = 1
     d = 2
     while d * d <= n:
@@ -87,13 +82,8 @@ def _mobius(n):
 
 
 def divisors(n):
-    """Positive divisors of n, ascending: a fresh list of the trial division
-    cached per n (`_divisors`)."""
-    return list(_divisors(check_at_least("n", n, 1)))
-
-
-@lru_cache(maxsize=4096)
-def _divisors(n):
+    """Positive divisors of n, ascending."""
+    n = check_at_least("n", n, 1)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -102,7 +92,7 @@ def _divisors(n):
             if d * d != n:
                 large.append(n // d)
         d += 1
-    return tuple(small + large[::-1])
+    return small + large[::-1]
 
 
 def gbinom(n, k):

@@ -46,7 +46,7 @@ KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
 KIND_MINUS = "extremal_minus"
 KINDS = (KIND_FULL, KIND_PLUS, KIND_MINUS)
-_ONE = (0, [1])   # 1 as a dense pair (see `_dense_sum`)
+_ONE = (0, (1,))   # 1 as a dense pair (see `_dense_sum`)
 _P, _T = 2 ** 61 - 1, 1_414_213_562_373_095_048   # a prime, and a^(1/2) mod it for `_check_at_point`
 
 
@@ -279,16 +279,20 @@ def lagrange_log_y(nf, order):
     return _halved(out, order)
 
 
-def _dense_sum(terms, stride, plus=(), *scaled):
-    """plus + Σ k·p over the pairs (k, p) of `scaled` + Σ k·p·q over the triples
-    (k, p, q) of `terms`, the lift's one kernel, on dense pairs (low, [c_0, ...])
-    with c_i at a^((low + stride·i)/2) and () for 0: plain index loops fill one
+def _dense_sum(terms, stride, plus=()):
+    """Σ k·p over the addends (k, p) of `plus` + Σ k·p·q over the products
+    (k, p, q) of `terms`, the lift's one kernel, on dense pairs (low, cs) with
+    cs[i] at a^((low + stride·i)/2) and () for 0: plain index loops fill one
     list sized from the operands' ranges, trimmed to its nonzero ends."""
-    if scaled:
-        terms = terms + [(k, _ONE, p) for k, p in scaled]
     low = top = None
-    if plus:
-        low, top = plus[0], plus[0] + stride * (len(plus[1]) - 1)
+    for k, p in plus:
+        if p:
+            a = p[0]
+            b = a + stride * (len(p[1]) - 1)
+            if low is None or a < low:
+                low = a
+            if top is None or b > top:
+                top = b
     for k, p, q in terms:
         if p and q:
             a = p[0] + q[0]
@@ -300,9 +304,15 @@ def _dense_sum(terms, stride, plus=(), *scaled):
     if low is None:
         return ()
     acc = [0] * ((top - low) // stride + 1)
-    if plus:
-        i = (plus[0] - low) // stride
-        acc[i:i + len(plus[1])] = plus[1]
+    for n, (k, p) in enumerate(plus):
+        if p:
+            i = (p[0] - low) // stride
+            if k == 1 and not n:   # acc is all 0 before the first addend
+                acc[i:i + len(p[1])] = p[1]
+            else:
+                for c in p[1]:
+                    acc[i] += k * c
+                    i += 1
     for k, p, q in terms:
         if p and q:
             (a1, ps), (a2, qs) = p, q
@@ -317,14 +327,14 @@ def _dense_sum(terms, stride, plus=(), *scaled):
                         acc[j] += c1 * c2
                         j += 1
                 i += 1
-    hi, lo = len(acc), 0
-    while not acc[hi - 1]:
-        hi -= 1
-        if not hi:
-            return ()
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return ()
+    lo = 0
     while not acc[lo]:
         lo += 1
-    del acc[hi:], acc[:lo]
+    del acc[:lo]
     return low + stride * lo, acc
 
 
@@ -402,7 +412,8 @@ def solve_w_series(curve, order):
                     acc = _dense_sum([(1 if 2 * i == r else 2, w[i], w[r - i])
                                       for i in range(1, r // 2 + 1)], stride)
                 else:
-                    acc = _dense_sum([(1, dlog[k], u[r - k]) for k in range(1, r)], stride, e_r)
+                    acc = _dense_sum([(1, dlog[k], u[r - k]) for k in range(1, r)], stride,
+                                     [(1, e_r)])
                     for i, c in enumerate(acc and acc[1]):
                         acc[1][i], rem = divmod(j * c, r)
                         if rem:
@@ -412,13 +423,13 @@ def solve_w_series(curve, order):
         rest = _dense_sum([(1, mono, powers[j][r - xd]) for xd, j, mono in terms if xd <= r],
                           stride)
         step = _dense_sum([(-1, inverse, rest)], stride) if r else ()
-        if _dense_sum([(1, slope, step)], stride, rest):
+        if _dense_sum([(1, slope, step)], stride, [(1, rest)]):
             raise MismatchDetected(f"Newton residual of {curve!r} is nonzero at x^{r}")
         if r:
             w[r] = step
             for j, u in live.items():
-                u[r] = _dense_sum([], stride, u[r], (j, step))
-        dlog.append(_dense_sum([(r, _ONE, step)], stride, e_r))
+                u[r] = _dense_sum([], stride, [(1, u[r]), (j, step)])
+        dlog.append(_dense_sum([], stride, [(1, e_r), (r, step)]))
     w, dlog = ([{p[0] + stride * i: c for i, c in enumerate(p[1]) if c} if p else {} for p in s]
                for s in (w, dlog))
     _check_at_point(curve, w, dlog)

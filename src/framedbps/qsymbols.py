@@ -74,22 +74,19 @@ def _div_brace(num, n):
     num = {n} Q means num[d] = Q[d-n] - Q[d+n] in doubled q-exponents, so
     along each chain d, d-2n, ... of one a-exponent, walked down from its
     top, Q[d-n] is the running sum of num; exactness means that sum
-    cancels the chain's bottom term.  The sum changes only at a term of
-    num: each is read once, and a gap where the sum is 0 is jumped.
+    cancels the chain's bottom term.
     """
     chains = {}
     for dq, da in num:
         chains.setdefault((da, dq % (2 * n)), []).append(dq)
     quo = {}
     for (da, _), dqs in chains.items():
-        dqs.sort(reverse=True)
-        s = 0
-        for top, below in zip(dqs, dqs[1:]):
-            s += num[(top, da)]
-            while s and top > below:
-                quo[(top - n, da)] = s
-                top -= 2 * n
-        if s + num[(dqs[-1], da)]:
+        s, bottom = 0, min(dqs)
+        for d in range(max(dqs), bottom, -2 * n):
+            s += num.get((d, da), 0)
+            if s:
+                quo[(d - n, da)] = s
+        if s + num[(bottom, da)]:
             raise InexactDivision(f"{{{n}}} does not divide the numerator")
     return quo
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps import cli, closedforms
+from framedbps import cli
 from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    b_extremal_twist, b_unknot, c_unknot,
                                    divisors, gbinom, integrality_statistic,
@@ -50,22 +50,6 @@ def test_divisors_sorted_and_complete(n):
     assert ds == sorted(ds)
     assert all(n % d == 0 for d in ds)
     assert ds == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_mobius_and_divisors_factor_each_n_once():
-    # a second call with the same n refactors nothing, and each call of
-    # divisors hands out its own list
-    closedforms._mobius.cache_clear()
-    closedforms._divisors.cache_clear()
-    assert [mobius(n) for n in (360, 210, 360)] == [0, 1, 0]
-    ds = divisors(360)
-    ds.append(7)
-    assert divisors(360) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 40,
-                             45, 60, 72, 90, 120, 180, 360]
-    mobius_info = closedforms._mobius.cache_info()
-    divisors_info = closedforms._divisors.cache_info()
-    assert (mobius_info.misses, mobius_info.hits) == (2, 1)
-    assert (divisors_info.misses, divisors_info.hits) == (1, 1)
 
 
 @given(st.integers(-12, 12), st.integers(0, 8))

@@ -397,7 +397,7 @@ def test_newton_stride_follows_the_curves_a_parity(monkeypatch):
     def recording(terms, stride, *plus):
         strides.add(stride)
         count[0] += sum(len(p[1]) * len(q[1]) for _, p, q in terms
-                        if p and q and (0, [1]) not in (p, q))
+                        if p and q and [0, 1] not in ([p[0], *p[1]], [q[0], *q[1]]))
         return dense_sum(terms, stride, *plus)
 
     monkeypatch.setattr(curves, "_dense_sum", recording)
@@ -431,9 +431,11 @@ from framedbps.laurent import lp_add, lp_one, series_inv
 # a wrong step (every scale k of the lift's kernel off by one, the step's -1
 # among them), a wrong unit inverse, and D off by one on the framing-5 curve,
 # whose w^5 and w^6 come from x·(w^j)′ = j·w^j·D: D_r = r·w_r + E_r becomes
-# (r+1)·w_r + E_r (the -1s and the scales by j = 0, 1, 5, 6 stay untouched)
+# (r+1)·w_r + E_r (the -1s and the scales by j = 0, 1, 5, 6 stay untouched).
+# A kernel call scales its products (k, p, q) and its addends (k, p) alike
 kernel = curves._dense_sum
-scaled = lambda k_of: lambda terms, *rest: kernel([(k_of(k), p, q) for k, p, q in terms], *rest)
+scaled = lambda k_of: lambda terms, stride, plus=(): kernel(
+    [(k_of(k), p, q) for k, p, q in terms], stride, [(k_of(k), p) for k, p in plus])
 for name, fault, tau in (
         ("_dense_sum", scaled(lambda k: k + 1), 2),
         ("series_inv", lambda s: [lp_add(series_inv(s)[0], lp_one())], 2),
@@ -465,18 +467,18 @@ from framedbps import curves
 from framedbps.closedforms import MismatchDetected
 
 kernel = curves._dense_sum
-one = curves._ONE
-# each product (k, p, q) of a kernel call rescaled by its own k_of(k, p, q); a
-# dense pair (low, [c]) holds one term, and 1 is the pair `one` itself
-rescaled = lambda k_of: lambda terms, *rest: kernel([(k_of(k, p, q), p, q) for k, p, q in terms],
-                                                    *rest)
-step_doubled = rescaled(lambda k, p, q: 2 * k if k == -1 and p and len(p[1]) == 1 else k)
-pair_sum_off = rescaled(lambda k, p, q: 3 if k == 2 and p is not one and q is not one else k)
-d_off = rescaled(lambda k, p, q: k + 1 if p is one and k > 1 else k)
+# each product (k, p, q) of a kernel call rescaled by term_k(k, p) and each
+# addend (k, p) by plus_k(k); a dense pair (low, (c,)) holds one term
+faulty = lambda term_k, plus_k=lambda k: k: lambda terms, stride, plus=(): kernel(
+    [(term_k(k, p), p, q) for k, p, q in terms], stride, [(plus_k(k), p) for k, p in plus])
+step_doubled = faulty(lambda k, p: 2 * k if k == -1 and p and len(p[1]) == 1 else k)
+pair_sum_off = faulty(lambda k, p: 3 if k == 2 else k)
+d_off = faulty(lambda k, p: k, lambda k: k + 1 if k > 2 else k)
 # each stored w_r doubled: w_r is the product s^-1·R_r (s^-1 one term) scaled by
 # -2 instead of -1.  Then faults every step solves around, on curves that keep
 # w^2 at most, so that no kept power reads D: the w^2 pair sum with 3·w_i·w_(r-i)
-# for 2·w_i·w_(r-i), and D_r = (r+1)·w_r + E_r for r >= 2
+# for 2·w_i·w_(r-i), and D_r = (r+1)·w_r + E_r for r >= 3 (the addend 2·w_r of
+# w^2 stays untouched)
 for fault, knot, kind, tau in ((step_doubled, "unknot", "full", 2),
                                (pair_sum_off, "unknot", "full", 1),
                                (d_off, "unknot", "full", 1),
