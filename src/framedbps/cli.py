@@ -8,10 +8,10 @@ integer.  Exit status is 0 iff there were zero failures.
 """
 
 import json
+import os
 import re
 import sys
 from collections import namedtuple
-from importlib import resources
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -270,15 +270,18 @@ def cmd_series(args, parser):
 # verify suites: each yields (report line, failures in it) records
 
 
-def load_golden():
-    """Golden tables from package data: list of (name, spec dict, entries)."""
+def load_golden(root=None):
+    """Golden tables from the CSV files in `root`, by default the `golden`
+    directory next to this module: list of (name, spec dict, entries)."""
     out = []
-    root = resources.files("framedbps").joinpath("golden")
-    for res in sorted(root.iterdir(), key=lambda r: r.name):
-        if not res.name.endswith(".csv"):
+    root = root or os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    for fname in sorted(os.listdir(root)):
+        if not fname.endswith(".csv"):
             continue
         meta, entries = None, {}
-        for line in res.read_text().splitlines():
+        with open(os.path.join(root, fname), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -291,8 +294,8 @@ def load_golden():
                 i2, j2, n = line.split(",")
                 entries[(int(i2), int(j2))] = int(n)
         if meta is None:
-            raise ValueError(f"golden file {res.name} lacks metadata")
-        out.append((res.name[:-4], meta, entries))
+            raise ValueError(f"golden file {fname} lacks metadata")
+        out.append((fname[:-4], meta, entries))
     return out
 
 

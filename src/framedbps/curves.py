@@ -6,9 +6,9 @@ Two independent solvers produce the same data:
 * `lagrange_log_y` — Lagrange inversion applied to the functional
   equation Y = X φ(Y) obtained by normalizing the curve (Y = 1 - y²,
   X a sign-and-monomial rescale of x).  `normalize` keeps φ in closed
-  form, φ = P(λ)/(1 - λ)^m with P a polynomial and m ≥ 0 the pole order,
-  so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n
-  come out of one running power P^n, one Kronecker-packed int per λ-power;
+  form, φ = (1 - λ)^E·R(λ) with R a polynomial and E a signed exponent,
+  so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} [λ^(n-1-i)](1 - λ)^(En-1)·[λ^i] R^n
+  come out of one running power R^n, one Kronecker-packed int per λ-power;
 * `newton_series_solve` — Newton–Hensel lifting of w = y², the list of
   its coefficients in x, directly on the curve polynomial, one
   coefficient per step (`solve_w_series`), which builds D = x·w′/w in
@@ -153,12 +153,12 @@ def frame_transform(curve, tau):
 
 
 # Functional-equation form Y = X φ(Y) of a curve, Y = 1 - y².  φ(λ) =
-# P(λ)/(1 - λ)^m, λ standing for Y: `poly` lists the coefficients of the
-# polynomial P by power of λ, each {doubled a-exponent: int}, and `pole` is
-# m ≥ 0.  `sigma` (±1) and `e` give the rescale X = σ a^(e/2) x; φ(0) =
-# P(0) is a unit of the coefficient field.  `order` bounds the orders that
-# `lagrange_log_y` may be asked for.
-CurveNormalForm = namedtuple("CurveNormalForm", "poly pole sigma e order")
+# (1 - λ)^E·R(λ), λ standing for Y: `rest` lists the coefficients of the
+# polynomial R by power of λ, each {doubled a-exponent: int}, with R(1) ≠ 0,
+# and `power` is the int E: framing τ adds τ to E and leaves R alone.  `sigma`
+# (±1) and `e` give the rescale X = σ a^(e/2) x; φ(0) = R(0) is a unit of the
+# coefficient field.  `order` bounds the orders `lagrange_log_y` may be asked for.
+CurveNormalForm = namedtuple("CurveNormalForm", "rest power sigma e order")
 
 
 def normalize(curve, order):
@@ -168,10 +168,11 @@ def normalize(curve, order):
     The x⁰ part must be cu·(w^(J+1) - w^J) in w = y² with no
     a-dependence, the rest linear in x; then φ = Σ (c/cu)·a^(da/2)·(1-λ)^k
     over the x¹ terms c·a^(da/2)·w^(J+k) x (each c a multiple of cu, which
-    is ±1 on every `make_curve` curve), kept as P = φ·(1 - λ)^m with
-    m = max(0, -min k).  The rescale unit is read off the lowest a-term of
-    φ(0), whose coefficient must be ±1.  Anything else raises
-    NotNormalizable.
+    is ±1 on every `make_curve` curve), kept as (1 - λ)^E·R with E = min k
+    and R = Σ (c/cu)·a^(da/2)·(1-λ)^(k-E).  The terms with k = E have
+    distinct a-exponents, so R(1) ≠ 0.  The rescale unit is read off the
+    lowest a-term of φ(0) = R(0), whose coefficient must be ±1.  Anything
+    else raises NotNormalizable.
     """
     order = check_at_least("order", order, 1)
     x0 = {}
@@ -192,25 +193,25 @@ def normalize(curve, order):
         raise NotNormalizable("x^0 part is not cu*(w^(J+1) - w^J)")
     cu, j = x0[j1], j0
 
-    pole = max(0, j - min(wdeg for wdeg, _ in x1))
-    poly = [{} for _ in range(max(wdeg for wdeg, _ in x1) - j + pole + 1)]
+    low = min(wdeg for wdeg, _ in x1)
+    rest = [{} for _ in range(max(wdeg for wdeg, _ in x1) - low + 1)]
     for (wdeg, da), c in sorted(x1.items()):
-        quo, rest = divmod(c, cu)
-        if rest:
+        quo, rem = divmod(c, cu)
+        if rem:
             raise NotNormalizable(f"x^1 coefficient {c} is not a multiple of the unit {cu}")
-        k = wdeg - j + pole
+        k = wdeg - low
         for i in range(k + 1):
-            poly[i][da] = poly[i].get(da, 0) + quo * comb(k, i) * (-1) ** i
-    poly = [{da: c for da, c in row.items() if c} for row in poly]
+            rest[i][da] = rest[i].get(da, 0) + quo * comb(k, i) * (-1) ** i
+    rest = [{da: c for da, c in row.items() if c} for row in rest]
 
-    if not poly[0]:
+    if not rest[0]:
         raise NotNormalizable("phi(0) = 0")
-    m = min(poly[0])
-    lead = poly[0][m]
+    m = min(rest[0])
+    lead = rest[0][m]
     if lead not in (1, -1):
         raise NotNormalizable(f"leading unit {lead} is not a sign")
-    return CurveNormalForm([{da - m: lead * c for da, c in row.items()} for row in poly],
-                           pole, lead, m, order)
+    return CurveNormalForm([{da - m: lead * c for da, c in row.items()} for row in rest],
+                           low - j, lead, m, order)
 
 
 class GammaSeries:
@@ -255,25 +256,30 @@ def lagrange_log_y(nf, order):
     """GammaSeries by Lagrange inversion of Y = X φ(Y).
 
     [X^n] log(1 - Y) = -(1/n)·Σ_{j<n} [λ^j] φ^n, log y = ½ log(1 - Y) and
-    the rescale adds σ^n a^(ne/2): with φ = P/(1 - λ)^m the ints
-    2γ_n = -σ^n Σ_{i<n} C(n-1-i+mn, mn)·[λ^i] P^n are halved by `_halved`.
-    rows[i] is [λ^i] P^n above a^(n·low/2) at a = 2^b (a^(1/2) = 2^b if P
-    mixes a-parities), so each sum is one int for `_unpack`; its digits
-    stay under ‖P‖₁^n·C(n(m+1), mn+1), which grows with n: one b serves
-    all n."""
+    the rescale adds σ^n a^(ne/2): with φ = (1 - λ)^E·R and k = En - 1 the
+    ints 2γ_n = -σ^n Σ_{j<n} W_j·[λ^(n-1-j)] R^n, W_j = [λ^j](1 - λ)^k =
+    C(j-k-1, j) for k < 0 and (-1)^j·C(k, j) for k ≥ 0, are halved by
+    `_halved`.  rows[i] is [λ^i] R^n above a^(n·low/2) at a = 2^b
+    (a^(1/2) = 2^b if R mixes a-parities), so each sum is one int for
+    `_unpack`; its digits stay under ‖R‖₁^n·Σ_{j<n} |W_j|, at most ‖R‖₁^order
+    times C(order(1-E), 1-E·order) for E ≤ 0 and 2^(E·order) for E > 0: one
+    b serves all n."""
     order = check_integer("order", order)
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
-    poly, m = nf.poly[:order], nf.pole
-    low, high, step, norm, terms = _frame_rows(poly)
-    bound = norm ** order * comb(order * (m + 1), m * order + 1)
+    rest, power = nf.rest[:order], nf.power
+    low, high, step, norm, terms = _frame_rows(rest)
+    bound = norm ** order * (comb(order * (1 - power), 1 - power * order) if power <= 0
+                             else 2 ** (power * order))
     rows, out = [1] + [0] * (order - 1), {}
     for n in range(1, order + 1):
         frame = (0, n * low, 0, n * high, bound)
         span, b = _width(frame, step)
-        _rows_times(rows, terms, b, min(order, n * (len(poly) - 1) + 1))
-        total = sum(comb(n - 1 - i + m * n, m * n) * rows[i] for i in range(n))
+        _rows_times(rows, terms, b, min(order, n * (len(rest) - 1) + 1))
+        k = power * n - 1   # rows[n-1-j] weighs W_j
+        total = sum((comb(j - k - 1, j) if k < 0 else (-1) ** j * comb(k, j)) * row
+                    for j, row in enumerate(reversed(rows[:n])) if row)
         for (_, da), c in _unpack(total, frame, b, span, step).items():
             out[(n, da + n * nf.e)] = -(nf.sigma ** n) * c
     return _halved(out, order)

@@ -457,6 +457,15 @@ def test_importing_the_cli_does_not_import_argparse():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_importing_the_cli_does_not_import_importlib_resources():
+    # -S: no site hook has loaded it first; the golden tables are plain files
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys, framedbps.cli; "
+                           "print('importlib.resources' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 @pytest.mark.parametrize("command", ["bps", "series"])
 def test_framing_metavar_is_tau(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -566,7 +575,7 @@ def test_homfly_json_matches_snapshot(capsys, snapshot, argv):
      ("ov-table", "--link", "borromean", "--colors", "3,3,3", "--framing", "1,1,1")),
     ("ov_unknot_12_f1.csv",
      ("ov-table", "--link", "unknot", "--colors", "12", "--framing", "1")),
-    # negative framings, where the normal form has a pole (1 - λ)^(-m)
+    # negative framings, where the normal form's exponent E can be negative: a pole at λ = 1
     ("bps_unknot_f-2_r20.csv",
      ("bps", "--knot", "unknot", "--framing", "-2", "--r-max", "20")),
     ("bps_twist_p-3_f1_r30.csv",

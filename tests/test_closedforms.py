@@ -2,7 +2,6 @@ import tempfile
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -134,11 +133,8 @@ def test_twist_rejects_degenerate_p():
 def load_golden_without_metadata():
     """cli.load_golden over one golden file that has no metadata line."""
     with tempfile.TemporaryDirectory() as tmp:
-        golden = Path(tmp, "golden")
-        golden.mkdir()
-        (golden / "bare.csv").write_text("i2,j2,N\n0,0,1\n")
-        with mock.patch.object(cli.resources, "files", lambda _: Path(tmp)):
-            return cli.load_golden()
+        (Path(tmp) / "bare.csv").write_text("i2,j2,N\n0,0,1\n")
+        return cli.load_golden(tmp)
 
 
 # Library arguments that must raise ValueError, not an assert that -O strips.

@@ -81,11 +81,13 @@ def test_frame_transform_matches_display_up_to_unit():
 
 
 def test_normal_form_unknot():
-    nf = normalize(make_curve("unknot", KIND_FULL, 0), 6)
-    assert (nf.sigma, nf.e) == (1, -1)
-    # phi = 1 - a(1 - lambda), a polynomial: P = phi, m = 0
-    assert nf.poly == [{0: 1, 2: -1}, {2: 1}]
-    assert nf.pole == 0
+    # phi = (1 - lambda)^tau (1 - a(1 - lambda)): R = 1 - a + a lambda and E = tau,
+    # the framing's sign (-1)^tau in the rescale
+    for tau in range(-3, 4):
+        nf = normalize(make_curve("unknot", KIND_FULL, tau), 6)
+        assert (nf.sigma, nf.e) == ((-1) ** tau, -1)
+        assert nf.rest == [{0: 1, 2: -1}, {2: 1}]
+        assert nf.power == tau
 
 
 def binom_any(e, j):
@@ -97,8 +99,8 @@ def binom_any(e, j):
 
 
 def test_normal_form_powers_of_one_minus_lambda():
-    # extremal curves collapse to phi = (1 - lambda)^E, E and sigma per family,
-    # kept as P = (1 - lambda)^max(E, 0) over the pole (1 - lambda)^max(-E, 0)
+    # extremal curves collapse to phi = (1 - lambda)^E, E and sigma per family:
+    # R = 1 and the whole of phi is the signed exponent E
     cases = [
         ("unknot", KIND_MINUS, 2, 2, 1),
         ("unknot", KIND_PLUS, 2, 3, -1),
@@ -111,10 +113,25 @@ def test_normal_form_powers_of_one_minus_lambda():
         nf = normalize(make_curve(knot, kind, tau), 8)
         assert nf.sigma == sigma, (knot, kind)
         assert nf.e == 0
-        degree = max(exponent, 0)
-        assert nf.pole == max(-exponent, 0), (knot, kind)
-        assert nf.poly == [{0: binom_any(degree, j) * (-1) ** j}
-                           for j in range(degree + 1)], (knot, kind)
+        assert nf.power == exponent, (knot, kind)
+        assert nf.rest == [{0: 1}], (knot, kind)
+
+
+# every curve `make_curve` builds, at framing 0
+FAMILIES = ([("unknot", kind) for kind in (KIND_FULL, KIND_PLUS, KIND_MINUS)]
+            + [(("twist", p), kind) for p in (-4, -3, -2, -1, 2, 3, 4)
+               for kind in (KIND_PLUS, KIND_MINUS)])
+
+
+def test_framing_moves_only_the_exponent():
+    # x -> (-1)^tau y^(2 tau) x multiplies phi by (1 - lambda)^tau: R and the
+    # a-rescale stay, E = E_0 + tau
+    for knot, kind in FAMILIES:
+        nf0 = normalize(make_curve(knot, kind, 0), 4)
+        for tau in range(-6, 7):
+            nf = normalize(make_curve(knot, kind, tau), 4)
+            assert nf.rest == nf0.rest, (knot, kind, tau)
+            assert (nf.power, nf.e) == (nf0.power + tau, nf0.e), (knot, kind, tau)
 
 
 def synthetic(source):
@@ -151,7 +168,7 @@ def test_normalize_needs_x1_coefficients_divisible_by_the_unit():
         normalize(synthetic({(0, 2, 0): 2, (0, 0, 0): -2, (1, 0, 0): 2, (1, 0, 1): 1}), 4)
     # with every x^1 coefficient a multiple of cu the unit divides out
     nf = normalize(synthetic({(0, 2, 0): -2, (0, 0, 0): 2, (1, 0, 0): -2, (1, 2, 1): 4}), 4)
-    assert nf.poly == [{0: 1, 1: -2}, {1: 2}]
+    assert nf.rest == [{0: 1, 1: -2}, {1: 2}] and nf.power == 0
     assert (nf.sigma, nf.e) == (1, 0)
 
 
@@ -204,26 +221,28 @@ def test_gamma_small_values_unknot():
     assert set(m for r, m in g.coefficients if r == 2) <= {-2, 0, 2}
 
 
-# curves whose normal forms have every pole order m = 0..4
-POLE_GRID = ([("unknot", KIND_FULL, tau) for tau in range(-4, 4)]
-             + [("unknot", kind, tau) for kind in (KIND_PLUS, KIND_MINUS)
-                for tau in (-3, 2)]
-             + [(("twist", p), kind, tau) for p in (-3, -1, 2, 3)
-                for kind in (KIND_PLUS, KIND_MINUS) for tau in (-2, 1)])
+# curves whose normal forms have every exponent E = -4..9
+EXPONENT_GRID = ([("unknot", KIND_FULL, tau) for tau in range(-4, 4)]
+                 + [("unknot", kind, tau) for kind in (KIND_PLUS, KIND_MINUS)
+                    for tau in (-3, 2)]
+                 + [(("twist", p), kind, tau) for p in (-3, -1, 2, 3)
+                    for kind in (KIND_PLUS, KIND_MINUS) for tau in (-2, 1)])
 
 
 def test_lagrange_equals_newton():
-    poles = set()
-    for case in POLE_GRID:
+    # the grid, and twist knots whose extremal_plus exponents reach 14
+    exponents = set()
+    for case in EXPONENT_GRID + [(("twist", p), kind, tau) for p in (-4, 4, 5)
+                                 for kind in (KIND_PLUS, KIND_MINUS) for tau in (-2, 2)]:
         c = make_curve(*case)
-        nf = normalize(c, 12)
-        poles.add(nf.pole)
-        gamma = lagrange_log_y(nf, 12)
-        newton = newton_series_solve(c, 12)
+        nf = normalize(c, 16)
+        exponents.add(nf.power)
+        gamma = lagrange_log_y(nf, 16)
+        newton = newton_series_solve(c, 16)
         assert gamma == newton, case
         assert all(type(c) is type(newton.coefficients.get(key, 0))
                    for key, c in gamma.coefficients.items())
-    assert poles == set(range(5))
+    assert exponents == set(range(-4, 13)) | {14}
 
 
 MIXED_PARITY = {(0, 2, 0): 1, (0, 0, 0): -1, (1, 0, 0): 1, (1, 2, 1): 1}
@@ -233,7 +252,7 @@ def test_packed_lagrange_reads_a_mixed_parity_normal_form():
     # P = 1 + a^(1/2) - a^(1/2) lambda mixes a-parities: its rows pack a^(1/2) itself
     c = synthetic(MIXED_PARITY)
     nf = normalize(c, 12)
-    assert {da % 2 for row in nf.poly for da in row} == {0, 1}
+    assert {da % 2 for row in nf.rest for da in row} == {0, 1}
     gamma = lagrange_log_y(nf, 12)
     assert any(m % 2 for _, m in gamma.coefficients)
     assert gamma == newton_series_solve(c, 12)
@@ -241,18 +260,19 @@ def test_packed_lagrange_reads_a_mixed_parity_normal_form():
 
 @pytest.mark.parametrize("tau", [-1, -2, -3])
 def test_packed_lagrange_at_pole_orders_one_to_three(tau):
+    # phi = (1 - lambda)^tau R has a pole of order -tau at lambda = 1
     c = make_curve("unknot", KIND_FULL, tau)
     nf = normalize(c, 24)
-    assert nf.pole == -tau
+    assert nf.power == tau and nf.rest == [{0: 1, 2: -1}, {2: 1}]
     assert lagrange_log_y(nf, 24) == newton_series_solve(c, 24)
 
 
 @pytest.mark.parametrize("tau", [0, -1, -2])
 def test_packed_lagrange_on_a_one_row_p(tau):
-    # P = 1, a single row with no lambda-degree; the pole alone drives the sums
+    # R = 1, a single row with no lambda-degree; the exponent alone drives the sums
     c = make_curve("unknot", KIND_MINUS, tau)
     nf = normalize(c, 60)
-    assert nf.poly == [{0: 1}]
+    assert nf.rest == [{0: 1}] and nf.power == tau
     gamma = lagrange_log_y(nf, 60)
     assert gamma == newton_series_solve(c, 60)
     b = bps_from_gamma(gamma)
@@ -265,12 +285,13 @@ from framedbps import curves
 from framedbps.laurent import PackingError
 real = curves._width
 curves._width = lambda frame, step=2: (real(frame, step)[0], 8)
-try:
-    curves.lagrange_log_y(curves.normalize(curves.make_curve("unknot", "full", 2), 20), 20)
-except PackingError as exc:
-    print(type(exc).__name__, exc)
-else:
-    print("no error")
+for knot, kind, tau, order in [("unknot", "full", 2, 20), (("twist", 3), "extremal_plus", 2, 30)]:
+    try:
+        curves.lagrange_log_y(curves.normalize(curves.make_curve(knot, kind, tau), order), order)
+    except PackingError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("no error")
 """
 
 
@@ -284,9 +305,11 @@ def run_script(script, flags):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_packed_lagrange_refuses_a_width_below_its_bound(flags):
-    # 8-bit digits cannot hold the order-20 coefficients; the check is no assert
+    # 8-bit digits cannot hold the coefficients of the unknot at order 20 or of a
+    # twist knot at E = 8 and order 30, whose R = 1; the check is no assert
     out = run_script(NARROW_WIDTH_SCRIPT, flags)
-    assert out[0].startswith("PackingError width 8 cannot hold the bound"), out
+    assert len(out) == 2, out
+    assert all(line.startswith("PackingError width 8 cannot hold the bound") for line in out), out
 
 
 def phi_series(curve, order):
@@ -309,18 +332,20 @@ def padded(coeffs, order):
     return (coeffs + [{}] * order)[:order]
 
 
-def test_normal_form_is_phi_over_its_pole():
-    # P * (1 - lambda)^(-m), expanded by series inversion, is phi itself
+def test_normal_form_is_phi():
+    # R * (1 - lambda)^E, a power expanded by products for E >= 0 and by series
+    # inversion for E < 0, is phi itself
     order = 12
     one_minus = padded([lp_one(), lp_mono(0, 0, -1)], order)
-    for case in POLE_GRID:
+    for case in EXPONENT_GRID:
         c = make_curve(*case)
         nf = normalize(c, order)
-        pole = padded([lp_one()], order)
-        for _ in range(nf.pole):
-            pole = series_mul(pole, one_minus)
-        rows = [{(0, da): c for da, c in row.items()} for row in nf.poly]
-        expanded = series_mul(padded(rows, order), series_inv(pole))
+        power = padded([lp_one()], order)
+        for _ in range(abs(nf.power)):
+            power = series_mul(power, one_minus)
+        rows = [{(0, da): c for da, c in row.items()} for row in nf.rest]
+        expanded = series_mul(padded(rows, order),
+                              power if nf.power >= 0 else series_inv(power))
         assert expanded == phi_series(c, order), case
 
 
@@ -643,9 +668,10 @@ def test_bps_extremal_corner_match():
 
 
 def test_twist_extremal_curve_matches_closed_form_at_roster_size():
-    # up to r = 30, the size of the benchmark's twist `bps` jobs (criterion 4 stops at 8)
-    for p in (-3, -2, -1, 2, 3):
-        for tau in range(-2, 3):
+    # up to r = 30, the size of the benchmark's twist `bps` jobs (criterion 4 stops at 8),
+    # at exponents E = -6..13
+    for p in (-4, -3, -2, -1, 2, 3, 4):
+        for tau in range(-3, 4):
             for kind, sgn in ((KIND_MINUS, "-"), (KIND_PLUS, "+")):
                 b = bps_from_gamma(lagrange_log_y(
                     normalize(make_curve(("twist", p), kind, tau), 30), 30))

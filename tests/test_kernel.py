@@ -46,7 +46,7 @@ def test_coefficients_are_ints_or_non_integral_fractions():
              curve.source, twist.source]
     polys += [p for c in (curve, twist) for series in solve_w_series(c, 9) for p in series]
     polys += series_inv([lp_mono(2, 0, -1), lp_mono(0, 1, 3), {}, {}, {}, {}])
-    polys += [c for nf in (normalize(curve, 8), normalize(twist, 8)) for c in nf.poly]
+    polys += [c for nf in (normalize(curve, 8), normalize(twist, 8)) for c in nf.rest]
     # every kernel value is an int
     assert {type(v) for v in coefficients(*polys)} == {int}
     # gamma alone holds Fractions, each of them not integral
