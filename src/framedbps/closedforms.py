@@ -65,8 +65,12 @@ def sign_pow(e):
 
 
 def mobius(n):
-    """Möbius function by trial factorization."""
-    n = check_at_least("n", n, 1)
+    """Möbius function by trial factorization; n below 1 raises ValueError."""
+    return _mobius(check_at_least("n", n, 1))
+
+
+def _mobius(n):
+    """`mobius` of an int n >= 1, unchecked."""
     result = 1
     d = 2
     while d * d <= n:
@@ -82,8 +86,12 @@ def mobius(n):
 
 
 def divisors(n):
-    """Positive divisors of n, ascending."""
-    n = check_at_least("n", n, 1)
+    """Positive divisors of n, ascending; n below 1 raises ValueError."""
+    return _divisors(check_at_least("n", n, 1))
+
+
+def _divisors(n):
+    """`divisors` of an int n >= 1, unchecked."""
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -128,8 +136,8 @@ def b_unknot(r, m, tau):
     r = check_at_least("r", r, 1)
     m, tau = check_integer("m", m), check_integer("framing tau", tau)
     total = 0
-    for d in divisors(gcd(r, m)):
-        mu = mobius(d)
+    for d in _divisors(gcd(r, m)):
+        mu = _mobius(d)
         if mu:
             total += mu * c_unknot(r // d, m // d, tau)
     if total % (r * r):
@@ -141,8 +149,8 @@ def _mobius_binomial(r, t):
     """S(r, t) = sum_{d|r} mu(r/d) (-1)^(d(t+1)) gbinom(dt-1, d-1), the
     numerator of the statistic and of every extremal formula."""
     total = 0
-    for d in divisors(r):
-        mu = mobius(r // d)
+    for d in _divisors(r):
+        mu = _mobius(r // d)
         if mu:
             total += mu * sign_pow(d * (t + 1)) * gbinom(d * t - 1, d - 1)
     return total

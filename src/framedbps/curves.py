@@ -8,7 +8,8 @@ Two independent solvers produce the same data:
   X a sign-and-monomial rescale of x).  `normalize` keeps φ in closed
   form, φ = (1 - λ)^E·R(λ) with R a polynomial and E a signed exponent,
   so the sums Σ_{j<n} [λ^j] φ^n = Σ_{i<n} [λ^(n-1-i)](1 - λ)^(En-1)·[λ^i] R^n
-  come out of one running power R^n, one Kronecker-packed int per λ-power;
+  come out of one running power R^n, one Kronecker-packed int per λ-power,
+  and are laid end to end in one int for a single decode;
 * `newton_series_solve` — Newton–Hensel lifting of w = y², the list of
   its coefficients in x, directly on the curve polynomial, one
   coefficient per step (`solve_w_series`), which builds D = x·w′/w in
@@ -27,7 +28,9 @@ branch is always the one with y(0)² = 1 (equivalently Y(0) = 0).
 
 A curve has no q: the rows of a normal form and the w and D Newton returns
 are dicts {doubled a-exponent: int}.  Both solvers compute D = 2γ and halve
-it once (`_halved`), so a γ is a Fraction only where it is not integral.
+it once (`_halved`), so a γ is a Fraction only where it is not integral;
+`bps_from_gamma` scales the γ back to ints and reads μ from a sieve of its
+own, not from the closed forms' `mobius`.
 """
 
 from collections import namedtuple
@@ -37,10 +40,9 @@ from math import comb, lcm
 from operator import mul
 
 from .closedforms import (MismatchDetected, NonIntegerBPS, UnsupportedKnotKind,
-                          check_at_least, check_integer, check_twist_parameter,
-                          mobius)
-from .laurent import (NonInvertibleLeadingTerm, _frame_rows, _rows_times, _unpack, _width, lp_add,
-                      lp_mono, series_inv)
+                          check_at_least, check_integer, check_twist_parameter)
+from .laurent import (NonInvertibleLeadingTerm, PackingError, _frame_rows, _rows_times, _unpack,
+                      _width, lp_add, lp_mono, series_inv)
 
 KIND_FULL = "full"
 KIND_PLUS = "extremal_plus"
@@ -246,10 +248,15 @@ class GammaSeries:
 
 
 def _halved(doubled, order):
-    """The GammaSeries γ = D/2 of ints D = 2γ keyed (r, m), the one place the
-    curve pipeline builds a rational: a Fraction when D is odd."""
-    return GammaSeries({k: d // 2 if d % 2 == 0 else Fraction(d, 2)
-                        for k, d in doubled.items()}, order)
+    """The GammaSeries γ = D/2 of the nonzero ints D = 2γ keyed (r, m), the
+    one place the curve pipeline builds a rational: a Fraction when D is odd.
+    The solvers' keys and values need no check, so the series is made
+    without the constructor's."""
+    gamma = object.__new__(GammaSeries)
+    gamma.coefficients = {k: d // 2 if d % 2 == 0 else Fraction(d, 2)
+                          for k, d in doubled.items() if d}
+    gamma.order = order
+    return gamma
 
 
 def lagrange_log_y(nf, order):
@@ -260,28 +267,46 @@ def lagrange_log_y(nf, order):
     ints 2γ_n = -σ^n Σ_{j<n} W_j·[λ^(n-1-j)] R^n, W_j = [λ^j](1 - λ)^k =
     C(j-k-1, j) for k < 0 and (-1)^j·C(k, j) for k ≥ 0, are halved by
     `_halved`.  rows[i] is [λ^i] R^n above a^(n·low/2) at a = 2^b
-    (a^(1/2) = 2^b if R mixes a-parities), so each sum is one int for
-    `_unpack`; its digits stay under ‖R‖₁^n·Σ_{j<n} |W_j|, at most ‖R‖₁^order
-    times C(order(1-E), 1-E·order) for E ≤ 0 and 2^(E·order) for E > 0: one
-    b serves all n."""
+    (a^(1/2) = 2^b if R mixes a-parities), nonzero only below
+    top = n·deg R + 1, so each sum reads the rows i < min(n, top); its digits
+    stay under ‖R‖₁^n·Σ_{j<n} |W_j|, at most ‖R‖₁^order times
+    C(order(1-E), 1-E·order) for E ≤ 0 and 2^(E·order) for E > 0: one b
+    serves all n.  The sums, each followed by one zero guard digit, are laid
+    end to end by joining neighbours in pairs and read by one `_unpack`; a
+    nonzero guard digit, a sum reaching past its a-span, raises PackingError."""
     order = check_integer("order", order)
     if not 1 <= order <= nf.order:
         raise ValueError(f"order must be in 1..{nf.order} (the order of the "
                          f"normal form), got {order}")
     rest, power = nf.rest[:order], nf.power
     low, high, step, norm, terms = _frame_rows(rest)
-    bound = norm ** order * (comb(order * (1 - power), 1 - power * order) if power <= 0
-                             else 2 ** (power * order))
-    rows, out = [1] + [0] * (order - 1), {}
+    frame = (0, 0, 0, 0, norm ** order * (comb(order * (1 - power), 1 - power * order)
+                                          if power <= 0 else 2 ** (power * order)))
+    _, b = _width(frame)
+    rows, parts, keys = [1] + [0] * (order - 1), [], []
     for n in range(1, order + 1):
-        frame = (0, n * low, 0, n * high, bound)
-        span, b = _width(frame, step)
-        _rows_times(rows, terms, b, min(order, n * (len(rest) - 1) + 1))
-        k = power * n - 1   # rows[n-1-j] weighs W_j
-        total = sum((comb(j - k - 1, j) if k < 0 else (-1) ** j * comb(k, j)) * row
-                    for j, row in enumerate(reversed(rows[:n])) if row)
-        for (_, da), c in _unpack(total, frame, b, span, step).items():
-            out[(n, da + n * nf.e)] = -(nf.sigma ** n) * c
+        top = min(order, n * (len(rest) - 1) + 1)
+        _rows_times(rows, terms, b, top)
+        k, sign = power * n - 1, -(nf.sigma ** n)   # rows[n-1-j] weighs W_j
+        total = sum((sign * comb(j - k - 1, j) if k < 0 else
+                     (-sign if j % 2 else sign) * comb(k, j)) * row
+                    for j, row in zip(range(n - 1, -1, -1), rows[:min(n, top)]) if row)
+        span = n * (high - low) // step + 1
+        parts.append((total, span + 1))
+        keys += [(n, m) for m in range(n * (low + nf.e), n * (low + nf.e) + step * span, step)]
+        keys.append((n, None))
+    while len(parts) > 1:
+        pairs = [(lo + (hi << b * size), size + more)
+                 for (lo, size), (hi, more) in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    (packed, size), = parts
+    out = {}
+    for (_, i), c in _unpack(packed, frame, b, size, 1).items():
+        n, m = keys[i]
+        if m is None:
+            raise PackingError(f"the Lagrange sum at n = {n} reaches past its a-span "
+                               f"at width {b}")
+        out[(n, m)] = c
     return _halved(out, order)
 
 
@@ -451,19 +476,33 @@ def newton_series_solve(curve, order):
     return _halved({(r, da): c for r in range(1, order + 1) for da, c in dlog[r].items()}, order)
 
 
+def _mobius_table(n):
+    """[0, μ(1), ..., μ(n)] from one sieve: each prime p flips the sign at its
+    multiples and zeroes it at those of p²."""
+    mu, composite = [0] + [1] * n, bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            for k in range(p, n + 1, p):
+                composite[k], mu[k] = 1, -mu[k]
+            for k in range(p * p, n + 1, p * p):
+                mu[k] = 0
+    return mu
+
+
 def bps_from_gamma(gamma):
     """BPS numbers b_{r,m} = (2/r²) Σ_{d | gcd(r,m)} μ(d) γ_{r/d, m/d}.
 
-    gcd(r, 0) = r.  One pass pushes each int L·γ_{s,n} (L the lcm of the
-    denominators) to every (sd, nd) with sd <= order, weighted by μ(d).
-    Returns a map (r, m) -> integer over the γ-support closure with zero
-    values dropped, in sorted (r, m) order; the first non-integral value
-    raises NonIntegerBPS."""
+    gcd(r, 0) = r.  One pass pushes each int L·γ_{s,n} = numerator·(L //
+    denominator) (L the lcm of the denominators, 2 at most for the solvers'
+    γ = D/2) to every (sd, nd) with sd <= order, weighted by μ(d) from one
+    sieve of this module's own (`_mobius_table`).  Returns a map (r, m) ->
+    integer over the γ-support closure with zero values dropped, in sorted
+    (r, m) order; the first non-integral value raises NonIntegerBPS."""
     scale = lcm(*(g.denominator for g in gamma.coefficients.values()))
-    mu = [0] + [mobius(d) for d in range(1, gamma.order + 1)]
+    mu = _mobius_table(gamma.order)
     totals = {}
     for (s, n), g in gamma.coefficients.items():
-        g = int(g * scale)
+        g = g.numerator * (scale // g.denominator)
         for d in range(1, gamma.order // s + 1):
             if mu[d]:
                 key = (s * d, n * d)

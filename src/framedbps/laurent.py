@@ -20,8 +20,9 @@ int by Kronecker substitution, for `ovengine`: `_frame` bounds it and
 halves its exponents, `_width` sizes the digits, and `_pack`, `_shift`
 and `_unpack` move it into a big int, within one, and back.  A
 polynomial in λ packs as one int per λ-power, for the Lagrange sums of
-`curves`: `_frame_rows` bounds it, `_rows_times` multiplies it in place
-and `_unpack` reads back a sum of rows at its a-step.
+`curves`: `_frame_rows` bounds it, `_rows_times` multiplies it in place,
+and `_unpack` reads back at once the sums of rows of every Lagrange order,
+laid end to end one a-step per digit.
 """
 
 import struct

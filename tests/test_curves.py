@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from framedbps import curves, laurent
+from framedbps import closedforms, curves, laurent
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
                                    b_extremal_twist, b_unknot)
 from framedbps.laurent import lp_mono, lp_one, series_inv
@@ -310,6 +310,64 @@ def test_packed_lagrange_refuses_a_width_below_its_bound(flags):
     out = run_script(NARROW_WIDTH_SCRIPT, flags)
     assert len(out) == 2, out
     assert all(line.startswith("PackingError width 8 cannot hold the bound") for line in out), out
+
+
+GUARD_DIGIT_SCRIPT = """
+from framedbps import curves
+from framedbps.laurent import PackingError
+real = curves._rows_times
+for kind, tau, carry in [("extremal_minus", 0, 1), ("extremal_minus", 0, -1), ("full", 2, 1)]:
+    def rows_times(rows, terms, b, top, calls=[]):
+        real(rows, terms, b, top)
+        calls.append(top)
+        if len(calls) == 3:   # row 0 of R^3 gains one unit at the guard digit of n = 3
+            rows[0] += carry << b * (3 * (len(terms) > 1) + 1)
+    curves._rows_times = rows_times
+    try:
+        curves.lagrange_log_y(curves.normalize(curves.make_curve("unknot", kind, tau), 10), 10)
+    except PackingError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("no error")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_packed_lagrange_refuses_a_sum_carrying_into_its_guard_digit(flags):
+    # the sums share one int, each followed by a zero guard digit: a carry into it,
+    # up or down, would shift every later n unless checked, and the check is no assert
+    out = run_script(GUARD_DIGIT_SCRIPT, flags)
+    assert len(out) == 3, out
+    assert all(line.startswith("PackingError the Lagrange sum at n = 3 reaches past")
+               for line in out), out
+
+
+def test_packed_lagrange_decodes_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(curves, "_unpack", lambda *args: calls.append(args[3])
+                        or laurent._unpack(*args))
+    cases = [("unknot", KIND_FULL, 5, 40), ("unknot", KIND_MINUS, -2, 30),
+             (("twist", 3), KIND_PLUS, 2, 30), (("twist", -2), KIND_MINUS, -1, 1)]
+    for knot, kind, tau, order in cases:
+        lagrange_log_y(normalize(make_curve(knot, kind, tau), order), order)
+    # one decode each, of every n's a-span and its guard digit
+    assert calls == [sum(n + 2 for n in range(1, 41)), 60, 60, 2]
+
+
+def test_bps_from_gamma_reads_its_own_mobius(monkeypatch):
+    # a fault in closedforms.mobius cannot reach both sides of `bps --source both`
+    gammas = [lagrange_log_y(normalize(make_curve(knot, kind, tau), 30), 30)
+              for knot, kind, tau in [("unknot", KIND_FULL, -2), (("twist", 3), KIND_PLUS, 1)]]
+    want = [list(bps_from_gamma(g).items()) for g in gammas]
+    real = closedforms.mobius
+
+    def wrong(n):
+        return -real(n) if n == 6 else real(n)
+
+    monkeypatch.setattr(closedforms, "mobius", wrong)
+    monkeypatch.setattr(curves, "mobius", wrong, raising=False)   # a binding imported by name
+    assert closedforms.mobius(6) != real(6)
+    assert [list(bps_from_gamma(g).items()) for g in gammas] == want
 
 
 def phi_series(curve, order):
