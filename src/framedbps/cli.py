@@ -165,69 +165,49 @@ def cmd_ov_table(args, parser):
                    for i2, j2 in sorted(table.entries, reverse=True)])
 
 
-def _unknot_bps_rows(tau, r_max, source):
-    """Rows (r, m, curve value or None, closed value or None) over every
-    entry of the curve and the closed form's support r + m even, |m| <= r
-    (b_unknot is 0 off it), in (r, m) order."""
-    curve_b = {}
-    if source in ("curve", "both") and r_max >= 1:
-        nf = normalize(make_curve("unknot", KIND_FULL, tau), r_max)
-        curve_b = bps_from_gamma(lagrange_log_y(nf, r_max))
-    keys = set(curve_b)
-    if source in ("closed", "both"):
-        keys.update((r, m) for r in range(1, r_max + 1) for m in range(-r, r + 1, 2))
-    rows = []
-    for r, m in sorted(keys):
-        cv = curve_b.get((r, m), 0) if source in ("curve", "both") else None
-        cl = b_unknot(r, m, tau) if source in ("closed", "both") else None
-        if cv or cl:
-            rows.append((r, m, cv, cl))
-    return rows
+def _bps_rows(knot, tau, r_max, sources):
+    """Rows (r, m or sign, b of each of `sources`, curve before closed) for
+    r <= r_max, no other source computed: the unknot's at each (r, m) where
+    a value is nonzero, over the curve's entries and the closed form's
+    support r + m even, |m| <= r; a twist knot's at each r and sign, - first."""
+    if not r_max:
+        return []
 
+    def curve_b(kind):
+        return bps_from_gamma(lagrange_log_y(normalize(make_curve(knot, kind, tau), r_max), r_max))
 
-def _twist_bps_rows(p, tau, r_max, source):
-    """Rows (r, sign, curve value or None, closed value or None)."""
-    curve_b = {}
-    if source in ("curve", "both") and r_max >= 1:
-        for kind, sgn in ((KIND_MINUS, "-"), (KIND_PLUS, "+")):
-            nf = normalize(make_curve(("twist", p), kind, tau), r_max)
-            b = bps_from_gamma(lagrange_log_y(nf, r_max))
-            for r in range(1, r_max + 1):
-                curve_b[(r, sgn)] = b.get((r, 0), 0)
-    rows = []
-    for r in range(1, r_max + 1):
-        for sgn in ("-", "+"):
-            cv = curve_b.get((r, sgn)) if source in ("curve", "both") else None
-            cl = (b_extremal_twist(r, sgn, p, tau)
-                  if source in ("closed", "both") else None)
-            rows.append((r, sgn, cv, cl))
-    return rows
+    if knot == "unknot":
+        b = curve_b(KIND_FULL) if "curve" in sources else {}
+        support = ((r, m) for r in range(1, r_max + 1) for m in range(-r, r + 1, 2))
+        keys = sorted({*b, *support} if "closed" in sources else b)
+    else:   # an extremal curve has no a: its b sit at m = 0
+        keys = [(r, sign) for r in range(1, r_max + 1) for sign in "-+"]
+        b = {(r, sign): v for kind, sign in ((KIND_MINUS, "-"), (KIND_PLUS, "+"))
+             if "curve" in sources for (r, _), v in curve_b(kind).items()}
+    columns = [[b.get(key, 0) for key in keys]] if "curve" in sources else []
+    if "closed" in sources:
+        columns.append([b_unknot(r, m, tau) for r, m in keys] if knot == "unknot" else
+                       [b_extremal_twist(r, sign, knot[1], tau) for r, sign in keys])
+    return [(*key, *values) for key, *values in zip(keys, *columns)
+            if knot != "unknot" or any(values)]
 
 
 def cmd_bps(args, parser):
     if args.r_max < 0:
         parser.error("r-max must be >= 0")
     knot = _knot(args, parser)  # p is checked also when no r reaches the per-r checks
-    tau = args.framing_int
-    if knot == "unknot":
-        rows = _unknot_bps_rows(tau, args.r_max, args.source)
-        mcol = "m"
-    else:
-        rows = _twist_bps_rows(knot[1], tau, args.r_max, args.source)
-        mcol = "sign"
     both = args.source == "both"
+    sources = ("curve", "closed") if both else (args.source,)
+    rows = _bps_rows(knot, args.framing_int, args.r_max, sources)
     if both:
         for r, m, cv, cl in rows:
             if cv != cl:
                 raise MismatchDetected((args.knot, r, m, cv, cl))
-    # a source not asked for leaves None in its place of each row
-    shown = (True, True, args.source != "closed", args.source != "curve")
-    columns = [name for name, on in zip(("r", mcol, "b_curve", "b_closed"), shown)
-               if on] + ["match"] * both
-    cells = [[str(x) for x, on in zip(row, shown) if on] + ["yes"] * both
-             for row in rows]
+    columns = ["r", "m" if knot == "unknot" else "sign", *(f"b_{s}" for s in sources)]
+    columns += ["match"] * both
+    cells = [[*map(str, row)] + ["yes"] * both for row in rows]
     return render(args, lambda: rjust_lines([columns] + cells),
-                  {"knot": args.knot, "framing": tau, "source": args.source,
+                  {"knot": args.knot, "framing": args.framing_int, "source": args.source,
                    "r_max": args.r_max},
                   "rows", columns, cells,
                   tail={"p": args.p} if args.p is not None else None)

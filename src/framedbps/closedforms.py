@@ -1,7 +1,9 @@
 """Arithmetic closed forms for framed unknot and twist-knot BPS invariants.
 
-Everything here is elementary integer arithmetic: the Möbius function,
-a binomial extended to negative upper index, the c/b coefficient
+Everything here is elementary integer arithmetic: one Möbius walk
+(`mobius_divisors`, the squarefree divisors of n with their signs μ, from
+one factorization), which `b_unknot`, every sum below and `ovengine.p_poly`
+read, a binomial extended to negative upper index, the c/b coefficient
 formulas for the framed unknot, and one Möbius-binomial sum
 S(r, t) = sum_{d|r} mu(r/d) (-1)^(d(t+1)) gbinom(dt-1, d-1).  Every
 extremal formula is S at a shifted t over r^2: the twist-knot b_r^±
@@ -64,43 +66,21 @@ def sign_pow(e):
     return -1 if e % 2 else 1
 
 
-def mobius(n):
-    """Möbius function by trial factorization; n below 1 raises ValueError."""
-    return _mobius(check_at_least("n", n, 1))
-
-
-def _mobius(n):
-    """`mobius` of an int n >= 1, unchecked."""
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
+def mobius_divisors(n):
+    """(d, μ(d)) for each squarefree divisor d of n, from one trial
+    factorization: each prime p of n adds (d·p, -μ(d)) for every d found
+    before it.  The other divisors have μ = 0.  n below 1 raises ValueError."""
+    n = check_at_least("n", n, 1)
+    out, p = [(1, 1)], 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out += [(d * p, -mu) for d, mu in out]
+        p += 1
     if n > 1:
-        result = -result
-    return result
-
-
-def divisors(n):
-    """Positive divisors of n, ascending; n below 1 raises ValueError."""
-    return _divisors(check_at_least("n", n, 1))
-
-
-def _divisors(n):
-    """`divisors` of an int n >= 1, unchecked."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+        out += [(d * n, -mu) for d, mu in out]
+    return out
 
 
 def gbinom(n, k):
@@ -136,10 +116,8 @@ def b_unknot(r, m, tau):
     r = check_at_least("r", r, 1)
     m, tau = check_integer("m", m), check_integer("framing tau", tau)
     total = 0
-    for d in _divisors(gcd(r, m)):
-        mu = _mobius(d)
-        if mu:
-            total += mu * c_unknot(r // d, m // d, tau)
+    for d, mu in mobius_divisors(gcd(r, m)):
+        total += mu * c_unknot(r // d, m // d, tau)
     if total % (r * r):
         raise NonIntegerBPS(("unknot", r, m, tau, Fraction(total, r * r)))
     return total // (r * r)
@@ -149,10 +127,9 @@ def _mobius_binomial(r, t):
     """S(r, t) = sum_{d|r} mu(r/d) (-1)^(d(t+1)) gbinom(dt-1, d-1), the
     numerator of the statistic and of every extremal formula."""
     total = 0
-    for d in _divisors(r):
-        mu = _mobius(r // d)
-        if mu:
-            total += mu * sign_pow(d * (t + 1)) * gbinom(d * t - 1, d - 1)
+    for e, mu in mobius_divisors(r):
+        d = r // e
+        total += mu * sign_pow(d * (t + 1)) * gbinom(d * t - 1, d - 1)
     return total
 
 

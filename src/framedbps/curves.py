@@ -30,7 +30,7 @@ A curve has no q: the rows of a normal form and the w and D Newton returns
 are dicts {doubled a-exponent: int}.  Both solvers compute D = 2γ and halve
 it once (`_halved`), so a γ is a Fraction only where it is not integral;
 `bps_from_gamma` scales the γ back to ints and reads μ from a sieve of its
-own, not from the closed forms' `mobius`.
+own, not from the closed forms' `mobius_divisors`.
 """
 
 from collections import namedtuple
@@ -60,12 +60,17 @@ class SingularBranch(Exception):
     """The Newton solver's branch has a non-invertible y-derivative."""
 
 
+def _int_key(key, size):
+    return isinstance(key, tuple) and len(key) == size and all(isinstance(k, int) for k in key)
+
+
 class DualAPoly:
     """A curve polynomial in (x, y) with a-Laurent coefficients.
 
     `source` maps (x-degree, y-degree, doubled a-exponent) -> an int, read
     by `check_integer`: a float or a Fraction raises ValueError naming its
-    term, and so does an odd y-degree, since the curves only see w = y².
+    term, and so does a key that is not three ints with both degrees at
+    least 0, or an odd y-degree, since the curves only see w = y².
     """
 
     __slots__ = ("source", "kind", "knot", "framing")
@@ -75,6 +80,8 @@ class DualAPoly:
             raise ValueError(f"curve kind must be one of {KINDS}, got {kind!r}")
         self.source = {}
         for key, c in source.items():
+            if not (_int_key(key, 3) and min(key[:2]) >= 0):
+                raise ValueError(f"curve term {key!r} needs three ints, both degrees at least 0")
             if key[1] % 2:
                 raise ValueError(f"curve term {key} has an odd y-degree")
             if c := check_integer(f"curve coefficient of {key}", c):
@@ -221,8 +228,8 @@ class GammaSeries:
 
     `coefficients` maps (r, doubled a-exponent m) -> γ_{r,m} for
     1 <= r <= order, an int or a Fraction stored as given; zero values are
-    not stored.  An order below 1, a key with r outside 1..order or any
-    other value raises ValueError.
+    not stored.  An order below 1, a key other than a pair of ints, one with
+    r outside 1..order, or any other value raises ValueError.
     """
 
     __slots__ = ("coefficients", "order")
@@ -230,6 +237,8 @@ class GammaSeries:
     def __init__(self, coefficients, order):
         order = check_at_least("order", order, 1)
         for key, c in coefficients.items():
+            if not _int_key(key, 2):
+                raise ValueError(f"gamma key {key!r} needs a pair of ints (r, m)")
             if key[0] not in range(1, order + 1):
                 raise ValueError(f"gamma key {key} needs r in 1..{order}")
             if not isinstance(c, (int, Fraction)):

@@ -114,11 +114,11 @@ def _frame(p):
             [((dq - lq) >> 1, (da - la) >> 1, c) for (dq, da), c in p.items()])
 
 
-def _width(frame, step=2):
-    """(span, b) for a value on `frame`: its a-span in steps of `step` plus
-    one, and its bound's bit length plus a sign bit in whole bytes, as
-    `_unpack` reads them."""
-    return (frame[3] - frame[1]) // step + 1, 8 + frame[4].bit_length() // 8 * 8
+def _width(frame):
+    """(span, b) for a value on `frame`: its a-span in steps of 2 plus one,
+    and its bound's bit length plus a sign bit in whole bytes, as `_unpack`
+    reads them."""
+    return (frame[3] - frame[1]) // 2 + 1, 8 + frame[4].bit_length() // 8 * 8
 
 
 def _pack(halved, b, span):

@@ -35,7 +35,7 @@ from itertools import product
 from math import gcd, inf
 from operator import mul, sub
 
-from .closedforms import MismatchDetected, divisors, mobius
+from .closedforms import MismatchDetected, mobius_divisors
 from .laurent import _addmul, _frame, _pack, _shift, _unpack, _width, lp_one, lp_sub
 from .links import LINKS, check_link, homfly_link, link_factor
 from .qsymbols import BraceRatio, _div_brace, _mul_brace
@@ -279,15 +279,13 @@ def p_poly(link, rvec, framings):
         raise ValueError(f"color vector {rvec} needs 1 to 3 nonzero colors")
     c = next(r for r in rvec if r)
     total = {}
-    for d in divisors(gcd(*rvec)):
-        mu = mobius(d)
-        if mu:
-            num = connected_F(link, tuple(r // d for r in rvec), framings)[0].num
-            for (dq, da), v in num.items():
-                key = dq * d, da * d
-                total[key] = v = total.get(key, 0) + mu * v
-                if not v:
-                    del total[key]
+    for d, mu in mobius_divisors(gcd(*rvec)):
+        num = connected_F(link, tuple(r // d for r in rvec), framings)[0].num
+        for (dq, da), v in num.items():
+            key = dq * d, da * d
+            total[key] = v = total.get(key, 0) + mu * v
+            if not v:
+                del total[key]
     if k == 1:
         total = _div_brace(_mul_brace(total, 1), c)
     elif k == 3:

@@ -520,6 +520,23 @@ def test_library_has_no_assert_statements():
     assert not found
 
 
+def test_int_modules_import_no_fractions():
+    # the values of laurent, qsymbols, links and cli are ints: no fractions
+    # import and no Fraction name in them
+    def uses_fraction(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "fractions" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "fractions"
+        return "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    src = Path(cli.__file__).parent
+    found = [f"{name}.py:{node.lineno}" for name in ("laurent", "qsymbols", "links", "cli")
+             for node in ast.walk(ast.parse((src / f"{name}.py").read_text()))
+             if uses_fraction(node)]
+    assert not found
+
+
 def test_every_public_name_has_a_caller_in_the_library():
     # a public module-level function or class that only tests reach is dead code
     trees = [ast.parse(path.read_text())
@@ -684,12 +701,30 @@ def test_twist_parameter_is_checked_before_any_r(p, capsys):
 
 
 def test_mismatch_detected_surfaces(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_unknot_bps_rows",
-                        lambda tau, r_max, source: [(1, 1, 1, -1)])
+    monkeypatch.setattr(cli, "_bps_rows", lambda knot, tau, r_max, sources: [(1, 1, 1, -1)])
     code, _, err = run_cli(capsys, "bps", "--knot", "unknot", "--r-max", "1")
     assert code == 1
     assert "MismatchDetected" in err
     assert cli.MismatchDetected is closedforms.MismatchDetected
+
+
+def refuse(*args):
+    raise RuntimeError("a source not asked for was computed")
+
+
+@pytest.mark.parametrize("knot", [("unknot",), ("twist", "--p", "-3"), ("twist", "--p", "2")],
+                         ids=["unknot", "twist p=-3", "twist p=2"])
+@pytest.mark.parametrize("source, skipped", [
+    ("curve", ("b_unknot", "b_extremal_twist")), ("closed", ("lagrange_log_y",))])
+def test_bps_computes_only_the_source_asked_for(monkeypatch, capsys, knot, source, skipped):
+    # one row builder serves every source; each skipped function raises if it is called
+    for name in skipped:
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, "bps", "--knot", *knot, "--framing", "1",
+                             "--r-max", "6", "--source", source, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].split(",")[2:] == [f"b_{source}"]
+    assert len(out.splitlines()) > 6
 
 
 @pytest.mark.parametrize("extra", [(2, 1), (3, 5)], ids=["odd r+m", "m past r"])

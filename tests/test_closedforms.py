@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from framedbps import cli
 from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    b_extremal_twist, b_unknot, c_unknot,
-                                   divisors, gbinom, integrality_statistic,
-                                   mobius, sign_pow)
+                                   gbinom, integrality_statistic, mobius_divisors,
+                                   sign_pow)
 from framedbps.curves import (DualAPoly, frame_transform, lagrange_log_y, make_curve,
                               newton_series_solve, normalize, solve_w_series)
 from framedbps.laurent import lp_one
@@ -26,9 +26,22 @@ def test_sign_pow_matches_the_power(e):
     assert sign_pow(e) == (-1) ** abs(e)
 
 
+def mobius(n):
+    """μ(n) from the walk: 0 unless n is one of its squarefree divisors."""
+    return dict(mobius_divisors(n)).get(n, 0)
+
+
 def test_mobius_small_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0,
                                                  1, -1, 0]
+    assert mobius_divisors(1) == [(1, 1)]
+    assert sorted(mobius_divisors(12)) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert sorted(mobius_divisors(30)) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1),
+                                           (15, 1), (30, -1)]
+    assert sorted(mobius_divisors(97)) == [(1, 1), (97, -1)]   # a prime left after trial division
+    assert sorted(mobius_divisors(2 * 97)) == [(1, 1), (2, -1), (97, -1), (194, 1)]
+    assert sorted(mobius_divisors(2 ** 10)) == [(1, 1), (2, -1)]
+    assert sorted(mobius_divisors(49)) == [(1, 1), (7, -1)]    # a prime square, p * p == n
 
 
 @given(st.integers(1, 60), st.integers(1, 60))
@@ -38,17 +51,18 @@ def test_mobius_multiplicative_on_coprimes(a, b):
         assert mobius(a * b) == mobius(a) * mobius(b)
 
 
-@given(st.integers(1, 200))
-def test_mobius_sum_over_divisors(n):
-    assert sum(mobius(d) for d in divisors(n)) == (1 if n == 1 else 0)
+def test_mobius_sum_over_divisors():
+    for n in range(1, 501):
+        assert sum(mu for _, mu in mobius_divisors(n)) == (1 if n == 1 else 0)
 
 
-@given(st.integers(1, 400))
-def test_divisors_sorted_and_complete(n):
-    ds = divisors(n)
-    assert ds == sorted(ds)
-    assert all(n % d == 0 for d in ds)
-    assert ds == [d for d in range(1, n + 1) if n % d == 0]
+def test_divisors_sorted_and_complete():
+    # every squarefree divisor once, signed (-1)^(number of its primes)
+    primes = [p for p in range(2, 501) if all(p % k for k in range(2, p))]
+    for n in range(1, 501):
+        want = [(d, (-1) ** sum(d % p == 0 for p in primes)) for d in range(1, n + 1)
+                if n % d == 0 and all(d % (p * p) for p in primes)]
+        assert sorted(mobius_divisors(n)) == want, n
 
 
 @given(st.integers(-12, 12), st.integers(0, 8))
@@ -105,10 +119,11 @@ def test_extremal_unknot_equals_corner_values():
     # b^- = sum mu(r/d)(-1)^(d(tau+1)) C(d tau-1, d-1)
     for r in range(1, 9):
         for tau in range(-4, 5):
-            plus = sum(mobius(r // d) * (-1) ** abs(d * tau)
-                       * gbinom(d * (tau + 1) - 1, d - 1) for d in divisors(r))
-            minus = sum(mobius(r // d) * (-1) ** abs(d * (tau + 1))
-                        * gbinom(d * tau - 1, d - 1) for d in divisors(r))
+            ds = [(r // e, mu) for e, mu in mobius_divisors(r)]   # (d, mu(r/d))
+            plus = sum(mu * (-1) ** abs(d * tau) * gbinom(d * (tau + 1) - 1, d - 1)
+                       for d, mu in ds)
+            minus = sum(mu * (-1) ** abs(d * (tau + 1)) * gbinom(d * tau - 1, d - 1)
+                        for d, mu in ds)
             assert b_unknot(r, r, tau) == Fraction(plus, r * r)
             assert b_unknot(r, -r, tau) == Fraction(minus, r * r)
 
@@ -139,7 +154,7 @@ def load_golden_without_metadata():
 
 # Library arguments that must raise ValueError, not an assert that -O strips.
 BAD_ARGUMENTS = [
-    (mobius, (0,)), (divisors, (-3,)), (gbinom, (4, -1)), (c_unknot, (0, 0, 1)),
+    (mobius_divisors, (0,)), (mobius_divisors, (-3,)), (gbinom, (4, -1)), (c_unknot, (0, 0, 1)),
     (b_unknot, (0, 0, 1)), (b_unknot, (-2, 0, 1)),
     (b_extremal_twist, (0, "-", 2, 0)), (b_extremal_twist, (2, "x", 2, 0)),
     (integrality_statistic, (0, 3)), (make_curve, ("unknot", "bogus", 0)),
@@ -171,7 +186,7 @@ FLOAT_ARGUMENTS = {
     "integrality_statistic t": (integrality_statistic, (2, 1.5), "t"),
     # sizes too: a float r, n, order or n_max is not compared and used as one
     "b_extremal_twist r": (b_extremal_twist, (2.5, "+", 2, 0), "r"),
-    "mobius n": (mobius, (2.5,), "n"), "divisors n": (divisors, (4.0,), "n"),
+    "mobius_divisors n": (mobius_divisors, (2.5,), "n"),
     "c_unknot r": (c_unknot, (2.5, 1, 0), "r"), "b_unknot r": (b_unknot, (2.5, 0, 1), "r"),
     "integrality_statistic r": (integrality_statistic, (2.5, 1), "r"),
     "normalize order": (normalize, (UNKNOT, 2.5), "order"),

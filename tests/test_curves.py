@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -191,6 +192,14 @@ def test_curve_and_gamma_coefficients_are_exact():
         GammaSeries({(1, 1): 0.5}, 1)
 
 
+@pytest.mark.parametrize("key", [(0, 2), (0.5, 2, 0), (-1, 2, 0), (1, -2, 0), (1, 2, 0.5)])
+def test_curve_keys_are_three_ints_with_degrees_at_least_zero(key):
+    # refused where the curve is made, not inside solve_w_series as a bare
+    # ValueError, TypeError, IndexError or KeyError
+    with pytest.raises(ValueError, match=rf"^curve term {re.escape(repr(key))} needs three ints"):
+        DualAPoly({(0, 2, 0): 1, (0, 0, 0): -1, key: 1}, KIND_MINUS, "unknot", 0)
+
+
 def test_gamma_series_interface():
     g = GammaSeries({(1, 1): F(1, 2), (1, -1): F(-1, 2), (2, 0): F(0)}, 2)
     assert g.coefficients.get((1, 1), 0) == F(1, 2)
@@ -204,10 +213,16 @@ def test_gamma_series_interface():
     ({(3, 1): 1}, 2, r"gamma key \(3, 1\) needs r in 1\.\.2"),
     ({(0, 1): 1}, 2, r"gamma key \(0, 1\) needs r in 1\.\.2"),
     ({(-1, 2): 3}, 2, r"gamma key \(-1, 2\) needs r in 1\.\.2"),
-], ids=["float order", "zero order", "r above order", "r zero", "r negative"])
+    ({5: 1}, 3, r"gamma key 5 needs a pair of ints"),
+    ({(1,): 1}, 3, r"gamma key \(1,\) needs a pair of ints"),
+    ({(1, 0, 0): 1}, 3, r"gamma key \(1, 0, 0\) needs a pair of ints"),
+    ({(1, 0.5): 1}, 3, r"gamma key \(1, 0\.5\) needs a pair of ints"),
+], ids=["float order", "zero order", "r above order", "r zero", "r negative", "int key",
+        "short key", "long key", "float m"])
 def test_gamma_series_refuses_order_and_keys_out_of_range(coefficients, order, message):
     # bps_from_gamma trusts both: it would raise a bare TypeError or
-    # ZeroDivisionError, or drop the coefficient
+    # ZeroDivisionError, fail to unpack a key, drop the coefficient or
+    # report a non-integral b at m = 1.5
     with pytest.raises(ValueError, match=message):
         bps_from_gamma(GammaSeries(coefficients, order))
 
@@ -284,7 +299,7 @@ NARROW_WIDTH_SCRIPT = """
 from framedbps import curves
 from framedbps.laurent import PackingError
 real = curves._width
-curves._width = lambda frame, step=2: (real(frame, step)[0], 8)
+curves._width = lambda frame: (real(frame)[0], 8)
 for knot, kind, tau, order in [("unknot", "full", 2, 20), (("twist", 3), "extremal_plus", 2, 30)]:
     try:
         curves.lagrange_log_y(curves.normalize(curves.make_curve(knot, kind, tau), order), order)
@@ -355,18 +370,19 @@ def test_packed_lagrange_decodes_once_per_call(monkeypatch):
 
 
 def test_bps_from_gamma_reads_its_own_mobius(monkeypatch):
-    # a fault in closedforms.mobius cannot reach both sides of `bps --source both`
+    # a fault in closedforms.mobius_divisors cannot reach both sides of `bps --source both`
     gammas = [lagrange_log_y(normalize(make_curve(knot, kind, tau), 30), 30)
               for knot, kind, tau in [("unknot", KIND_FULL, -2), (("twist", 3), KIND_PLUS, 1)]]
     want = [list(bps_from_gamma(g).items()) for g in gammas]
-    real = closedforms.mobius
+    real = closedforms.mobius_divisors
 
     def wrong(n):
-        return -real(n) if n == 6 else real(n)
+        return [(d, -mu if d == 6 else mu) for d, mu in real(n)]
 
-    monkeypatch.setattr(closedforms, "mobius", wrong)
-    monkeypatch.setattr(curves, "mobius", wrong, raising=False)   # a binding imported by name
-    assert closedforms.mobius(6) != real(6)
+    monkeypatch.setattr(closedforms, "mobius_divisors", wrong)
+    # and a binding imported by name
+    monkeypatch.setattr(curves, "mobius_divisors", wrong, raising=False)
+    assert closedforms.mobius_divisors(6) != real(6)
     assert [list(bps_from_gamma(g).items()) for g in gammas] == want
 
 

@@ -121,7 +121,7 @@ def test_packing_checks_raise():
     # at an a-step of 1 a digit is a power of a^(1/2), odd exponents included
     mixed = {(0, -1): 1, (0, 0): -2, (0, 2): 5}
     n = 1 - (2 << 8) + (5 << 24)
-    assert _unpack(n, (0, -1, 0, 2, 8), 8, _width((0, -1, 0, 2, 8), 1)[0], 1) == mixed
+    assert _unpack(n, (0, -1, 0, 2, 8), 8, 2 - (-1) + 1, 1) == mixed   # span at a-step 1
 
 
 @pytest.mark.parametrize("b", [8, 16, 24, 32, 40, 64, 72])
