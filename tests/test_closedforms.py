@@ -186,7 +186,8 @@ FLOAT_ARGUMENTS = {
     "integrality_statistic t": (integrality_statistic, (2, 1.5), "t"),
     # sizes too: a float r, n, order or n_max is not compared and used as one
     "b_extremal_twist r": (b_extremal_twist, (2.5, "+", 2, 0), "r"),
-    "mobius_divisors n": (mobius_divisors, (2.5,), "n"),
+    # mobius_divisors replaces mobius and divisors: their float-n cases keep their labels
+    "mobius n": (mobius_divisors, (2.5,), "n"), "divisors n": (mobius_divisors, (4.0,), "n"),
     "c_unknot r": (c_unknot, (2.5, 1, 0), "r"), "b_unknot r": (b_unknot, (2.5, 0, 1), "r"),
     "integrality_statistic r": (integrality_statistic, (2.5, 1), "r"),
     "normalize order": (normalize, (UNKNOT, 2.5), "order"),
