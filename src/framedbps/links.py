@@ -17,14 +17,13 @@ Conventions baked in here and validated against the integer tables:
   sign exponent is taken mod 2, so writing |t| for t changes nothing.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import index
 
 from .closedforms import check_at_least
-from .laurent import lp_mono, lp_mul, lp_neg, lp_one, lp_sub
-from .qsymbols import (BRACE, BRACE_A, BraceRatio, brace_factorial_multiset,
-                       qsym_falling)
+from .laurent import lp_mono, lp_mul, lp_one, lp_sub
+from .qsymbols import BraceRatio, braces
 
 
 class RecursionViolated(Exception):
@@ -54,10 +53,10 @@ def check_link(link, colors, framings):
     return colors, framings
 
 
-def _cyclotomic_factor(i):
-    """(-1)^i {2i-1;a}_{2i} {i-2;a}_i, the part of C_i both links share."""
-    c = lp_mul(qsym_falling(BRACE_A, 2 * i - 1, 2 * i), qsym_falling(BRACE_A, i - 2, i))
-    return lp_neg(c) if i % 2 else c
+def _cyclotomic_factor(i, dq=0, da=0):
+    """(-1)^i {2i-1;a}_{2i} {i-2;a}_i, the part of C_i both links share,
+    times q^(dq/2) a^(da/2)."""
+    return braces(braces(lp_mono(dq, da, (-1) ** i), 2 * i - 1, 2 * i, 1), i - 2, i, 1)
 
 
 Link = namedtuple("Link", "components core")
@@ -68,8 +67,8 @@ Link = namedtuple("Link", "components core")
 # one an uncancelled {i}!; the unknot keeps only C_0 = 1.
 LINKS = {name: Link(n, lru_cache(maxsize=None)(core)) for name, n, core in [
     ("unknot", 1, lambda i: {} if i else lp_one()),
-    ("whitehead", 2, lambda i: lp_mul(_cyclotomic_factor(i), lp_mono(i * (i - 1) // 2, i))),
-    ("borromean", 3, lambda i: lp_mul(_cyclotomic_factor(i), qsym_falling(BRACE, i, i))),
+    ("whitehead", 2, lambda i: _cyclotomic_factor(i, i * (i - 1) // 2, i)),
+    ("borromean", 3, lambda i: braces(_cyclotomic_factor(i), i, i)),
 ]}
 
 
@@ -79,8 +78,7 @@ def link_factor(i, r, tau):
     factor of a component colored r at framing tau in the term i of
     `homfly_link`, as an exact ratio.  The one place the framing enters."""
     framing = lp_mono(tau * r * (r - 1), 0, -1 if r * tau % 2 else 1)
-    return BraceRatio(lp_mul(qsym_falling(BRACE_A, r + i - 1, r - i), framing),
-                      brace_factorial_multiset(r - i))
+    return BraceRatio(braces(framing, r + i - 1, r - i, 1), Counter(range(1, r - i + 1)))
 
 
 def homfly_link(link, colors, framings):

@@ -2,11 +2,12 @@
 
 Symbols, for integer n:
 
-    {n}   = q^(n/2) - q^(-n/2)                            "brace"
-    {n;a} = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2)           "brace_a"
+    {n}   = q^(n/2) - q^(-n/2)
+    {n;a} = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2)
 
-plus descending products {n}{n-1}...{n-i+1} of i consecutive symbols
-and the brace factorial {n}! as a multiset.
+One primitive, `_mul_brace(num, n, da)`, multiplies by {n} (da = 0) or by
+{n;a} (da = 1); `braces` is the descending product {n}{n-1}...{n-i+1} of i
+of them on top of it, so the brace factorial {n}! is `braces(num, n, n)`.
 
 `BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
 multiset of brace factors {n}) used for invariants that are not Laurent
@@ -22,50 +23,36 @@ from the ratio (see `ovengine`).
 from collections import Counter
 
 from .closedforms import check_at_least, check_integer
-from .laurent import lp_add, lp_mul, lp_one
-
-BRACE = "brace"
-BRACE_A = "brace_a"
+from .laurent import lp_add, lp_mul
 
 
 class InexactDivision(Exception):
     """A brace denominator did not divide its numerator exactly."""
 
 
-def qsym(kind, n):
-    """One symbol of the given kind at integer n (else ValueError)."""
-    n = check_integer("n", n)
-    if kind == BRACE:
-        if n == 0:
-            return {}
-        return {(n, 0): 1, (-n, 0): -1}
-    if kind == BRACE_A:
-        return {(n, 1): 1, (-n, -1): -1}
-    raise ValueError(f"unknown symbol kind {kind!r}")
-
-
-def qsym_falling(kind, n, i):
-    """Product sym(n) sym(n-1) ... sym(n-i+1) of i symbols; i = 0 is 1.
-    A non-integer n or i, or i < 0, raises ValueError."""
-    n, i = check_integer("n", n), check_at_least("i", i, 0)
-    out = lp_one()
-    for t in range(i):
-        out = lp_mul(out, qsym(kind, n - t))
-    return out
-
-
-def _mul_brace(num, n):
-    """num {n}: each term moves up to d+n and, negated, down to d-n in
-    doubled q-exponents; the inverse of `_div_brace`."""
-    out = {(dq + n, da): c for (dq, da), c in num.items()}
-    for (dq, da), c in num.items():
-        k = (dq - n, da)
+def _mul_brace(num, n, da=0):
+    """num {n} (da = 0) or num {n;a} (da = 1): each term moves up to
+    (dq+n, da'+da) and, negated, down to (dq-n, da'-da) in doubled
+    exponents; at da = 0 the inverse of `_div_brace`."""
+    out = {(dq + n, a + da): c for (dq, a), c in num.items()}
+    for (dq, a), c in num.items():
+        k = (dq - n, a - da)
         v = out.get(k, 0) - c
         if v:
             out[k] = v
         else:
             del out[k]
     return out
+
+
+def braces(num, n, i, da=0):
+    """num times the i descending symbols {n}{n-1}...{n-i+1} (da = 0) or
+    {n;a}{n-1;a}...{n-i+1;a} (da = 1); i = 0 gives num.  A non-integer n
+    or i, or i < 0, raises ValueError."""
+    n, i = check_integer("n", n), check_at_least("i", i, 0)
+    for t in range(i):
+        num = _mul_brace(num, n - t, da)
+    return num
 
 
 def _div_brace(num, n):
@@ -89,11 +76,6 @@ def _div_brace(num, n):
         if s + num[(bottom, da)]:
             raise InexactDivision(f"{{{n}}} does not divide the numerator")
     return quo
-
-
-def brace_factorial_multiset(n):
-    """{n}! as a denominator multiset {k: multiplicity}; n an integer >= 0."""
-    return Counter(range(1, check_at_least("n", n, 0) + 1))
 
 
 def _ratio(num, den):

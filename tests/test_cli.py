@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ USAGE_ERRORS = [
     ("verify", "recursion", "--tau-max", "-1"),
     ("verify", "integrality", "--t-range", "5:1"),
     ("verify", "integrality", "--r-max", "0"),
+    ("bps", "--knot", "unknot", "--r-max", "-1"),
 ]
 
 
@@ -82,6 +84,15 @@ def test_ov_table_ascii_half_integer_labels(capsys):
                            "--colors", "1,1,2", "--framing", "0,0,0")
     assert code == 0
     assert "3/2" in out and "-3/2" in out
+
+
+def test_ov_table_ascii_without_entries(capsys):
+    # p_2 of the 0-framed unknot vanishes, so its table holds no entry
+    code, out, _ = run_cli(capsys, "ov-table", "--link", "unknot", "--colors", "2",
+                           "--framing", "0")
+    assert code == 0
+    assert out.splitlines() == ["link=unknot colors=(2,) framings=(0,) epsilon=(0,1)",
+                                "(empty table)"]
 
 
 def test_ov_table_json_round_trip(capsys):
@@ -181,11 +192,30 @@ def test_verify_tables(capsys):
     assert out.count("PASS") == 14
 
 
+def test_verify_tables_reports_a_parity_violation(monkeypatch, capsys):
+    # entries equal to the golden file still fail if the parity check does
+    monkeypatch.setattr(cli, "strong_integrality_check", lambda table: False)
+    code, out, _ = run_cli(capsys, "verify", "tables")
+    assert code == 1
+    assert out.count("FAIL (parity violation)") == 14
+    assert "0/14 tables pass" in out
+
+
 def test_verify_integrality_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "integrality", "--r-max", "6",
                            "--t-range", "-3:3")
     assert code == 0
     assert "all pass" in out
+
+
+def test_verify_integrality_reports_non_integral_values(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "integrality_statistic", lambda r, t: (Fraction(r, 2), r == 2))
+    code, out, _ = run_cli(capsys, "verify", "integrality", "--r-max", "3",
+                           "--t-range", "0:1")
+    assert code == 1
+    assert "r=1: FAIL at [(0, Fraction(1, 2)), (1, Fraction(1, 2))]" in out
+    assert "r=2: t=0..1 all integer" in out
+    assert "r=3: FAIL at [(0, Fraction(3, 2)), (1, Fraction(3, 2))]" in out
 
 
 def test_verify_recursion_small(capsys):

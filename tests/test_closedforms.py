@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedbps import cli
+from framedbps import cli, closedforms
 from framedbps.closedforms import (NonIntegerBPS, UnsupportedKnotKind,
                                    b_extremal_twist, b_unknot, c_unknot,
                                    gbinom, integrality_statistic, mobius_divisors,
                                    sign_pow)
-from framedbps.curves import (DualAPoly, frame_transform, lagrange_log_y, make_curve,
-                              newton_series_solve, normalize, solve_w_series)
+from framedbps.curves import (DualAPoly, GammaSeries, bps_from_gamma, frame_transform,
+                              lagrange_log_y, make_curve, newton_series_solve, normalize,
+                              solve_w_series)
 from framedbps.laurent import lp_one
 from framedbps.links import check_unknot_recursion
 from framedbps.ovengine import connected_F, connected_F_box
-from framedbps.qsymbols import (BRACE, BraceRatio, brace_factorial_multiset, qsym,
-                                qsym_falling)
+from framedbps.qsymbols import BraceRatio, braces
 
 
 @given(st.integers(-20, 20))
@@ -166,7 +166,7 @@ BAD_ARGUMENTS = [
     (connected_F, ("whitehead", (3,), (0, 0))),
     # the oracle, like connected_F, refuses a negative color
     (connected_F_box, ("whitehead", (3, -1), (0, 0))),
-    (qsym_falling, (BRACE, 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
+    (braces, (lp_one(), 3, -1)), (BraceRatio, (lp_one(), {0: 1})),
     (DualAPoly, ({(0, 0, 0): 1}, "bogus", "unknot", 0)),
     (load_golden_without_metadata, ())]
 
@@ -196,10 +196,12 @@ FLOAT_ARGUMENTS = {
     "newton_series_solve order": (newton_series_solve, (UNKNOT, 2.5), "order"),
     "check_unknot_recursion n_max": (check_unknot_recursion, (0, 3.5), "n_max"),
     # and the symbol and binomial sizes: no float exponent key, no bare TypeError
-    "qsym n": (qsym, (BRACE, 1.5), "n"),
-    "qsym_falling n": (qsym_falling, (BRACE, 2.5, 1), "n"),
-    "qsym_falling i": (qsym_falling, (BRACE, 3, 1.5), "i"),
-    "brace_factorial_multiset n": (brace_factorial_multiset, (2.5,), "n"),
+    # (braces replaces qsym, qsym_falling and brace_factorial_multiset, whose
+    # cases keep their labels: one symbol, a falling product, and {n}!)
+    "qsym n": (braces, (lp_one(), 1.5, 1), "n"),
+    "qsym_falling n": (braces, (lp_one(), 2.5, 1), "n"),
+    "qsym_falling i": (braces, (lp_one(), 3, 1.5), "i"),
+    "brace_factorial_multiset n": (braces, (lp_one(), 2.5, 2.5), "n"),
     "gbinom n": (gbinom, (4.5, 2), "n"), "gbinom k": (gbinom, (4, 1.5), "k")}
 
 
@@ -219,6 +221,17 @@ def test_integrality_statistic_returns_exact_fraction():
             assert flag and value.denominator == 1
 
 
-def test_non_integer_bps_is_raisable():
-    with pytest.raises(NonIntegerBPS):
-        raise NonIntegerBPS(("unknot", 2, 1, 0, Fraction(1, 2)))
+def test_non_integer_bps_is_raisable(monkeypatch):
+    # gamma_{2,0} = 1 alone gives b_{2,0} = 2/2^2, which is not an integer
+    with pytest.raises(NonIntegerBPS) as exc:
+        bps_from_gamma(GammaSeries({(2, 0): 1}, 2))
+    assert exc.value.args == ((2, 0, Fraction(1, 2)),)
+    # a sum of 1 where r^2 = 4 must divide it, in either closed form
+    monkeypatch.setattr(closedforms, "c_unknot", lambda r, m, tau: 1)
+    with pytest.raises(NonIntegerBPS) as exc:
+        b_unknot(2, 1, 0)
+    assert exc.value.args == (("unknot", 2, 1, 0, Fraction(1, 4)),)
+    monkeypatch.setattr(closedforms, "_mobius_binomial", lambda r, t: 1)
+    with pytest.raises(NonIntegerBPS) as exc:
+        b_extremal_twist(2, "+", 2, 0)
+    assert exc.value.args == (("twist", 2, "+", 2, 0, Fraction(1, 4)),)

@@ -1,12 +1,22 @@
+import os
+import subprocess
+import sys
+from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from framedbps import links
 from framedbps.laurent import lp_mono, lp_mul, lp_neg, lp_one
 from framedbps.links import (RecursionViolated, check_link, check_unknot_recursion,
                              homfly_link, link_factor)
-from framedbps.qsymbols import (BRACE_A, BraceRatio, brace_factorial_multiset,
-                                qsym, qsym_falling)
+from framedbps.qsymbols import BraceRatio
+
+
+def brace_a(n):
+    """{n;a} = a^(1/2) q^(n/2) - a^(-1/2) q^(-n/2), written out by hand."""
+    return {(n, 1): 1, (-n, -1): -1}
 
 
 def unknot(r):
@@ -48,16 +58,16 @@ def test_spec_validation():
 def test_unknot_small_colors():
     assert unknot(0) == BraceRatio(lp_one())
     # H_1 = {0;a}/{1}
-    assert unknot(1) == BraceRatio(qsym(BRACE_A, 0), {1: 1})
+    assert unknot(1) == BraceRatio(brace_a(0), {1: 1})
     # H_2 = {1;a}{0;a}/{1}{2}
     assert unknot(2) == BraceRatio(
-        lp_mul(qsym(BRACE_A, 1), qsym(BRACE_A, 0)), {1: 1, 2: 1})
+        lp_mul(brace_a(1), brace_a(0)), {1: 1, 2: 1})
 
 
 def test_whitehead_color_one_one_by_hand():
     # i=0: {0;a}^2/{1}!^2 ; i=1: -{1;a}{0;a}{-1;a} a^(1/2)
-    i0 = BraceRatio(lp_mul(qsym(BRACE_A, 0), qsym(BRACE_A, 0)), {1: 2})
-    i1num = lp_mul(qsym_falling(BRACE_A, 1, 2), qsym(BRACE_A, -1))
+    i0 = BraceRatio(lp_mul(brace_a(0), brace_a(0)), {1: 2})
+    i1num = lp_mul(lp_mul(brace_a(1), brace_a(0)), brace_a(-1))
     i1 = BraceRatio(lp_neg(lp_mul(i1num, lp_mono(0, 1))))
     assert homfly_link("whitehead", (1, 1), (0, 0)) == i0.add(i1)
 
@@ -120,6 +130,41 @@ def test_unknot_recursion_needs_two_colors():
             check_unknot_recursion(3, n_max)
 
 
+RECURSION_FAULT_SCRIPT = """
+from framedbps import qsymbols
+
+# {n;a} with a^(1/2) and a^(-1/2) swapped: the a-shift of the one brace
+# primitive flipped before links builds anything
+real = qsymbols._mul_brace
+qsymbols._mul_brace = lambda num, n, da=0: real(num, n, -da)
+
+from framedbps import cli
+from framedbps.links import RecursionViolated, check_unknot_recursion
+
+for tau in (-5, 0, 3):
+    try:
+        check_unknot_recursion(tau, 12)
+    except RecursionViolated as exc:
+        print(f"tau={tau}: RecursionViolated{exc.args}")
+    else:
+        print(f"tau={tau}: holds")
+print(f"verify tables exit {cli.main(['verify', 'tables'])}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_recursion_is_checked_apart_from_the_brace_primitive(flags):
+    # check_unknot_recursion writes its step polynomials out by hand, so a
+    # fault in the primitive that builds H cannot cancel out of both sides
+    env = dict(os.environ, PYTHONPATH=str(Path(links.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", RECURSION_FAULT_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[:3] == [f"tau={tau}: RecursionViolated(1,)" for tau in (-5, 0, 3)]
+    assert out[-2:] == ["0/14 tables pass", "verify tables exit 1"]
+
+
 def test_recursion_violated_is_raisable():
     with pytest.raises(RecursionViolated):
         raise RecursionViolated(3)
@@ -129,5 +174,5 @@ def test_whitehead_denominators_shrink_with_i():
     # the i-th summand divides by {r1-i}! {r2-i}! only: the total's
     # denominator never exceeds the i=0 one
     h = homfly_link("whitehead", (2, 2), (0, 0))
-    top = brace_factorial_multiset(2) + brace_factorial_multiset(2)
+    top = Counter({1: 2, 2: 2})  # {2}! {2}!
     assert all(h.den[n] <= top[n] for n in h.den)

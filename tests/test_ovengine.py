@@ -17,7 +17,7 @@ from framedbps.links import LINKS, homfly_link, link_factor
 from framedbps.ovengine import (NonIntegerInvariant, connected_F,
                                 connected_F_box, ov_table, p_poly,
                                 strong_integrality_check)
-from framedbps.qsymbols import BRACE, BRACE_A, BraceRatio, InexactDivision, qsym
+from framedbps.qsymbols import BraceRatio, InexactDivision
 
 
 def q1(poly):
@@ -59,7 +59,8 @@ def test_connected_and_p_poly_unknot_decomposition():
     assert all(type(c) is int for c in [*d1.num.values(), *d2.num.values()])
     psi_2 = BraceRatio({(2 * dq, 2 * da): c for (dq, da), c in d1.num.items()}, {2: 1})
     moebius = d2.sub(psi_2)
-    assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(qsym(BRACE, 1)).reduce() == {}
+    brace_1 = {(1, 0): 1, (-1, 0): -1}  # {1}
+    assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(brace_1).reduce() == {}
 
 
 # Borromean (2,2,2) at (0,1,3): a term D_s W_{v-s} of D_v reaches below the
@@ -274,7 +275,7 @@ def test_a_wrong_unknot_d_is_not_integral(monkeypatch):
 
     def wrong(r, tau):
         d = real(r, tau)
-        return lp_add(d, qsym(BRACE, 3)) if (r, tau) == (3, 1) else d
+        return lp_add(d, {(3, 0): 1, (-3, 0): -1}) if (r, tau) == (3, 1) else d
     monkeypatch.setattr(ovengine, "_unknot_D", wrong)
     with pytest.raises(NonIntegerInvariant) as exc:
         ov_table("unknot", (3,), (1,))
@@ -519,8 +520,8 @@ def test_non_integer_color_or_framing_raises(fn, colors, framings, message):
 
 
 def test_p_of_single_unknot_is_brace_a():
-    # p_1(U^0) = {1} H_1 = {0;a}
-    assert p_poly("unknot", (1,), (0,)) == qsym(BRACE_A, 0)
+    # p_1(U^0) = {1} H_1 = {0;a} = a^(1/2) - a^(-1/2)
+    assert p_poly("unknot", (1,), (0,)) == {(0, 1): 1, (0, -1): -1}
 
 
 def test_p_poly_k_dispatch():
