@@ -127,7 +127,7 @@ def cmd_homfly(args, parser):
 
     def ascii_lines():
         head = f"link={args.link} colors={colors} framings={framings}"
-        if h.is_zero():
+        if not h.num:
             return [head, "0"]
         numerator = " + ".join(fmt_monomial(c, ("q", dq), ("a", da))
                                for (dq, da), c in terms)

@@ -122,10 +122,10 @@ def check_unknot_recursion(tau, n_max):
     for n in range(1, n_max):
         hn = homfly_link("unknot", (n,), (tau,))
         hn1 = homfly_link("unknot", (n + 1,), (tau,))
-        lhs = hn1.mul_poly(lp_mono(2 * n + 2, 0, sign))
-        lhs = lhs.add(hn1.mul_poly(lp_mono(0, 0, -sign)))
+        lhs = hn1.mul(BraceRatio(lp_mono(2 * n + 2, 0, sign)))
+        lhs = lhs.add(hn1.mul(BraceRatio(lp_mono(0, 0, -sign))))
         step = lp_sub(lp_mono(2 * n + 1, 1), lp_mono(1, -1))
-        rhs = hn.mul_poly(lp_mul(step, lp_mono(2 * n * tau, 0)))
-        if not lhs.sub(rhs).is_zero():
+        rhs = hn.mul(BraceRatio(lp_mul(step, lp_mono(2 * n * tau, 0))))
+        if lhs.sub(rhs).num:
             raise RecursionViolated(n)
     return True

@@ -12,12 +12,12 @@ of them on top of it, so the brace factorial {n}! is `braces(num, n, n)`.
 `BraceRatio` is the exact pair (numerator LaurentPoly, denominator =
 multiset of brace factors {n}) used for invariants that are not Laurent
 polynomials themselves: the colored invariants H and the connected
-invariants `ovengine.connected_F` returns.  A table does no arithmetic
-on them: it multiplies and divides int numerators by one brace at a time
-(`_mul_brace`, `_div_brace`), the same steps by which `reduce` clears a
-ratio's denominator exactly.  The pipeline keeps its numerators
-integral: the one rational of a connected invariant is carried apart
-from the ratio (see `ovengine`).
+invariants `ovengine.connected_F` returns.  A ratio's denominator only
+grows: sums raise numerators to a common denominator and nothing divides.
+Every exact division is a table's: it multiplies and divides int
+numerators by one brace at a time (`_mul_brace`, `_div_brace`).  The
+pipeline keeps its numerators integral: the one rational of a connected
+invariant is carried apart from the ratio (see `ovengine`).
 """
 
 from collections import Counter
@@ -97,8 +97,8 @@ class BraceRatio:
     Values are immutable: every operation returns a new ratio.  Addition
     raises both numerators to the multiset max of the denominators, one
     shift-subtract brace multiply per missing factor {n} — a common
-    denominator (not necessarily least, which is fine: reduce() clears
-    whatever accumulates by exact division).
+    denominator, not necessarily least: a ratio's denominator only grows,
+    and nothing here divides.
     """
 
     __slots__ = ("num", "den")
@@ -120,30 +120,21 @@ class BraceRatio:
             self.num, self.den = {}, Counter()
 
     @staticmethod
-    def zero():
-        return BraceRatio({})
-
-    @staticmethod
     def sum(terms):
         """The sum of `terms`, folded with `add`.  Empty gives zero."""
-        total = BraceRatio.zero()
+        total = BraceRatio({})
         for t in terms:
             total = total.add(t)
         return total
 
-    def _over(self, target):
-        """The same ratio over the denominator `target`: the numerator
-        multiplied by the braces of `target` the denominator lacks, then
-        divided exactly by the braces `target` lacks (InexactDivision if
-        one does not divide)."""
+    def _raised(self, target):
+        """The numerator over the denominator `target`, which holds this
+        one: multiplied by each brace of `target` the denominator lacks."""
         num = self.num
         for n, m in (target - self.den).items():
             for _ in range(m):
                 num = _mul_brace(num, n)
-        for n, m in sorted((self.den - target).items()):
-            for _ in range(m):
-                num = _div_brace(num, n)
-        return _ratio(num, target)
+        return num
 
     def add(self, other):
         if not self.num:
@@ -151,7 +142,7 @@ class BraceRatio:
         if not other.num:
             return self
         cd = self.den | other.den
-        return _ratio(lp_add(self._over(cd).num, other._over(cd).num), cd)
+        return _ratio(lp_add(self._raised(cd), other._raised(cd)), cd)
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -163,22 +154,11 @@ class BraceRatio:
         """The ratio times the exact scalar c."""
         return _ratio({k: v * c for k, v in self.num.items()} if c else {}, self.den)
 
-    def mul_poly(self, p):
-        """The ratio times the LaurentPoly p."""
-        return _ratio(lp_mul(self.num, p), self.den)
-
-    def reduce(self):
-        """The Laurent polynomial, by exact division (see `_over`)."""
-        return self._over(Counter()).num
-
-    def is_zero(self):
-        return not self.num
-
     def __eq__(self, other):
         if not isinstance(other, BraceRatio):
             return NotImplemented
         cd = self.den | other.den
-        return self._over(cd).num == other._over(cd).num
+        return self._raised(cd) == other._raised(cd)
 
     def __repr__(self):
         den = "".join(f"{{{n}}}" + (f"^{m}" if m > 1 else "")

@@ -11,6 +11,7 @@ import pytest
 from framedbps import cli, closedforms, links, ovengine
 from framedbps.curves import GammaSeries
 from framedbps.ovengine import ov_table
+from framedbps.qsymbols import BraceRatio
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -62,6 +63,20 @@ def test_homfly_json_lists_denominator_braces(capsys):
     assert doc["colors"] == [2, 1]
     assert all(set(t) == {"q2", "a2", "c"} for t in doc["numerator"])
     assert doc["denominator"] == sorted(doc["denominator"])
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("ascii", "link=unknot colors=(1,) framings=(0,)\n0\n"),
+    ("json", {"link": "unknot", "colors": [1], "framings": [0],
+              "numerator": [], "denominator": []}),
+    ("csv", "q2,a2,c\n# denominator braces: 1\n")], ids=["ascii", "json", "csv"])
+def test_homfly_of_a_zero_invariant(capsys, monkeypatch, fmt, expected):
+    # the zero branch of the output, reached through a patched H
+    monkeypatch.setattr(cli, "homfly_link", lambda *args: BraceRatio({}))
+    code, out, _ = run_cli(capsys, "homfly", "--link", "unknot", "--colors", "1",
+                           "--framing", "0", "--format", fmt)
+    assert code == 0
+    assert (json.loads(out) if fmt == "json" else out) == expected
 
 
 def test_ov_table_ascii_layout(capsys):

@@ -11,7 +11,7 @@ import pytest
 from framedbps import closedforms, curves, laurent
 from framedbps.closedforms import (MismatchDetected, NonIntegerBPS,
                                    b_extremal_twist, b_unknot)
-from framedbps.laurent import lp_mono, lp_one, series_inv
+from framedbps.laurent import PackingError, lp_mono, lp_one, series_inv
 from framedbps.curves import (KIND_FULL, KIND_MINUS, KIND_PLUS, DualAPoly,
                               GammaSeries, NotNormalizable, SingularBranch,
                               UnsupportedKnotKind, bps_from_gamma,
@@ -357,6 +357,23 @@ def test_packed_lagrange_refuses_a_sum_carrying_into_its_guard_digit(flags):
                for line in out), out
 
 
+@pytest.mark.parametrize("knot, kind, tau", [
+    ("unknot", KIND_FULL, 2), (("twist", -3), KIND_PLUS, 1), (("twist", 2), KIND_MINUS, 0)])
+def test_packed_lagrange_refuses_a_sum_past_its_a_span(monkeypatch, knot, kind, tau):
+    # every row of R^3 moved up one a-step: the top of the sum at n = 3 lands
+    # on its guard digit
+    real, calls = curves._rows_times, []
+
+    def shifted(rows, terms, b, top):
+        real(rows, terms, b, top)
+        calls.append(top)
+        if len(calls) == 3:
+            rows[:] = [row << b for row in rows]
+    monkeypatch.setattr(curves, "_rows_times", shifted)
+    with pytest.raises(PackingError, match="the Lagrange sum at n = 3 reaches past its a-span"):
+        lagrange_log_y(normalize(make_curve(knot, kind, tau), 8), 8)
+
+
 def test_packed_lagrange_decodes_once_per_call(monkeypatch):
     calls = []
     monkeypatch.setattr(curves, "_unpack", lambda *args: calls.append(args[3])
@@ -606,6 +623,16 @@ def test_newton_faults_solved_around_fail_the_end_residual(flags):
         f"x·w′ ≠ w·D for DualAPoly(knot='unknot', kind='full', framing=1, 4 terms) {at}",
         f"x·w′ ≠ w·D for DualAPoly(knot=('twist', 2), kind='extremal_minus', framing=0, "
         f"3 terms) {at}"]
+
+
+def test_end_check_reads_a_wrong_w():
+    # one coefficient of w off by one: A(x, w) no longer vanishes
+    curve = make_curve("unknot", KIND_FULL, 1)
+    w, dlog = solve_w_series(curve, 6)
+    k = min(w[3])
+    w = w[:3] + [{**w[3], k: w[3][k] + 1}] + w[4:]
+    with pytest.raises(MismatchDetected, match=r"A\(x, w\) of DualAPoly\(.*\) is nonzero"):
+        curves._check_at_point(curve, w, dlog)
 
 
 @pytest.mark.parametrize("solver, order", [

@@ -116,7 +116,7 @@ def test_homfly_link_frames_each_component():
     # (-1)^3 q^1 from (1, 2) at (1, 1): the components' monomials multiply
     h = homfly_link("whitehead", (1, 2), (0, 0))
     framed = homfly_link("whitehead", (1, 2), (1, 1))
-    assert framed == h.mul_poly(lp_mono(2, 0, -1))
+    assert framed == h.mul(BraceRatio(lp_mono(2, 0, -1)))
 
 
 def test_unknot_recursion_holds():
@@ -165,9 +165,14 @@ def test_recursion_is_checked_apart_from_the_brace_primitive(flags):
     assert out[-2:] == ["0/14 tables pass", "verify tables exit 1"]
 
 
-def test_recursion_violated_is_raisable():
-    with pytest.raises(RecursionViolated):
-        raise RecursionViolated(3)
+def test_recursion_violated_is_raisable(monkeypatch):
+    # H doubled at color 3 breaks the step from n = 2 to n = 3, and no earlier one
+    real = links.homfly_link
+    monkeypatch.setattr(links, "homfly_link", lambda link, colors, framings: real(
+        link, colors, framings).scale(2 if colors == (3,) else 1))
+    with pytest.raises(RecursionViolated) as exc:
+        check_unknot_recursion(0, 5)
+    assert exc.value.args == (2,)
 
 
 def test_whitehead_denominators_shrink_with_i():

@@ -17,7 +17,7 @@ from framedbps.links import LINKS, homfly_link, link_factor
 from framedbps.ovengine import (NonIntegerInvariant, connected_F,
                                 connected_F_box, ov_table, p_poly,
                                 strong_integrality_check)
-from framedbps.qsymbols import BraceRatio, InexactDivision
+from framedbps.qsymbols import BraceRatio, InexactDivision, _div_brace
 
 
 def q1(poly):
@@ -48,6 +48,15 @@ def test_zero_or_negative_colors_raise():
         ov_table("whitehead", (0, 0), (0, 0))
 
 
+def cleared(ratio):
+    """The Laurent polynomial `ratio` stands for: its numerator divided
+    exactly by each brace of its denominator."""
+    num = ratio.num
+    for n in sorted(ratio.den.elements()):
+        num = _div_brace(num, n)
+    return num
+
+
 def test_connected_and_p_poly_unknot_decomposition():
     # F_r = D_r / r with the integer identities D_1 = H_1 and
     # D_2 = 2 H_2 - H_1^2, and at k = 1 p_2 = {1} (D_2 - Psi_2(D_1)) / 2,
@@ -60,7 +69,7 @@ def test_connected_and_p_poly_unknot_decomposition():
     psi_2 = BraceRatio({(2 * dq, 2 * da): c for (dq, da), c in d1.num.items()}, {2: 1})
     moebius = d2.sub(psi_2)
     brace_1 = {(1, 0): 1, (-1, 0): -1}  # {1}
-    assert p_poly("unknot", (2,), (0,)) == moebius.mul_poly(brace_1).reduce() == {}
+    assert p_poly("unknot", (2,), (0,)) == cleared(moebius.mul(BraceRatio(brace_1))) == {}
 
 
 # Borromean (2,2,2) at (0,1,3): a term D_s W_{v-s} of D_v reaches below the
@@ -182,11 +191,11 @@ def test_h_has_int_laurent_coefficients():
 @lru_cache(maxsize=None)
 def brace_ratio_h(i, r, tau):
     """h_{i,r} by the recurrence on `BraceRatio`s: every term raised to
-    {r-i}! by `add`, then `reduce`d."""
+    {r-i}! by `add`, then the sum `cleared`."""
     terms = [link_factor(i, r, tau)] + [
-        homfly_link("unknot", (s,), (tau,)).mul_poly(brace_ratio_h(i, r - s, tau)).scale(-1)
+        homfly_link("unknot", (s,), (tau,)).mul(BraceRatio(brace_ratio_h(i, r - s, tau))).scale(-1)
         for s in range(1, r - i + 1)]
-    return BraceRatio.sum(terms).reduce()
+    return cleared(BraceRatio.sum(terms))
 
 
 def test_h_matches_the_brace_ratio_recurrence():
@@ -446,8 +455,8 @@ def test_cached_coefficients_extend_to_a_larger_box(cold_caches, first, second):
     assert big[0, 2] == connected_F("unknot", (2,), (0,))
     assert big[0, 2][1] == 2
     tri = connected_F_box("borromean", (1, 2, 2), (1, -1, 0))
-    assert tri[0, 1, 2] == (BraceRatio.zero(), 1) == connected_F("borromean", (0, 1, 2), (1, -1, 0))
-    assert tri[0, 2, 1] == (BraceRatio.zero(), 2)
+    assert tri[0, 1, 2] == (BraceRatio({}), 1) == connected_F("borromean", (0, 1, 2), (1, -1, 0))
+    assert tri[0, 2, 1] == (BraceRatio({}), 2)
 
 
 def test_framings_are_cached_apart(cold_caches):
